@@ -94,9 +94,10 @@ void AblationTagSets() {
                                                &out)
                   .value();
     uint64_t skipped = 0;
+    std::vector<xml::AttrView> scratch;
     for (;;) {
       auto event = dec->Next().value();
-      CSXA_CHECK(ev->OnEvent(event).ok());
+      CSXA_CHECK(ev->OnEventView(xml::ViewOf(event, &scratch)).ok());
       if (event.type == xml::EventType::kEnd) break;
       if (event.type == xml::EventType::kOpen &&
           dec->last_content_size() > 0) {

@@ -53,7 +53,7 @@ Workload MakeWorkload(size_t doc_elements, size_t num_rules,
 // Discards evaluator output (we measure the engine, not the serializer).
 class NullSink : public xml::EventSink {
  public:
-  Status OnEvent(const xml::Event&) override { return Status::OK(); }
+  Status OnEventView(const xml::EventView&) override { return Status::OK(); }
 };
 
 void RunEvaluator(benchmark::State& state, const Workload& w) {
@@ -65,8 +65,9 @@ void RunEvaluator(benchmark::State& state, const Workload& w) {
                                                nullptr, &sink);
     CSXA_CHECK(ev.ok());
     ev.value()->BindDocumentTags(w.tags);
+    std::vector<xml::AttrView> scratch;
     for (const xml::Event& e : w.events) {
-      Status st = ev.value()->OnEvent(e);
+      Status st = ev.value()->OnEventView(xml::ViewOf(e, &scratch));
       CSXA_CHECK(st.ok());
     }
     CSXA_CHECK(ev.value()->Finish().ok());

@@ -139,6 +139,7 @@ void BM_EndToEnd(benchmark::State& state, bool view_mode) {
                                                &writer);
     CSXA_CHECK(ev.ok());
     ev.value()->BindDocumentTags(dec.value()->tags());
+    std::vector<xml::AttrView> scratch;
     // Identical control flow in both modes (no skips): only the event
     // representation differs.
     for (;;) {
@@ -150,7 +151,8 @@ void BM_EndToEnd(benchmark::State& state, bool view_mode) {
       } else {
         auto e = dec.value()->Next();
         CSXA_CHECK(e.ok());
-        CSXA_CHECK(ev.value()->OnEvent(e.value()).ok());
+        CSXA_CHECK(
+            ev.value()->OnEventView(xml::ViewOf(e.value(), &scratch)).ok());
         if (e.value().type == xml::EventType::kEnd) break;
       }
     }

@@ -41,11 +41,20 @@ cmake --build build-tsan -j
 
 # AddressSanitizer pass over the durable store: the block layer, crash
 # recovery and quarantine paths shuffle raw buffers, truncate files and
-# replay torn tails — exactly where an off-by-one reads out of bounds.
+# replay torn tails — exactly where an off-by-one reads out of bounds. The
+# transport label adds the backend-parity suite, whose DurableServer leg
+# serves the same protocol core from lazily loaded blobs.
 cmake -B build-asan -S . -DCSXA_SANITIZE=address \
   -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j
-(cd build-asan && ctest --output-on-failure -L durable)
+(cd build-asan && ctest --output-on-failure -L "durable|transport")
+
+# The repository benchmark as its own package: its held-out ctest entries
+# run every workload end to end on both backends (in-memory and durable
+# shards) against the reference evaluator, traced and untraced.
+cmake -S perfbench -B .bench_build
+cmake --build .bench_build -j
+(cd .bench_build && ctest --output-on-failure)
 
 # Shared-library smoke: -DCSXA_SHARED=ON builds every csxa_<subsystem>
 # library as a shared object (BUILD_SHARED_LIBS + PIC). This catches

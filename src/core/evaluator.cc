@@ -500,10 +500,6 @@ void StreamingEvaluator::ReleaseSnapshot(Snapshot&& snap) {
   }
 }
 
-Status StreamingEvaluator::OnEvent(const Event& event) {
-  return OnEventView(ViewOf(event, &in_attr_scratch_));
-}
-
 Status StreamingEvaluator::OnEventView(const EventView& event) {
   if (finished_) {
     return Status::InvalidArgument("event after end of stream");
@@ -670,8 +666,8 @@ Status StreamingEvaluator::FlushPipeline() {
 
 Status StreamingEvaluator::DispatchToComposer(OutEvent* ev) {
   // Buffered events are owning copies; the composer consumes views, so
-  // bridge through the dispatch scratch (distinct from the OnEvent
-  // bridge's scratch, whose view may still be live up the call stack).
+  // bridge through the dispatch scratch, which no other borrow site
+  // uses: no view still live up the call stack is clobbered.
   EventView view = ViewOf(ev->event, &dispatch_attr_scratch_);
   switch (view.type) {
     case EventType::kOpen:

@@ -85,12 +85,10 @@ class StreamingEvaluator : public xml::EventSink {
   /// lookup. The interner is copied from, not retained.
   void BindDocumentTags(const Interner& doc_tags);
 
-  /// Feeds the next document event (kEnd finishes the stream).
-  Status OnEvent(const xml::Event& event) override;
-
-  /// Borrowed fast path: the evaluator keys on TagId and copies bytes only
-  /// into its pooled buffered-output levels, so a view is consumed in
-  /// place — no per-event materialization anywhere on the permit path.
+  /// Feeds the next document event (kEnd finishes the stream). The
+  /// evaluator keys on TagId and copies bytes only into its pooled
+  /// buffered-output levels, so a view is consumed in place — no
+  /// per-event materialization anywhere on the permit path.
   Status OnEventView(const xml::EventView& view) override;
 
   /// Must be called (or an kEnd event fed) after the last event; verifies
@@ -331,10 +329,9 @@ class StreamingEvaluator : public xml::EventSink {
   std::deque<OutEvent> pipeline_;
   std::vector<ComposerEntry> composer_;
   size_t composer_size_ = 0;
-  // Attribute-view scratch, one per borrow site so a view built for an
-  // incoming event is never clobbered while still live: OnEvent's
-  // owning→view bridge, pipeline dispatch, and composer emission.
-  std::vector<xml::AttrView> in_attr_scratch_;
+  // Attribute-view scratch, one per borrow site so a view built for one
+  // site is never clobbered while still live: pipeline dispatch and
+  // composer emission.
   std::vector<xml::AttrView> dispatch_attr_scratch_;
   std::vector<xml::AttrView> emit_attr_scratch_;
   // Decision for the innermost open element (used by CanSkipCurrentSubtree).

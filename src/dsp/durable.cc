@@ -10,10 +10,6 @@ namespace csxa::dsp {
 
 namespace {
 
-// Modeled framing costs, identical to DspServer's.
-constexpr uint64_t kRevalidationWireBytes = 16;
-constexpr uint64_t kPingWireBytes = 8;
-
 // Manifest record / blob types. A blob carries the same type tag as the
 // record that commits it, so a remapped extent of the wrong kind is
 // caught before any field is trusted.
@@ -126,8 +122,7 @@ Result<std::unique_ptr<DurableServer>> DurableServer::Open(
   CSXA_RETURN_IF_ERROR(options.env->CreateDir(options.directory));
 
   auto server = std::unique_ptr<DurableServer>(new DurableServer());
-  server->store_id_ = options.store_id;
-  server->key_ = options.key;
+  Table& table = server->table_;
 
   uint64_t data_torn_bytes = 0;
   CSXA_ASSIGN_OR_RETURN(
@@ -178,42 +173,12 @@ Result<std::unique_ptr<DurableServer>> DurableServer::Open(
   for (size_t i = 0; i < scan.records.size(); ++i) {
     CSXA_ASSIGN_OR_RETURN(RecordFields rec, ParseRecord(scan.records[i]));
     report.clean_shutdown = rec.type == kClean;
-    switch (rec.type) {
-      case kCommit: {
-        Doc doc;
-        doc.rules_version = rec.version;
-        doc.commit_version = rec.version;
-        doc.first_block = rec.first_block;
-        doc.block_count = rec.block_count;
-        server->docs_[rec.doc_id] = std::move(doc);
-        break;
-      }
-      case kRulesCommit: {
-        auto it = server->docs_.find(rec.doc_id);
-        if (it == server->docs_.end()) {
-          return Status::IntegrityError(
-              "manifest: rules update for unknown document '" + rec.doc_id +
-              "'");
-        }
-        it->second.rules_version = rec.version;
-        it->second.rules_first = rec.first_block;
-        it->second.rules_count = rec.block_count;
-        break;
-      }
-      case kRemove:
-        server->retired_versions_[rec.doc_id] = rec.version;
-        server->docs_.erase(rec.doc_id);
-        break;
-      case kClean:
-      case kInUse:
-        break;
-      default:
-        return Status::IntegrityError("manifest: unknown record type " +
-                                      std::to_string(rec.type));
-    }
+    Result<Table::Entry*> applied = server->Apply(
+        rec.type, rec.doc_id, rec.version, rec.first_block, rec.block_count);
+    CSXA_RETURN_IF_ERROR(applied.status());
     committed_end = std::max(committed_end, rec.first_block + rec.block_count);
   }
-  report.documents = server->docs_.size();
+  report.documents = table.size();
 
   // GC: blocks past the last committed extent were appended by a mutation
   // whose commit record never made it — the op never happened.
@@ -226,38 +191,80 @@ Result<std::unique_ptr<DurableServer>> DurableServer::Open(
   if (report.clean_shutdown) {
     // Consume the marker: from here the store is in use, and a crash
     // before the next Close() must force the cold path.
-    CSXA_RETURN_IF_ERROR(server->manifest_.Append(
-        EncodeCommitRecord(kInUse, std::string(), 0, 0, 0),
-        &server->nonces_));
+    CSXA_RETURN_IF_ERROR(
+        server->Commit(kInUse, std::string(), 0, Span(), Span()).status());
   } else {
     // Cold open: the previous run ended in a crash (or this is a fresh
     // store) — authenticate every live document now so damage surfaces at
     // open, not at first read.
-    for (auto& [doc_id, doc] : server->docs_) {
-      report.blocks_verified += doc.block_count + doc.rules_count;
-      Status loaded = server->LoadDoc(doc_id, &doc);
-      if (!loaded.ok()) {
-        report.quarantined.push_back(doc_id);
-        server->quarantine_.emplace(doc_id, std::move(loaded));
-      }
-    }
+    table.ForEach([&](const std::string& doc_id, Table::Entry& doc) {
+      report.blocks_verified += doc.meta.block_count + doc.meta.rules_count;
+      doc.meta.damage = server->LoadDoc(doc_id, &doc);
+      if (!doc.meta.damage.ok()) report.quarantined.push_back(doc_id);
+    });
   }
   return server;
 }
 
-Result<std::pair<uint64_t, uint64_t>> DurableServer::WriteExtent(Span blob) {
-  const uint64_t first = blocks_.block_count();
+Result<DurableServer::Table::Entry*> DurableServer::Commit(
+    uint8_t type, const std::string& doc_id, uint64_t version,
+    Span container, Span sealed_rules) {
+  uint64_t first = 0;
   uint64_t count = 0;
-  for (size_t off = 0; off == 0 || off < blob.size();
-       off += crypto::kBlockPayloadCapacity) {
-    size_t n = std::min(crypto::kBlockPayloadCapacity, blob.size() - off);
-    CSXA_RETURN_IF_ERROR(
-        blocks_.AppendBlock(blob.subspan(off, n), &nonces_).status());
-    ++count;
+  if (type == kCommit || type == kRulesCommit) {
+    const Bytes blob =
+        EncodeBlob(type, doc_id, version, container, sealed_rules);
+    first = blocks_.block_count();
+    for (size_t off = 0; off == 0 || off < blob.size();
+         off += crypto::kBlockPayloadCapacity) {
+      size_t n = std::min(crypto::kBlockPayloadCapacity, blob.size() - off);
+      CSXA_RETURN_IF_ERROR(
+          blocks_.AppendBlock(Span(blob).subspan(off, n), &nonces_).status());
+      ++count;
+    }
+    // Data durable before the manifest may name it (commit protocol step 2).
+    CSXA_RETURN_IF_ERROR(blocks_.Sync());
   }
-  // Data durable before the manifest may name it (commit protocol step 2).
-  CSXA_RETURN_IF_ERROR(blocks_.Sync());
-  return std::make_pair(first, count);
+  CSXA_RETURN_IF_ERROR(manifest_.Append(
+      EncodeCommitRecord(type, doc_id, version, first, count), &nonces_));
+  return Apply(type, doc_id, version, first, count);
+}
+
+Result<DurableServer::Table::Entry*> DurableServer::Apply(
+    uint8_t type, const std::string& doc_id, uint64_t version,
+    uint64_t first_block, uint64_t block_count) {
+  Table::Entry* doc = nullptr;
+  switch (type) {
+    case kCommit: {
+      Table::Entry fresh;
+      fresh.rules_version = version;
+      fresh.meta.commit_version = version;
+      fresh.meta.first_block = first_block;
+      fresh.meta.block_count = block_count;
+      doc = table_.Publish(doc_id, std::move(fresh));
+      break;
+    }
+    case kRulesCommit:
+      doc = table_.Find(doc_id);
+      if (doc == nullptr) {
+        return Status::IntegrityError(
+            "manifest: rules update for unknown document '" + doc_id + "'");
+      }
+      doc->rules_version = version;
+      doc->meta.rules_first = first_block;
+      doc->meta.rules_count = block_count;
+      break;
+    case kRemove:
+      table_.Remove(doc_id, version);
+      break;
+    case kClean:
+    case kInUse:
+      break;
+    default:
+      return Status::IntegrityError("manifest: unknown record type " +
+                                    std::to_string(type));
+  }
+  return doc;
 }
 
 Result<Bytes> DurableServer::ReadExtent(uint64_t first,
@@ -270,131 +277,58 @@ Result<Bytes> DurableServer::ReadExtent(uint64_t first,
   return blob;
 }
 
-Status DurableServer::LoadDoc(const std::string& doc_id, Doc* doc) {
-  CSXA_ASSIGN_OR_RETURN(Bytes blob,
-                        ReadExtent(doc->first_block, doc->block_count));
+Status DurableServer::LoadDoc(const std::string& doc_id, Table::Entry* doc) {
+  CSXA_ASSIGN_OR_RETURN(
+      Bytes blob, ReadExtent(doc->meta.first_block, doc->meta.block_count));
   CSXA_ASSIGN_OR_RETURN(
       BlobFields fields,
-      ParseBlob(blob, kCommit, doc_id, doc->commit_version));
-  auto container_bytes = std::make_unique<Bytes>(std::move(fields.container));
-  CSXA_ASSIGN_OR_RETURN(crypto::SecureContainer container,
-                        crypto::SecureContainer::Parse(*container_bytes));
-  Bytes sealed_rules = std::move(fields.sealed_rules);
-  if (doc->rules_count > 0) {
-    CSXA_ASSIGN_OR_RETURN(Bytes rules_blob,
-                          ReadExtent(doc->rules_first, doc->rules_count));
+      ParseBlob(blob, kCommit, doc_id, doc->meta.commit_version));
+  if (doc->meta.rules_count > 0) {
+    CSXA_ASSIGN_OR_RETURN(
+        Bytes rules_blob,
+        ReadExtent(doc->meta.rules_first, doc->meta.rules_count));
     CSXA_ASSIGN_OR_RETURN(
         BlobFields rules,
         ParseBlob(rules_blob, kRulesCommit, doc_id, doc->rules_version));
-    sealed_rules = std::move(rules.sealed_rules);
+    fields.sealed_rules = std::move(rules.sealed_rules);
   }
-  doc->container_bytes = std::move(container_bytes);
-  doc->container = std::move(container);
-  doc->sealed_rules = std::move(sealed_rules);
-  doc->loaded = true;
+  // Last fallible step, so a failure leaves the entry unloaded.
+  CSXA_RETURN_IF_ERROR(doc->SetContainer(std::move(fields.container)));
+  doc->sealed_rules = std::move(fields.sealed_rules);
   return Status::OK();
 }
 
-Result<Response> DurableServer::ServeRead(const Request& request,
-                                          const Doc& doc) const {
-  switch (request.op) {
-    case Op::kOpenDocument: {
-      Response resp;
-      resp.rules_version = doc.rules_version;
-      if (request.known_rules_version != 0 &&
-          request.known_rules_version == doc.rules_version) {
-        resp.not_modified = true;
-        resp.wire_bytes = kRevalidationWireBytes;
-        not_modified_.fetch_add(1, std::memory_order_relaxed);
-        return resp;
-      }
-      const Bytes& raw = *doc.container_bytes;
-      if (raw.size() < crypto::ContainerHeader::kWireSize) {
-        return Status::Internal("stored container shorter than a header");
-      }
-      resp.header.assign(raw.begin(),
-                         raw.begin() + crypto::ContainerHeader::kWireSize);
-      resp.sealed_rules = doc.sealed_rules;
-      resp.wire_bytes = resp.header.size() + resp.sealed_rules.size() + 8;
-      return resp;
-    }
-    case Op::kGetChunks: {
-      Response resp;
-      resp.rules_version = doc.rules_version;
-      for (const ChunkSpan& span : request.spans) {
-        for (uint32_t i = 0; i < span.count; ++i) {
-          uint32_t index = span.first + i;
-          soe::ChunkData chunk;
-          CSXA_ASSIGN_OR_RETURN(Span cipher,
-                                doc.container.ChunkCiphertext(index));
-          chunk.ciphertext = cipher.ToBytes();
-          CSXA_ASSIGN_OR_RETURN(chunk.auth, doc.container.GetChunkAuth(index));
-          resp.wire_bytes += chunk.WireBytes(doc.container.header().integrity);
-          resp.chunks.push_back(std::move(chunk));
-        }
-      }
-      chunks_served_.fetch_add(resp.chunks.size(), std::memory_order_relaxed);
-      return resp;
-    }
-    default: {  // kGetContainer
-      Response resp;
-      resp.rules_version = doc.rules_version;
-      resp.container = *doc.container_bytes;
-      resp.wire_bytes = resp.container.size();
-      return resp;
-    }
-  }
+Result<DurableServer::Table::Entry*> DurableServer::Healthy(
+    const std::string& doc_id) {
+  CSXA_ASSIGN_OR_RETURN(Table::Entry * doc, table_.Lookup(doc_id));
+  if (!doc->meta.damage.ok()) return doc->meta.damage;
+  return doc;
 }
 
 Result<Response> DurableServer::Execute(Request request) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-
-  Result<Response> result = [&]() -> Result<Response> {
+  return table_.Served([&]() -> Result<Response> {
     switch (request.op) {
       case Op::kPublish: {
         if (request.doc_id.size() > kMaxDocIdSize) {
           return Status::InvalidArgument("doc_id too long to commit");
         }
         // Parse before taking the lock: validation needs no store state.
-        auto container_bytes =
-            std::make_unique<Bytes>(std::move(request.container));
-        CSXA_ASSIGN_OR_RETURN(
-            crypto::SecureContainer container,
-            crypto::SecureContainer::Parse(*container_bytes));
+        DocState parsed;
+        CSXA_RETURN_IF_ERROR(
+            parsed.SetContainer(std::move(request.container)));
 
         std::unique_lock lock(mu_);
-        // Same version monotonicity as DspServer: republish and
-        // remove-then-republish must exceed every version ever served.
-        uint64_t floor = 0;
-        auto existing = docs_.find(request.doc_id);
-        if (existing != docs_.end()) {
-          floor = existing->second.rules_version;
-        } else if (auto retired = retired_versions_.find(request.doc_id);
-                   retired != retired_versions_.end()) {
-          floor = retired->second;
-        }
-        uint64_t version = request.force_rules_version != 0
-                               ? request.force_rules_version
-                               : floor + 1;
-        Bytes blob = EncodeBlob(kCommit, request.doc_id, version,
-                                *container_bytes, request.sealed_rules);
-        CSXA_ASSIGN_OR_RETURN(auto extent, WriteExtent(blob));
-        CSXA_RETURN_IF_ERROR(manifest_.Append(
-            EncodeCommitRecord(kCommit, request.doc_id, version,
-                               extent.first, extent.second),
-            &nonces_));
-        // Committed: apply to memory. A republish heals any quarantine.
-        Doc doc;
-        doc.rules_version = version;
-        doc.commit_version = version;
-        doc.first_block = extent.first;
-        doc.block_count = extent.second;
-        doc.loaded = true;
-        doc.container_bytes = std::move(container_bytes);
-        doc.container = std::move(container);
-        doc.sealed_rules = std::move(request.sealed_rules);
-        docs_[request.doc_id] = std::move(doc);
-        quarantine_.erase(request.doc_id);
+        uint64_t version =
+            table_.NextVersion(request.doc_id, request.force_rules_version);
+        CSXA_ASSIGN_OR_RETURN(
+            Table::Entry * doc,
+            Commit(kCommit, request.doc_id, version, *parsed.container_bytes,
+                   request.sealed_rules));
+        // Committed: the fresh entry heals any quarantine and serves the
+        // parse from memory.
+        doc->container_bytes = std::move(parsed.container_bytes);
+        doc->container = std::move(parsed.container);
+        doc->sealed_rules = std::move(request.sealed_rules);
         Response resp;
         resp.rules_version = version;
         resp.commit_seq = manifest_.next_seq();
@@ -403,30 +337,13 @@ Result<Response> DurableServer::Execute(Request request) {
 
       case Op::kUpdateRules: {
         std::unique_lock lock(mu_);
-        if (auto q = quarantine_.find(request.doc_id);
-            q != quarantine_.end()) {
-          return q->second;
-        }
-        auto it = docs_.find(request.doc_id);
-        if (it == docs_.end()) {
-          return Status::NotFound("document " + request.doc_id);
-        }
-        uint64_t version = request.force_rules_version != 0
-                               ? request.force_rules_version
-                               : it->second.rules_version + 1;
-        Bytes blob = EncodeBlob(kRulesCommit, request.doc_id, version,
-                                Span(), request.sealed_rules);
-        CSXA_ASSIGN_OR_RETURN(auto extent, WriteExtent(blob));
-        CSXA_RETURN_IF_ERROR(manifest_.Append(
-            EncodeCommitRecord(kRulesCommit, request.doc_id, version,
-                               extent.first, extent.second),
-            &nonces_));
-        it->second.rules_version = version;
-        it->second.rules_first = extent.first;
-        it->second.rules_count = extent.second;
-        if (it->second.loaded) {
-          it->second.sealed_rules = std::move(request.sealed_rules);
-        }
+        CSXA_ASSIGN_OR_RETURN(Table::Entry * doc, Healthy(request.doc_id));
+        uint64_t version =
+            table_.NextVersion(request.doc_id, request.force_rules_version);
+        CSXA_RETURN_IF_ERROR(Commit(kRulesCommit, request.doc_id, version,
+                                    Span(), request.sealed_rules)
+                                 .status());
+        if (doc->loaded()) doc->sealed_rules = std::move(request.sealed_rules);
         Response resp;
         resp.rules_version = version;
         resp.commit_seq = manifest_.next_seq();
@@ -434,81 +351,50 @@ Result<Response> DurableServer::Execute(Request request) {
       }
 
       case Op::kRemove: {
-        std::unique_lock lock(mu_);
-        auto it = docs_.find(request.doc_id);
-        if (it == docs_.end()) {
-          return Status::NotFound("document " + request.doc_id);
-        }
-        uint64_t version = it->second.rules_version;
-        CSXA_RETURN_IF_ERROR(manifest_.Append(
-            EncodeCommitRecord(kRemove, request.doc_id, version, 0, 0),
-            &nonces_));
-        retired_versions_[request.doc_id] = version;
-        docs_.erase(it);
         // Removing a damaged document is a legitimate way to retire it.
-        quarantine_.erase(request.doc_id);
+        std::unique_lock lock(mu_);
+        CSXA_ASSIGN_OR_RETURN(const Table::Entry* doc,
+                              table_.Lookup(request.doc_id));
+        CSXA_RETURN_IF_ERROR(Commit(kRemove, request.doc_id,
+                                    doc->rules_version, Span(), Span())
+                                 .status());
         Response resp;
         resp.commit_seq = manifest_.next_seq();
         return resp;
       }
 
-      case Op::kPing: {
-        Response resp;
-        resp.wire_bytes = kPingWireBytes;
-        return resp;
-      }
+      case Op::kPing:
+        return table_.Ping();
 
       case Op::kOpenDocument:
       case Op::kGetChunks:
       case Op::kGetContainer: {
         {
           std::shared_lock lock(mu_);
-          if (auto q = quarantine_.find(request.doc_id);
-              q != quarantine_.end()) {
-            return q->second;
-          }
-          auto it = docs_.find(request.doc_id);
-          if (it == docs_.end()) {
-            return Status::NotFound("document " + request.doc_id);
-          }
-          if (it->second.loaded) return ServeRead(request, it->second);
+          CSXA_ASSIGN_OR_RETURN(const Table::Entry* doc,
+                                Healthy(request.doc_id));
+          if (doc->loaded()) return table_.Read(request, *doc);
         }
         // Warm-open lazy path: first access loads and verifies the blobs
         // under the exclusive lock (this also serializes the BlockLog).
         std::unique_lock lock(mu_);
-        if (auto q = quarantine_.find(request.doc_id);
-            q != quarantine_.end()) {
-          return q->second;
+        CSXA_ASSIGN_OR_RETURN(Table::Entry * doc, Healthy(request.doc_id));
+        if (!doc->loaded()) {
+          doc->meta.damage = LoadDoc(request.doc_id, doc);
+          CSXA_RETURN_IF_ERROR(doc->meta.damage);
         }
-        auto it = docs_.find(request.doc_id);
-        if (it == docs_.end()) {
-          return Status::NotFound("document " + request.doc_id);
-        }
-        if (!it->second.loaded) {
-          Status loaded = LoadDoc(request.doc_id, &it->second);
-          if (!loaded.ok()) {
-            quarantine_.emplace(request.doc_id, loaded);
-            return loaded;
-          }
-        }
-        return ServeRead(request, it->second);
+        return table_.Read(request, *doc);
       }
     }
     return Status::InvalidArgument("unknown DSP op");
-  }();
-
-  if (result.ok()) {
-    bytes_served_.fetch_add(result.value().wire_bytes,
-                            std::memory_order_relaxed);
-  }
-  return result;
+  }());
 }
 
 Status DurableServer::Close() {
   std::unique_lock lock(mu_);
   if (closed_) return Status::OK();
-  CSXA_RETURN_IF_ERROR(manifest_.Append(
-      EncodeCommitRecord(kClean, std::string(), 0, 0, 0), &nonces_));
+  CSXA_RETURN_IF_ERROR(
+      Commit(kClean, std::string(), 0, Span(), Span()).status());
   closed_ = true;
   return Status::OK();
 }
@@ -516,17 +402,9 @@ Status DurableServer::Close() {
 std::vector<std::string> DurableServer::quarantined() const {
   std::shared_lock lock(mu_);
   std::vector<std::string> out;
-  for (const auto& [doc_id, status] : quarantine_) out.push_back(doc_id);
-  return out;
-}
-
-ServiceStats DurableServer::stats() const {
-  ServiceStats out;
-  out.requests = requests_.load(std::memory_order_relaxed);
-  out.chunks_served = chunks_served_.load(std::memory_order_relaxed);
-  out.bytes_served = bytes_served_.load(std::memory_order_relaxed);
-  out.not_modified = not_modified_.load(std::memory_order_relaxed);
-  out.documents = size();
+  table_.ForEach([&](const std::string& doc_id, const Table::Entry& doc) {
+    if (!doc.meta.damage.ok()) out.push_back(doc_id);
+  });
   return out;
 }
 

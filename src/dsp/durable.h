@@ -4,8 +4,9 @@
 /// \file durable.h
 /// \brief Disk-backed DSP: the crash-safe, tamper-evident Service backend.
 ///
-/// DspServer loses everything on restart; DurableServer stores the same
-/// (container bytes, sealed rules, rules version) state in the sealed
+/// DspServer loses everything on restart; DurableServer serves the same
+/// dsp::DocTable (doc_table.h) but commits every mutation of its
+/// (container bytes, sealed rules, rules version) state to the sealed
 /// block layer of dsp/blockfile.h, under the paper's threat model extended
 /// to the disk: the storage volume is as untrusted as the DSP process, so
 /// every persisted byte is authenticated-encrypted and position-bound
@@ -68,8 +69,6 @@
 /// exclusive lock, which also serializes every BlockLog / ManifestLog
 /// call (see blockfile.h).
 
-#include <atomic>
-#include <map>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -77,9 +76,9 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "crypto/container.h"
 #include "crypto/keys.h"
 #include "dsp/blockfile.h"
+#include "dsp/doc_table.h"
 #include "dsp/service.h"
 
 namespace csxa::dsp {
@@ -132,7 +131,10 @@ class DurableServer : public Service {
   static Result<std::unique_ptr<DurableServer>> Open(DurableOptions options);
 
   Result<Response> Execute(Request request) override;
-  ServiceStats stats() const override;
+  ServiceStats stats() const override {
+    std::shared_lock lock(mu_);
+    return table_.stats();
+  }
 
   /// Appends the clean-shutdown marker. Idempotent; after OK, destroying
   /// the server and reopening takes the warm path.
@@ -146,59 +148,57 @@ class DurableServer : public Service {
 
   size_t size() const {
     std::shared_lock lock(mu_);
-    return docs_.size();
+    return table_.size();
   }
 
  private:
-  /// One live document: durable extent meta (always present) plus the
-  /// decrypted serving state (present when `loaded`).
-  struct Doc {
-    uint64_t rules_version = 0;  ///< current serving version
+  /// Where a live document's blobs sit in the block log, and whether
+  /// verifying them failed. The serving state is loaded when
+  /// `Entry::loaded()`.
+  struct DocMeta {
     uint64_t commit_version = 0;  ///< version embedded in the commit blob
     uint64_t first_block = 0;   ///< commit blob extent (container + rules)
     uint64_t block_count = 0;
     uint64_t rules_first = 0;   ///< later rules-update blob; count 0 = none
     uint64_t rules_count = 0;
-
-    bool loaded = false;
-    std::unique_ptr<Bytes> container_bytes;  // stable address for the view
-    crypto::SecureContainer container;
-    Bytes sealed_rules;
+    /// Quarantine: the damage verification found. Reads and rules updates
+    /// return it until a republish replaces the entry (or remove drops it).
+    Status damage;
   };
+  using Table = DocTable<DocMeta>;
 
   DurableServer() = default;
 
-  /// Writes one blob as sealed blocks, fsyncs, returns [first, count).
-  /// Requires the exclusive lock.
-  Result<std::pair<uint64_t, uint64_t>> WriteExtent(Span blob);
+  /// Commits one mutation: for record types that carry a blob, writes it
+  /// as sealed blocks and fsyncs them; then appends the manifest record,
+  /// the commit point, and applies it. Requires the exclusive lock.
+  Result<Table::Entry*> Commit(uint8_t type, const std::string& doc_id,
+                               uint64_t version, Span container,
+                               Span sealed_rules);
+  /// Applies one committed manifest record to the table — the one path
+  /// for Open's replay and for live mutations. Returns the entry a
+  /// kCommit/kRulesCommit record describes (its serving state not
+  /// loaded by a kCommit), null for other types.
+  Result<Table::Entry*> Apply(uint8_t type, const std::string& doc_id,
+                              uint64_t version, uint64_t first_block,
+                              uint64_t block_count);
   /// Reads a blob back from its extent. Requires the exclusive lock.
   Result<Bytes> ReadExtent(uint64_t first, uint64_t count) const;
   /// Loads + verifies a doc's blobs into memory (exclusive lock). On any
   /// failure the doc's state is untouched and the error is returned.
-  Status LoadDoc(const std::string& doc_id, Doc* doc);
-  /// Serves one read op from a loaded doc (either lock held).
-  Result<Response> ServeRead(const Request& request, const Doc& doc) const;
+  Status LoadDoc(const std::string& doc_id, Table::Entry* doc);
+  /// The live, undamaged entry for a read or rules update (either lock).
+  Result<Table::Entry*> Healthy(const std::string& doc_id);
 
   RecoveryReport recovery_;
-  std::string store_id_;
-  crypto::SymmetricKey key_;
 
   /// Guards everything below plus all BlockLog / ManifestLog calls.
   mutable std::shared_mutex mu_;
   BlockLog blocks_;
   ManifestLog manifest_;
   crypto::NonceSequence nonces_;
-  std::map<std::string, Doc> docs_;
-  std::map<std::string, uint64_t> retired_versions_;
-  /// Damage found by verification, keyed by doc_id; reads of these ids
-  /// return the stored status until a republish heals them.
-  std::map<std::string, Status> quarantine_;
+  Table table_;
   bool closed_ = false;
-
-  mutable std::atomic<uint64_t> requests_{0};
-  mutable std::atomic<uint64_t> chunks_served_{0};
-  mutable std::atomic<uint64_t> bytes_served_{0};
-  mutable std::atomic<uint64_t> not_modified_{0};
 };
 
 }  // namespace csxa::dsp

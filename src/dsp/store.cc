@@ -4,204 +4,87 @@
 
 namespace csxa::dsp {
 
-namespace {
-// Modeled fixed framing of a response that carries only status + version
-// (the not-modified revalidation reply).
-constexpr uint64_t kRevalidationWireBytes = 16;
-// Modeled framing of a heartbeat probe reply (status only).
-constexpr uint64_t kPingWireBytes = 8;
-}  // namespace
+Result<Response> DspServer::ApplyPublish(Request& request) {
+  // Probe under the shared lock: a republish whose container bytes are
+  // identical to the stored ones (rules-only republish, replication
+  // catch-up replays) can skip the re-parse entirely.
+  bool maybe_identical = false;
+  {
+    std::shared_lock lock(mu_);
+    const DocTable<>::Entry* stored = table_.Find(request.doc_id);
+    maybe_identical =
+        stored != nullptr && *stored->container_bytes == request.container;
+  }
+  DocTable<>::Entry entry;
+  if (!maybe_identical) {
+    CSXA_RETURN_IF_ERROR(entry.SetContainer(std::move(request.container)));
+  }
+  entry.sealed_rules = std::move(request.sealed_rules);
 
-Result<Response> DspServer::OpenDocumentImpl(const Request& request,
-                                             const Entry& entry) const {
+  std::unique_lock lock(mu_);
+  entry.rules_version =
+      table_.NextVersion(request.doc_id, request.force_rules_version);
   Response resp;
   resp.rules_version = entry.rules_version;
-  if (request.known_rules_version != 0 &&
-      request.known_rules_version == entry.rules_version) {
-    // The client's cached header + rules are still current: elide the
-    // bodies. A policy update bumps the version and naturally invalidates.
-    resp.not_modified = true;
-    resp.wire_bytes = kRevalidationWireBytes;
-    not_modified_.fetch_add(1, std::memory_order_relaxed);
+  DocTable<>::Entry* stored = table_.Find(request.doc_id);
+  if (maybe_identical && stored != nullptr &&
+      *stored->container_bytes == request.container) {
+    // Confirmed under the exclusive lock: keep the stored container and
+    // its parse, replacing only rules and version.
+    publish_parse_skips_.fetch_add(1, std::memory_order_relaxed);
+    stored->sealed_rules = std::move(entry.sealed_rules);
+    stored->rules_version = entry.rules_version;
     return resp;
   }
-  const Bytes& raw = *entry.container_bytes;
-  if (raw.size() < crypto::ContainerHeader::kWireSize) {
-    return Status::Internal("stored container shorter than a header");
+  if (!entry.loaded()) {
+    // The probe matched but a racing write changed the stored bytes before
+    // we got the exclusive lock: parse now.
+    CSXA_RETURN_IF_ERROR(entry.SetContainer(std::move(request.container)));
   }
-  resp.header.assign(raw.begin(), raw.begin() + crypto::ContainerHeader::kWireSize);
-  resp.sealed_rules = entry.sealed_rules;
-  resp.wire_bytes = resp.header.size() + resp.sealed_rules.size() + 8;
-  return resp;
-}
-
-Result<Response> DspServer::GetChunksImpl(const Request& request,
-                                          const Entry& entry) const {
-  Response resp;
-  // Chunk replies carry the document's rules version too, so a replicated
-  // read path can detect a lagging replica on ANY read, not just opens.
-  resp.rules_version = entry.rules_version;
-  for (const ChunkSpan& span : request.spans) {
-    for (uint32_t i = 0; i < span.count; ++i) {
-      uint32_t index = span.first + i;
-      soe::ChunkData chunk;
-      CSXA_ASSIGN_OR_RETURN(Span cipher, entry.container.ChunkCiphertext(index));
-      chunk.ciphertext = cipher.ToBytes();
-      CSXA_ASSIGN_OR_RETURN(chunk.auth, entry.container.GetChunkAuth(index));
-      resp.wire_bytes += chunk.WireBytes(entry.container.header().integrity);
-      resp.chunks.push_back(std::move(chunk));
-    }
-  }
-  chunks_served_.fetch_add(resp.chunks.size(), std::memory_order_relaxed);
+  table_.Publish(request.doc_id, std::move(entry));
   return resp;
 }
 
 Result<Response> DspServer::Execute(Request request) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-
-  Result<Response> result = [&]() -> Result<Response> {
+  return table_.Served([&]() -> Result<Response> {
     switch (request.op) {
-      case Op::kPublish: {
-        // Probe under the shared lock: a republish whose container bytes
-        // are identical to the stored ones (rules-only republish,
-        // replication catch-up replays) can skip the re-parse entirely.
-        bool maybe_identical = false;
-        {
-          std::shared_lock lock(mu_);
-          auto it = docs_.find(request.doc_id);
-          maybe_identical = it != docs_.end() &&
-                            *it->second.container_bytes == request.container;
-        }
-        Entry entry;
-        if (!maybe_identical) {
-          entry.container_bytes =
-              std::make_unique<Bytes>(std::move(request.container));
-          CSXA_ASSIGN_OR_RETURN(entry.container,
-                                crypto::SecureContainer::Parse(
-                                    *entry.container_bytes));
-        }
-        entry.sealed_rules = std::move(request.sealed_rules);
-        std::unique_lock lock(mu_);
-        // Monotone even across republish and remove-then-republish: a new
-        // container under a previously seen id must exceed every version
-        // ever served for it, or version-keyed caches would serve the old
-        // header and rules as not-modified against the new chunks.
-        uint64_t floor = 0;
-        auto existing = docs_.find(request.doc_id);
-        if (existing != docs_.end()) {
-          floor = existing->second.rules_version;
-        } else if (auto retired = retired_versions_.find(request.doc_id);
-                   retired != retired_versions_.end()) {
-          floor = retired->second;
-        }
-        // A replication layer stamps the primary's canonical version so
-        // replicas converge on one version history; plain clients leave
-        // force_rules_version 0 and get the monotone floor+1.
-        entry.rules_version = request.force_rules_version != 0
-                                  ? request.force_rules_version
-                                  : floor + 1;
-        Response resp;
-        resp.rules_version = entry.rules_version;
-        if (maybe_identical && existing != docs_.end() &&
-            *existing->second.container_bytes == request.container) {
-          // Confirmed under the exclusive lock: keep the stored container
-          // and its parse, replacing only rules and version.
-          publish_parse_skips_.fetch_add(1, std::memory_order_relaxed);
-          existing->second.sealed_rules = std::move(entry.sealed_rules);
-          existing->second.rules_version = entry.rules_version;
-          return resp;
-        }
-        if (entry.container_bytes == nullptr) {
-          // The probe matched but a racing write changed the stored bytes
-          // before we got the exclusive lock: parse now.
-          entry.container_bytes =
-              std::make_unique<Bytes>(std::move(request.container));
-          CSXA_ASSIGN_OR_RETURN(entry.container,
-                                crypto::SecureContainer::Parse(
-                                    *entry.container_bytes));
-        }
-        docs_.insert_or_assign(request.doc_id, std::move(entry));
-        return resp;
-      }
+      case Op::kPublish:
+        return ApplyPublish(request);
 
       case Op::kUpdateRules: {
         std::unique_lock lock(mu_);
-        auto it = docs_.find(request.doc_id);
-        if (it == docs_.end()) {
-          return Status::NotFound("document " + request.doc_id);
-        }
-        it->second.sealed_rules = std::move(request.sealed_rules);
-        if (request.force_rules_version != 0) {
-          it->second.rules_version = request.force_rules_version;
-        } else {
-          ++it->second.rules_version;
-        }
+        CSXA_ASSIGN_OR_RETURN(DocTable<>::Entry * entry,
+                              table_.Lookup(request.doc_id));
+        entry->rules_version =
+            table_.NextVersion(request.doc_id, request.force_rules_version);
+        entry->sealed_rules = std::move(request.sealed_rules);
         Response resp;
-        resp.rules_version = it->second.rules_version;
+        resp.rules_version = entry->rules_version;
         return resp;
       }
 
       case Op::kRemove: {
         std::unique_lock lock(mu_);
-        auto it = docs_.find(request.doc_id);
-        if (it == docs_.end()) {
-          return Status::NotFound("document " + request.doc_id);
-        }
-        // Tombstone the version so a future republish of the id stays
-        // monotone for caches that still hold the deleted document.
-        retired_versions_[request.doc_id] = it->second.rules_version;
-        docs_.erase(it);
+        CSXA_ASSIGN_OR_RETURN(const DocTable<>::Entry* entry,
+                              table_.Lookup(request.doc_id));
+        table_.Remove(request.doc_id, entry->rules_version);
         return Response{};
       }
 
-      case Op::kPing: {
-        Response resp;
-        resp.wire_bytes = kPingWireBytes;
-        return resp;
-      }
+      case Op::kPing:
+        return table_.Ping();
 
       case Op::kOpenDocument:
       case Op::kGetChunks:
       case Op::kGetContainer: {
         std::shared_lock lock(mu_);
-        auto it = docs_.find(request.doc_id);
-        if (it == docs_.end()) {
-          return Status::NotFound("document " + request.doc_id);
-        }
-        const Entry& entry = it->second;
-        switch (request.op) {
-          case Op::kOpenDocument:
-            return OpenDocumentImpl(request, entry);
-          case Op::kGetChunks:
-            return GetChunksImpl(request, entry);
-          default: {
-            Response resp;
-            resp.rules_version = entry.rules_version;
-            resp.container = *entry.container_bytes;
-            resp.wire_bytes = resp.container.size();
-            return resp;
-          }
-        }
+        CSXA_ASSIGN_OR_RETURN(const DocTable<>::Entry* entry,
+                              table_.Lookup(request.doc_id));
+        return table_.Read(request, *entry);
       }
     }
     return Status::InvalidArgument("unknown DSP op");
-  }();
-
-  if (result.ok()) {
-    bytes_served_.fetch_add(result.value().wire_bytes,
-                            std::memory_order_relaxed);
-  }
-  return result;
-}
-
-ServiceStats DspServer::stats() const {
-  ServiceStats out;
-  out.requests = requests_.load(std::memory_order_relaxed);
-  out.chunks_served = chunks_served_.load(std::memory_order_relaxed);
-  out.bytes_served = bytes_served_.load(std::memory_order_relaxed);
-  out.not_modified = not_modified_.load(std::memory_order_relaxed);
-  out.documents = size();
-  return out;
+  }());
 }
 
 }  // namespace csxa::dsp

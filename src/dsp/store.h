@@ -11,7 +11,8 @@
 /// checks. It serves container headers, sealed rules and chunk batches
 /// with their authentication material through the dsp::Service protocol,
 /// which is what makes server-side skipping — and server-side scale-out —
-/// possible.
+/// possible. The protocol semantics live in dsp::DocTable (doc_table.h);
+/// this backend keeps the table in memory.
 ///
 /// Threading: DspServer is safe for concurrent Execute() calls from any
 /// number of threads. Reads (kOpenDocument, kGetChunks, kGetContainer)
@@ -22,14 +23,10 @@
 /// never upgrades its lock.
 
 #include <atomic>
-#include <map>
-#include <memory>
 #include <shared_mutex>
-#include <string>
 
-#include "common/bytes.h"
 #include "common/status.h"
-#include "crypto/container.h"
+#include "dsp/doc_table.h"
 #include "dsp/service.h"
 
 namespace csxa::dsp {
@@ -38,12 +35,15 @@ namespace csxa::dsp {
 class DspServer : public Service {
  public:
   Result<Response> Execute(Request request) override;
-  ServiceStats stats() const override;
+  ServiceStats stats() const override {
+    std::shared_lock lock(mu_);
+    return table_.stats();
+  }
 
   /// Number of stored documents.
   size_t size() const {
     std::shared_lock lock(mu_);
-    return docs_.size();
+    return table_.size();
   }
 
   /// Publishes that reused the stored parse because the incoming container
@@ -54,34 +54,15 @@ class DspServer : public Service {
   }
 
  private:
-  struct Entry {
-    std::unique_ptr<Bytes> container_bytes;  // stable address for the view
-    crypto::SecureContainer container;
-    Bytes sealed_rules;
-    uint64_t rules_version = 1;
-  };
+  Result<Response> ApplyPublish(Request& request);
 
-  Result<Response> OpenDocumentImpl(const Request& request,
-                                    const Entry& entry) const;
-  Result<Response> GetChunksImpl(const Request& request,
-                                 const Entry& entry) const;
-
-  /// Guards docs_ and retired_versions_ (shared for reads, exclusive for
-  /// publish/update/remove). Entries are only ever mutated or destroyed
-  /// under the exclusive lock, so borrowing an Entry& under the shared
-  /// lock is safe for the duration of one Execute().
+  /// Guards table_ (shared for reads, exclusive for publish/update/remove).
+  /// Entries are only ever mutated or destroyed under the exclusive lock,
+  /// so borrowing an entry under the shared lock is safe for the duration
+  /// of one Execute().
   mutable std::shared_mutex mu_;
-  std::map<std::string, Entry> docs_;
-  // Last version of removed documents: republishing the same id must stay
-  // version-monotone so caches never see a not-modified stale header.
-  std::map<std::string, uint64_t> retired_versions_;
-
-  // Load counters; relaxed order is fine, they are statistics.
-  mutable std::atomic<uint64_t> requests_{0};
-  mutable std::atomic<uint64_t> chunks_served_{0};
-  mutable std::atomic<uint64_t> bytes_served_{0};
-  mutable std::atomic<uint64_t> not_modified_{0};
-  mutable std::atomic<uint64_t> publish_parse_skips_{0};
+  DocTable<> table_;
+  std::atomic<uint64_t> publish_parse_skips_{0};
 };
 
 }  // namespace csxa::dsp

@@ -49,7 +49,7 @@ Result<QueryResult> Terminal::Query(const std::string& doc_id,
 
   // The chunk supply the card pulls from during the session: a per-chunk
   // Service provider, topped by the selected scheduling layer — adaptive
-  // prefetch window, plan-driven multi-span fetches, or nothing.
+  // prefetch window or plan-driven multi-span fetches.
   ByteReader header_reader(open.header);
   CSXA_ASSIGN_OR_RETURN(crypto::ContainerHeader parsed_header,
                         crypto::ContainerHeader::DecodeFrom(&header_reader));
@@ -91,7 +91,7 @@ Result<QueryResult> Terminal::Query(const std::string& doc_id,
     plopt.max_chunks_per_trip = options.plan_chunks_per_trip;
     planned.emplace(&chunk_provider, parsed_header.chunk_count, *plan, plopt);
     provider = &*planned;
-  } else if (options.fetch_policy != FetchPolicy::kPerChunk) {
+  } else {
     // kWindowed, and the learn-on-first-run leg of kPlanned.
     soe::PrefetchOptions popt;
     popt.max_window = options.max_prefetch;

@@ -28,11 +28,10 @@ namespace csxa::proxy {
 
 /// \brief How the terminal schedules chunk fetches from the DSP.
 enum class FetchPolicy : uint8_t {
-  /// Every card chunk request is its own kGetChunks round trip (the
-  /// pre-batching baseline).
-  kPerChunk,
   /// Adaptive prefetch window (soe::PrefetchingProvider): sequential runs
-  /// amortize trips, skip jumps collapse the window. The default.
+  /// amortize trips, skip jumps collapse the window. The default; with
+  /// `max_prefetch = 1` every chunk is its own kGetChunks round trip (the
+  /// pre-batching baseline).
   kWindowed,
   /// Skip-index-planned multi-span fetches (soe::PlannedProvider). With
   /// an advisory plan — supplied by the caller or learned from a prior

@@ -23,8 +23,8 @@ constexpr uint8_t kMetaHasText = 0x02;
 using xml::DomNode;
 
 struct Encoder {
-  TagDictionary tags;
-  TagDictionary attrs;
+  Interner tags;
+  Interner attrs;
   EncodeOptions opt;
   EncodeStats stats;
   // S(node): sorted tag ids of strict descendants; computed bottom-up.
@@ -240,7 +240,7 @@ Result<std::unique_ptr<DocumentDecoder>> DocumentDecoder::Open(
 
   // Dictionaries: decode via a bounded in-memory read. Sizes first require
   // streaming varints, so decode entry by entry.
-  auto decode_dict = [&](TagDictionary* dict) -> Status {
+  auto decode_dict = [&](Interner* dict) -> Status {
     uint64_t count;
     CSXA_RETURN_IF_ERROR(dec->ReadVarint(&count));
     if (count > (1u << 20)) return Status::ParseError("dictionary too large");
@@ -370,7 +370,7 @@ Result<xml::Event> DocumentDecoder::Next() {
 bool DocumentDecoder::SubtreeHasTag(std::string_view tag) const {
   if (!with_index_ || tagset_stack_.empty()) return false;
   uint32_t id = tag_dict_.Lookup(tag);
-  if (id == kNoId) return false;
+  if (id == kNoTagId) return false;
   const std::vector<uint32_t>& set = tagset_stack_.back();
   return std::binary_search(set.begin(), set.end(), id);
 }

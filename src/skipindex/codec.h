@@ -31,9 +31,9 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/interner.h"
 #include "common/status.h"
 #include "skipindex/byte_source.h"
-#include "skipindex/tag_dictionary.h"
 #include "xml/dom.h"
 #include "xml/event.h"
 
@@ -145,8 +145,8 @@ class DocumentDecoder {
   Status SkipContent();
 
   /// Tag dictionary (exposed for the SOE's RAM accounting).
-  const TagDictionary& tags() const { return tag_dict_; }
-  const TagDictionary& attrs() const { return attr_dict_; }
+  const Interner& tags() const { return tag_dict_; }
+  const Interner& attrs() const { return attr_dict_; }
 
   /// Modeled decoder RAM: dictionaries plus the ancestor tag-set stack.
   size_t ModeledBytes() const;
@@ -163,8 +163,8 @@ class DocumentDecoder {
   Result<std::string_view> ReadStringView(bool borrow, std::string* scratch);
 
   ByteSource* source_ = nullptr;
-  TagDictionary tag_dict_;
-  TagDictionary attr_dict_;
+  Interner tag_dict_;
+  Interner attr_dict_;
   bool with_index_ = false;
   bool recursive_ = false;
   bool done_ = false;

@@ -50,7 +50,6 @@ namespace {
 // go nowhere.
 class NullSink : public xml::EventSink {
  public:
-  Status OnEvent(const xml::Event&) override { return Status::OK(); }
   Status OnEventView(const xml::EventView&) override { return Status::OK(); }
 };
 }  // namespace

@@ -25,8 +25,8 @@
 #include "proxy/publisher.h"
 #include "proxy/terminal.h"
 #include "scengen/publish.h"
+#include "scengen/scenario.h"
 #include "scengen/spec.h"
-#include "workload/scenarios.h"
 #include "xml/generator.h"
 
 namespace csxa::workload {
@@ -43,7 +43,7 @@ struct DocInfo {
   std::vector<std::string> subjects;
 };
 
-xml::DomDocument MakeDoc(const Scenario& scenario, size_t elements,
+xml::DomDocument MakeDoc(const scengen::Scenario& scenario, size_t elements,
                          uint64_t seed) {
   // text_avg_len 32 is the harness's historical document shape; keep it so
   // classic runs stay byte-identical across releases.
@@ -176,7 +176,7 @@ LoadReport RunLoad(const LoadOptions& options) {
   });
   pki::KeyRegistry registry;
 
-  const std::vector<Scenario> scenarios = AllScenarios();
+  const std::vector<scengen::Scenario> scenarios = scengen::AllScenarios();
 
   // Query catalog, indexed by DocInfo::scenario. Classic runs keep one
   // entry per canonical scenario; a generated scenario shares one query
@@ -185,7 +185,9 @@ LoadReport RunLoad(const LoadOptions& options) {
   if (has_spec) {
     query_sets.push_back(gen.queries);
   } else {
-    for (const Scenario& scn : scenarios) query_sets.push_back(scn.queries);
+    for (const scengen::Scenario& scn : scenarios) {
+      query_sets.push_back(scn.queries);
+    }
   }
   const proxy::PublishOptions publish_options{.chunk_size = opt.chunk_size};
 
@@ -215,7 +217,7 @@ LoadReport RunLoad(const LoadOptions& options) {
     for (size_t d = 0; d < opt.documents; ++d) {
       DocInfo info;
       info.scenario = d % scenarios.size();
-      const Scenario& scn = scenarios[info.scenario];
+      const scengen::Scenario& scn = scenarios[info.scenario];
       info.doc_id = "shared-" + std::to_string(d);
       info.subjects =
           core::RuleSet::ParseText(scn.rules_text).value().Subjects();
@@ -252,7 +254,7 @@ LoadReport RunLoad(const LoadOptions& options) {
       continue;
     }
     own.info.scenario = k % scenarios.size();
-    const Scenario& scn = scenarios[own.info.scenario];
+    const scengen::Scenario& scn = scenarios[own.info.scenario];
     own.info.doc_id = "own-" + std::to_string(k);
     own.info.subjects =
         core::RuleSet::ParseText(scn.rules_text).value().Subjects();
@@ -306,7 +308,6 @@ LoadReport RunLoad(const LoadOptions& options) {
   // --- The run: N concurrent terminal sessions ---------------------------
   struct SessionOutcome {
     uint64_t queries = 0, updates = 0, publishes = 0, failures = 0;
-    uint64_t plans_learned = 0, plan_trips = 0, plan_miss_trips = 0;
     std::vector<double> latencies_sec;
   };
   std::vector<SessionOutcome> outcomes(opt.sessions);
@@ -318,9 +319,7 @@ LoadReport RunLoad(const LoadOptions& options) {
     const double write_latency = opt.card.round_trip_latency_sec;
 
     // Terminals persist for the whole session, one per card holder the
-    // session impersonates: the plan cache (and under kPlanned, the
-    // learn-once-ride-many payoff) lives inside the Terminal, so repeated
-    // identical queries must hit the same instance.
+    // session impersonates.
     std::map<std::string, proxy::Terminal> terminals;
 
     auto run_query = [&](const DocInfo& doc) {
@@ -339,16 +338,12 @@ LoadReport RunLoad(const LoadOptions& options) {
       proxy::QueryOptions qopt;
       qopt.query = q.second;
       qopt.max_prefetch = opt.max_prefetch;
-      qopt.fetch_policy = opt.fetch_policy;
       auto result = terminal.Query(doc.doc_id, qopt);
       ++out.queries;
       if (!result.ok()) {
         ++out.failures;
         return;
       }
-      if (result.value().plan_learned) ++out.plans_learned;
-      out.plan_trips += result.value().plan_trips;
-      out.plan_miss_trips += result.value().plan_miss_trips;
       out.latencies_sec.push_back(result.value().card.total_seconds);
       advance_modeled_clock(result.value().card.total_seconds);
     };
@@ -371,7 +366,7 @@ LoadReport RunLoad(const LoadOptions& options) {
           ok = pub.ok();
           if (ok) own.key = pub.value().key;
         } else {
-          const Scenario& scn = scenarios[own.info.scenario];
+          const scengen::Scenario& scn = scenarios[own.info.scenario];
           auto receipt = publishers[k]->Publish(
               own.info.doc_id,
               MakeDoc(scn, opt.elements_per_doc, opt.seed + 900 + i * 31 + k),
@@ -449,9 +444,6 @@ LoadReport RunLoad(const LoadOptions& options) {
     report.updates += out.updates;
     report.publishes += out.publishes;
     report.failures += out.failures;
-    report.plans_learned += out.plans_learned;
-    report.plan_trips += out.plan_trips;
-    report.plan_miss_trips += out.plan_miss_trips;
     latencies.insert(latencies.end(), out.latencies_sec.begin(),
                      out.latencies_sec.end());
   }

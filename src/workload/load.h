@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "dsp/service.h"
-#include "proxy/terminal.h"
 #include "scengen/spec.h"
 #include "soe/card_profile.h"
 
@@ -103,10 +102,6 @@ struct LoadOptions {
   double publish_fraction = 0.10;
   uint64_t seed = 1;
   uint32_t max_prefetch = 8;
-  /// Chunk fetch scheduling each terminal runs with. kPlanned exercises
-  /// the learn-on-first-run plan cache: terminals persist per session, so
-  /// repeated identical queries ride learned multi-span plans.
-  proxy::FetchPolicy fetch_policy = proxy::FetchPolicy::kWindowed;
   size_t chunk_size = 256;
   /// Card hardware model used by every terminal.
   soe::CardProfile card = soe::CardProfile::EGate();
@@ -187,11 +182,6 @@ struct LoadReport {
   uint64_t notifications_delivered = 0;  ///< invalidation fan-out
   uint64_t notifications_dropped = 0;
   uint64_t fanout_invalidations = 0;  ///< cache entries dropped by push
-
-  // --- Fetch-plan counters (kPlanned runs; zero otherwise) ---
-  uint64_t plans_learned = 0;    ///< sessions that recorded a new plan
-  uint64_t plan_trips = 0;       ///< multi-span planned fetches issued
-  uint64_t plan_miss_trips = 0;  ///< fallback trips for plan misses
 };
 
 /// Runs one load experiment; deterministic given options.seed except for

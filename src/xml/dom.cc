@@ -157,10 +157,6 @@ std::string DomDocument::SerializePretty() const {
   return out;
 }
 
-Status DomBuilder::OnEvent(const Event& event) {
-  return OnEventView(ViewOf(event, &attr_scratch_));
-}
-
 Status DomBuilder::OnEventView(const EventView& event) {
   switch (event.type) {
     case EventType::kOpen: {

@@ -134,9 +134,7 @@ class DomDocument {
 /// evaluator so tests can compare it structurally with the oracle.
 class DomBuilder : public EventSink {
  public:
-  Status OnEvent(const Event& event) override;
-  /// Borrowed fast path: nodes copy out of the view directly, skipping
-  /// the intermediate owning Event a default sink would materialize.
+  /// Nodes copy out of the view directly; no owning Event in between.
   Status OnEventView(const EventView& view) override;
 
   /// True once the root element has closed (or nothing was ever opened).
@@ -147,7 +145,6 @@ class DomBuilder : public EventSink {
  private:
   std::unique_ptr<DomNode> root_;
   std::vector<DomNode*> open_stack_;
-  std::vector<AttrView> attr_scratch_;  // OnEvent → OnEventView bridge
 };
 
 }  // namespace csxa::xml

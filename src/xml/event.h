@@ -244,24 +244,15 @@ struct RecordedEvents {
 /// \brief Consumer interface for event streams.
 ///
 /// Implementations include the access-control evaluator, the canonical
-/// writer and the document encoder. Sinks receive events through one of
-/// two entry points:
-///  - OnEvent(const Event&): owning events, always available;
-///  - OnEventView(const EventView&): the borrowed fast path. The default
-///    implementation materializes and forwards to OnEvent(), so every
-///    sink accepts borrowed streams; hot sinks override it to consume the
-///    views in place (the borrowed contract: views die when the call
-///    returns).
+/// writer and the DOM builder. Sinks have one entry point and consume
+/// borrowed views in place: a view is valid only for the duration of the
+/// call. A sink that must keep an event copies it (Materialize(), or an
+/// EventArena); a caller holding owning Events feeds ViewOf(e, &scratch).
 class EventSink {
  public:
   virtual ~EventSink() = default;
   /// Receives the next event. Returning a non-OK status aborts the stream.
-  virtual Status OnEvent(const Event& event) = 0;
-  /// Borrowed fast path; views are valid only for the duration of the
-  /// call. Default: materialize and forward to OnEvent().
-  virtual Status OnEventView(const EventView& view) {
-    return OnEvent(view.Materialize());
-  }
+  virtual Status OnEventView(const EventView& view) = 0;
 };
 
 }  // namespace csxa::xml

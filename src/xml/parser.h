@@ -70,9 +70,7 @@ class PullParser {
   int line() const { return line_; }
 
   /// Convenience: parses the whole document, pushing every event
-  /// (including the trailing kEnd) into `sink` through the borrowed fast
-  /// path (`OnEventView`); sinks that only implement `OnEvent` receive
-  /// materialized copies via the default forwarding.
+  /// (including the trailing kEnd) into `sink` as borrowed views.
   static Status ParseAll(const std::string& input, EventSink* sink,
                          ParserOptions options = {});
 

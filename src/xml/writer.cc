@@ -4,10 +4,6 @@
 
 namespace csxa::xml {
 
-Status CanonicalWriter::OnEvent(const Event& event) {
-  return OnEventView(ViewOf(event, &attr_scratch_));
-}
-
 Status CanonicalWriter::OnEventView(const EventView& event) {
   switch (event.type) {
     case EventType::kOpen:
@@ -44,8 +40,9 @@ Status CanonicalWriter::OnEventView(const EventView& event) {
 
 Result<std::string> RenderEvents(const std::vector<Event>& events) {
   CanonicalWriter w;
+  std::vector<AttrView> scratch;
   for (const Event& e : events) {
-    CSXA_RETURN_IF_ERROR(w.OnEvent(e));
+    CSXA_RETURN_IF_ERROR(w.OnEventView(ViewOf(e, &scratch)));
   }
   if (!w.complete()) {
     return Status::InvalidArgument("unbalanced event stream");

@@ -26,7 +26,6 @@ namespace csxa::xml {
 /// the way out.
 class CanonicalWriter : public EventSink {
  public:
-  Status OnEvent(const Event& event) override;
   Status OnEventView(const EventView& view) override;
 
   /// The rendered document so far.
@@ -37,14 +36,13 @@ class CanonicalWriter : public EventSink {
  private:
   std::string out_;
   int depth_ = 0;
-  std::vector<AttrView> attr_scratch_;  // OnEvent → OnEventView bridge
 };
 
 /// \brief EventSink that records events into a vector (test utility).
 class EventRecorder : public EventSink {
  public:
-  Status OnEvent(const Event& event) override {
-    if (event.type != EventType::kEnd) events_.push_back(event);
+  Status OnEventView(const EventView& view) override {
+    if (view.type != EventType::kEnd) events_.push_back(view.Materialize());
     return Status::OK();
   }
   const std::vector<Event>& events() const { return events_; }

@@ -9,8 +9,8 @@
 #include "core/rule_envelope.h"
 #include "crypto/container.h"
 #include "skipindex/codec.h"
+#include "scengen/scenario.h"
 #include "soe/card_engine.h"
-#include "workload/scenarios.h"
 #include "xml/generator.h"
 
 namespace csxa {
@@ -39,7 +39,7 @@ TEST_P(ChunkingInvariance, DeliveredViewIsIdentical) {
   gp.target_elements = 500;
   gp.seed = 2024;
   auto doc = xml::GenerateDocument(gp);
-  auto scenario = workload::HospitalScenario();
+  auto scenario = scengen::HospitalScenario();
 
   Rng rng(p.chunk_size * 7 + static_cast<uint64_t>(p.mode) * 3 +
           (p.use_skip ? 1 : 0));

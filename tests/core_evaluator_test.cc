@@ -228,7 +228,7 @@ TEST(EvaluatorTest, RejectsUnbalancedStream) {
   CanonicalWriter out;
   auto ev = StreamingEvaluator::Create(rules.ForSubject("u"), nullptr, &out)
                 .value();
-  ASSERT_TRUE(ev->OnEvent(xml::Event::Open("a")).ok());
+  ASSERT_TRUE(ev->OnEventView(xml::EventView::Open("a")).ok());
   Status st = ev->Finish();
   EXPECT_FALSE(st.ok());
 }
@@ -238,7 +238,7 @@ TEST(EvaluatorTest, RejectsCloseWithoutOpen) {
   CanonicalWriter out;
   auto ev = StreamingEvaluator::Create(rules.ForSubject("u"), nullptr, &out)
                 .value();
-  EXPECT_FALSE(ev->OnEvent(xml::Event::Close("a")).ok());
+  EXPECT_FALSE(ev->OnEventView(xml::EventView::Close("a")).ok());
 }
 
 }  // namespace

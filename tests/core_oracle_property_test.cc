@@ -70,9 +70,9 @@ std::string StreamView(const xml::DomDocument& doc,
   return out.str();
 }
 
-// Owning mode: the same stream recorded as owning events and fed through
-// OnEvent. The borrowed path must be indistinguishable from this — same
-// delivered bytes, same counters, same modeled RAM peak.
+// Owning mode: the same stream recorded as owning events and fed back as
+// views of them. The borrowed path must be indistinguishable from this —
+// same delivered bytes, same counters, same modeled RAM peak.
 std::string StreamViewOwning(const xml::DomDocument& doc,
                              const std::vector<core::AccessRule>& rules,
                              const xpath::PathExpr* query, Status* status_out,
@@ -89,8 +89,9 @@ std::string StreamViewOwning(const xml::DomDocument& doc,
     *status_out = ev.status();
     return "";
   }
+  std::vector<xml::AttrView> scratch;
   for (const xml::Event& e : recorder.events()) {
-    st = ev.value()->OnEvent(e);
+    st = ev.value()->OnEventView(xml::ViewOf(e, &scratch));
     if (!st.ok()) break;
   }
   if (st.ok()) st = ev.value()->Finish();

@@ -7,7 +7,7 @@
 #include "baseline/subset_encryption.h"
 #include "core/ref_evaluator.h"
 #include "dissem/channel.h"
-#include "workload/scenarios.h"
+#include "scengen/scenario.h"
 #include "xml/generator.h"
 #include "xpath/parser.h"
 
@@ -27,7 +27,7 @@ xml::DomDocument MakeFeed(size_t elements, uint64_t seed) {
 }
 
 TEST(ChannelTest, DeliveriesMatchPerSubjectOracle) {
-  auto scenario = workload::NewsFeedScenario();
+  auto scenario = scengen::NewsFeedScenario();
   Channel channel("feed", scenario.rules_text, ChannelOptions{}, 99);
   Subscriber child("child", soe::CardProfile::EGate());
   Subscriber teen("teen", soe::CardProfile::EGate());

@@ -1,5 +1,5 @@
-// DSP store and PKI registry tests, including rule-set round-trips and
-// the publisher facade.
+// PKI registry tests, rule-set round-trips and the publisher facade. The
+// DSP backends' protocol suite runs in transport_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -11,133 +11,6 @@
 
 namespace csxa {
 namespace {
-
-Bytes MakeContainer(uint64_t seed, size_t payload_size, size_t chunk) {
-  Rng rng(seed);
-  auto key = crypto::SymmetricKey::Generate(&rng);
-  Bytes payload(payload_size, 0x5C);
-  return crypto::SecureContainer::Seal(key, payload, chunk, &rng);
-}
-
-TEST(DspTest, OpenDocumentBatchesHeaderRulesVersion) {
-  dsp::DspServer server;
-  Bytes container = MakeContainer(1, 2000, 512);
-  ASSERT_TRUE(server.Publish("d", container, Bytes{1, 2, 3}).ok());
-  EXPECT_EQ(server.size(), 1u);
-
-  // One round trip carries header + sealed rules + version.
-  uint64_t requests_before = server.stats().requests;
-  auto open = server.OpenDocument("d");
-  ASSERT_TRUE(open.ok());
-  EXPECT_EQ(server.stats().requests, requests_before + 1);
-  EXPECT_EQ(open.value().header.size(), crypto::ContainerHeader::kWireSize);
-  EXPECT_EQ(open.value().sealed_rules, (Bytes{1, 2, 3}));
-  EXPECT_EQ(open.value().rules_version, 1u);
-  EXPECT_FALSE(open.value().not_modified);
-
-  auto full = server.GetContainer("d");
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(full.value().size(), container.size());
-  EXPECT_GT(server.stats().bytes_served, 0u);
-}
-
-TEST(DspTest, GetChunksServesSpansInOrder) {
-  dsp::DspServer server;
-  ASSERT_TRUE(server.Publish("d", MakeContainer(1, 2000, 512), Bytes{}).ok());
-
-  // One span of two chunks plus a singleton span: one round trip.
-  uint64_t requests_before = server.stats().requests;
-  auto chunks = server.GetChunks("d", {{0, 2}, {3, 1}});
-  ASSERT_TRUE(chunks.ok());
-  EXPECT_EQ(server.stats().requests, requests_before + 1);
-  ASSERT_EQ(chunks.value().size(), 3u);
-  EXPECT_EQ(chunks.value()[0].ciphertext.size(), 512u);
-  EXPECT_EQ(server.stats().chunks_served, 3u);
-
-  // Per-chunk equals the corresponding batch element.
-  auto single = server.GetChunks("d", {{3, 1}});
-  ASSERT_TRUE(single.ok());
-  EXPECT_EQ(single.value()[0].ciphertext, chunks.value()[2].ciphertext);
-
-  // Out-of-range spans fail as a whole.
-  EXPECT_FALSE(server.GetChunks("d", {{99, 1}}).ok());
-  EXPECT_FALSE(server.GetChunks("d", {{0, 99}}).ok());
-}
-
-TEST(DspTest, RevalidationByKnownVersion) {
-  dsp::DspServer server;
-  ASSERT_TRUE(server.Publish("d", MakeContainer(4, 600, 256), Bytes{7}).ok());
-
-  auto first = server.OpenDocument("d");
-  ASSERT_TRUE(first.ok());
-  uint64_t full_wire = first.value().wire_bytes;
-
-  // Same version: not-modified, bodies elided, tiny reply.
-  auto again = server.OpenDocument("d", first.value().rules_version);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again.value().not_modified);
-  EXPECT_TRUE(again.value().header.empty());
-  EXPECT_TRUE(again.value().sealed_rules.empty());
-  EXPECT_LT(again.value().wire_bytes, full_wire);
-  EXPECT_EQ(server.stats().not_modified, 1u);
-
-  // A policy update bumps the version: revalidation returns full bodies.
-  ASSERT_TRUE(server.UpdateRules("d", Bytes{9}).ok());
-  auto after = server.OpenDocument("d", first.value().rules_version);
-  ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after.value().not_modified);
-  EXPECT_EQ(after.value().rules_version, 2u);
-  EXPECT_EQ(after.value().sealed_rules, (Bytes{9}));
-}
-
-TEST(DspTest, UnknownDocumentIsNotFound) {
-  dsp::DspServer server;
-  EXPECT_EQ(server.OpenDocument("x").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(server.GetChunks("x", {{0, 1}}).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(server.UpdateRules("x", {}).code(), StatusCode::kNotFound);
-  EXPECT_EQ(server.Remove("x").code(), StatusCode::kNotFound);
-}
-
-TEST(DspTest, RuleUpdateBumpsVersion) {
-  dsp::DspServer server;
-  ASSERT_TRUE(server.Publish("d", MakeContainer(2, 600, 256), Bytes{1}).ok());
-  EXPECT_EQ(server.OpenDocument("d").value().rules_version, 1u);
-  ASSERT_TRUE(server.UpdateRules("d", Bytes{9}).ok());
-  auto open = server.OpenDocument("d");
-  EXPECT_EQ(open.value().rules_version, 2u);
-  EXPECT_EQ(open.value().sealed_rules, (Bytes{9}));
-}
-
-TEST(DspTest, RejectsGarbageContainer) {
-  dsp::DspServer server;
-  EXPECT_FALSE(server.Publish("d", Bytes{1, 2, 3}, Bytes{}).ok());
-}
-
-TEST(DspTest, RemoveWorks) {
-  dsp::DspServer server;
-  ASSERT_TRUE(server.Publish("d", MakeContainer(3, 600, 256), Bytes{}).ok());
-  ASSERT_TRUE(server.Remove("d").ok());
-  EXPECT_EQ(server.size(), 0u);
-}
-
-TEST(DspTest, VersionStaysMonotoneAcrossRepublishAndRemove) {
-  // Version-keyed caches rely on the version never revisiting a value a
-  // client may have cached — across republish AND remove-then-republish.
-  dsp::DspServer server;
-  ASSERT_TRUE(server.Publish("d", MakeContainer(5, 600, 256), Bytes{1}).ok());
-  ASSERT_TRUE(server.UpdateRules("d", Bytes{2}).ok());  // -> v2
-  ASSERT_TRUE(server.Publish("d", MakeContainer(6, 600, 256), Bytes{3}).ok());
-  EXPECT_EQ(server.OpenDocument("d").value().rules_version, 3u);
-  ASSERT_TRUE(server.Remove("d").ok());
-  ASSERT_TRUE(server.Publish("d", MakeContainer(7, 600, 256), Bytes{4}).ok());
-  EXPECT_EQ(server.OpenDocument("d").value().rules_version, 4u);
-  // A revalidation with any historical version gets the full new bodies.
-  auto open = server.OpenDocument("d", /*known_rules_version=*/3);
-  ASSERT_TRUE(open.ok());
-  EXPECT_FALSE(open.value().not_modified);
-  EXPECT_EQ(open.value().sealed_rules, (Bytes{4}));
-}
 
 TEST(PkiTest, GrantFetchRevoke) {
   pki::KeyRegistry registry;

@@ -168,9 +168,9 @@ TEST(EvaluatorEdgeTest, SkipDecisionRefusedWhilePending) {
   auto ev =
       core::StreamingEvaluator::Create(rules.ForSubject("u"), nullptr, &w)
           .value();
-  ASSERT_TRUE(ev->OnEvent(xml::Event::Open("r")).ok());
-  ASSERT_TRUE(ev->OnEvent(xml::Event::Open("a")).ok());
-  ASSERT_TRUE(ev->OnEvent(xml::Event::Open("big")).ok());
+  ASSERT_TRUE(ev->OnEventView(xml::EventView::Open("r")).ok());
+  ASSERT_TRUE(ev->OnEventView(xml::EventView::Open("a")).ok());
+  ASSERT_TRUE(ev->OnEventView(xml::EventView::Open("big")).ok());
   auto no_tag = [](std::string_view) { return false; };
   // `big` is inside the pending <a>: its delivery is undecided, skip must
   // be refused.

@@ -86,16 +86,19 @@ TEST(FetchPlanTest, PlannedVsWindowedVsPerChunkDifferential) {
   const std::string rules = "+ u //patient/admin\n";  // skip-heavy
   ASSERT_TRUE(publisher.Publish("h", doc, rules, popt).ok());
 
-  auto run = [&](FetchPolicy policy, const FetchPlan* plan) {
+  auto run = [&](FetchPolicy policy, const FetchPlan* plan,
+                 uint32_t max_prefetch = QueryOptions{}.max_prefetch) {
     Terminal t("u", CardProfile::EGate(), &dsp, &registry);
     EXPECT_TRUE(t.Provision("h").ok());
     QueryOptions q;
     q.fetch_policy = policy;
     q.plan = plan;
+    q.max_prefetch = max_prefetch;
     return t.Query("h", q);
   };
 
-  auto per_chunk = run(FetchPolicy::kPerChunk, nullptr);
+  // A one-chunk window is per-chunk fetching: one trip per card request.
+  auto per_chunk = run(FetchPolicy::kWindowed, nullptr, 1);
   ASSERT_TRUE(per_chunk.ok()) << per_chunk.status().ToString();
   auto windowed = run(FetchPolicy::kWindowed, nullptr);
   ASSERT_TRUE(windowed.ok()) << windowed.status().ToString();

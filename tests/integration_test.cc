@@ -9,7 +9,7 @@
 #include "pki/registry.h"
 #include "proxy/publisher.h"
 #include "proxy/terminal.h"
-#include "workload/scenarios.h"
+#include "scengen/scenario.h"
 #include "xml/generator.h"
 #include "xpath/parser.h"
 
@@ -56,7 +56,7 @@ std::string RefView(xml::DocProfile profile, size_t elements, uint64_t seed,
 TEST(IntegrationTest, FullPullPathMatchesOracle) {
   World w;
   auto doc = MakeDoc(xml::DocProfile::kAgenda, 300, 7);
-  auto scenario = workload::AgendaScenario();
+  auto scenario = scengen::AgendaScenario();
   auto receipt = w.publisher.Publish("agenda", doc, scenario.rules_text);
   ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
 
@@ -73,7 +73,7 @@ TEST(IntegrationTest, FullPullPathMatchesOracle) {
 }
 
 TEST(IntegrationTest, AllScenariosAllSubjectsAllQueries) {
-  for (const workload::Scenario& scenario : workload::AllScenarios()) {
+  for (const scengen::Scenario& scenario : scengen::AllScenarios()) {
     World w;
     auto doc = MakeDoc(scenario.profile, 250, 11);
     std::string doc_id = xml::DocProfileName(scenario.profile);
@@ -220,7 +220,7 @@ TEST(IntegrationTest, DspTamperingIsDetected) {
 TEST(IntegrationTest, SkipAndNoSkipAgreeThroughFullStack) {
   World w;
   auto doc = MakeDoc(xml::DocProfile::kHospital, 600, 13);
-  auto scenario = workload::HospitalScenario();
+  auto scenario = scengen::HospitalScenario();
   ASSERT_TRUE(w.publisher.Publish("h", doc, scenario.rules_text).ok());
   Terminal researcher("researcher", CardProfile::EGate(), &w.dsp, &w.registry);
   ASSERT_TRUE(researcher.Provision("h").ok());
@@ -253,7 +253,7 @@ TEST(IntegrationTest, QueryErrorsSurfaceCleanly) {
 TEST(IntegrationTest, RamStaysUnderEGateBudgetOnScenarioWorkloads) {
   // The paper's claim: the streaming engine fits the e-gate's 1 KB of RAM
   // on realistic documents and rule sets.
-  for (const workload::Scenario& scenario : workload::AllScenarios()) {
+  for (const scengen::Scenario& scenario : scengen::AllScenarios()) {
     World w;
     auto doc = MakeDoc(scenario.profile, 400, 17);
     std::string doc_id = xml::DocProfileName(scenario.profile);

@@ -35,12 +35,13 @@ std::string DecodeAll(Span encoded) {
   auto dec = DocumentDecoder::Open(&src);
   EXPECT_TRUE(dec.ok()) << dec.status().ToString();
   xml::CanonicalWriter w;
+  std::vector<xml::AttrView> scratch;
   for (;;) {
     auto ev = dec.value()->Next();
     EXPECT_TRUE(ev.ok()) << ev.status().ToString();
     if (!ev.ok()) return "";
     if (ev.value().type == xml::EventType::kEnd) break;
-    EXPECT_TRUE(w.OnEvent(ev.value()).ok());
+    EXPECT_TRUE(w.OnEventView(xml::ViewOf(ev.value(), &scratch)).ok());
   }
   EXPECT_TRUE(w.complete());
   return w.str();

@@ -8,7 +8,9 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "crypto/container.h"
+#include "dsp/blockfile.h"
 #include "dsp/caching.h"
+#include "dsp/durable.h"
 #include "dsp/service.h"
 #include "dsp/sharded.h"
 #include "dsp/store.h"
@@ -592,6 +594,321 @@ TEST(TransportTest, PrefetchWindowOneIsPerChunk) {
   for (uint32_t i = 0; i < 6; ++i) ASSERT_TRUE(prefetch.GetChunk(i).ok());
   EXPECT_EQ(backend.batches, 6u);
   EXPECT_EQ(prefetch.round_trips(), 6u);
+}
+
+
+// --- Backend parity ----------------------------------------------------------
+//
+// Every storage backend serves the dsp::DocTable protocol core: the same
+// suite runs over the in-memory DspServer and over DurableServer on a
+// MemEnv volume, and a differential replays one op script on both.
+
+Bytes SealedContainer(uint64_t seed, size_t payload_size, size_t chunk) {
+  Rng rng(seed);
+  auto key = crypto::SymmetricKey::Generate(&rng);
+  Bytes payload(payload_size, 0x5C);
+  return crypto::SecureContainer::Seal(key, payload, chunk, &rng);
+}
+
+template <typename Backend>
+std::unique_ptr<Backend> OpenBackend(dsp::MemEnv* env);
+
+template <>
+std::unique_ptr<dsp::DspServer> OpenBackend(dsp::MemEnv*) {
+  return std::make_unique<dsp::DspServer>();
+}
+
+template <>
+std::unique_ptr<dsp::DurableServer> OpenBackend(dsp::MemEnv* env) {
+  dsp::DurableOptions options;
+  options.directory = "store";
+  Rng rng(42);
+  options.key = crypto::SymmetricKey::Generate(&rng);
+  options.env = env;
+  auto opened = dsp::DurableServer::Open(std::move(options));
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return std::move(opened).value();
+}
+
+// A publish or rules update carrying a forced version, as a replication
+// layer sends it.
+Result<dsp::Response> ExecuteForced(dsp::Service* service, dsp::Op op,
+                                    const std::string& doc_id, Bytes container,
+                                    Bytes sealed_rules, uint64_t forced) {
+  dsp::Request req;
+  req.op = op;
+  req.doc_id = doc_id;
+  req.container = std::move(container);
+  req.sealed_rules = std::move(sealed_rules);
+  req.force_rules_version = forced;
+  return service->Execute(std::move(req));
+}
+
+template <typename Backend>
+class BackendTest : public ::testing::Test {
+ protected:
+  dsp::MemEnv env_;  // DurableServer's volume
+  std::unique_ptr<Backend> server_ = OpenBackend<Backend>(&env_);
+};
+
+using Backends = ::testing::Types<dsp::DspServer, dsp::DurableServer>;
+TYPED_TEST_SUITE(BackendTest, Backends);
+
+TYPED_TEST(BackendTest, OpenDocumentBatchesHeaderRulesVersion) {
+  auto& server = *this->server_;
+  Bytes container = SealedContainer(1, 2000, 512);
+  ASSERT_TRUE(server.Publish("d", container, Bytes{1, 2, 3}).ok());
+  EXPECT_EQ(server.size(), 1u);
+
+  // One round trip carries header + sealed rules + version.
+  uint64_t requests_before = server.stats().requests;
+  auto open = server.OpenDocument("d");
+  ASSERT_TRUE(open.ok());
+  EXPECT_EQ(server.stats().requests, requests_before + 1);
+  EXPECT_EQ(open.value().header.size(), crypto::ContainerHeader::kWireSize);
+  EXPECT_EQ(open.value().sealed_rules, (Bytes{1, 2, 3}));
+  EXPECT_EQ(open.value().rules_version, 1u);
+  EXPECT_FALSE(open.value().not_modified);
+
+  auto full = server.GetContainer("d");
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full.value().size(), container.size());
+  EXPECT_GT(server.stats().bytes_served, 0u);
+}
+
+TYPED_TEST(BackendTest, GetChunksServesSpansInOrder) {
+  auto& server = *this->server_;
+  ASSERT_TRUE(
+      server.Publish("d", SealedContainer(1, 2000, 512), Bytes{}).ok());
+
+  // One span of two chunks plus a singleton span: one round trip.
+  uint64_t requests_before = server.stats().requests;
+  auto chunks = server.GetChunks("d", {{0, 2}, {3, 1}});
+  ASSERT_TRUE(chunks.ok());
+  EXPECT_EQ(server.stats().requests, requests_before + 1);
+  ASSERT_EQ(chunks.value().size(), 3u);
+  EXPECT_EQ(chunks.value()[0].ciphertext.size(), 512u);
+  EXPECT_EQ(server.stats().chunks_served, 3u);
+
+  // Per-chunk equals the corresponding batch element.
+  auto single = server.GetChunks("d", {{3, 1}});
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(single.value()[0].ciphertext, chunks.value()[2].ciphertext);
+
+  // Out-of-range spans fail as a whole.
+  EXPECT_FALSE(server.GetChunks("d", {{99, 1}}).ok());
+  EXPECT_FALSE(server.GetChunks("d", {{0, 99}}).ok());
+}
+
+TYPED_TEST(BackendTest, RevalidationByKnownVersion) {
+  auto& server = *this->server_;
+  ASSERT_TRUE(server.Publish("d", SealedContainer(4, 600, 256), Bytes{7}).ok());
+
+  auto first = server.OpenDocument("d");
+  ASSERT_TRUE(first.ok());
+  uint64_t full_wire = first.value().wire_bytes;
+
+  // Same version: not-modified, bodies elided, tiny reply.
+  auto again = server.OpenDocument("d", first.value().rules_version);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again.value().not_modified);
+  EXPECT_TRUE(again.value().header.empty());
+  EXPECT_TRUE(again.value().sealed_rules.empty());
+  EXPECT_LT(again.value().wire_bytes, full_wire);
+  EXPECT_EQ(server.stats().not_modified, 1u);
+
+  // A policy update bumps the version: revalidation returns full bodies.
+  ASSERT_TRUE(server.UpdateRules("d", Bytes{9}).ok());
+  auto after = server.OpenDocument("d", first.value().rules_version);
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after.value().not_modified);
+  EXPECT_EQ(after.value().rules_version, 2u);
+  EXPECT_EQ(after.value().sealed_rules, (Bytes{9}));
+}
+
+TYPED_TEST(BackendTest, UnknownDocumentIsNotFound) {
+  auto& server = *this->server_;
+  EXPECT_EQ(server.OpenDocument("x").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(server.GetChunks("x", {{0, 1}}).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(server.UpdateRules("x", {}).code(), StatusCode::kNotFound);
+  EXPECT_EQ(server.Remove("x").code(), StatusCode::kNotFound);
+}
+
+TYPED_TEST(BackendTest, RuleUpdateBumpsVersion) {
+  auto& server = *this->server_;
+  ASSERT_TRUE(server.Publish("d", SealedContainer(2, 600, 256), Bytes{1}).ok());
+  EXPECT_EQ(server.OpenDocument("d").value().rules_version, 1u);
+  ASSERT_TRUE(server.UpdateRules("d", Bytes{9}).ok());
+  auto open = server.OpenDocument("d");
+  EXPECT_EQ(open.value().rules_version, 2u);
+  EXPECT_EQ(open.value().sealed_rules, (Bytes{9}));
+}
+
+TYPED_TEST(BackendTest, RejectsGarbageContainer) {
+  EXPECT_FALSE(this->server_->Publish("d", Bytes{1, 2, 3}, Bytes{}).ok());
+}
+
+TYPED_TEST(BackendTest, RemoveWorks) {
+  auto& server = *this->server_;
+  ASSERT_TRUE(server.Publish("d", SealedContainer(3, 600, 256), Bytes{}).ok());
+  ASSERT_TRUE(server.Remove("d").ok());
+  EXPECT_EQ(server.size(), 0u);
+}
+
+TYPED_TEST(BackendTest, VersionStaysMonotoneAcrossRepublishAndRemove) {
+  // Version-keyed caches rely on the version never revisiting a value a
+  // client may have cached — across republish AND remove-then-republish.
+  auto& server = *this->server_;
+  ASSERT_TRUE(server.Publish("d", SealedContainer(5, 600, 256), Bytes{1}).ok());
+  ASSERT_TRUE(server.UpdateRules("d", Bytes{2}).ok());  // -> v2
+  ASSERT_TRUE(server.Publish("d", SealedContainer(6, 600, 256), Bytes{3}).ok());
+  EXPECT_EQ(server.OpenDocument("d").value().rules_version, 3u);
+  ASSERT_TRUE(server.Remove("d").ok());
+  ASSERT_TRUE(server.Publish("d", SealedContainer(7, 600, 256), Bytes{4}).ok());
+  EXPECT_EQ(server.OpenDocument("d").value().rules_version, 4u);
+  // A revalidation with any historical version gets the full new bodies.
+  auto open = server.OpenDocument("d", /*known_rules_version=*/3);
+  ASSERT_TRUE(open.ok());
+  EXPECT_FALSE(open.value().not_modified);
+  EXPECT_EQ(open.value().sealed_rules, (Bytes{4}));
+}
+
+TYPED_TEST(BackendTest, ForcedVersionOnPublishIsStoredAsIs) {
+  auto& server = *this->server_;
+  ASSERT_TRUE(server.Publish("d", SealedContainer(8, 600, 256), Bytes{1}).ok());
+  auto forced = ExecuteForced(&server, dsp::Op::kPublish, "d",
+                              SealedContainer(9, 600, 256), Bytes{2}, 7);
+  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+  EXPECT_EQ(forced.value().rules_version, 7u);
+  EXPECT_EQ(server.OpenDocument("d").value().rules_version, 7u);
+  // Unforced writes continue from the forced version.
+  ASSERT_TRUE(server.UpdateRules("d", Bytes{3}).ok());
+  EXPECT_EQ(server.OpenDocument("d").value().rules_version, 8u);
+}
+
+TYPED_TEST(BackendTest, ForcedVersionOnUpdateIsStoredAsIs) {
+  auto& server = *this->server_;
+  ASSERT_TRUE(
+      server.Publish("d", SealedContainer(10, 600, 256), Bytes{1}).ok());
+  auto forced =
+      ExecuteForced(&server, dsp::Op::kUpdateRules, "d", Bytes{}, Bytes{2}, 5);
+  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+  EXPECT_EQ(forced.value().rules_version, 5u);
+  auto open = server.OpenDocument("d");
+  EXPECT_EQ(open.value().rules_version, 5u);
+  EXPECT_EQ(open.value().sealed_rules, (Bytes{2}));
+  ASSERT_TRUE(
+      server.Publish("d", SealedContainer(11, 600, 256), Bytes{3}).ok());
+  EXPECT_EQ(server.OpenDocument("d").value().rules_version, 6u);
+}
+
+TYPED_TEST(BackendTest, ForcedVersionOnFreshIdIsStoredAsIs) {
+  auto& server = *this->server_;
+  auto fresh = ExecuteForced(&server, dsp::Op::kPublish, "new",
+                             SealedContainer(12, 600, 256), Bytes{1}, 4);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh.value().rules_version, 4u);
+  EXPECT_EQ(server.OpenDocument("new").value().rules_version, 4u);
+  // A forced version overrides the tombstone floor too: the replication
+  // layer owns the canonical history.
+  ASSERT_TRUE(server.Remove("new").ok());
+  auto again = ExecuteForced(&server, dsp::Op::kPublish, "new",
+                             SealedContainer(13, 600, 256), Bytes{2}, 2);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(server.OpenDocument("new").value().rules_version, 2u);
+}
+
+void ExpectSameResult(const Result<dsp::Response>& mem,
+                      const Result<dsp::Response>& durable, size_t step) {
+  SCOPED_TRACE("script step " + std::to_string(step));
+  ASSERT_EQ(mem.ok(), durable.ok());
+  if (!mem.ok()) {
+    EXPECT_EQ(mem.status().ToString(), durable.status().ToString());
+    return;
+  }
+  const dsp::Response& a = mem.value();
+  const dsp::Response& b = durable.value();
+  EXPECT_EQ(a.not_modified, b.not_modified);
+  EXPECT_EQ(a.header, b.header);
+  EXPECT_EQ(a.sealed_rules, b.sealed_rules);
+  EXPECT_EQ(a.rules_version, b.rules_version);
+  EXPECT_EQ(a.container, b.container);
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+  ASSERT_EQ(a.chunks.size(), b.chunks.size());
+  for (size_t i = 0; i < a.chunks.size(); ++i) {
+    EXPECT_EQ(a.chunks[i].ciphertext, b.chunks[i].ciphertext);
+    EXPECT_EQ(a.chunks[i].auth.mac, b.chunks[i].auth.mac);
+    EXPECT_EQ(a.chunks[i].auth.proof.size(), b.chunks[i].auth.proof.size());
+  }
+}
+
+TEST(BackendParityTest, SameScriptSameResponsesAndStats) {
+  dsp::MemEnv env;
+  auto mem = OpenBackend<dsp::DspServer>(&env);
+  auto durable = OpenBackend<dsp::DurableServer>(&env);
+  const Bytes a1 = SealedContainer(20, 2000, 256);
+  const Bytes a2 = SealedContainer(21, 900, 256);
+  const Bytes b1 = SealedContainer(22, 700, 128);
+
+  auto req = [](dsp::Op op, std::string doc_id) {
+    dsp::Request r;
+    r.op = op;
+    r.doc_id = std::move(doc_id);
+    return r;
+  };
+  auto publish = [&](std::string doc_id, const Bytes& container,
+                     Bytes rules) {
+    dsp::Request r = req(dsp::Op::kPublish, std::move(doc_id));
+    r.container = container;
+    r.sealed_rules = std::move(rules);
+    return r;
+  };
+  std::vector<dsp::Request> script;
+  script.push_back(publish("a", a1, Bytes{1}));
+  script.push_back(publish("b", b1, Bytes{2, 2}));
+  script.push_back(req(dsp::Op::kOpenDocument, "a"));
+  dsp::Request revalidate = req(dsp::Op::kOpenDocument, "a");
+  revalidate.known_rules_version = 1;
+  script.push_back(revalidate);
+  dsp::Request spans = req(dsp::Op::kGetChunks, "a");
+  spans.spans = {{0, 2}, {5, 1}, {1, 1}};
+  script.push_back(spans);
+  script.push_back(req(dsp::Op::kGetContainer, "b"));
+  dsp::Request update = req(dsp::Op::kUpdateRules, "a");
+  update.sealed_rules = Bytes{3, 3, 3};
+  script.push_back(update);
+  script.push_back(revalidate);  // stale version: full bodies
+  dsp::Request forced = update;
+  forced.force_rules_version = 9;
+  script.push_back(forced);
+  dsp::Request same_bytes = publish("a", a1, Bytes{4});
+  same_bytes.force_rules_version = 12;  // the parse-skip path, forced
+  script.push_back(same_bytes);
+  script.push_back(publish("a", a2, Bytes{5}));  // new container
+  script.push_back(req(dsp::Op::kRemove, "b"));
+  script.push_back(publish("b", b1, Bytes{6}));  // above the tombstone
+  script.push_back(req(dsp::Op::kPing, ""));
+  // Failures must match too.
+  script.push_back(req(dsp::Op::kOpenDocument, "missing"));
+  script.push_back(req(dsp::Op::kRemove, "missing"));
+  script.push_back(publish("c", Bytes{1, 2, 3}, Bytes{}));
+  dsp::Request out_of_range = req(dsp::Op::kGetChunks, "b");
+  out_of_range.spans = {{0, 99}};
+  script.push_back(out_of_range);
+
+  for (size_t i = 0; i < script.size(); ++i) {
+    ExpectSameResult(mem->Execute(script[i]), durable->Execute(script[i]), i);
+  }
+  const dsp::ServiceStats m = mem->stats();
+  const dsp::ServiceStats d = durable->stats();
+  EXPECT_EQ(m.requests, script.size());
+  EXPECT_EQ(m.requests, d.requests);
+  EXPECT_EQ(m.chunks_served, d.chunks_served);
+  EXPECT_EQ(m.bytes_served, d.bytes_served);
+  EXPECT_EQ(m.not_modified, d.not_modified);
+  EXPECT_EQ(m.documents, d.documents);
+  EXPECT_EQ(mem->publish_parse_skips(), 1u);
 }
 
 }  // namespace

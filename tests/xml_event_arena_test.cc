@@ -1,6 +1,6 @@
 // Arena-lifetime and borrowed-view regression tests: EventArena ownership
 // rules, Materialize() round-trips, borrowed parser/decoder streams vs
-// their owning twins, and the EventSink materializing default.
+// their owning twins, and the recorder that materializes borrowed streams.
 
 #include <gtest/gtest.h>
 
@@ -126,22 +126,14 @@ TEST(EventViewTest, EqualityIgnoresTagId) {
   EXPECT_FALSE(a == c);
 }
 
-TEST(EventViewTest, DefaultSinkMaterializes) {
-  // A sink that only implements OnEvent must still accept borrowed
-  // streams, receiving owning copies via the default OnEventView.
-  class OwningOnly : public xml::EventSink {
-   public:
-    Status OnEvent(const Event& event) override {
-      if (event.type != EventType::kEnd) events.push_back(event);
-      return Status::OK();
-    }
-    std::vector<Event> events;
-  };
-  OwningOnly sink;
+TEST(EventViewTest, RecorderMaterializesBorrowedStream) {
+  // The recorder keeps owning copies of a borrowed stream that equal the
+  // owning parse.
+  xml::EventRecorder sink;
   std::string doc = "<a k=\"v\"><b>hi</b></a>";
   ASSERT_TRUE(PullParser::ParseAll(doc, &sink).ok());
   auto expected = PullParser::ParseToEvents(doc).value();
-  EXPECT_EQ(sink.events, expected);
+  EXPECT_EQ(sink.events(), expected);
 }
 
 TEST(BorrowedParserTest, NextViewMatchesNext) {
@@ -238,14 +230,9 @@ TEST(BorrowedDecoderTest, RecordedDecodeRoundTripsToCanonicalXml) {
 TEST(BorrowedWriterTest, ViewAndOwningRenderIdentically) {
   std::string text = "<a x=\"q&quot;e\"><b>t&amp;u</b><c/></a>";
   auto events = PullParser::ParseToEvents(text).value();
-  xml::CanonicalWriter by_event;
   xml::CanonicalWriter by_view;
-  std::vector<AttrView> scratch;
-  for (const Event& e : events) {
-    ASSERT_TRUE(by_event.OnEvent(e).ok());
-    ASSERT_TRUE(by_view.OnEventView(xml::ViewOf(e, &scratch)).ok());
-  }
-  EXPECT_EQ(by_view.str(), by_event.str());
+  ASSERT_TRUE(PullParser::ParseAll(text, &by_view).ok());
+  EXPECT_EQ(by_view.str(), xml::RenderEvents(events).value());
 }
 
 }  // namespace
