@@ -43,11 +43,22 @@ cmake --build build-tsan -j
 # recovery and quarantine paths shuffle raw buffers, truncate files and
 # replay torn tails — exactly where an off-by-one reads out of bounds. The
 # transport label adds the backend-parity suite, whose DurableServer leg
-# serves the same protocol core from lazily loaded blobs.
+# serves the same protocol core from lazily loaded blobs, and the unit
+# label adds crypto_test, whose AES-NI / SHA-NI legs do 16-byte intrinsic
+# loads and stores at every buffer length.
 cmake -B build-asan -S . -DCSXA_SANITIZE=address \
   -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j
-(cd build-asan && ctest --output-on-failure -L "durable|transport")
+(cd build-asan && ctest --output-on-failure -L "durable|transport|unit")
+
+# UndefinedBehaviorSanitizer pass over every label: shifts, overflows,
+# misaligned loads and bad enum values anywhere in the tree. UBSan only
+# reports by default; halt_on_error turns a report into a test failure.
+cmake -B build-ubsan -S . -DCSXA_SANITIZE=undefined \
+  -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
+cmake --build build-ubsan -j
+(cd build-ubsan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --output-on-failure)
 
 # The repository benchmark as its own package: its held-out ctest entries
 # run every workload end to end on both backends (in-memory and durable

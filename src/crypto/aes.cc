@@ -1,5 +1,11 @@
 #include "crypto/aes.h"
 
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace csxa::crypto {
 
 namespace {
@@ -55,19 +61,6 @@ constexpr uint8_t kInvSbox[256] = {
 constexpr uint8_t kRcon[10] = {0x01, 0x02, 0x04, 0x08, 0x10,
                                0x20, 0x40, 0x80, 0x1b, 0x36};
 
-// Multiplication in GF(2^8) with the AES reduction polynomial.
-uint8_t GfMul(uint8_t a, uint8_t b) {
-  uint8_t p = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (b & 1) p ^= a;
-    bool hi = a & 0x80;
-    a = static_cast<uint8_t>(a << 1);
-    if (hi) a ^= 0x1b;
-    b >>= 1;
-  }
-  return p;
-}
-
 void SubBytes(uint8_t s[16]) {
   for (int i = 0; i < 16; ++i) s[i] = kSbox[s[i]];
 }
@@ -114,29 +107,46 @@ void InvShiftRows(uint8_t s[16]) {
   s[15] = t;
 }
 
+// MixColumns works on a whole column at once, its four bytes packed into
+// one 32-bit word (byte r = row r). Multiplication by x ({02}) in GF(2^8)
+// of all four bytes is branch-free: each byte's reduction is selected by
+// its own top bit, so no branch or index depends on the (secret) state.
+inline uint32_t Xtime4(uint32_t w) {
+  return ((w & 0x7f7f7f7fu) << 1) ^ (((w >> 7) & 0x01010101u) * 0x1bu);
+}
+// Byte r of the result is byte r + n (mod 4) of `w`.
+inline uint32_t RotBytes(uint32_t w, int n) {
+  return (w >> (8 * n)) | (w << (32 - 8 * n));
+}
+inline uint32_t LoadColumn(const uint8_t* col) {
+  return static_cast<uint32_t>(col[0]) | static_cast<uint32_t>(col[1]) << 8 |
+         static_cast<uint32_t>(col[2]) << 16 |
+         static_cast<uint32_t>(col[3]) << 24;
+}
+inline void StoreColumn(uint8_t* col, uint32_t w) {
+  for (int r = 0; r < 4; ++r) col[r] = static_cast<uint8_t>(w >> (8 * r));
+}
+
+// Row r of the output is 2*a_r ^ 3*a_{r+1} ^ a_{r+2} ^ a_{r+3}
+//                      = xtime(a_r ^ a_{r+1}) ^ a_{r+1} ^ a_{r+2} ^ a_{r+3}.
+inline uint32_t MixColumn(uint32_t w) {
+  uint32_t r1 = RotBytes(w, 1);
+  return Xtime4(w ^ r1) ^ r1 ^ RotBytes(w, 2) ^ RotBytes(w, 3);
+}
+
 void MixColumns(uint8_t s[16]) {
   for (int c = 0; c < 4; ++c) {
-    uint8_t* col = s + 4 * c;
-    uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<uint8_t>(GfMul(a0, 2) ^ GfMul(a1, 3) ^ a2 ^ a3);
-    col[1] = static_cast<uint8_t>(a0 ^ GfMul(a1, 2) ^ GfMul(a2, 3) ^ a3);
-    col[2] = static_cast<uint8_t>(a0 ^ a1 ^ GfMul(a2, 2) ^ GfMul(a3, 3));
-    col[3] = static_cast<uint8_t>(GfMul(a0, 3) ^ a1 ^ a2 ^ GfMul(a3, 2));
+    StoreColumn(s + 4 * c, MixColumn(LoadColumn(s + 4 * c)));
   }
 }
 
+// InvMixColumns factors as MixColumns after adding 4*(a_r ^ a_{r+2}) to
+// each row (Daemen & Rijmen, "The Design of Rijndael", 4.1.3).
 void InvMixColumns(uint8_t s[16]) {
   for (int c = 0; c < 4; ++c) {
-    uint8_t* col = s + 4 * c;
-    uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<uint8_t>(GfMul(a0, 14) ^ GfMul(a1, 11) ^ GfMul(a2, 13) ^
-                                  GfMul(a3, 9));
-    col[1] = static_cast<uint8_t>(GfMul(a0, 9) ^ GfMul(a1, 14) ^ GfMul(a2, 11) ^
-                                  GfMul(a3, 13));
-    col[2] = static_cast<uint8_t>(GfMul(a0, 13) ^ GfMul(a1, 9) ^ GfMul(a2, 14) ^
-                                  GfMul(a3, 11));
-    col[3] = static_cast<uint8_t>(GfMul(a0, 11) ^ GfMul(a1, 13) ^ GfMul(a2, 9) ^
-                                  GfMul(a3, 14));
+    uint32_t w = LoadColumn(s + 4 * c);
+    w ^= Xtime4(Xtime4(w ^ RotBytes(w, 2)));
+    StoreColumn(s + 4 * c, MixColumn(w));
   }
 }
 
@@ -144,15 +154,9 @@ void AddRoundKey(uint8_t s[16], const uint8_t* rk) {
   for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
 }
 
-}  // namespace
 
-Result<Aes128> Aes128::New(Span key) {
-  if (key.size() != kAesKeySize) {
-    return Status::InvalidArgument("AES-128 key must be 16 bytes");
-  }
-  Aes128 aes;
-  uint8_t* rk = aes.round_keys_.data();
-  std::memcpy(rk, key.data(), 16);
+void PortableExpandKey(const uint8_t key[16], uint8_t rk[176]) {
+  std::memcpy(rk, key, 16);
   for (int i = 4; i < 44; ++i) {
     uint8_t t[4];
     std::memcpy(t, rk + 4 * (i - 1), 4);
@@ -168,13 +172,137 @@ Result<Aes128> Aes128::New(Span key) {
       rk[4 * i + b] = rk[4 * (i - 4) + b] ^ t[b];
     }
   }
-  return aes;
 }
 
-void Aes128::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+#if defined(__x86_64__)
+
+// AES-NI kernels. The target attribute enables the instructions for these
+// functions only; they run only after HasAesNi() confirmed the CPU has them.
+#define CSXA_AESNI __attribute__((target("aes,sse4.1")))
+
+inline __m128i Load(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+inline void Store(uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+template <int kRcon>
+CSXA_AESNI inline __m128i NextRoundKey(__m128i key) {
+  __m128i assist = _mm_shuffle_epi32(_mm_aeskeygenassist_si128(key, kRcon),
+                                     0xff);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+CSXA_AESNI void AesNiExpandKey(const uint8_t key[16], uint8_t rk[176],
+                               uint8_t drk[176]) {
+  __m128i k[11];
+  k[0] = Load(key);
+  k[1] = NextRoundKey<0x01>(k[0]);
+  k[2] = NextRoundKey<0x02>(k[1]);
+  k[3] = NextRoundKey<0x04>(k[2]);
+  k[4] = NextRoundKey<0x08>(k[3]);
+  k[5] = NextRoundKey<0x10>(k[4]);
+  k[6] = NextRoundKey<0x20>(k[5]);
+  k[7] = NextRoundKey<0x40>(k[6]);
+  k[8] = NextRoundKey<0x80>(k[7]);
+  k[9] = NextRoundKey<0x1b>(k[8]);
+  k[10] = NextRoundKey<0x36>(k[9]);
+  for (int i = 0; i < 11; ++i) Store(rk + 16 * i, k[i]);
+  Store(drk, k[10]);
+  for (int i = 1; i < 10; ++i) Store(drk + 16 * i, _mm_aesimc_si128(k[10 - i]));
+  Store(drk + 160, k[0]);
+}
+
+CSXA_AESNI void AesNiEncryptBlock(const uint8_t* rk, const uint8_t in[16],
+                                  uint8_t out[16]) {
+  __m128i b = _mm_xor_si128(Load(in), Load(rk));
+  for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, Load(rk + 16 * r));
+  Store(out, _mm_aesenclast_si128(b, Load(rk + 160)));
+}
+
+CSXA_AESNI void AesNiDecryptBlock(const uint8_t* drk, const uint8_t in[16],
+                                  uint8_t out[16]) {
+  __m128i b = _mm_xor_si128(Load(in), Load(drk));
+  for (int r = 1; r < 10; ++r) b = _mm_aesdec_si128(b, Load(drk + 16 * r));
+  Store(out, _mm_aesdeclast_si128(b, Load(drk + 160)));
+}
+
+// Counter block i: the IV with its last four bytes replaced by BE32(i).
+CSXA_AESNI inline __m128i CounterBlock(__m128i iv, uint32_t i) {
+  return _mm_insert_epi32(iv, static_cast<int>(__builtin_bswap32(i)), 3);
+}
+
+// Four independent blocks per iteration keep the AES unit's pipeline full
+// (aesenc has a multi-cycle latency but issues every cycle).
+CSXA_AESNI void AesNiCtrXor(const uint8_t* rk_bytes, const uint8_t iv_bytes[16],
+                            const uint8_t* in, uint8_t* out, size_t n) {
+  __m128i rk[11];
+  for (int r = 0; r < 11; ++r) rk[r] = Load(rk_bytes + 16 * r);
+  const __m128i iv = Load(iv_bytes);
+  uint32_t block = 0;
+  size_t off = 0;
+  for (; n - off >= 64; off += 64, block += 4) {
+    __m128i b0 = _mm_xor_si128(CounterBlock(iv, block), rk[0]);
+    __m128i b1 = _mm_xor_si128(CounterBlock(iv, block + 1), rk[0]);
+    __m128i b2 = _mm_xor_si128(CounterBlock(iv, block + 2), rk[0]);
+    __m128i b3 = _mm_xor_si128(CounterBlock(iv, block + 3), rk[0]);
+    for (int r = 1; r < 10; ++r) {
+      b0 = _mm_aesenc_si128(b0, rk[r]);
+      b1 = _mm_aesenc_si128(b1, rk[r]);
+      b2 = _mm_aesenc_si128(b2, rk[r]);
+      b3 = _mm_aesenc_si128(b3, rk[r]);
+    }
+    b0 = _mm_aesenclast_si128(b0, rk[10]);
+    b1 = _mm_aesenclast_si128(b1, rk[10]);
+    b2 = _mm_aesenclast_si128(b2, rk[10]);
+    b3 = _mm_aesenclast_si128(b3, rk[10]);
+    Store(out + off, _mm_xor_si128(Load(in + off), b0));
+    Store(out + off + 16, _mm_xor_si128(Load(in + off + 16), b1));
+    Store(out + off + 32, _mm_xor_si128(Load(in + off + 32), b2));
+    Store(out + off + 48, _mm_xor_si128(Load(in + off + 48), b3));
+  }
+  for (; off < n; off += 16, ++block) {
+    __m128i b = _mm_xor_si128(CounterBlock(iv, block), rk[0]);
+    for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, rk[r]);
+    b = _mm_aesenclast_si128(b, rk[10]);
+    if (n - off >= 16) {
+      Store(out + off, _mm_xor_si128(Load(in + off), b));
+    } else {
+      uint8_t keystream[16];
+      Store(keystream, b);
+      for (size_t i = 0; off + i < n; ++i) out[off + i] = in[off + i] ^ keystream[i];
+    }
+  }
+}
+
+#undef CSXA_AESNI
+#endif  // defined(__x86_64__)
+
+}  // namespace
+
+namespace internal {
+
+bool HasAesNi() {
+#if defined(__x86_64__)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") && __builtin_cpu_supports("sse4.1");
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+void PortableEncryptBlock(const Aes128& aes, const uint8_t in[16],
+                          uint8_t out[16]) {
   uint8_t s[16];
   std::memcpy(s, in, 16);
-  const uint8_t* rk = round_keys_.data();
+  const uint8_t* rk = aes.round_keys_.data();
   AddRoundKey(s, rk);
   for (int round = 1; round <= 9; ++round) {
     SubBytes(s);
@@ -188,10 +316,11 @@ void Aes128::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
   std::memcpy(out, s, 16);
 }
 
-void Aes128::DecryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+void PortableDecryptBlock(const Aes128& aes, const uint8_t in[16],
+                          uint8_t out[16]) {
   uint8_t s[16];
   std::memcpy(s, in, 16);
-  const uint8_t* rk = round_keys_.data();
+  const uint8_t* rk = aes.round_keys_.data();
   AddRoundKey(s, rk + 160);
   for (int round = 9; round >= 1; --round) {
     InvShiftRows(s);
@@ -203,6 +332,59 @@ void Aes128::DecryptBlock(const uint8_t in[16], uint8_t out[16]) const {
   InvSubBytes(s);
   AddRoundKey(s, rk);
   std::memcpy(out, s, 16);
+}
+
+}  // namespace internal
+
+Result<Aes128> Aes128::New(Span key) {
+  if (key.size() != kAesKeySize) {
+    return Status::InvalidArgument("AES-128 key must be 16 bytes");
+  }
+  Aes128 aes;
+#if defined(__x86_64__)
+  aes.aesni_ = internal::HasAesNi();
+  if (aes.aesni_) {
+    AesNiExpandKey(key.data(), aes.round_keys_.data(),
+                   aes.dec_round_keys_.data());
+    return aes;
+  }
+#endif
+  PortableExpandKey(key.data(), aes.round_keys_.data());
+  return aes;
+}
+
+void Aes128::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+#if defined(__x86_64__)
+  if (aesni_) return AesNiEncryptBlock(round_keys_.data(), in, out);
+#endif
+  internal::PortableEncryptBlock(*this, in, out);
+}
+
+void Aes128::DecryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+#if defined(__x86_64__)
+  if (aesni_) return AesNiDecryptBlock(dec_round_keys_.data(), in, out);
+#endif
+  internal::PortableDecryptBlock(*this, in, out);
+}
+
+void Aes128::CtrXor(const uint8_t iv[16], const uint8_t* in, uint8_t* out,
+                    size_t n) const {
+#if defined(__x86_64__)
+  if (aesni_) return AesNiCtrXor(round_keys_.data(), iv, in, out, n);
+#endif
+  uint8_t counter[16];
+  std::memcpy(counter, iv, 16);
+  uint8_t keystream[16];
+  uint32_t block = 0;
+  for (size_t off = 0; off < n; off += 16, ++block) {
+    counter[12] = static_cast<uint8_t>(block >> 24);
+    counter[13] = static_cast<uint8_t>(block >> 16);
+    counter[14] = static_cast<uint8_t>(block >> 8);
+    counter[15] = static_cast<uint8_t>(block);
+    internal::PortableEncryptBlock(*this, counter, keystream);
+    size_t take = n - off < 16 ? n - off : 16;
+    for (size_t i = 0; i < take; ++i) out[off + i] = in[off + i] ^ keystream[i];
+  }
 }
 
 }  // namespace csxa::crypto

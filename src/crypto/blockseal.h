@@ -38,6 +38,10 @@
 /// Encrypt-then-MAC with the repo's AES-CTR + HMAC-SHA256 primitives is
 /// the same authenticated-encryption contract as the AES-GCM container in
 /// the sfs exemplar, built from what the tree already audits.
+///
+/// A store seals and opens every block under one key, so it derives the
+/// cipher context once (BlockCipher) and uses the DocCipher overloads; the
+/// SymmetricKey overloads re-derive it per call.
 
 #include <array>
 #include <cstdint>
@@ -95,24 +99,41 @@ constexpr size_t BlockPayloadCapacity(size_t block_size) {
 inline constexpr size_t kBlockPayloadCapacity =
     BlockPayloadCapacity(kSealedBlockSize);
 
+/// The sealing context of a store key: AES under
+/// `key.Derive("block-enc")`'s "enc" sub-key, HMAC under `key.MacKey()`.
+DocCipher BlockCipher(const SymmetricKey& key);
+
 /// Seals `payload` (at most BlockPayloadCapacity(block_size) bytes) into
 /// one `block_size` block bound to `(store_id, block_index)`. The nonce
 /// comes from `nonces` (see NonceSequence: unique across every seal the
 /// store ever performs, including crash-recovery retries that rewind
 /// block indices). The manifest log uses a smaller block size for its
 /// fixed-frame records; data blocks use the 4 KB default.
-Bytes SealBlock(const SymmetricKey& key, const std::string& store_id,
+Bytes SealBlock(const DocCipher& cipher, const std::string& store_id,
                 uint64_t block_index, Span payload, NonceSequence* nonces,
                 size_t block_size = kSealedBlockSize);
+inline Bytes SealBlock(const SymmetricKey& key, const std::string& store_id,
+                       uint64_t block_index, Span payload,
+                       NonceSequence* nonces,
+                       size_t block_size = kSealedBlockSize) {
+  return SealBlock(BlockCipher(key), store_id, block_index, payload, nonces,
+                   block_size);
+}
 
 /// Opens one sealed block, verifying the auth tag under the same
 /// `(store_id, block_index)` AAD before any byte is decrypted. Returns
 /// the exact original payload, or kIntegrityError on a block that is the
 /// wrong size, fails authentication (bit flip, relocation, substitution,
 /// cross-store transplant, wrong key), or carries an impossible length.
-Result<Bytes> OpenBlock(const SymmetricKey& key, const std::string& store_id,
+Result<Bytes> OpenBlock(const DocCipher& cipher, const std::string& store_id,
                         uint64_t block_index, Span block,
                         size_t block_size = kSealedBlockSize);
+inline Result<Bytes> OpenBlock(const SymmetricKey& key,
+                               const std::string& store_id,
+                               uint64_t block_index, Span block,
+                               size_t block_size = kSealedBlockSize) {
+  return OpenBlock(BlockCipher(key), store_id, block_index, block, block_size);
+}
 
 }  // namespace csxa::crypto
 

@@ -49,7 +49,7 @@ Bytes SecureContainer::LeafPayload(uint32_t index, Span ciphertext) {
   return w.Take();
 }
 
-Digest SecureContainer::ComputeRootMac(const SymmetricKey& key,
+Digest SecureContainer::ComputeRootMac(const HmacKey& mac,
                                        const ContainerHeader& h) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(h.integrity));
@@ -58,10 +58,10 @@ Digest SecureContainer::ComputeRootMac(const SymmetricKey& key,
   w.PutU64(h.payload_size);
   w.PutU32(h.chunk_size);
   w.PutU32(h.chunk_count);
-  return HmacSha256(key.MacKey().bytes(), w.bytes());
+  return mac.Mac(w.bytes());
 }
 
-Digest SecureContainer::ComputeChunkMac(const SymmetricKey& key,
+Digest SecureContainer::ComputeChunkMac(const HmacKey& mac,
                                         const ContainerHeader& h,
                                         uint32_t index, Span ciphertext) {
   ByteWriter w;
@@ -69,8 +69,10 @@ Digest SecureContainer::ComputeChunkMac(const SymmetricKey& key,
   w.PutBytes(Span(h.nonce.data(), h.nonce.size()));
   w.PutU32(index);
   w.PutU32(h.chunk_size);
-  w.PutBytes(ciphertext);
-  return HmacSha256(key.MacKey().bytes(), w.bytes());
+  Sha256 hasher = mac.Begin();
+  hasher.Update(w.bytes());
+  hasher.Update(ciphertext);
+  return mac.Finish(hasher);
 }
 
 Bytes SecureContainer::Seal(const SymmetricKey& key, Span payload,
@@ -91,7 +93,7 @@ Bytes SecureContainer::Seal(const SymmetricKey& key, Span payload,
       static_cast<uint32_t>((payload.size() + chunk_size - 1) / chunk_size);
   if (payload.size() == 0) h.chunk_count = 0;
 
-  Aes128 aes = key.EncryptionCipher();
+  const DocCipher cipher = DocCipher::For(key);
   Span nonce(h.nonce.data(), h.nonce.size());
 
   std::vector<Bytes> ciphertexts;
@@ -99,9 +101,9 @@ Bytes SecureContainer::Seal(const SymmetricKey& key, Span payload,
   for (uint32_t i = 0; i < h.chunk_count; ++i) {
     size_t off = static_cast<size_t>(i) * chunk_size;
     Span plain = payload.subspan(off, chunk_size);
-    Bytes cipher;
-    CtrTransform(aes, DeriveCtrIv(nonce, i), plain, &cipher);
-    ciphertexts.push_back(std::move(cipher));
+    Bytes chunk;
+    CtrTransform(cipher.enc, DeriveCtrIv(nonce, i), plain, &chunk);
+    ciphertexts.push_back(std::move(chunk));
   }
 
   // Authentication table: Merkle leaf digests or keyed chunk MACs.
@@ -117,10 +119,10 @@ Bytes SecureContainer::Seal(const SymmetricKey& key, Span payload,
   } else {
     h.merkle_root.fill(0);
     for (uint32_t i = 0; i < h.chunk_count; ++i) {
-      auth_table.push_back(ComputeChunkMac(key, h, i, ciphertexts[i]));
+      auth_table.push_back(ComputeChunkMac(cipher.mac, h, i, ciphertexts[i]));
     }
   }
-  h.root_mac = ComputeRootMac(key, h);
+  h.root_mac = ComputeRootMac(cipher.mac, h);
 
   ByteWriter w;
   h.EncodeTo(&w);
@@ -143,6 +145,9 @@ Result<SecureContainer> SecureContainer::Parse(Span data) {
   c.chunks_off_ = c.auth_off_ + auth_bytes;
   if (data.size() - c.chunks_off_ != h.payload_size) {
     return Status::ParseError("container payload size mismatch");
+  }
+  if (h.integrity == IntegrityMode::kMerkle) {
+    c.merkle_ = std::make_shared<MerkleCache>();
   }
   return c;
 }
@@ -169,16 +174,15 @@ Result<ChunkAuth> SecureContainer::GetChunkAuth(uint32_t i) const {
   }
   ChunkAuth auth;
   if (header_.integrity == IntegrityMode::kMerkle) {
-    std::vector<Digest> leaves;
-    leaves.reserve(header_.chunk_count);
-    for (uint32_t k = 0; k < header_.chunk_count; ++k) {
-      Digest d;
-      std::memcpy(d.data(), data_.data() + auth_off_ + k * kSha256Size,
-                  kSha256Size);
-      leaves.push_back(d);
-    }
-    MerkleTree tree = MerkleTree::BuildFromDigests(std::move(leaves));
-    CSXA_ASSIGN_OR_RETURN(auth.proof, tree.Prove(i));
+    std::call_once(merkle_->built, [this] {
+      std::vector<Digest> leaves(header_.chunk_count);
+      for (uint32_t k = 0; k < header_.chunk_count; ++k) {
+        std::memcpy(leaves[k].data(),
+                    data_.data() + auth_off_ + k * kSha256Size, kSha256Size);
+      }
+      merkle_->tree = MerkleTree::BuildFromDigests(std::move(leaves));
+    });
+    CSXA_ASSIGN_OR_RETURN(auth.proof, merkle_->tree.Prove(i));
   } else {
     std::memcpy(auth.mac.data(), data_.data() + auth_off_ + i * kSha256Size,
                 kSha256Size);
@@ -186,9 +190,9 @@ Result<ChunkAuth> SecureContainer::GetChunkAuth(uint32_t i) const {
   return auth;
 }
 
-Status SecureContainer::VerifyRoot(const SymmetricKey& key,
+Status SecureContainer::VerifyRoot(const DocCipher& cipher,
                                    const ContainerHeader& header) {
-  Digest expected = ComputeRootMac(key, header);
+  Digest expected = ComputeRootMac(cipher.mac, header);
   if (!ConstantTimeEqual(Span(expected.data(), expected.size()),
                          Span(header.root_mac.data(),
                               header.root_mac.size()))) {
@@ -198,7 +202,7 @@ Status SecureContainer::VerifyRoot(const SymmetricKey& key,
 }
 
 Result<Bytes> SecureContainer::VerifyAndDecryptChunk(
-    const SymmetricKey& key, const ContainerHeader& header, uint32_t index,
+    const DocCipher& cipher, const ContainerHeader& header, uint32_t index,
     Span ciphertext, const ChunkAuth& auth) {
   if (index >= header.chunk_count) {
     return Status::InvalidArgument("chunk index out of range");
@@ -210,15 +214,14 @@ Result<Bytes> SecureContainer::VerifyAndDecryptChunk(
       return Status::IntegrityError("chunk failed Merkle verification");
     }
   } else {
-    Digest expected = ComputeChunkMac(key, header, index, ciphertext);
+    Digest expected = ComputeChunkMac(cipher.mac, header, index, ciphertext);
     if (!ConstantTimeEqual(Span(expected.data(), expected.size()),
                            Span(auth.mac.data(), auth.mac.size()))) {
       return Status::IntegrityError("chunk MAC mismatch");
     }
   }
-  Aes128 aes = key.EncryptionCipher();
   Bytes plain;
-  CtrTransform(aes,
+  CtrTransform(cipher.enc,
                DeriveCtrIv(Span(header.nonce.data(), header.nonce.size()), index),
                ciphertext, &plain);
   return plain;
@@ -226,14 +229,15 @@ Result<Bytes> SecureContainer::VerifyAndDecryptChunk(
 
 Result<Bytes> SecureContainer::OpenAll(const SymmetricKey& key, Span container) {
   CSXA_ASSIGN_OR_RETURN(SecureContainer c, Parse(container));
-  CSXA_RETURN_IF_ERROR(VerifyRoot(key, c.header()));
+  const DocCipher cipher = DocCipher::For(key);
+  CSXA_RETURN_IF_ERROR(VerifyRoot(cipher, c.header()));
   Bytes out;
   out.reserve(c.header().payload_size);
   for (uint32_t i = 0; i < c.header().chunk_count; ++i) {
-    CSXA_ASSIGN_OR_RETURN(Span cipher, c.ChunkCiphertext(i));
+    CSXA_ASSIGN_OR_RETURN(Span chunk, c.ChunkCiphertext(i));
     CSXA_ASSIGN_OR_RETURN(ChunkAuth auth, c.GetChunkAuth(i));
     CSXA_ASSIGN_OR_RETURN(
-        Bytes plain, VerifyAndDecryptChunk(key, c.header(), i, cipher, auth));
+        Bytes plain, VerifyAndDecryptChunk(cipher, c.header(), i, chunk, auth));
     out.insert(out.end(), plain.begin(), plain.end());
   }
   return out;

@@ -15,8 +15,16 @@
 ///
 /// Small records (access rules, key envelopes) use the simpler
 /// encrypt-then-MAC record format at the bottom of this header.
+///
+/// Readers that open many chunks under one key pass a DocCipher (keys.h),
+/// derived once per card session or container, to VerifyRoot and
+/// VerifyAndDecryptChunk; the SymmetricKey overloads re-derive it on every
+/// call and are kept for tests and one-shot callers. Seal and OpenAll
+/// derive it once per container.
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/bytes.h"
@@ -105,38 +113,59 @@ class SecureContainer {
   /// Plaintext size of chunk `i` (== chunk_size except possibly the last).
   Result<size_t> ChunkPlainSize(uint32_t i) const;
 
-  /// SOE-side: verifies the root MAC under `key`. Must be checked once per
-  /// document before trusting any chunk authentication.
-  static Status VerifyRoot(const SymmetricKey& key, const ContainerHeader& header);
+  /// SOE-side: verifies the root MAC under the document's cipher context.
+  /// Must be checked once per document before trusting any chunk
+  /// authentication.
+  static Status VerifyRoot(const DocCipher& cipher,
+                           const ContainerHeader& header);
+  static Status VerifyRoot(const SymmetricKey& key,
+                           const ContainerHeader& header) {
+    return VerifyRoot(DocCipher::For(key), header);
+  }
 
   /// SOE-side: verifies `ciphertext` as chunk `index` per the header's
   /// integrity mode (the header must already be root-verified), then
   /// decrypts it.
-  static Result<Bytes> VerifyAndDecryptChunk(const SymmetricKey& key,
+  static Result<Bytes> VerifyAndDecryptChunk(const DocCipher& cipher,
                                              const ContainerHeader& header,
                                              uint32_t index, Span ciphertext,
                                              const ChunkAuth& auth);
+  static Result<Bytes> VerifyAndDecryptChunk(const SymmetricKey& key,
+                                             const ContainerHeader& header,
+                                             uint32_t index, Span ciphertext,
+                                             const ChunkAuth& auth) {
+    return VerifyAndDecryptChunk(DocCipher::For(key), header, index,
+                                 ciphertext, auth);
+  }
 
   /// Convenience: seals then fully opens; used by tests and baselines.
   static Result<Bytes> OpenAll(const SymmetricKey& key, Span container);
 
   /// Computes the MAC binding the root to the container geometry.
-  static Digest ComputeRootMac(const SymmetricKey& key, const ContainerHeader& h);
+  static Digest ComputeRootMac(const HmacKey& mac, const ContainerHeader& h);
 
   /// Leaf payload for the Merkle tree: chunk index || ciphertext.
   static Bytes LeafPayload(uint32_t index, Span ciphertext);
 
   /// Keyed per-chunk MAC: HMAC(mac_key, "chunk" || nonce || index ||
-  /// chunk_size || ciphertext).
-  static Digest ComputeChunkMac(const SymmetricKey& key,
-                                const ContainerHeader& h, uint32_t index,
-                                Span ciphertext);
+  /// chunk_size || ciphertext), with the ciphertext streamed into the
+  /// hasher rather than copied.
+  static Digest ComputeChunkMac(const HmacKey& mac, const ContainerHeader& h,
+                                uint32_t index, Span ciphertext);
 
  private:
+  // Merkle mode: the tree over the stored leaf table, built on the first
+  // proof request (thread-safe) and shared by copies of this container.
+  struct MerkleCache {
+    std::once_flag built;
+    MerkleTree tree;
+  };
+
   ContainerHeader header_;
   Span data_;              // whole serialized container
   size_t auth_off_ = 0;    // offset of leaf-digest / chunk-MAC table
   size_t chunks_off_ = 0;  // offset of first chunk ciphertext
+  std::shared_ptr<MerkleCache> merkle_;  // null in kChunkMac mode
 };
 
 /// Seals a small record: CBC(encrypt) then HMAC over (iv || ciphertext).

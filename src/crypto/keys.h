@@ -50,6 +50,24 @@ class SymmetricKey {
   std::array<uint8_t, kAesKeySize> bytes_;
 };
 
+/// \brief The cipher state of one document key, derived once.
+///
+/// Deriving the "enc" and "mac" sub-keys costs three HMACs plus an AES key
+/// expansion; a reader that verifies and decrypts many chunks or blocks
+/// under one key builds this once (per card session, per container, per
+/// block store) and passes it to the per-chunk calls instead of the key.
+struct DocCipher {
+  /// AES under the "enc" sub-key.
+  Aes128 enc;
+  /// HMAC under the "mac" sub-key.
+  HmacKey mac;
+
+  /// The context of `key` as containers and sealed records use it.
+  static DocCipher For(const SymmetricKey& key) {
+    return DocCipher{key.EncryptionCipher(), HmacKey(key.MacKey().bytes())};
+  }
+};
+
 }  // namespace csxa::crypto
 
 #endif  // CSXA_CRYPTO_KEYS_H_

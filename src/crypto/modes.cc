@@ -7,10 +7,14 @@ namespace csxa::crypto {
 Iv DeriveCtrIv(Span nonce, uint64_t chunk_index) {
   // IV = first 16 bytes of SHA-256(nonce || chunk_index_le). Hash-derived so
   // distinct chunks never share a counter stream even across re-keys.
-  ByteWriter w;
-  w.PutBytes(nonce);
-  w.PutU64(chunk_index);
-  Digest d = Sha256::Hash(w.bytes());
+  uint8_t index_le[8];
+  for (int i = 0; i < 8; ++i) {
+    index_le[i] = static_cast<uint8_t>(chunk_index >> (8 * i));
+  }
+  Sha256 h;
+  h.Update(nonce);
+  h.Update(Span(index_le, sizeof(index_le)));
+  Digest d = h.Finish();
   Iv iv;
   std::memcpy(iv.data(), d.data(), iv.size());
   // Zero the low 4 bytes to leave room for the in-chunk block counter.
@@ -20,25 +24,7 @@ Iv DeriveCtrIv(Span nonce, uint64_t chunk_index) {
 
 void CtrTransform(const Aes128& aes, const Iv& iv, Span in, Bytes* out) {
   out->resize(in.size());
-  uint8_t counter[16];
-  std::memcpy(counter, iv.data(), 16);
-  uint8_t keystream[16];
-  size_t off = 0;
-  uint32_t block = 0;
-  while (off < in.size()) {
-    counter[12] = static_cast<uint8_t>(block >> 24);
-    counter[13] = static_cast<uint8_t>(block >> 16);
-    counter[14] = static_cast<uint8_t>(block >> 8);
-    counter[15] = static_cast<uint8_t>(block);
-    aes.EncryptBlock(counter, keystream);
-    size_t n = in.size() - off;
-    if (n > 16) n = 16;
-    for (size_t i = 0; i < n; ++i) {
-      (*out)[off + i] = in[off + i] ^ keystream[i];
-    }
-    off += n;
-    ++block;
-  }
+  aes.CtrXor(iv.data(), in.data(), out->data(), in.size());
 }
 
 Bytes CbcEncrypt(const Aes128& aes, const Iv& iv, Span plain) {

@@ -24,7 +24,8 @@ Iv DeriveCtrIv(Span nonce, uint64_t chunk_index);
 /// \brief AES-CTR keystream transform (encrypt == decrypt).
 ///
 /// Processes `in` with the keystream starting at counter block `iv`,
-/// writing to `out` (may alias). Arbitrary lengths supported.
+/// writing to `out` (may alias). Arbitrary lengths supported. Runs on
+/// Aes128::CtrXor: four blocks at a time on AES-NI hosts.
 void CtrTransform(const Aes128& aes, const Iv& iv, Span in, Bytes* out);
 
 /// CBC-encrypts `plain` with PKCS#7 padding.

@@ -469,7 +469,7 @@ Result<BlockLog> BlockLog::Open(Env* env, std::string dir,
   BlockLog log;
   log.env_ = env;
   log.dir_ = std::move(dir);
-  log.key_ = key;
+  log.cipher_ = crypto::BlockCipher(key);
   log.store_id_ = std::move(store_id);
   log.blocks_per_segment_ =
       std::max<uint64_t>(1, segment_bytes / crypto::kSealedBlockSize);
@@ -533,7 +533,8 @@ Result<uint64_t> BlockLog::AppendBlock(Span payload,
   }
   uint64_t index = block_count_;
   CSXA_ASSIGN_OR_RETURN(File * file, SegmentFor(index, /*create=*/true));
-  Bytes sealed = crypto::SealBlock(key_, store_id_, index, payload, nonces);
+  Bytes sealed =
+      crypto::SealBlock(*cipher_, store_id_, index, payload, nonces);
   Status appended = file->Append(sealed);
   if (!appended.ok()) {
     // A partial append (e.g. ENOSPC midway) leaves a misaligned tail that
@@ -559,7 +560,7 @@ Result<Bytes> BlockLog::ReadBlock(uint64_t index) const {
       (index % blocks_per_segment_) * crypto::kSealedBlockSize;
   CSXA_ASSIGN_OR_RETURN(Bytes sealed,
                         file->ReadAt(offset, crypto::kSealedBlockSize));
-  return crypto::OpenBlock(key_, store_id_, index, sealed);
+  return crypto::OpenBlock(*cipher_, store_id_, index, sealed);
 }
 
 Status BlockLog::Sync() {
@@ -616,7 +617,7 @@ Result<ManifestLog> ManifestLog::Open(Env* env, std::string path,
   ManifestLog log;
   log.env_ = env;
   log.path_ = std::move(path);
-  log.key_ = key;
+  log.cipher_ = crypto::BlockCipher(key);
   log.store_id_ = std::move(store_id) + "#manifest";
   const bool fresh = !env->Exists(log.path_);
   CSXA_ASSIGN_OR_RETURN(log.file_, env->Open(log.path_, /*create=*/true));
@@ -642,7 +643,7 @@ Result<ManifestLog> ManifestLog::Open(Env* env, std::string path,
     CSXA_ASSIGN_OR_RETURN(
         Bytes frame,
         log.file_->ReadAt(i * kManifestRecordSize, kManifestRecordSize));
-    auto opened = crypto::OpenBlock(log.key_, log.store_id_, i, frame,
+    auto opened = crypto::OpenBlock(*log.cipher_, log.store_id_, i, frame,
                                     kManifestRecordSize);
     if (opened.ok() && !prefix_broken) {
       payloads.push_back(std::move(opened).value());
@@ -685,7 +686,7 @@ Status ManifestLog::Append(Span payload, crypto::NonceSequence* nonces) {
         "manifest log poisoned: an earlier failed append could not be "
         "realigned");
   }
-  Bytes sealed = crypto::SealBlock(key_, store_id_, next_seq_, payload,
+  Bytes sealed = crypto::SealBlock(*cipher_, store_id_, next_seq_, payload,
                                    nonces, kManifestRecordSize);
   Status result = file_->Append(sealed);
   if (result.ok()) result = file_->Sync();

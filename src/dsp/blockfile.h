@@ -47,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -213,8 +214,9 @@ class FaultyEnv : public Env {
 
 /// \brief The data half: sealed blocks appended across segment files.
 ///
-/// Blocks are written with crypto::SealBlock under the store key and AAD
-/// `(store_id, global block index)`; segment `s` holds global indices
+/// Blocks are written with crypto::SealBlock under the store key's cipher
+/// context (derived once at Open) and AAD `(store_id, global block
+/// index)`; segment `s` holds global indices
 /// `[s * blocks_per_segment, (s+1) * blocks_per_segment)`.
 class BlockLog {
  public:
@@ -258,7 +260,7 @@ class BlockLog {
 
   Env* env_ = nullptr;
   std::string dir_;
-  crypto::SymmetricKey key_;
+  std::optional<crypto::DocCipher> cipher_;  // set by Open()
   std::string store_id_;
   uint64_t blocks_per_segment_ = 0;
   uint64_t block_count_ = 0;
@@ -316,7 +318,7 @@ class ManifestLog {
  private:
   Env* env_ = nullptr;
   std::string path_;
-  crypto::SymmetricKey key_;
+  std::optional<crypto::DocCipher> cipher_;  // set by Open()
   std::string store_id_;
   std::unique_ptr<File> file_;
   uint64_t next_seq_ = 0;

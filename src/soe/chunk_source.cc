@@ -33,7 +33,7 @@ ChunkSource::ChunkSource(const crypto::SymmetricKey& key,
                          const crypto::ContainerHeader& header,
                          ChunkProvider* provider, CostModel* cost,
                          bool charge_transfer)
-    : key_(key),
+    : cipher_(crypto::DocCipher::For(key)),
       header_(header),
       provider_(provider),
       cost_(cost),
@@ -53,7 +53,7 @@ Status ChunkSource::EnsureChunk(uint32_t index) {
   }
   CSXA_ASSIGN_OR_RETURN(
       Bytes plain, crypto::SecureContainer::VerifyAndDecryptChunk(
-                       key_, header_, index, chunk.ciphertext, chunk.auth));
+                       cipher_, header_, index, chunk.ciphertext, chunk.auth));
   buf_ = std::move(plain);
   buf_index_ = index;
   buf_valid_ = true;

@@ -147,6 +147,7 @@ class ContainerChunkProvider : public ChunkProvider {
 class ChunkSource : public skipindex::ByteSource {
  public:
   /// `header` must already be root-verified under `key` by the caller.
+  /// The key's cipher context is derived once here, for the whole session.
   /// With `charge_transfer` false (push mode) fetches charge only crypto:
   /// the broadcast bytes were already paid for by the caller.
   ChunkSource(const crypto::SymmetricKey& key,
@@ -175,7 +176,7 @@ class ChunkSource : public skipindex::ByteSource {
  private:
   Status EnsureChunk(uint32_t index);
 
-  crypto::SymmetricKey key_;
+  crypto::DocCipher cipher_;
   crypto::ContainerHeader header_;
   ChunkProvider* provider_;
   CostModel* cost_;

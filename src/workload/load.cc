@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -56,6 +57,114 @@ double Quantile(std::vector<double>& sorted, double q) {
   if (index >= sorted.size()) index = sorted.size() - 1;
   return sorted[index];
 }
+
+// The scripted fault schedule, on the completed-operation clock: the
+// session whose completion crosses a threshold applies that transition (a
+// crash or partition starting or healing), exactly once, in threshold
+// order. Healing pumps a heartbeat round so the recovered replica
+// reintegrates promptly.
+//
+// A retry backoff stands for time passing, and in this harness time is
+// other sessions' operations. So while a scripted fault is active, a
+// session backing off parks until the schedule's next transition has been
+// applied. If every live session is parked (or done), nothing could ever
+// advance the op clock, so the last one to park applies the next
+// transition itself: the clock jumps to the next event, as in a
+// discrete-event simulation. Otherwise a write that cannot reach its
+// quorum while two fault windows overlap would spend its whole retry
+// budget at once and fail, unless some other session happened to finish
+// an operation in between.
+class FaultSchedule {
+ public:
+  FaultSchedule(const FaultPlan& plan, size_t replicas, size_t sessions,
+                const std::vector<std::unique_ptr<dsp::FaultInjectingService>>&
+                    injectors,
+                dsp::ReplicatedService* replicated)
+      : replicated_(replicated), live_(sessions) {
+    if (!plan.enabled) return;
+    if (plan.crash_replica < replicas) {
+      dsp::FaultInjectingService* target = injectors[plan.crash_replica].get();
+      transitions_.push_back({plan.crash_at_op, target, Kind::kCrash, true});
+      transitions_.push_back(
+          {plan.crash_heal_at_op, target, Kind::kCrash, false});
+    }
+    if (plan.partition_replica < replicas) {
+      dsp::FaultInjectingService* target =
+          injectors[plan.partition_replica].get();
+      transitions_.push_back(
+          {plan.partition_at_op, target, Kind::kPartition, true});
+      transitions_.push_back(
+          {plan.partition_heal_at_op, target, Kind::kPartition, false});
+    }
+    std::stable_sort(transitions_.begin(), transitions_.end(),
+                     [](const Transition& a, const Transition& b) {
+                       return a.at_op < b.at_op;
+                     });
+  }
+  FaultSchedule(const FaultSchedule&) = delete;
+  FaultSchedule& operator=(const FaultSchedule&) = delete;
+
+  /// A session finished one operation.
+  void OpCompleted() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++completed_;
+    while (next_ < transitions_.size() &&
+           transitions_[next_].at_op <= completed_) {
+      ApplyNextLocked();
+    }
+  }
+
+  /// A session finished its whole run.
+  void SessionDone() {
+    std::lock_guard<std::mutex> lock(mu_);
+    --live_;
+    changed_.notify_all();
+  }
+
+  /// The retry backoff: see the class comment.
+  void AwaitTransition() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if ((!crashed_ && !partitioned_) || next_ == transitions_.size()) return;
+    const size_t awaited = next_;
+    ++parked_;
+    changed_.wait(lock, [&] { return next_ != awaited || parked_ == live_; });
+    if (next_ == awaited) ApplyNextLocked();
+    --parked_;
+  }
+
+ private:
+  enum class Kind { kCrash, kPartition };
+  struct Transition {
+    uint64_t at_op;
+    dsp::FaultInjectingService* target;
+    Kind kind;
+    bool starts;  // fault begins (true) or heals (false)
+  };
+
+  void ApplyNextLocked() {
+    const Transition& t = transitions_[next_++];
+    if (t.kind == Kind::kCrash) {
+      crashed_ = t.starts;
+      t.target->set_crashed(t.starts);
+    } else {
+      partitioned_ = t.starts;
+      t.target->set_partitioned(t.starts);
+    }
+    if (!t.starts) replicated_->HeartbeatTick();
+    changed_.notify_all();
+  }
+
+  std::vector<Transition> transitions_;  // immutable after construction
+  dsp::ReplicatedService* replicated_;
+  std::mutex mu_;  // guards everything below
+  std::condition_variable changed_;
+  size_t next_ = 0;  // first transition not yet applied
+  uint64_t completed_ = 0;
+  size_t live_;
+  size_t parked_ = 0;
+  bool crashed_ = false;
+  bool partitioned_ = false;
+};
 
 }  // namespace
 
@@ -122,6 +231,8 @@ LoadReport RunLoad(const LoadOptions& options) {
   ropt.write_quorum = opt.write_quorum;
   ropt.suspect_after = opt.suspect_after;
   dsp::ReplicatedService replicated(replica_ptrs, ropt);
+  FaultSchedule schedule(opt.faults, opt.replicas, opt.sessions, injectors,
+                         &replicated);
 
   // Policy-update push channel: committed writes fan out to the shared
   // cache (best-effort; the pull path self-heals what this drops).
@@ -171,9 +282,11 @@ LoadReport RunLoad(const LoadOptions& options) {
       replicated.HeartbeatTick();
     }
   };
-  retrying.set_on_backoff([&advance_modeled_clock](int, double backoff_sec) {
-    advance_modeled_clock(backoff_sec);
-  });
+  retrying.set_on_backoff(
+      [&advance_modeled_clock, &schedule](int, double backoff_sec) {
+        advance_modeled_clock(backoff_sec);
+        schedule.AwaitTransition();
+      });
   pki::KeyRegistry registry;
 
   const std::vector<scengen::Scenario> scenarios = scengen::AllScenarios();
@@ -267,43 +380,6 @@ LoadReport RunLoad(const LoadOptions& options) {
   // Measure the run, not the setup: snapshot every monotone counter.
   const std::vector<double> lanes_before = dispatcher.lane_busy_seconds();
   const std::vector<uint64_t> shards_before = routers[0]->shard_requests();
-
-  // --- The scripted fault schedule ----------------------------------------
-  // Driven by the completed-operation clock: whichever session crosses a
-  // threshold first applies the transition, exactly once. Healing pumps a
-  // heartbeat round so the recovered replica reintegrates promptly.
-  std::atomic<uint64_t> completed_ops{0};
-  std::atomic<bool> crash_applied{false}, crash_healed{false};
-  std::atomic<bool> partition_applied{false}, partition_healed{false};
-  const FaultPlan& plan = opt.faults;
-  const bool crash_active = plan.enabled && plan.crash_replica < opt.replicas;
-  const bool partition_active =
-      plan.enabled && plan.partition_replica < opt.replicas;
-  auto advance_faults = [&](uint64_t done) {
-    if (!plan.enabled) return;
-    bool expected = false;
-    if (crash_active && done >= plan.crash_at_op &&
-        crash_applied.compare_exchange_strong(expected, true)) {
-      injectors[plan.crash_replica]->set_crashed(true);
-    }
-    expected = false;
-    if (crash_active && done >= plan.crash_heal_at_op &&
-        crash_healed.compare_exchange_strong(expected, true)) {
-      injectors[plan.crash_replica]->set_crashed(false);
-      replicated.HeartbeatTick();
-    }
-    expected = false;
-    if (partition_active && done >= plan.partition_at_op &&
-        partition_applied.compare_exchange_strong(expected, true)) {
-      injectors[plan.partition_replica]->set_partitioned(true);
-    }
-    expected = false;
-    if (partition_active && done >= plan.partition_heal_at_op &&
-        partition_healed.compare_exchange_strong(expected, true)) {
-      injectors[plan.partition_replica]->set_partitioned(false);
-      replicated.HeartbeatTick();
-    }
-  };
 
   // --- The run: N concurrent terminal sessions ---------------------------
   struct SessionOutcome {
@@ -405,9 +481,9 @@ LoadReport RunLoad(const LoadOptions& options) {
       } else {
         run_query(own.info);  // read-your-own-writes path
       }
-      advance_faults(completed_ops.fetch_add(1, std::memory_order_relaxed) +
-                     1);
+      schedule.OpCompleted();
     }
+    schedule.SessionDone();
   };
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -420,7 +496,7 @@ LoadReport RunLoad(const LoadOptions& options) {
 
   // End healed: clear any fault the schedule never got around to lifting
   // and reintegrate, so the report shows the group's steady end state.
-  if (plan.enabled) {
+  if (opt.faults.enabled) {
     for (auto& injector : injectors) {
       injector->set_crashed(false);
       injector->set_partitioned(false);

@@ -54,7 +54,9 @@
 namespace csxa::workload {
 
 /// Scripted mid-run fault schedule, on the completed-operation clock
-/// (deterministic under any thread interleaving up to +-1 op).
+/// (deterministic under any thread interleaving up to +-1 op). While a
+/// scripted fault is active, a session's retry backoff waits for the next
+/// transition; if every session is waiting, the schedule jumps to it.
 struct FaultPlan {
   bool enabled = false;
   /// Replica crashed once this many client ops completed...
