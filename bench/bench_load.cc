@@ -8,15 +8,78 @@
 /// row is the single-threaded server baseline; the headline criterion is
 /// aggregate modeled throughput at >=4 workers exceeding 2x that baseline,
 /// measured by the same harness.
+///
+/// A second table times the dispatcher itself: one synchronous call on an
+/// idle lane over a no-op backend, through the caller-runs Execute() and
+/// through a Submit().get() hand-off to the lane's worker.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "dsp/async.h"
 #include "workload/load.h"
 
 using namespace csxa;
+
+namespace {
+
+// A backend that does nothing: what a call costs is the dispatcher's own.
+class NoopService : public dsp::Service {
+ public:
+  Result<dsp::Response> Execute(dsp::Request) override {
+    return dsp::Response{};
+  }
+  dsp::ServiceStats stats() const override { return {}; }
+};
+
+// Median wall-clock nanoseconds of `call`, each call timed on its own
+// after a warm-up, one call at a time so the lane is idle at every start.
+template <typename Call>
+double MedianCallNs(size_t calls, Call call) {
+  for (size_t i = 0; i < calls / 10; ++i) call();
+  std::vector<double> ns(calls);
+  for (double& sample : ns) {
+    const auto start = std::chrono::steady_clock::now();
+    call();
+    sample = std::chrono::duration<double, std::nano>(
+                 std::chrono::steady_clock::now() - start)
+                 .count();
+  }
+  std::nth_element(ns.begin(), ns.begin() + ns.size() / 2, ns.end());
+  return ns[ns.size() / 2];
+}
+
+void BenchIdleLaneCall() {
+  const size_t calls = bench::Smoke(20000, 200);
+  NoopService backend;
+  dsp::AsyncDispatcher::Options opt;
+  opt.workers = 2;
+  dsp::AsyncDispatcher dispatcher(&backend, opt);
+  dsp::Request request;
+  request.op = dsp::Op::kPing;
+  request.doc_id = "doc";
+
+  const double execute_ns = MedianCallNs(
+      calls, [&] { CSXA_CHECK(dispatcher.Execute(request).ok()); });
+  const double submit_ns = MedianCallNs(
+      calls, [&] { CSXA_CHECK(dispatcher.Submit(request).get().ok()); });
+
+  std::printf("\n== One synchronous dispatcher call, idle lane, no-op "
+              "backend (%zu calls each) ==\n", calls);
+  bench::Table table({"path", "median us/call"});
+  table.AddRow({"Execute (caller-runs)", bench::Fmt("%.2f", execute_ns / 1e3)});
+  table.AddRow({"Submit().get() (worker hand-off)",
+                bench::Fmt("%.2f", submit_ns / 1e3)});
+  table.Print();
+  bench::JsonReport::Get().Add("load/idle_lane_call/execute", execute_ns);
+  bench::JsonReport::Get().Add("load/idle_lane_call/submit_get", submit_ns);
+}
+
+}  // namespace
 
 int main() {
   std::printf("== Multi-tenant DSP load: %s ==\n",
@@ -86,5 +149,7 @@ int main() {
                 best_workers, speedup, base.sessions);
     bench::JsonReport::Get().AddValue("load/speedup_vs_single_thread", speedup);
   }
+
+  BenchIdleLaneCall();
   return 0;
 }

@@ -38,6 +38,9 @@ cmake -B build-tsan -S . -DCSXA_SANITIZE=thread \
   -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j
 (cd build-tsan && ctest --output-on-failure -L "transport|concurrency|fault|durable|planner|scengen")
+# The dispatcher hands a lane between an Execute() caller running inline and
+# the lane's worker; repeat its suite so TSan sees many interleavings.
+build-tsan/tests/concurrency_test --gtest_filter='*AsyncDispatcher*' --gtest_repeat=200
 
 # AddressSanitizer pass over the durable store: the block layer, crash
 # recovery and quarantine paths shuffle raw buffers, truncate files and

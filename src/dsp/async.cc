@@ -59,6 +59,35 @@ std::future<Result<Response>> AsyncDispatcher::Submit(Request request) {
   return future;
 }
 
+Result<Response> AsyncDispatcher::Execute(Request request) {
+  Lane& lane = *queues_[LaneFor(request.doc_id)];
+  std::unique_lock lock(lane.mu);
+  if (lane.running || !lane.jobs.empty()) {
+    // Busy lane: queue behind it and wait. The caller's own earlier
+    // submissions are still queued or running, so per-document FIFO holds.
+    lock.unlock();
+    return Submit(std::move(request)).get();
+  }
+  lane.running = true;
+  lock.unlock();
+  // Caller-runs: the lane is ours until this guard releases it — on every
+  // exit, a throwing backend included — and wakes the worker if requests
+  // queued meanwhile.
+  struct Claim {
+    Lane& lane;
+    ~Claim() {
+      std::unique_lock lock(lane.mu);
+      lane.running = false;
+      const bool queued = !lane.jobs.empty();
+      lock.unlock();
+      if (queued) lane.cv.notify_one();
+    }
+  } claim{lane};
+  Result<Response> result = backend_->Execute(std::move(request));
+  Charge(lane, result);
+  return result;
+}
+
 void AsyncDispatcher::WorkerLoop(size_t lane_index) {
   Lane& lane = *queues_[lane_index];
   for (;;) {
@@ -66,25 +95,37 @@ void AsyncDispatcher::WorkerLoop(size_t lane_index) {
     {
       std::unique_lock lock(lane.mu);
       lane.cv.wait(lock, [&] {
-        return !lane.jobs.empty() || stopping_.load(std::memory_order_acquire);
+        return (!lane.running && !lane.jobs.empty()) ||
+               (lane.jobs.empty() && stopping_.load(std::memory_order_acquire));
       });
       if (lane.jobs.empty()) return;  // stopping and drained
       job = std::move(lane.jobs.front());
       lane.jobs.pop_front();
+      lane.running = true;
     }
     Result<Response> result = backend_->Execute(std::move(job.request));
-    // Charge the lane's modeled clock: fixed admission cost plus the
-    // response payload at server bandwidth. Errors still cost admission.
-    double seconds = options_.per_request_seconds;
-    if (result.ok() && options_.server_bytes_per_second > 0) {
-      seconds += static_cast<double>(result.value().wire_bytes) /
-                 options_.server_bytes_per_second;
+    Charge(lane, result);
+    {
+      // Free the lane before waking the caller, so its next Execute finds
+      // the lane idle and runs inline.
+      std::lock_guard lock(lane.mu);
+      lane.running = false;
     }
-    lane.busy_ns.fetch_add(static_cast<uint64_t>(std::llround(seconds * 1e9)),
-                           std::memory_order_relaxed);
-    lane.executed.fetch_add(1, std::memory_order_relaxed);
     job.promise.set_value(std::move(result));
   }
+}
+
+void AsyncDispatcher::Charge(Lane& lane, const Result<Response>& result) {
+  // Fixed admission cost plus the response payload at server bandwidth.
+  // Errors still cost admission.
+  double seconds = options_.per_request_seconds;
+  if (result.ok() && options_.server_bytes_per_second > 0) {
+    seconds += static_cast<double>(result.value().wire_bytes) /
+               options_.server_bytes_per_second;
+  }
+  lane.busy_ns.fetch_add(static_cast<uint64_t>(std::llround(seconds * 1e9)),
+                         std::memory_order_relaxed);
+  lane.executed.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<double> AsyncDispatcher::lane_busy_seconds() const {

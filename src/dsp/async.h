@@ -18,9 +18,13 @@
 ///    operations on one document execute in submission order (per-document
 ///    FIFO), while different documents never queue behind each other
 ///    unless they happen to share a lane.
-///  - Execute() is Submit().get(): the dispatcher is itself a Service, so
-///    the decorator stack (CachingClient, ShardedService) composes around
-///    it unchanged.
+///  - Execute() is caller-runs: when the document's lane is idle (no
+///    request executing, none queued) the calling thread claims the lane
+///    and runs the backend itself, saving the two cross-thread wake-ups of
+///    a hand-off to a worker it would only block on; otherwise it queues
+///    behind the lane like Submit() and waits. Either way the dispatcher
+///    is itself a Service, so the decorator stack (CachingClient,
+///    ShardedService) composes around it unchanged.
 ///
 /// The dispatcher also keeps the modeled server-side clock: each executed
 /// request charges its lane a fixed per-request overhead plus its
@@ -30,10 +34,15 @@
 /// clock is what scales with worker count, exactly like the modeled card
 /// costs elsewhere in this repo.
 ///
-/// Threading: Submit() is safe from any thread. The backend must be
-/// thread-safe (DspServer, ShardedService and CachingClient are); workers
-/// call it concurrently. Destruction drains every queued request before
-/// joining, so no future is ever abandoned.
+/// Threading: Submit() and Execute() are safe from any thread. A lane runs
+/// at most one request at a time, on its worker or on an Execute() caller
+/// that found it idle, so per-document FIFO and the concurrency bound
+/// (one backend call per lane) hold whichever thread executes. Submit()
+/// always hands off to the worker: a caller may submit while holding a
+/// lock the backend call takes. The backend must be thread-safe
+/// (DspServer, ShardedService and CachingClient are); lanes call it
+/// concurrently. Destruction drains every queued request before joining,
+/// so no future is ever abandoned.
 
 #include <atomic>
 #include <condition_variable>
@@ -70,14 +79,15 @@ class AsyncDispatcher : public Service {
   explicit AsyncDispatcher(Service* backend);  // default Options
   ~AsyncDispatcher() override;
 
-  /// Enqueues `request` on its document's lane and returns immediately.
+  /// Enqueues `request` on its document's lane and returns immediately;
+  /// the lane's worker executes it.
   std::future<Result<Response>> Submit(Request request);
 
-  /// Synchronous convenience: Submit + wait. Keeps the dispatcher a
-  /// drop-in Service for callers that don't overlap requests.
-  Result<Response> Execute(Request request) override {
-    return Submit(std::move(request)).get();
-  }
+  /// Synchronous execution that keeps the dispatcher a drop-in Service.
+  /// On an idle lane the request runs on the calling thread; otherwise it
+  /// queues behind the lane's earlier requests and the caller waits.
+  /// Either way the lane's modeled clock is charged alike.
+  Result<Response> Execute(Request request) override;
   ServiceStats stats() const override { return backend_->stats(); }
 
   size_t worker_count() const { return queues_.size(); }
@@ -106,13 +116,18 @@ class AsyncDispatcher : public Service {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Job> jobs;
-    // Modeled busy time, in nanoseconds (atomic: written by the lane's
-    // worker, read by reporting threads).
+    // A request of this lane is inside the backend, on the worker or on an
+    // Execute() caller. Guarded by `mu`.
+    bool running = false;
+    // Modeled busy time, in nanoseconds (atomic: written by whichever
+    // thread runs the lane's request, read by reporting threads).
     std::atomic<uint64_t> busy_ns{0};
     std::atomic<uint64_t> executed{0};
   };
 
   void WorkerLoop(size_t lane_index);
+  /// Charges `lane`'s modeled clock for one executed request.
+  void Charge(Lane& lane, const Result<Response>& result);
 
   Service* backend_;
   Options options_;

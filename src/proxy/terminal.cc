@@ -38,14 +38,37 @@ Status FromSw(uint16_t sw, const std::string& what) {
       return Status::Internal(what + ": card error " + std::to_string(sw));
   }
 }
+
+// Query-local view of the DSP: counts this session's own calls, and the
+// wire bytes of their OK results, whatever else shares the backend.
+class CountingService : public dsp::Service {
+ public:
+  explicit CountingService(dsp::Service* backend) : backend_(backend) {}
+
+  Result<dsp::Response> Execute(dsp::Request request) override {
+    ++calls_;
+    Result<dsp::Response> result = backend_->Execute(std::move(request));
+    if (result.ok()) bytes_ += result.value().wire_bytes;
+    return result;
+  }
+  dsp::ServiceStats stats() const override { return backend_->stats(); }
+
+  uint64_t calls() const { return calls_; }
+  uint64_t bytes() const { return bytes_; }
+
+ private:
+  dsp::Service* backend_;
+  uint64_t calls_ = 0;
+  uint64_t bytes_ = 0;
+};
 }  // namespace
 
 Result<QueryResult> Terminal::Query(const std::string& doc_id,
                                     const QueryOptions& options) {
   // One OpenDocument round trip fetches header + sealed rules + rules
   // version together (three separate calls before the batch protocol).
-  dsp::ServiceStats dsp_before = dsp_->stats();
-  CSXA_ASSIGN_OR_RETURN(dsp::Response open, dsp_->OpenDocument(doc_id));
+  CountingService dsp(dsp_);
+  CSXA_ASSIGN_OR_RETURN(dsp::Response open, dsp.OpenDocument(doc_id));
 
   // The chunk supply the card pulls from during the session: a per-chunk
   // Service provider, topped by the selected scheduling layer — adaptive
@@ -53,7 +76,7 @@ Result<QueryResult> Terminal::Query(const std::string& doc_id,
   ByteReader header_reader(open.header);
   CSXA_ASSIGN_OR_RETURN(crypto::ContainerHeader parsed_header,
                         crypto::ContainerHeader::DecodeFrom(&header_reader));
-  dsp::ServiceChunkProvider chunk_provider(dsp_, doc_id);
+  dsp::ServiceChunkProvider chunk_provider(&dsp, doc_id);
   soe::ChunkProvider* provider = &chunk_provider;
 
   const PlanKey plan_key{doc_id, open.rules_version, options.query,
@@ -159,9 +182,8 @@ Result<QueryResult> Terminal::Query(const std::string& doc_id,
   result.card = applet_.last_stats();
   transport.Exchange(&applet_, end);
 
-  dsp::ServiceStats dsp_after = dsp_->stats();
-  result.dsp_bytes_fetched = dsp_after.bytes_served - dsp_before.bytes_served;
-  result.dsp_round_trips = dsp_after.requests - dsp_before.requests;
+  result.dsp_bytes_fetched = dsp.bytes();
+  result.dsp_round_trips = dsp.calls();
   result.apdu_round_trips = transport.exchanges();
 
   result.fetch_policy = options.fetch_policy;

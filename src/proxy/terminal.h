@@ -72,7 +72,9 @@ struct QueryResult {
   std::string xml;
   /// Card-side session statistics (cost model, skips, RAM, round trips).
   soe::SessionStats card;
-  /// Terminal-side accounting.
+  /// Terminal-side accounting. The DSP figures count this query's own
+  /// calls (OpenDocument + chunk batches) and the wire bytes of their OK
+  /// responses, exact however many sessions share the backend.
   uint64_t dsp_bytes_fetched = 0;
   uint64_t dsp_round_trips = 0;
   uint64_t apdu_round_trips = 0;

@@ -7,7 +7,11 @@
 //    rules_version} pair, and every reader observes monotonically
 //    non-decreasing rules versions;
 //  - AsyncDispatcher executes one document's requests in submission order
-//    (per-document FIFO) and drains every queued request on destruction;
+//    (per-document FIFO) and drains every queued request on destruction,
+//    with at most one request per lane inside the backend, whether a
+//    worker or a caller-runs Execute() runs it;
+//  - Terminal's per-query DSP counts are the query's own under 16
+//    concurrent sessions on one shared replicated stack;
 //  - the full load harness (terminals, publishers, cache, dispatcher,
 //    shards) completes a mixed workload with zero failed operations.
 //
@@ -20,7 +24,9 @@
 #include <cstdint>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,10 +35,16 @@
 #include "crypto/container.h"
 #include "dsp/async.h"
 #include "dsp/caching.h"
+#include "dsp/replicated.h"
+#include "dsp/retrying.h"
 #include "dsp/service.h"
 #include "dsp/sharded.h"
 #include "dsp/store.h"
+#include "pki/registry.h"
+#include "proxy/publisher.h"
+#include "proxy/terminal.h"
 #include "workload/load.h"
+#include "xml/generator.h"
 
 namespace csxa {
 namespace {
@@ -293,6 +305,374 @@ TEST(ConcurrencyTest, AsyncDispatcherConcurrentSubmittersAllComplete) {
   EXPECT_GT(dispatcher.modeled_busy_seconds(), 0.0);
   EXPECT_LE(dispatcher.modeled_makespan_seconds(),
             dispatcher.modeled_busy_seconds());
+}
+
+// --- AsyncDispatcher caller-runs Execute ------------------------------------
+
+// Backend that records the executing thread and answers with a
+// request-chosen payload size, so the modeled lane clock sees varied
+// wire_bytes.
+class ThreadRecordingService : public dsp::Service {
+ public:
+  Result<dsp::Response> Execute(dsp::Request request) override {
+    {
+      std::lock_guard lock(mu_);
+      threads_.push_back(std::this_thread::get_id());
+    }
+    dsp::Response resp;
+    resp.wire_bytes = request.known_rules_version;
+    return resp;
+  }
+  dsp::ServiceStats stats() const override { return {}; }
+
+  std::vector<std::thread::id> threads() {
+    std::lock_guard lock(mu_);
+    return threads_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::thread::id> threads_;
+};
+
+TEST(ConcurrencyTest, AsyncDispatcherExecuteOnIdleLaneRunsOnCallerThread) {
+  const std::vector<std::string> docs = {"alpha", "bravo", "charlie"};
+  auto request = [&](size_t i) {
+    dsp::Request req;
+    req.doc_id = docs[i % docs.size()];
+    req.known_rules_version = 1000 * (i + 1);  // becomes wire_bytes
+    return req;
+  };
+  constexpr size_t kRequests = 12;
+  dsp::AsyncDispatcher::Options opt;
+  opt.workers = 2;
+
+  ThreadRecordingService inline_backend;
+  dsp::AsyncDispatcher inline_dispatcher(&inline_backend, opt);
+  for (size_t i = 0; i < kRequests; ++i) {
+    auto result = inline_dispatcher.Execute(request(i));
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().wire_bytes, 1000 * (i + 1));
+  }
+  ASSERT_EQ(inline_backend.threads().size(), kRequests);
+  for (std::thread::id id : inline_backend.threads()) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+
+  ThreadRecordingService worker_backend;
+  dsp::AsyncDispatcher worker_dispatcher(&worker_backend, opt);
+  for (size_t i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(worker_dispatcher.Submit(request(i)).get().ok());
+  }
+  for (std::thread::id id : worker_backend.threads()) {
+    EXPECT_NE(id, std::this_thread::get_id());
+  }
+
+  // Both paths charge the modeled lane clock alike.
+  EXPECT_EQ(inline_dispatcher.executed(), kRequests);
+  EXPECT_EQ(worker_dispatcher.executed(), kRequests);
+  EXPECT_EQ(inline_dispatcher.lane_busy_seconds(),
+            worker_dispatcher.lane_busy_seconds());
+}
+
+// Backend asserting the dispatcher's two execution guarantees: at most one
+// request inside it per lane, and each submitter's requests on a document
+// arriving in submission order. A request's known_rules_version carries
+// (submitter << 32 | sequence number).
+class LaneCheckingService : public dsp::Service {
+ public:
+  explicit LaneCheckingService(std::map<std::string, size_t> lane_of)
+      : lane_of_(std::move(lane_of)) {}
+
+  Result<dsp::Response> Execute(dsp::Request request) override {
+    std::atomic<int>& in_flight = in_flight_[lane_of_.at(request.doc_id)];
+    if (in_flight.fetch_add(1) != 0) overlaps_.fetch_add(1);
+    {
+      std::lock_guard lock(mu_);
+      uint64_t& last = last_seq_[{request.doc_id,
+                                  request.known_rules_version >> 32}];
+      const uint64_t seq = request.known_rules_version & 0xFFFFFFFFu;
+      if (seq <= last) reorders_.fetch_add(1);
+      last = seq;
+    }
+    // Widen the window in which an overlap would show.
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    in_flight.fetch_sub(1);
+    return dsp::Response{};
+  }
+  dsp::ServiceStats stats() const override { return {}; }
+
+  uint64_t overlaps() const { return overlaps_.load(); }
+  uint64_t reorders() const { return reorders_.load(); }
+
+ private:
+  const std::map<std::string, size_t> lane_of_;
+  std::atomic<int> in_flight_[2] = {0, 0};
+  std::atomic<uint64_t> overlaps_{0};
+  std::atomic<uint64_t> reorders_{0};
+  std::mutex mu_;
+  std::map<std::pair<std::string, uint64_t>, uint64_t> last_seq_;
+};
+
+TEST(ConcurrencyTest, AsyncDispatcherMixedExecuteAndSubmitKeepLaneGuarantees) {
+  dsp::AsyncDispatcher::Options opt;
+  opt.workers = 2;
+  // Two documents per lane, found through the dispatcher's own routing.
+  std::vector<std::string> docs;
+  std::map<std::string, size_t> lane_of;
+  {
+    dsp::DspServer unused;
+    dsp::AsyncDispatcher probe(&unused, opt);
+    size_t per_lane[2] = {0, 0};
+    for (int i = 0; docs.size() < 4; ++i) {
+      const std::string doc = "doc" + std::to_string(i);
+      const size_t lane = probe.LaneFor(doc);
+      if (per_lane[lane] == 2) continue;
+      ++per_lane[lane];
+      docs.push_back(doc);
+      lane_of[doc] = lane;
+    }
+  }
+  LaneCheckingService backend(lane_of);
+  dsp::AsyncDispatcher dispatcher(&backend, opt);
+
+  constexpr uint64_t kThreads = 8;
+  constexpr uint64_t kRounds = 12;
+  constexpr uint64_t kBurst = 3;
+  std::atomic<uint64_t> issued{0};
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t seq = 0;
+      auto request = [&](size_t doc) {
+        issued.fetch_add(1);
+        dsp::Request req;
+        req.doc_id = docs[doc % docs.size()];
+        req.known_rules_version = (t << 32) | ++seq;
+        return req;
+      };
+      for (uint64_t round = 0; round < kRounds; ++round) {
+        // Every third round a burst of submissions precedes the
+        // synchronous call, on documents it may still be queued on: the
+        // call must run after them. The other rounds' calls often find
+        // their lane idle and run inline, racing the workers' bursts.
+        std::vector<std::future<Result<dsp::Response>>> burst;
+        if ((t + round) % 3 == 0) {
+          for (uint64_t j = 0; j < kBurst; ++j) {
+            burst.push_back(dispatcher.Submit(request(t + round + j)));
+          }
+        }
+        EXPECT_TRUE(dispatcher.Execute(request(t + round)).ok());
+        for (auto& f : burst) EXPECT_TRUE(f.get().ok());
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(backend.overlaps(), 0u);
+  EXPECT_EQ(backend.reorders(), 0u);
+  EXPECT_EQ(dispatcher.executed(), issued.load());
+}
+
+// Backend whose requests flagged with known_rules_version == kGated block
+// until the test opens the gate, and whose kThrow requests throw.
+class GatedService : public dsp::Service {
+ public:
+  static constexpr uint64_t kGated = 1;
+  static constexpr uint64_t kThrow = 2;
+  static constexpr uint64_t kFail = 3;
+
+  Result<dsp::Response> Execute(dsp::Request request) override {
+    executed_.fetch_add(1);
+    switch (request.known_rules_version) {
+      case kGated:
+        entered_.set_value();
+        gate_.wait();
+        break;
+      case kThrow:
+        throw std::runtime_error("backend failure");
+      case kFail:
+        return Status::IoError("backend unavailable");
+      default:
+        break;
+    }
+    std::lock_guard lock(mu_);
+    order_.push_back(request.known_rules_version);
+    return dsp::Response{};
+  }
+  dsp::ServiceStats stats() const override { return {}; }
+
+  void WaitEntered() { entered_future_.wait(); }
+  void Open() { open_.set_value(); }
+  uint64_t executed() const { return executed_.load(); }
+  std::vector<uint64_t> order() {
+    std::lock_guard lock(mu_);
+    return order_;
+  }
+
+ private:
+  std::promise<void> entered_;
+  std::shared_future<void> entered_future_ = entered_.get_future().share();
+  std::promise<void> open_;
+  std::shared_future<void> gate_ = open_.get_future().share();
+  std::atomic<uint64_t> executed_{0};
+  std::mutex mu_;
+  std::vector<uint64_t> order_;
+};
+
+dsp::Request GatedRequest(uint64_t tag) {
+  dsp::Request req;
+  req.doc_id = "doc";
+  req.known_rules_version = tag;
+  return req;
+}
+
+TEST(ConcurrencyTest, AsyncDispatcherDrainsQueueBuiltBehindInlineCall) {
+  constexpr uint64_t kQueued = 16;
+  GatedService backend;
+  std::vector<std::future<Result<dsp::Response>>> futures;
+  {
+    dsp::AsyncDispatcher::Options opt;
+    opt.workers = 1;
+    dsp::AsyncDispatcher dispatcher(&backend, opt);
+    std::thread caller([&] {
+      EXPECT_TRUE(dispatcher.Execute(GatedRequest(GatedService::kGated)).ok());
+    });
+    backend.WaitEntered();  // the inline call now holds the lane
+    for (uint64_t i = 0; i < kQueued; ++i) {
+      futures.push_back(dispatcher.Submit(GatedRequest(100 + i)));
+    }
+    // The worker must not start a queued job while the lane is running.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(backend.executed(), 1u);
+    backend.Open();
+    caller.join();
+  }  // destruction drains whatever is still queued
+
+  ASSERT_EQ(futures.size(), kQueued);
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_TRUE(f.get().ok());
+  }
+  std::vector<uint64_t> order = backend.order();
+  ASSERT_EQ(order.size(), kQueued + 1);
+  for (uint64_t i = 0; i <= kQueued; ++i) {
+    EXPECT_EQ(order[i], i == 0 ? GatedService::kGated : 100 + i - 1);
+  }
+}
+
+TEST(ConcurrencyTest, AsyncDispatcherInlineCallReleasesLaneOnEveryExit) {
+  GatedService backend;
+  dsp::AsyncDispatcher::Options opt;
+  opt.workers = 1;
+  dsp::AsyncDispatcher dispatcher(&backend, opt);
+
+  // An error result and a throwing backend both leave the lane free: the
+  // next call still runs inline and a submission still reaches the worker.
+  EXPECT_EQ(dispatcher.Execute(GatedRequest(GatedService::kFail)).status().code(),
+            StatusCode::kIoError);
+  EXPECT_THROW(dispatcher.Execute(GatedRequest(GatedService::kThrow)),
+               std::runtime_error);
+  EXPECT_TRUE(dispatcher.Execute(GatedRequest(10)).ok());
+  EXPECT_TRUE(dispatcher.Submit(GatedRequest(11)).get().ok());
+  EXPECT_EQ(backend.order(), (std::vector<uint64_t>{10, 11}));
+  // The error was served work and charged; the throw never returned.
+  EXPECT_EQ(dispatcher.executed(), 3u);
+}
+
+// --- Per-query DSP accounting under concurrent sessions ---------------------
+
+TEST(ConcurrencyTest, TerminalDspCountsArePerQueryUnderConcurrentSessions) {
+  // The load harness's serving stack over a three-replica group: reads
+  // round-robin across replicas, and every session shares every layer.
+  dsp::DspServer r0, r1, r2;
+  dsp::ReplicatedService replicated({&r0, &r1, &r2});
+  dsp::AsyncDispatcher::Options dopt;
+  dopt.workers = 2;
+  dsp::AsyncDispatcher dispatcher(&replicated, dopt);
+  dsp::CachingClient cached(&dispatcher);
+  dsp::RetryingClient client(&cached);
+  pki::KeyRegistry registry;
+  proxy::Publisher publisher(&client, &registry, 21);
+
+  const std::vector<std::string> docs = {"ward0", "ward1", "ward2", "ward3"};
+  const std::vector<std::string> queries = {"", "//patient/admin"};
+  for (size_t d = 0; d < docs.size(); ++d) {
+    xml::GeneratorParams gp;
+    gp.profile = xml::DocProfile::kHospital;
+    gp.target_elements = 120 + 40 * d;
+    gp.seed = 30 + d;
+    proxy::PublishOptions popt;
+    popt.chunk_size = 128;
+    ASSERT_TRUE(publisher
+                    .Publish(docs[d], xml::GenerateDocument(gp),
+                             "+ u //patient\n- u //patient/ssn\n", popt)
+                    .ok());
+  }
+  auto provisioned = [&] {
+    auto terminal = std::make_unique<proxy::Terminal>(
+        "u", soe::CardProfile::EGate(), &client, &registry);
+    for (const std::string& doc : docs) {
+      EXPECT_TRUE(terminal->Provision(doc).ok());
+    }
+    return terminal;
+  };
+
+  // Each (doc, query) alone, once to warm the cache and once to record.
+  struct Counts {
+    uint64_t round_trips = 0;
+    uint64_t bytes = 0;
+  };
+  std::map<std::pair<size_t, size_t>, Counts> alone;
+  {
+    auto terminal = provisioned();
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t d = 0; d < docs.size(); ++d) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          proxy::QueryOptions qopt;
+          qopt.query = queries[q];
+          auto result = terminal->Query(docs[d], qopt);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          // One OpenDocument plus the card's chunk trips, every one of
+          // them counted wherever the replica group served it.
+          EXPECT_EQ(result.value().dsp_round_trips,
+                    result.value().card.dsp_round_trips + 1);
+          alone[{d, q}] = {result.value().dsp_round_trips,
+                           result.value().dsp_bytes_fetched};
+        }
+      }
+    }
+  }
+
+  constexpr size_t kSessions = 16;
+  std::vector<std::unique_ptr<proxy::Terminal>> terminals;
+  for (size_t i = 0; i < kSessions; ++i) terminals.push_back(provisioned());
+  std::atomic<uint64_t> mismatches{0};
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> sessions;
+  for (size_t i = 0; i < kSessions; ++i) {
+    sessions.emplace_back([&, i] {
+      for (size_t k = 0; k < queries.size() * 2; ++k) {
+        const size_t d = (i + k) % docs.size();
+        const size_t q = (i / docs.size() + k) % queries.size();
+        proxy::QueryOptions qopt;
+        qopt.query = queries[q];
+        auto result = terminals[i]->Query(docs[d], qopt);
+        if (!result.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        const Counts& want = alone.at({d, q});
+        if (result.value().dsp_round_trips != want.round_trips ||
+            result.value().dsp_bytes_fetched != want.bytes) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : sessions) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // --- Full stack under load ---------------------------------------------------
