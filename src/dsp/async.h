@@ -18,13 +18,14 @@
 ///    operations on one document execute in submission order (per-document
 ///    FIFO), while different documents never queue behind each other
 ///    unless they happen to share a lane.
-///  - Execute() is caller-runs: when the document's lane is idle (no
-///    request executing, none queued) the calling thread claims the lane
-///    and runs the backend itself, saving the two cross-thread wake-ups of
-///    a hand-off to a worker it would only block on; otherwise it queues
-///    behind the lane like Submit() and waits. Either way the dispatcher
-///    is itself a Service, so the decorator stack (CachingClient,
-///    ShardedService) composes around it unchanged.
+///  - Execute() of a read is caller-runs: when the document's lane is idle
+///    (no request executing, none queued) the calling thread claims the
+///    lane and runs the backend itself, saving the two cross-thread
+///    wake-ups of a hand-off to a worker it would only block on; otherwise
+///    it queues behind the lane like Submit() and waits. A write
+///    (IsWrite()) always goes through the worker. Either way the
+///    dispatcher is itself a Service, so the decorator stack
+///    (CachingClient, ShardedService) composes around it unchanged.
 ///
 /// The dispatcher also keeps the modeled server-side clock: each executed
 /// request charges its lane a fixed per-request overhead plus its
@@ -84,9 +85,9 @@ class AsyncDispatcher : public Service {
   std::future<Result<Response>> Submit(Request request);
 
   /// Synchronous execution that keeps the dispatcher a drop-in Service.
-  /// On an idle lane the request runs on the calling thread; otherwise it
-  /// queues behind the lane's earlier requests and the caller waits.
-  /// Either way the lane's modeled clock is charged alike.
+  /// A read on an idle lane runs on the calling thread; a write, or any
+  /// request on a busy lane, queues behind the lane's earlier requests and
+  /// the caller waits. Either way the lane's modeled clock is charged alike.
   Result<Response> Execute(Request request) override;
   ServiceStats stats() const override { return backend_->stats(); }
 

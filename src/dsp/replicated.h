@@ -139,10 +139,6 @@ class ReplicatedService : public Service {
     int missed_heartbeats = 0;
   };
 
-  static bool IsWrite(Op op) {
-    return op == Op::kPublish || op == Op::kUpdateRules || op == Op::kRemove;
-  }
-
   Result<Response> ExecuteWrite(Request request);
   Result<Response> ExecuteRead(Request request);
   /// Requires write_mu_. Ensures primary_ names an in-sync replica,

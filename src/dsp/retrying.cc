@@ -6,12 +6,6 @@
 
 namespace csxa::dsp {
 
-namespace {
-bool IsWrite(Op op) {
-  return op == Op::kPublish || op == Op::kUpdateRules || op == Op::kRemove;
-}
-}  // namespace
-
 RetryingClient::RetryingClient(Service* backend, RetryOptions options)
     : backend_(backend), options_(options) {
   CSXA_CHECK(backend_ != nullptr);

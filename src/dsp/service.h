@@ -55,6 +55,11 @@ enum class Op : uint8_t {
   kPing,          ///< liveness probe (heartbeat); carries and returns nothing
 };
 
+/// True for the ops that change stored state.
+inline bool IsWrite(Op op) {
+  return op == Op::kPublish || op == Op::kUpdateRules || op == Op::kRemove;
+}
+
 /// \brief One DSP request. Exactly one Execute() call — one round trip —
 /// regardless of how much it asks for.
 struct Request {

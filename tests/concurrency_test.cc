@@ -375,6 +375,28 @@ TEST(ConcurrencyTest, AsyncDispatcherExecuteOnIdleLaneRunsOnCallerThread) {
             worker_dispatcher.lane_busy_seconds());
 }
 
+TEST(ConcurrencyTest, AsyncDispatcherExecuteHandsWritesToTheWorker) {
+  ThreadRecordingService backend;
+  dsp::AsyncDispatcher::Options opt;
+  opt.workers = 1;
+  dsp::AsyncDispatcher dispatcher(&backend, opt);
+  // The lane is idle before every call, yet only the read runs inline.
+  const std::vector<dsp::Op> ops = {dsp::Op::kPublish, dsp::Op::kUpdateRules,
+                                    dsp::Op::kRemove, dsp::Op::kOpenDocument};
+  for (dsp::Op op : ops) {
+    dsp::Request req;
+    req.op = op;
+    req.doc_id = "doc";
+    ASSERT_TRUE(dispatcher.Execute(req).ok());
+  }
+  const std::vector<std::thread::id> threads = backend.threads();
+  ASSERT_EQ(threads.size(), ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(threads[i] == std::this_thread::get_id(), !dsp::IsWrite(ops[i]));
+  }
+  EXPECT_EQ(dispatcher.executed(), ops.size());
+}
+
 // Backend asserting the dispatcher's two execution guarantees: at most one
 // request inside it per lane, and each submitter's requests on a document
 // arriving in submission order. A request's known_rules_version carries
