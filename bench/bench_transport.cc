@@ -207,8 +207,6 @@ int main() {
                                  static_cast<double>(st.requests));
     }
     table.Print();
-    std::printf("failovers: %llu (hash routing, none expected)\n",
-                (unsigned long long)sharded.failovers());
   }
 
   std::printf("\n--- caching client: repeated sessions, one policy update ---\n");

@@ -36,14 +36,8 @@ AsyncDispatcher::~AsyncDispatcher() {
 }
 
 size_t AsyncDispatcher::LaneFor(const std::string& doc_id) const {
-  // Same stable FNV-1a as ShardedService::ShardFor: one document, one
-  // lane — per-document FIFO regardless of which thread submits.
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : doc_id) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return static_cast<size_t>(h % queues_.size());
+  // One document, one lane: per-document FIFO whichever thread submits.
+  return static_cast<size_t>(DocHash(doc_id) % queues_.size());
 }
 
 std::future<Result<Response>> AsyncDispatcher::Submit(Request request) {

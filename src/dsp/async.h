@@ -13,11 +13,11 @@
 ///  - Submit(Request) enqueues and returns a future<Result<Response>>;
 ///    the caller overlaps its own work (or other submissions) with the
 ///    server-side execution.
-///  - Requests are routed to per-worker queues by a stable FNV-1a hash of
-///    the doc_id — the same scheme ShardedService routes with — so all
-///    operations on one document execute in submission order (per-document
-///    FIFO), while different documents never queue behind each other
-///    unless they happen to share a lane.
+///  - Requests are routed to per-worker queues by DocHash(doc_id) — the
+///    hash ShardedService places documents with — so all operations on
+///    one document execute in submission order (per-document FIFO), while
+///    different documents never queue behind each other unless they
+///    happen to share a lane.
 ///  - Execute() of a read is caller-runs: when the document's lane is idle
 ///    (no request executing, none queued) the calling thread claims the
 ///    lane and runs the backend itself, saving the two cross-thread
@@ -92,7 +92,8 @@ class AsyncDispatcher : public Service {
   ServiceStats stats() const override { return backend_->stats(); }
 
   size_t worker_count() const { return queues_.size(); }
-  /// Lane a document's requests execute on (stable across the run).
+  /// Lane a document's requests execute on: DocHash(doc_id) modulo the
+  /// lane count, so it equals ShardedService::ShardFor for equal counts.
   size_t LaneFor(const std::string& doc_id) const;
 
   /// \name Modeled server-side clock

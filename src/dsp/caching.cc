@@ -10,7 +10,7 @@ Result<Response> CachingClient::Execute(Request request) {
     const Op op = request.op;
     const std::string doc_id = request.doc_id;
     Result<Response> result = backend_->Execute(std::move(request));
-    if (op == Op::kPublish || op == Op::kUpdateRules || op == Op::kRemove) {
+    if (IsWrite(op)) {
       std::unique_lock lock(mu_);
       cache_.erase(doc_id);
     }

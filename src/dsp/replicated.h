@@ -3,12 +3,13 @@
 
 /// \file replicated.h
 /// \brief Primary/backup replication with quorum writes, heartbeat
-/// failure detection and op-log catch-up (ROADMAP item 3).
+/// failure detection and op-log catch-up.
 ///
-/// ShardedService scales the namespace *out*; ReplicatedService keeps it
-/// *up*. It runs N interchangeable backend Services (typically each a
-/// sharded fleet wrapped in a FaultInjectingService under test) as one
-/// replica group:
+/// ShardedService scales the namespace *out* by hash routing alone (each
+/// document on one home shard, no failover); ReplicatedService keeps it
+/// *up*, and is the only layer that routes around failures. It runs N
+/// interchangeable backend Services (typically each a sharded fleet
+/// wrapped in a FaultInjectingService under test) as one replica group:
 ///
 ///  - **Writes** (kPublish / kUpdateRules / kRemove) are applied on the
 ///    primary first — the primary's DspServer assigns the canonical rules

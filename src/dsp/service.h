@@ -27,6 +27,7 @@
 /// backoff. All of them speak only this protocol, which is what makes
 /// the server side replaceable, scale-out-able and survivable.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,19 @@ enum class Op : uint8_t {
 /// True for the ops that change stored state.
 inline bool IsWrite(Op op) {
   return op == Op::kPublish || op == Op::kUpdateRules || op == Op::kRemove;
+}
+
+/// Stable FNV-1a hash of a document id: the one placement hash, picking
+/// ShardedService's home shard and AsyncDispatcher's lane. It must not
+/// depend on process state, so a document lands in the same place on
+/// every run.
+inline uint64_t DocHash(const std::string& doc_id) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : doc_id) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 /// \brief One DSP request. Exactly one Execute() call — one round trip —

@@ -12,13 +12,7 @@ ShardedService::ShardedService(std::vector<Service*> shards)
 }
 
 size_t ShardedService::ShardFor(const std::string& doc_id) const {
-  // FNV-1a: stable across runs (routing must not depend on process state).
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : doc_id) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return static_cast<size_t>(h % shards_.size());
+  return static_cast<size_t>(DocHash(doc_id) % shards_.size());
 }
 
 std::vector<uint64_t> ShardedService::shard_requests() const {
@@ -30,7 +24,6 @@ std::vector<uint64_t> ShardedService::shard_requests() const {
 }
 
 Result<Response> ShardedService::Execute(Request request) {
-  size_t home = ShardFor(request.doc_id);
   auto count = [this](size_t shard) {
     shard_requests_[shard].fetch_add(1, std::memory_order_relaxed);
   };
@@ -48,81 +41,9 @@ Result<Response> ShardedService::Execute(Request request) {
     return last;
   }
 
-  // Publishing lands on the home shard — and must then clear any copy a
-  // non-home shard still holds from an older layout, or reads could fail
-  // over to the superseded container. The home publish goes FIRST: if the
-  // backend rejects it, existing copies stay untouched.
-  if (request.op == Op::kPublish) {
-    Request clear;
-    clear.op = Op::kRemove;
-    clear.doc_id = request.doc_id;
-    count(home);
-    Result<Response> published = shards_[home]->Execute(std::move(request));
-    if (!published.ok()) return published;
-    // Version 1 means the home shard had never seen this id (no live copy,
-    // no tombstone): if the sweep still finds a copy elsewhere, the
-    // document resided purely off-home under an older layout.
-    const bool home_missed = published.value().rules_version <= 1;
-    bool cleared_elsewhere = false;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (i == home) continue;
-      count(i);
-      Result<Response> cleared = shards_[i]->Execute(clear);
-      if (cleared.ok()) {
-        cleared_elsewhere = true;
-      } else if (cleared.status().code() != StatusCode::kNotFound) {
-        return cleared;
-      }
-    }
-    if (cleared_elsewhere && home_missed) {
-      failovers_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return published;
-  }
-
-  // Removal sweeps every shard: a delete must not leave a resurrectable
-  // copy behind a failover.
-  if (request.op == Op::kRemove) {
-    bool home_held = false;
-    bool non_home_held = false;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      count(i);
-      Result<Response> probe = shards_[i]->Execute(request);
-      if (probe.ok()) {
-        (i == home ? home_held : non_home_held) = true;
-      } else if (probe.status().code() != StatusCode::kNotFound) {
-        return probe;
-      }
-    }
-    if (!home_held && !non_home_held) {
-      return Status::NotFound("document " + request.doc_id);
-    }
-    // Old-layout residency evidence only when the home shard missed; a
-    // home hit means routing worked and the sweep was pure hygiene.
-    if (non_home_held && !home_held) {
-      failovers_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return Response{};
-  }
-
-  // Reads and in-place writes: home first, then fail over to the shards
-  // that might still hold a document placed under an older layout.
+  const size_t home = ShardFor(request.doc_id);
   count(home);
-  Result<Response> result = shards_[home]->Execute(request);
-  if (result.ok() || result.status().code() != StatusCode::kNotFound) {
-    return result;
-  }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (i == home) continue;
-    count(i);
-    Result<Response> probe = shards_[i]->Execute(request);
-    if (probe.ok()) {
-      failovers_.fetch_add(1, std::memory_order_relaxed);
-      return probe;
-    }
-    if (probe.status().code() != StatusCode::kNotFound) return probe;
-  }
-  return result;  // the home shard's NotFound
+  return shards_[home]->Execute(std::move(request));
 }
 
 ServiceStats ShardedService::stats() const {

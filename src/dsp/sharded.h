@@ -5,30 +5,21 @@
 /// \brief Horizontal scale-out: one Service routing doc_ids across N
 /// backend Services.
 ///
-/// The DSP is untrusted and stateless with respect to the protocol, so
-/// scaling it out is pure routing: a stable hash of the doc_id picks the
-/// home shard; reads fail over to the other shards when the home shard
-/// does not hold the document (e.g. documents placed before the shard
-/// count changed). Publishing writes the home shard and clears stale
-/// copies elsewhere; removal sweeps every shard — so failover can never
-/// resurrect a superseded or deleted document. Terminals are oblivious —
-/// they speak the same Execute() protocol to one shard or to a fleet.
+/// The DSP is untrusted storage that only holds and serves ciphertext, so
+/// scaling it out is pure routing: DocHash(doc_id) picks the home shard,
+/// and every operation on a document goes to that shard alone. The shard
+/// list is fixed when the router is built, so a document only ever lives
+/// on its home shard. Only kPing visits every shard: a fleet is reachable
+/// when all its shards are. Terminals are oblivious — they speak the same
+/// Execute() protocol to one shard or to a fleet.
 ///
-/// Failover here is *layout* failover (the document lives on a non-home
-/// shard), counted once per operation regardless of how many shards an op
-/// touches — NOT availability failover. Routing away from crashed or
-/// lagging replicas is ReplicatedService's job (replicated.h), which
-/// keeps its own read_reroutes / primary_promotions counters; stack the
-/// two (replica groups of sharded fleets) to get both.
+/// Routing away from crashed or lagging replicas is ReplicatedService's
+/// job (replicated.h); stack the two (replica groups of sharded fleets)
+/// to get both.
 ///
 /// Threading: the router holds no mutable routing state — only atomic
-/// counters — so concurrent Execute() calls are safe as long as the
-/// backend shards are themselves thread-safe (DspServer is). Multi-shard
-/// writes (publish-then-clear, remove sweep) are NOT atomic across
-/// shards: a racing reader can observe the intermediate state, which is
-/// the same window a crashed-and-recovered sweep would leave; the
-/// version-keyed revalidation protocol keeps that window safe (a reader
-/// can see the old or the new version, never a torn mix of both).
+/// per-shard counters — so concurrent Execute() calls are safe as long as
+/// the backend shards are themselves thread-safe (DspServer is).
 
 #include <atomic>
 #include <memory>
@@ -49,32 +40,18 @@ class ShardedService : public Service {
   /// Aggregate load over all shards.
   ServiceStats stats() const override;
 
-  /// Home shard of a document (stable FNV-1a hash of the id).
+  /// Home shard of a document: DocHash(doc_id) modulo the shard count.
   size_t ShardFor(const std::string& doc_id) const;
   size_t shard_count() const { return shards_.size(); }
 
-  /// \name Routing statistics
-  /// @{
-  /// Requests issued to each shard (including failover probes and remove
-  /// sweeps); a point-in-time snapshot under concurrency.
+  /// Requests issued to each shard; a point-in-time snapshot under
+  /// concurrency.
   std::vector<uint64_t> shard_requests() const;
-  /// Operations that found the document on a non-home shard while the
-  /// home shard missed — evidence of old-layout residency. Counted at
-  /// most ONCE per operation (not once per probed shard): read failovers,
-  /// remove sweeps that only hit elsewhere, and publishes that cleared a
-  /// stale non-home copy of an id the home shard had never seen. For
-  /// crash/partition failover counts see the replica-level counters in
-  /// ReplicatedService::replication_stats() (replicated.h).
-  uint64_t failovers() const {
-    return failovers_.load(std::memory_order_relaxed);
-  }
-  /// @}
 
  private:
   std::vector<Service*> shards_;
   // Atomic per-shard counters: the router itself is lock-free.
   std::unique_ptr<std::atomic<uint64_t>[]> shard_requests_;
-  std::atomic<uint64_t> failovers_{0};
 };
 
 }  // namespace csxa::dsp

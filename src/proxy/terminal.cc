@@ -110,9 +110,7 @@ Result<QueryResult> Terminal::Query(const std::string& doc_id,
   std::optional<soe::PlannedProvider> planned;
   std::optional<soe::RecordingProvider> recorder;
   if (plan != nullptr) {
-    soe::PlannedOptions plopt;
-    plopt.max_chunks_per_trip = options.plan_chunks_per_trip;
-    planned.emplace(&chunk_provider, parsed_header.chunk_count, *plan, plopt);
+    planned.emplace(&chunk_provider, parsed_header.chunk_count, *plan);
     provider = &*planned;
   } else {
     // kWindowed, and the learn-on-first-run leg of kPlanned.

@@ -35,8 +35,8 @@ enum class FetchPolicy : uint8_t {
   kWindowed,
   /// Skip-index-planned multi-span fetches (soe::PlannedProvider). With
   /// an advisory plan — supplied by the caller or learned from a prior
-  /// identical query — the whole needed chunk set arrives in one (or few)
-  /// multi-span kGetChunks trips; chunks the plan missed fall through to
+  /// identical query — the whole needed chunk set arrives in one
+  /// multi-span kGetChunks trip; chunks the plan missed fall through to
   /// ordinary per-chunk trips. Without any plan the query runs windowed
   /// and the terminal records the access pattern as the plan for the
   /// next identical query (same doc, rules version, query, skip mode).
@@ -61,9 +61,6 @@ struct QueryOptions {
   /// cache. The plan is never authoritative: a wrong plan costs round
   /// trips, not correctness.
   const soe::FetchPlan* plan = nullptr;
-  /// kPlanned: cap on chunks per multi-span trip (0 = whole plan in one
-  /// request); bounds the terminal-side buffer.
-  uint32_t plan_chunks_per_trip = 0;
 };
 
 /// What the application receives.

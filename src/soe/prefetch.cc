@@ -1,7 +1,6 @@
 #include "soe/prefetch.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "skipindex/codec.h"
 #include "skipindex/filter.h"
@@ -114,8 +113,8 @@ Result<FetchPlan> ComputeFetchPlan(Span encoded_payload, uint32_t chunk_size,
 // --- PlannedProvider -------------------------------------------------------
 
 PlannedProvider::PlannedProvider(ChunkProvider* inner, uint32_t chunk_count,
-                                 FetchPlan plan, PlannedOptions options)
-    : inner_(inner), plan_(std::move(plan)), options_(options) {
+                                 FetchPlan plan)
+    : inner_(inner), plan_(std::move(plan)) {
   plan_.Normalize();
   // Clamp to the container geometry: a plan must never make the backend
   // serve chunks that do not exist.
@@ -126,54 +125,22 @@ PlannedProvider::PlannedProvider(ChunkProvider* inner, uint32_t chunk_count,
     if (count > 0) clamped.push_back(skipindex::ChunkRun{r.first, count});
   }
   plan_.runs = std::move(clamped);
-
-  // Partition the runs into trip groups of <= max_chunks_per_trip chunks
-  // (one group — one trip — when unlimited). A single run larger than the
-  // cap still travels whole: splitting it would not reduce peak buffer
-  // use below the card's own consumption order anyway.
-  uint64_t cap = options_.max_chunks_per_trip == 0
-                     ? std::numeric_limits<uint64_t>::max()
-                     : options_.max_chunks_per_trip;
-  uint64_t in_group = 0;
-  for (const skipindex::ChunkRun& r : plan_.runs) {
-    if (groups_.empty() || (in_group > 0 && in_group + r.count > cap)) {
-      groups_.emplace_back();
-      in_group = 0;
-    }
-    groups_.back().push_back(r);
-    group_of_run_.push_back(groups_.size() - 1);
-    in_group += r.count;
-  }
-  group_fetched_.assign(groups_.size(), false);
 }
 
-size_t PlannedProvider::RunOf(uint32_t chunk) const {
-  auto it = std::upper_bound(
-      plan_.runs.begin(), plan_.runs.end(), chunk,
-      [](uint32_t c, const skipindex::ChunkRun& r) { return c < r.first; });
-  if (it == plan_.runs.begin()) return static_cast<size_t>(-1);
-  --it;
-  if (chunk - it->first >= it->count) return static_cast<size_t>(-1);
-  return static_cast<size_t>(it - plan_.runs.begin());
-}
-
-void PlannedProvider::EnsureGroup(size_t g) {
-  if (group_fetched_[g]) return;
-  group_fetched_[g] = true;
-  uint64_t expect = 0;
-  for (const skipindex::ChunkRun& r : groups_[g]) expect += r.count;
-  Result<std::vector<ChunkData>> fetched = inner_->GetSpans(groups_[g]);
+void PlannedProvider::EnsureFetched() {
+  if (planned_trips_ > 0) return;
+  ++planned_trips_;
+  const uint64_t expect = plan_.total_chunks();
+  Result<std::vector<ChunkData>> fetched = inner_->GetSpans(plan_.runs);
   if (!fetched.ok() || fetched.value().size() != expect) {
     // Advisory contract: a failed or short planned batch leaves the
     // buffer unpopulated and the request falls through to the inner
     // provider, which surfaces any real backend error on its own trip.
-    ++planned_trips_;
     return;
   }
-  ++planned_trips_;
   chunks_fetched_ += fetched.value().size();
   size_t at = 0;
-  for (const skipindex::ChunkRun& r : groups_[g]) {
+  for (const skipindex::ChunkRun& r : plan_.runs) {
     for (uint32_t i = 0; i < r.count; ++i) {
       buf_[r.first + i] = std::move(fetched.value()[at++]);
     }
@@ -184,17 +151,16 @@ Result<std::vector<ChunkData>> PlannedProvider::FetchChunks(uint32_t first,
                                                             uint32_t count) {
   if (count == 0) return std::vector<ChunkData>{};
 
-  // Pull in every planned-but-unfetched group the request touches, then
-  // serve from the buffer if the whole request is covered.
+  // Pull in the plan the first time the request touches it, then serve
+  // from the buffer if the whole request is covered.
   bool covered = true;
   for (uint32_t c = first; c < first + count; ++c) {
     if (buf_.count(c) > 0) continue;
-    size_t run = RunOf(c);
-    if (run == static_cast<size_t>(-1)) {
+    if (!plan_.Covers(c)) {
       covered = false;
       continue;
     }
-    EnsureGroup(group_of_run_[run]);
+    EnsureFetched();
     if (buf_.count(c) == 0) covered = false;
   }
   if (!covered) {

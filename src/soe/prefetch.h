@@ -145,19 +145,11 @@ Result<FetchPlan> ComputeFetchPlan(Span encoded_payload, uint32_t chunk_size,
                                    const xpath::PathExpr* query,
                                    bool use_skip = true);
 
-/// Planned-fetch policy knobs.
-struct PlannedOptions {
-  /// Upper bound of chunks fetched by one multi-span trip; 0 fetches the
-  /// whole plan in a single request. Non-zero bounds the terminal buffer
-  /// at the cost of one trip per group of runs.
-  uint32_t max_chunks_per_trip = 0;
-};
-
 /// \brief Plan-driven reads over another ChunkProvider.
 ///
 /// Sibling of PrefetchingProvider with the guessing removed: instead of
 /// widening a window on observed access patterns, it fetches the plan's
-/// runs as multi-span batches (GetSpans — one round trip however many
+/// runs as one multi-span batch (GetSpans — one round trip however many
 /// runs) the first time the card asks for a planned chunk, then serves
 /// the session from that buffer. Requests for chunks the plan missed
 /// fall through to the inner provider untouched (one ordinary trip each)
@@ -173,17 +165,17 @@ class PlannedProvider : public ChunkProvider {
   /// `chunk_count` bounds the plan against the container geometry (runs
   /// beyond it are clamped at construction — a hostile plan must not
   /// produce unfetchable requests).
-  PlannedProvider(ChunkProvider* inner, uint32_t chunk_count, FetchPlan plan,
-                  PlannedOptions options = {});
+  PlannedProvider(ChunkProvider* inner, uint32_t chunk_count, FetchPlan plan);
 
   uint64_t TotalWireBytes() const override { return inner_->TotalWireBytes(); }
-  /// Round trips are whatever the backend performed: planned multi-span
-  /// fetches plus fallback trips for plan misses.
+  /// Round trips are whatever the backend performed: the planned
+  /// multi-span fetch plus fallback trips for plan misses.
   uint64_t round_trips() const override { return inner_->round_trips(); }
 
   /// \name Plan statistics
   /// @{
-  /// Multi-span planned fetches issued (== planned backend round trips).
+  /// Multi-span planned fetches issued: 1 once the card touched a planned
+  /// chunk, else 0.
   uint64_t planned_trips() const { return planned_trips_; }
   /// Card requests served entirely from the planned buffer.
   uint64_t plan_hits() const { return plan_hits_; }
@@ -200,22 +192,13 @@ class PlannedProvider : public ChunkProvider {
                                              uint32_t count) override;
 
  private:
-  // Fetches trip group `g` into the buffer; a failed planned fetch is
-  // swallowed (the request falls through to the inner provider — the
-  // plan is advisory even when the batch path is broken).
-  void EnsureGroup(size_t g);
-  // Index of the plan run containing `chunk`, or npos.
-  size_t RunOf(uint32_t chunk) const;
+  // Fetches the whole plan into the buffer on first use; a failed planned
+  // fetch is swallowed (the request falls through to the inner provider —
+  // the plan is advisory even when the batch path is broken).
+  void EnsureFetched();
 
   ChunkProvider* inner_;
   FetchPlan plan_;
-  PlannedOptions options_;
-
-  // Plan runs partitioned into trip groups of <= max_chunks_per_trip
-  // chunks; group_of_run_[i] is the group of plan_.runs[i].
-  std::vector<std::vector<skipindex::ChunkRun>> groups_;
-  std::vector<size_t> group_of_run_;
-  std::vector<bool> group_fetched_;
   // Fetched-but-not-yet-consumed planned chunks. Entries are evicted as
   // the card consumes them (scans are forward-only, chunks are never
   // re-requested), so peak terminal RAM is the planned working set.

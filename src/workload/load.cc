@@ -413,7 +413,6 @@ LoadReport RunLoad(const LoadOptions& options) {
       }
       proxy::QueryOptions qopt;
       qopt.query = q.second;
-      qopt.max_prefetch = opt.max_prefetch;
       auto result = terminal.Query(doc.doc_id, qopt);
       ++out.queries;
       if (!result.ok()) {
@@ -555,7 +554,6 @@ LoadReport RunLoad(const LoadOptions& options) {
         static_cast<double>(shard_max) * static_cast<double>(opt.shards) /
         static_cast<double>(shard_total);
   }
-  report.failovers = routers[0]->failovers();
   report.cache_hits = cached.hits();
   report.cache_misses = cached.misses();
   report.cache_invalidations = cached.invalidations();

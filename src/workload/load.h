@@ -103,7 +103,6 @@ struct LoadOptions {
   /// Fraction of ops that republish the session's own document.
   double publish_fraction = 0.10;
   uint64_t seed = 1;
-  uint32_t max_prefetch = 8;
   size_t chunk_size = 256;
   /// Card hardware model used by every terminal.
   soe::CardProfile card = soe::CardProfile::EGate();
@@ -159,9 +158,11 @@ struct LoadReport {
   double p99_latency_ms = 0;
 
   std::vector<uint64_t> shard_requests;  ///< per shard (replica 0), this run
-  double shard_imbalance = 0;            ///< max/mean of shard_requests
+  /// max/mean of shard_requests. Every op but a heartbeat goes to its
+  /// document's home shard only, so this is the placement skew of the
+  /// traffic.
+  double shard_imbalance = 0;
   std::vector<double> lane_busy_seconds; ///< per dispatcher lane, this run
-  uint64_t failovers = 0;  ///< layout failovers (replica 0's router)
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_invalidations = 0;

@@ -124,8 +124,8 @@ TEST(FetchPlanTest, PlannedVsWindowedVsPerChunkDifferential) {
             windowed.value().card.total_seconds);
 
   // The acceptance bar: skip-heavy planned round trips (open + fetches)
-  // within 2x the number of contiguous needed ranges. With an unbounded
-  // trip cap the whole plan is in fact ONE multi-span trip.
+  // within 2x the number of contiguous needed ranges. The whole plan is
+  // in fact ONE multi-span trip.
   EXPECT_EQ(planned.value().plan_ranges, plan.runs.size());
   EXPECT_EQ(planned.value().plan_miss_trips, 0u);
   EXPECT_EQ(planned.value().plan_trips, 1u);
@@ -305,44 +305,6 @@ TEST(FetchPlanTest, WrongPlansCostTripsNeverCorrectness) {
   }
 }
 
-TEST(FetchPlanTest, ChunksPerTripCapTradesTripsForBuffer) {
-  dsp::DspServer dsp;
-  pki::KeyRegistry registry;
-  Publisher publisher(&dsp, &registry, 26);
-  proxy::PublishOptions popt;
-  popt.chunk_size = kChunkSize;
-  xml::DomDocument doc = MakeDoc(2000, 10);
-  const std::string rules = "+ u //patient/admin\n";
-  ASSERT_TRUE(publisher.Publish("h", doc, rules, popt).ok());
-  FetchPlan plan = OwnerPlan(doc, rules, "u", "");
-  ASSERT_GT(plan.total_chunks(), 4u);
-
-  auto run = [&](uint32_t cap) {
-    Terminal t("u", CardProfile::EGate(), &dsp, &registry);
-    EXPECT_TRUE(t.Provision("h").ok());
-    QueryOptions q;
-    q.fetch_policy = FetchPolicy::kPlanned;
-    q.plan = &plan;
-    q.plan_chunks_per_trip = cap;
-    return t.Query("h", q);
-  };
-
-  auto unbounded = run(0);
-  ASSERT_TRUE(unbounded.ok());
-  auto capped = run(4);
-  ASSERT_TRUE(capped.ok());
-
-  ExpectSameCardCost(unbounded.value(), capped.value());
-  EXPECT_EQ(unbounded.value().plan_trips, 1u);
-  EXPECT_GT(capped.value().plan_trips, unbounded.value().plan_trips);
-  EXPECT_EQ(capped.value().plan_miss_trips, 0u);
-  // Every group stays within the cap (single oversized runs excepted, and
-  // a 4-chunk cap over 1..n-chunk runs has none of those here beyond the
-  // run granularity).
-  EXPECT_LE(capped.value().plan_trips,
-            (plan.total_chunks() + 1) / 2 + plan.runs.size());
-}
-
 // --- FetchPlan / PlannedProvider unit coverage ------------------------------
 
 TEST(FetchPlanTest, NormalizeSortsMergesAndDropsEmpties) {
@@ -464,29 +426,6 @@ TEST(FetchPlanTest, PlannedProviderClampsHostileGeometry) {
   }
   EXPECT_EQ(provider.plan_misses(), 0u);
   EXPECT_EQ(backend.span_batches, 1u);
-}
-
-TEST(FetchPlanTest, PlannedProviderGroupsRespectTripCap) {
-  CountingProvider backend(32);
-  FetchPlan plan;
-  plan.runs = {ChunkRun{0, 2}, ChunkRun{4, 2}, ChunkRun{8, 2},
-               ChunkRun{12, 2}, ChunkRun{20, 6}};
-  soe::PlannedOptions opt;
-  opt.max_chunks_per_trip = 4;
-  PlannedProvider provider(&backend, 32, plan, opt);
-
-  // Groups: {0,2}+{4,2} | {8,2}+{12,2} | {20,6} (an oversized run travels
-  // whole). Touching one chunk of a group fetches that group only.
-  ASSERT_TRUE(provider.GetChunk(0).ok());
-  EXPECT_EQ(provider.planned_trips(), 1u);
-  EXPECT_EQ(provider.chunks_fetched(), 4u);
-  ASSERT_TRUE(provider.GetChunk(13).ok());
-  EXPECT_EQ(provider.planned_trips(), 2u);
-  ASSERT_TRUE(provider.GetChunk(25).ok());
-  EXPECT_EQ(provider.planned_trips(), 3u);
-  EXPECT_EQ(provider.chunks_fetched(), 14u);
-  EXPECT_EQ(provider.plan_misses(), 0u);
-  EXPECT_EQ(backend.span_batches, 3u);
 }
 
 TEST(FetchPlanTest, DefaultFetchSpansGathersPerRun) {

@@ -1,6 +1,6 @@
 // Transport-layer tests for the batch-first dsp::Service protocol: round
 // trip accounting of batched vs per-chunk fetches (byte-identical views),
-// sharded routing and failover, caching revalidation, and the prefetch
+// sharded hash routing, caching revalidation, and the prefetch
 // window contract.
 
 #include <gtest/gtest.h>
@@ -8,9 +8,11 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "crypto/container.h"
+#include "dsp/async.h"
 #include "dsp/blockfile.h"
 #include "dsp/caching.h"
 #include "dsp/durable.h"
+#include "dsp/fault.h"
 #include "dsp/service.h"
 #include "dsp/sharded.h"
 #include "dsp/store.h"
@@ -119,7 +121,6 @@ TEST(TransportTest, ShardedRoutingPlacesEachDocOnItsHomeShard) {
     ASSERT_TRUE(sharded.OpenDocument(id).ok());
     EXPECT_EQ(shards[home]->stats().requests, home_before + 1) << id;
   }
-  EXPECT_EQ(sharded.failovers(), 0u);
 
   // The full stack works against a sharded fleet.
   Terminal u("u", CardProfile::EGate(), &sharded, &registry);
@@ -135,29 +136,76 @@ TEST(TransportTest, ShardedRoutingPlacesEachDocOnItsHomeShard) {
   EXPECT_EQ(sharded.stats().documents, 6u);
 }
 
-TEST(TransportTest, ShardedFailoverFindsMisplacedDocs) {
-  dsp::DspServer s0, s1;
-  dsp::ShardedService sharded({&s0, &s1});
+TEST(TransportTest, ShardedOpsTouchOnlyTheHomeShard) {
+  // Hash routing and nothing else: every op but a ping adds exactly one
+  // request to its document's home shard and none to the others.
+  dsp::DspServer s0, s1, s2;
+  dsp::FaultInjectingService faulty(&s2);
+  dsp::ShardedService sharded({&s0, &s1, &faulty});
 
-  // Plant a document directly on the shard that is NOT its home (as after
-  // a shard-count change): the router must fail over and find it.
-  const std::string doc_id = "misplaced";
-  size_t home = sharded.ShardFor(doc_id);
-  dsp::DspServer* wrong = (home == 0) ? &s1 : &s0;
+  auto expect_home_only = [&](const std::string& doc_id, const char* label,
+                              auto op) {
+    const size_t home = sharded.ShardFor(doc_id);
+    const std::vector<uint64_t> before = sharded.shard_requests();
+    op();
+    const std::vector<uint64_t> after = sharded.shard_requests();
+    for (size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i] - before[i], i == home ? 1u : 0u)
+          << label << " on shard " << i;
+    }
+  };
+
+  const std::string doc_id = "routed";
   Rng rng(1);
   auto key = crypto::SymmetricKey::Generate(&rng);
-  Bytes payload(700, 0x42);
-  Bytes container = crypto::SecureContainer::Seal(key, payload, 256, &rng);
-  ASSERT_TRUE(wrong->Publish(doc_id, container, Bytes{1}).ok());
+  Bytes container =
+      crypto::SecureContainer::Seal(key, Bytes(700, 0x42), 256, &rng);
+  expect_home_only(doc_id, "publish", [&] {
+    EXPECT_TRUE(sharded.Publish(doc_id, container, Bytes{1}).ok());
+  });
+  expect_home_only(doc_id, "open", [&] {
+    auto open = sharded.OpenDocument(doc_id);
+    ASSERT_TRUE(open.ok()) << open.status().ToString();
+    EXPECT_EQ(open.value().sealed_rules, (Bytes{1}));
+  });
+  expect_home_only(doc_id, "get-chunks", [&] {
+    auto chunks = sharded.GetChunks(
+        doc_id, {dsp::ChunkSpan{0, 1}, dsp::ChunkSpan{2, 1}});
+    ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
+    EXPECT_EQ(chunks.value().size(), 2u);
+  });
+  expect_home_only(doc_id, "update", [&] {
+    EXPECT_TRUE(sharded.UpdateRules(doc_id, Bytes{2}).ok());
+  });
+  expect_home_only(doc_id, "remove", [&] {
+    EXPECT_TRUE(sharded.Remove(doc_id).ok());
+  });
+  EXPECT_EQ(sharded.stats().documents, 0u);
 
-  auto open = sharded.OpenDocument(doc_id);
-  ASSERT_TRUE(open.ok()) << open.status().ToString();
-  EXPECT_EQ(open.value().sealed_rules, (Bytes{1}));
-  EXPECT_EQ(sharded.failovers(), 1u);
+  // An absent id is NotFound from its home shard alone.
+  expect_home_only("nowhere", "absent open", [&] {
+    EXPECT_EQ(sharded.OpenDocument("nowhere").status().code(),
+              StatusCode::kNotFound);
+  });
 
-  // A document on no shard is NotFound after probing everywhere.
-  EXPECT_EQ(sharded.OpenDocument("nowhere").status().code(),
-            StatusCode::kNotFound);
+  // A ping probes the whole fleet and fails when any shard is down.
+  const std::vector<uint64_t> before = sharded.shard_requests();
+  EXPECT_TRUE(sharded.Ping().ok());
+  const std::vector<uint64_t> after = sharded.shard_requests();
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], 1u) << "ping on shard " << i;
+  }
+  faulty.set_crashed(true);
+  EXPECT_FALSE(sharded.Ping().ok());
+
+  // The dispatcher's lanes place documents with the same hash.
+  dsp::AsyncDispatcher::Options opt;
+  opt.workers = sharded.shard_count();
+  dsp::AsyncDispatcher dispatcher(&s0, opt);
+  for (int i = 0; i < 64; ++i) {
+    const std::string id = "doc-" + std::to_string(i);
+    EXPECT_EQ(dispatcher.LaneFor(id), sharded.ShardFor(id)) << id;
+  }
 }
 
 // --- Caching client --------------------------------------------------------
@@ -257,91 +305,6 @@ TEST(TransportTest, RepublishOfIdenticalContainerSkipsTheReparse) {
   EXPECT_EQ(dsp.OpenDocument("d").value().rules_version, 3u);
 }
 
-TEST(TransportTest, ShardedPublishAndRemoveClearStaleCopies) {
-  dsp::DspServer s0, s1;
-  dsp::ShardedService sharded({&s0, &s1});
-  const std::string doc_id = "drifter";
-  size_t home = sharded.ShardFor(doc_id);
-  dsp::DspServer* wrong = (home == 0) ? &s1 : &s0;
-
-  Rng rng(2);
-  auto key = crypto::SymmetricKey::Generate(&rng);
-  Bytes stale = crypto::SecureContainer::Seal(key, Bytes(600, 0x11), 256, &rng);
-  ASSERT_TRUE(wrong->Publish(doc_id, stale, Bytes{1}).ok());
-
-  // Republishing through the router supersedes the misplaced copy: reads
-  // must never fail over to it again.
-  Bytes fresh = crypto::SecureContainer::Seal(key, Bytes(900, 0x22), 256, &rng);
-  ASSERT_TRUE(sharded.Publish(doc_id, fresh, Bytes{2}).ok());
-  EXPECT_EQ(wrong->size(), 0u);
-  // The publish cleared a live copy off a non-home shard while the home
-  // shard had never seen the id: that is old-layout residency, and it is
-  // counted as exactly one failover for the whole operation.
-  EXPECT_EQ(sharded.failovers(), 1u);
-  auto open = sharded.OpenDocument(doc_id);
-  ASSERT_TRUE(open.ok());
-  EXPECT_EQ(open.value().sealed_rules, (Bytes{2}));
-  EXPECT_EQ(sharded.failovers(), 1u);  // the read was served by home
-
-  // Removal leaves no copy behind on any shard; home held the document,
-  // so removing it is not failover evidence.
-  ASSERT_TRUE(sharded.Remove(doc_id).ok());
-  EXPECT_EQ(sharded.OpenDocument(doc_id).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(s0.size() + s1.size(), 0u);
-  EXPECT_EQ(sharded.failovers(), 1u);
-}
-
-TEST(TransportTest, ShardedPublishOverHomeCopyCountsNoFailover) {
-  // When the home shard already holds the document, sweeping stale copies
-  // off other shards (there are none) must not count failovers: the
-  // document was right where the current layout expects it.
-  dsp::DspServer s0, s1;
-  dsp::ShardedService sharded({&s0, &s1});
-  const std::string doc_id = "settled";
-
-  Rng rng(4);
-  auto key = crypto::SymmetricKey::Generate(&rng);
-  Bytes c1 = crypto::SecureContainer::Seal(key, Bytes(500, 0x01), 256, &rng);
-  ASSERT_TRUE(sharded.Publish(doc_id, c1, Bytes{1}).ok());
-  Bytes c2 = crypto::SecureContainer::Seal(key, Bytes(500, 0x02), 256, &rng);
-  ASSERT_TRUE(sharded.Publish(doc_id, c2, Bytes{2}).ok());
-  EXPECT_EQ(sharded.failovers(), 0u);
-}
-
-TEST(TransportTest, ShardedRemoveCountsFailoverOnlyWhenHomeMisses) {
-  dsp::DspServer s0, s1;
-  dsp::ShardedService sharded({&s0, &s1});
-  const std::string doc_id = "mover";
-  size_t home = sharded.ShardFor(doc_id);
-  dsp::DspServer* home_shard = (home == 0) ? &s0 : &s1;
-  dsp::DspServer* wrong = (home == 0) ? &s1 : &s0;
-
-  Rng rng(5);
-  auto key = crypto::SymmetricKey::Generate(&rng);
-  Bytes container =
-      crypto::SecureContainer::Seal(key, Bytes(500, 0x07), 256, &rng);
-
-  // Copies on both home and a non-home shard: home satisfied the lookup,
-  // the sweep merely cleaned up — no failover.
-  ASSERT_TRUE(home_shard->Publish(doc_id, container, Bytes{1}).ok());
-  ASSERT_TRUE(wrong->Publish(doc_id, container, Bytes{1}).ok());
-  ASSERT_TRUE(sharded.Remove(doc_id).ok());
-  EXPECT_EQ(s0.size() + s1.size(), 0u);
-  EXPECT_EQ(sharded.failovers(), 0u);
-
-  // Only a non-home copy (old layout): removing it required failing over,
-  // counted once for the operation.
-  ASSERT_TRUE(wrong->Publish(doc_id, container, Bytes{1}).ok());
-  ASSERT_TRUE(sharded.Remove(doc_id).ok());
-  EXPECT_EQ(s0.size() + s1.size(), 0u);
-  EXPECT_EQ(sharded.failovers(), 1u);
-
-  // No copy anywhere: NotFound, and still no extra failover evidence.
-  EXPECT_EQ(sharded.Remove(doc_id).code(), StatusCode::kNotFound);
-  EXPECT_EQ(sharded.failovers(), 1u);
-}
-
 TEST(TransportTest, CachingClientDropsStaleEntryWhenDocumentVanishes) {
   // Regression: a cached document removed behind the cache's back used to
   // leave its entry in the map forever — the NotFound early-return skipped
@@ -373,18 +336,16 @@ TEST(TransportTest, CachingClientDropsStaleEntryWhenDocumentVanishes) {
 }
 
 TEST(TransportTest, ShardedFailedPublishKeepsExistingCopies) {
-  // A rejected publish must not destroy the only copy of the document
-  // (the home shard is written first; stale clears happen on success).
+  // A rejected publish must not destroy the stored copy of the document.
   dsp::DspServer s0, s1;
   dsp::ShardedService sharded({&s0, &s1});
   const std::string doc_id = "survivor";
-  size_t home = sharded.ShardFor(doc_id);
-  dsp::DspServer* wrong = (home == 0) ? &s1 : &s0;
+  dsp::DspServer* home = sharded.ShardFor(doc_id) == 0 ? &s0 : &s1;
 
   Rng rng(3);
   auto key = crypto::SymmetricKey::Generate(&rng);
   Bytes good = crypto::SecureContainer::Seal(key, Bytes(600, 0x33), 256, &rng);
-  ASSERT_TRUE(wrong->Publish(doc_id, good, Bytes{5}).ok());
+  ASSERT_TRUE(home->Publish(doc_id, good, Bytes{5}).ok());
 
   EXPECT_FALSE(sharded.Publish(doc_id, Bytes{1, 2, 3}, Bytes{}).ok());
   auto open = sharded.OpenDocument(doc_id);
@@ -448,22 +409,20 @@ TEST(TransportTest, MultiSpanGetChunksServesSpansInRequestOrder) {
   EXPECT_FALSE(dsp.GetChunks("m", {dsp::ChunkSpan{10, 1}}).ok());
 }
 
-TEST(TransportTest, MultiSpanGetChunksFailsOverOnShardedFleet) {
-  // The planner's multi-span requests must survive the misplaced-document
-  // path: the router probes, fails over, and the whole batch is served by
-  // whichever shard holds the document.
+TEST(TransportTest, MultiSpanGetChunksKeepsSpanOrderOnShardedFleet) {
+  // The planner's multi-span requests cross the router whole: the home
+  // shard serves the batch in request order.
   dsp::DspServer s0, s1;
   dsp::ShardedService sharded({&s0, &s1});
-  const std::string doc_id = "misplaced-spans";
-  size_t home = sharded.ShardFor(doc_id);
-  dsp::DspServer* wrong = (home == 0) ? &s1 : &s0;
+  const std::string doc_id = "routed-spans";
   std::vector<soe::ChunkData> reference =
-      PublishTenChunks(wrong, doc_id, 32);
+      PublishTenChunks(&sharded, doc_id, 32);
+  dsp::DspServer* home = sharded.ShardFor(doc_id) == 0 ? &s0 : &s1;
+  EXPECT_EQ(home->size(), 1u);
 
   auto got = sharded.GetChunks(
       doc_id, {dsp::ChunkSpan{8, 2}, dsp::ChunkSpan{1, 2}});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_GE(sharded.failovers(), 1u);
   ASSERT_EQ(got.value().size(), 4u);
   EXPECT_EQ(got.value()[0].ciphertext, reference[8].ciphertext);
   EXPECT_EQ(got.value()[1].ciphertext, reference[9].ciphertext);
