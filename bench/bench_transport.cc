@@ -2,11 +2,12 @@
 //
 // "The cost of communication between the SOE, the client and the server"
 // is one of the two limiting factors; this bench measures the round-trip
-// half of it across the full proxy -> card -> DSP stack: per-chunk fetches
-// vs the adaptive prefetch window, on the skip-heavy selective workload
-// and on the full-scan worst case. Then the scale-out pieces: per-shard
-// load of a ShardedService fleet and the CachingClient's revalidation
-// economics across repeated sessions.
+// half of it across the full proxy -> card -> DSP stack: a first run on
+// miss windows of 1 (per-chunk) to 16 chunks vs an owner-computed and a
+// learned fetch plan, on the skip-heavy selective workload and on the
+// full-scan worst case. Then the scale-out pieces: per-shard load of a
+// ShardedService fleet and the CachingClient's revalidation economics
+// across repeated sessions.
 
 #include "bench/bench_util.h"
 #include "core/rule.h"
@@ -138,11 +139,10 @@ int main() {
       CSXA_CHECK(owner_term.Provision("h").ok());
       proxy::QueryOptions q;
       q.use_skip = w.use_skip;
-      q.fetch_policy = proxy::FetchPolicy::kPlanned;
       q.plan = &plan;
       auto owner = owner_term.Query("h", q);
       CSXA_CHECK(owner.ok());
-      CSXA_CHECK(owner.value().plan_miss_trips == 0);
+      CSXA_CHECK(owner.value().window_trips == 0);
       add_row("planned (owner)", "planned", owner.value());
 
       proxy::Terminal learn_term("u", soe::CardProfile::EGate(), &dsp,
@@ -150,7 +150,6 @@ int main() {
       CSXA_CHECK(learn_term.Provision("h").ok());
       proxy::QueryOptions lq;
       lq.use_skip = w.use_skip;
-      lq.fetch_policy = proxy::FetchPolicy::kPlanned;  // learn on first run
       auto probe = learn_term.Query("h", lq);
       CSXA_CHECK(probe.ok() && probe.value().plan_learned);
       auto learned = learn_term.Query("h", lq);
@@ -166,15 +165,16 @@ int main() {
                                  static_cast<double>(plan.runs.size()));
     }
   }
-  std::printf("expected shape: sequential runs amortize one round trip over "
-              "the whole window while skip jumps collapse it, so the win "
-              "grows with the authorized-run length; the planner removes the "
-              "guessing entirely — the whole needed chunk set arrives as one "
-              "multi-span request, so round trips collapse to open + 1 "
-              "regardless of how scattered the authorized ranges are. "
-              "Transfer and crypto columns are identical by construction "
-              "(prefetched or planned chunks the card never reads never "
-              "cross the APDU link).\n");
+  std::printf("expected shape: on a first run each miss fetches a fixed "
+              "window, so round trips fall as the window grows — on a full "
+              "scan to chunks / window, while on the skip-heavy scan every "
+              "skip jump past the buffered window pays a fresh trip; a plan "
+              "removes the guessing entirely — the whole needed chunk set "
+              "arrives as one multi-span request, so round trips collapse to "
+              "open + 1 regardless of how scattered the authorized ranges "
+              "are. Transfer and crypto columns are identical by construction "
+              "(window or planned chunks the card never reads never cross "
+              "the APDU link).\n");
 
   std::printf("\n--- sharded fleet: per-shard load, 12 documents ---\n");
   {

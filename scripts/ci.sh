@@ -16,11 +16,12 @@ cmake --build build -j
 cd build
 ctest --output-on-failure -j "$(nproc)"
 
-# The transport layer (dsp::Service protocol, sharding, caching,
-# prefetching) gates separately so a regression names itself in CI logs,
-# as does the fetch planner (the planned-vs-windowed-vs-per-chunk
-# differential suite) and the scenario generator (seed-stability and
-# oracle properties plus the IoT-fleet / e-health acceptance runs).
+# The transport layer (dsp::Service protocol, sharding, caching, the miss
+# window) gates separately so a regression names itself in CI logs, as
+# does the fetch planner (the per-chunk / first-run / owner-plan /
+# learned-plan differential suite) and the scenario generator
+# (seed-stability and oracle properties plus the IoT-fleet / e-health
+# acceptance runs).
 ctest --output-on-failure -L transport
 ctest --output-on-failure -L planner
 ctest --output-on-failure -L scengen
@@ -48,11 +49,13 @@ build-tsan/tests/concurrency_test --gtest_filter='*AsyncDispatcher*' --gtest_rep
 # transport label adds the backend-parity suite, whose DurableServer leg
 # serves the same protocol core from lazily loaded blobs, and the unit
 # label adds crypto_test, whose AES-NI / SHA-NI legs do 16-byte intrinsic
-# loads and stores at every buffer length.
+# loads and stores at every buffer length. The planner and fuzz labels
+# cover soe::PlannedProvider, which moves chunks out of its buffer, fed
+# owner, learned and corrupted plans.
 cmake -B build-asan -S . -DCSXA_SANITIZE=address \
   -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j
-(cd build-asan && ctest --output-on-failure -L "durable|transport|unit")
+(cd build-asan && ctest --output-on-failure -L "durable|transport|unit|planner|fuzz")
 
 # UndefinedBehaviorSanitizer pass over every label: shifts, overflows,
 # misaligned loads and bad enum values anywhere in the tree. UBSan only

@@ -166,7 +166,7 @@ class Service {
 
 /// \brief soe::ChunkProvider bound to one document on a Service (what the
 /// proxy hands to the card engine in pull mode). Every batch is one
-/// kGetChunks round trip; wrap it in soe::PrefetchingProvider to amortize.
+/// kGetChunks round trip; wrap it in soe::PlannedProvider to amortize.
 class ServiceChunkProvider : public soe::ChunkProvider {
  public:
   ServiceChunkProvider(Service* service, std::string doc_id)

@@ -1,6 +1,5 @@
 #include "proxy/terminal.h"
 
-#include <optional>
 #include <utility>
 
 #include "soe/prefetch.h"
@@ -71,59 +70,38 @@ Result<QueryResult> Terminal::Query(const std::string& doc_id,
   CSXA_ASSIGN_OR_RETURN(dsp::Response open, dsp.OpenDocument(doc_id));
 
   // The chunk supply the card pulls from during the session: a per-chunk
-  // Service provider, topped by the selected scheduling layer — adaptive
-  // prefetch window or plan-driven multi-span fetches.
+  // Service provider under the plan-riding provider. The plan is the
+  // caller's, else the one learned for this exact query, else none — the
+  // session then runs on the miss window and learns it.
   ByteReader header_reader(open.header);
   CSXA_ASSIGN_OR_RETURN(crypto::ContainerHeader parsed_header,
                         crypto::ContainerHeader::DecodeFrom(&header_reader));
   dsp::ServiceChunkProvider chunk_provider(&dsp, doc_id);
-  soe::ChunkProvider* provider = &chunk_provider;
 
   const PlanKey plan_key{doc_id, open.rules_version, options.query,
                          options.use_skip};
-  const soe::FetchPlan* plan = nullptr;
-  bool learn_plan = false;
-  if (options.fetch_policy == FetchPolicy::kPlanned) {
-    if (options.plan != nullptr) {
-      plan = options.plan;
+  const soe::FetchPlan* plan = options.plan;
+  if (plan == nullptr) {
+    auto it = plan_cache_.find(plan_key);
+    if (it != plan_cache_.end()) {
+      plan = &it->second;
     } else {
-      auto it = plan_cache_.find(plan_key);
-      if (it != plan_cache_.end()) {
-        plan = &it->second;
-      } else {
-        // Drop plans learned under older rules versions of this document
-        // — they can never match again.
-        auto lo = plan_cache_.lower_bound(PlanKey{doc_id, 0, "", false});
-        while (lo != plan_cache_.end() && std::get<0>(lo->first) == doc_id) {
-          if (std::get<1>(lo->first) != open.rules_version) {
-            lo = plan_cache_.erase(lo);
-          } else {
-            ++lo;
-          }
+      // Drop plans learned under older rules versions of this document
+      // — they can never match again.
+      auto lo = plan_cache_.lower_bound(PlanKey{doc_id, 0, "", false});
+      while (lo != plan_cache_.end() && std::get<0>(lo->first) == doc_id) {
+        if (std::get<1>(lo->first) != open.rules_version) {
+          lo = plan_cache_.erase(lo);
+        } else {
+          ++lo;
         }
-        learn_plan = true;
       }
     }
   }
-
-  std::optional<soe::PrefetchingProvider> windowed;
-  std::optional<soe::PlannedProvider> planned;
-  std::optional<soe::RecordingProvider> recorder;
-  if (plan != nullptr) {
-    planned.emplace(&chunk_provider, parsed_header.chunk_count, *plan);
-    provider = &*planned;
-  } else {
-    // kWindowed, and the learn-on-first-run leg of kPlanned.
-    soe::PrefetchOptions popt;
-    popt.max_window = options.max_prefetch;
-    windowed.emplace(&chunk_provider, parsed_header.chunk_count, popt);
-    provider = &*windowed;
-  }
-  if (learn_plan) {
-    recorder.emplace(provider);
-    provider = &*recorder;
-  }
-  applet_.SetChunkProvider(provider);
+  soe::PlannedProvider provider(&chunk_provider, parsed_header.chunk_count,
+                                plan != nullptr ? *plan : soe::FetchPlan{},
+                                options.max_prefetch);
+  applet_.SetChunkProvider(&provider);
 
   // Drive the card over APDUs. The transport charges a dedicated cost
   // model for terminal-side accounting; the card's own session cost is
@@ -184,18 +162,15 @@ Result<QueryResult> Terminal::Query(const std::string& doc_id,
   result.dsp_round_trips = dsp.calls();
   result.apdu_round_trips = transport.exchanges();
 
-  result.fetch_policy = options.fetch_policy;
-  if (planned.has_value()) {
-    result.plan_ranges = planned->plan().runs.size();
-    result.plan_trips = planned->planned_trips();
-    result.plan_miss_trips = planned->plan_misses();
-  }
-  if (recorder.has_value()) {
+  result.plan_ranges = provider.plan().runs.size();
+  result.plan_trips = provider.planned_trips();
+  result.window_trips = provider.window_trips();
+  if (plan == nullptr) {
     // The session completed: the recorded access pattern IS the skip
     // filter's decision sequence for this (doc, rules version, query,
     // skip mode) — compile and cache it for the next identical query.
     soe::FetchPlan learned =
-        soe::FetchPlan::FromChunkSequence(recorder->requested());
+        soe::FetchPlan::FromChunkSequence(provider.requested());
     result.plan_ranges = learned.runs.size();
     plan_cache_.insert_or_assign(plan_key, std::move(learned));
     result.plan_learned = true;

@@ -10,7 +10,8 @@
 /// user's card (applet), provisions its keys from the PKI registry,
 /// drives sessions over the APDU transport, feeds container chunks
 /// fetched from the DSP through the batch-first dsp::Service protocol
-/// (one OpenDocument trip, windowed prefetching chunk fetches), and
+/// (one OpenDocument trip, then chunk fetches that ride a fetch plan —
+/// learned on a query's first run — or a fixed miss window), and
 /// reassembles the delivered view for the application.
 
 #include <map>
@@ -26,23 +27,6 @@
 
 namespace csxa::proxy {
 
-/// \brief How the terminal schedules chunk fetches from the DSP.
-enum class FetchPolicy : uint8_t {
-  /// Adaptive prefetch window (soe::PrefetchingProvider): sequential runs
-  /// amortize trips, skip jumps collapse the window. The default; with
-  /// `max_prefetch = 1` every chunk is its own kGetChunks round trip (the
-  /// pre-batching baseline).
-  kWindowed,
-  /// Skip-index-planned multi-span fetches (soe::PlannedProvider). With
-  /// an advisory plan — supplied by the caller or learned from a prior
-  /// identical query — the whole needed chunk set arrives in one
-  /// multi-span kGetChunks trip; chunks the plan missed fall through to
-  /// ordinary per-chunk trips. Without any plan the query runs windowed
-  /// and the terminal records the access pattern as the plan for the
-  /// next identical query (same doc, rules version, query, skip mode).
-  kPlanned,
-};
-
 /// Per-query options exposed to applications.
 struct QueryOptions {
   /// XPath query; empty delivers the whole authorized view.
@@ -51,15 +35,14 @@ struct QueryOptions {
   bool use_skip = true;
   /// Enforce the modeled card RAM budget strictly.
   bool strict_ram = false;
-  /// Chunk fetch scheduling policy (see FetchPolicy).
-  FetchPolicy fetch_policy = FetchPolicy::kWindowed;
-  /// kWindowed: upper bound of the adaptive DSP prefetch window, in
-  /// chunks; 1 makes every chunk its own round trip.
+  /// Chunks per miss-window fetch (chunks no plan covers); 1 makes every
+  /// such chunk its own round trip.
   uint32_t max_prefetch = 8;
-  /// kPlanned: advisory fetch plan to use (e.g. owner-computed via
+  /// Advisory fetch plan to use (e.g. owner-computed via
   /// soe::ComputeFetchPlan). Null consults the terminal's learned-plan
-  /// cache. The plan is never authoritative: a wrong plan costs round
-  /// trips, not correctness.
+  /// cache, and on a miss runs on the window and learns the plan. The
+  /// plan is never authoritative: a wrong plan costs round trips, not
+  /// correctness.
   const soe::FetchPlan* plan = nullptr;
 };
 
@@ -75,18 +58,17 @@ struct QueryResult {
   uint64_t dsp_bytes_fetched = 0;
   uint64_t dsp_round_trips = 0;
   uint64_t apdu_round_trips = 0;
-  /// \name Fetch-plan accounting (kPlanned sessions)
+  /// \name Fetch-plan accounting
   /// @{
-  /// Policy the session actually ran with.
-  FetchPolicy fetch_policy = FetchPolicy::kWindowed;
-  /// Contiguous ranges in the plan used (0 when no plan was available).
+  /// Contiguous ranges in the plan used, or in the plan this session
+  /// learned.
   uint64_t plan_ranges = 0;
-  /// Multi-span planned fetches issued.
+  /// Multi-span planned fetches issued (0 or 1).
   uint64_t plan_trips = 0;
-  /// Card requests the plan missed (served by fallback trips).
-  uint64_t plan_miss_trips = 0;
-  /// This session ran windowed and recorded a plan for the next
-  /// identical query.
+  /// Miss-window fetches for chunks the plan did not cover.
+  uint64_t window_trips = 0;
+  /// This session had no plan, ran on the miss window and recorded the
+  /// plan for the next identical query.
   bool plan_learned = false;
   /// @}
 };
@@ -121,8 +103,8 @@ class Terminal {
  private:
   /// Learned plans are valid for exactly one (document, rules version,
   /// query, skip mode): a policy update or republish bumps the version
-  /// and the next planned query re-learns. Stale entries are dropped
-  /// lazily on lookup.
+  /// and the next query re-learns. Stale entries are dropped lazily on
+  /// lookup.
   using PlanKey = std::tuple<std::string, uint64_t, std::string, bool>;
 
   std::string user_;

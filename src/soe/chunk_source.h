@@ -13,8 +13,9 @@
 /// The provider interface is batch-first: one GetChunks() call is one
 /// modeled terminal<->server round trip, however many chunks it carries.
 /// The card itself still consumes one chunk at a time (its RAM budget);
-/// batching happens terminal-side in soe::PrefetchingProvider, which
-/// absorbs per-chunk card requests into windowed server fetches.
+/// batching happens terminal-side in soe::PlannedProvider, which answers
+/// per-chunk card requests from one multi-span planned fetch or from
+/// fixed-window server fetches.
 
 #include <iterator>
 #include <memory>
@@ -43,7 +44,7 @@ struct ChunkData {
 ///
 /// Each GetChunks() call is one modeled round trip to wherever the chunks
 /// live; implementations that serve from memory the terminal already holds
-/// (a received broadcast, a prefetch window) override round_trips()
+/// (a received broadcast, a fetched plan or window) override round_trips()
 /// accordingly.
 ///
 /// Reentrancy contract: one ChunkProvider instance serves one card

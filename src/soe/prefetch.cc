@@ -7,47 +7,6 @@
 
 namespace csxa::soe {
 
-Result<std::vector<ChunkData>> PrefetchingProvider::FetchChunks(
-    uint32_t first, uint32_t count) {
-  if (count == 0) return std::vector<ChunkData>{};
-
-  // Entirely inside the buffered window: no backend round trip.
-  if (!buf_.empty() && first >= buf_first_ &&
-      first + count <= buf_first_ + buf_.size()) {
-    ++window_hits_;
-    std::vector<ChunkData> out(buf_.begin() + (first - buf_first_),
-                               buf_.begin() + (first - buf_first_) + count);
-    return out;
-  }
-
-  // Window policy: sequential consumption widens, a jump (skip) collapses.
-  if (first == next_expected_) {
-    window_ = std::min(window_ * 2, options_.max_window);
-  } else {
-    window_ = 1;
-  }
-
-  uint32_t n = std::max(count, window_);
-  if (first < chunk_count_) {
-    n = std::min<uint64_t>(n, static_cast<uint64_t>(chunk_count_) - first);
-  }
-  n = std::max(n, count);  // out-of-range requests pass through untouched
-
-  CSXA_ASSIGN_OR_RETURN(std::vector<ChunkData> fetched,
-                        inner_->GetChunks(first, n));
-  ++fetches_;
-  chunks_fetched_ += fetched.size();
-  if (fetched.size() < count) {
-    return Status::Internal("backend returned short chunk batch");
-  }
-  buf_ = std::move(fetched);
-  buf_first_ = first;
-  next_expected_ = first + n;
-
-  std::vector<ChunkData> out(buf_.begin(), buf_.begin() + count);
-  return out;
-}
-
 // --- FetchPlan -------------------------------------------------------------
 
 bool FetchPlan::Covers(uint32_t chunk) const {
@@ -113,8 +72,11 @@ Result<FetchPlan> ComputeFetchPlan(Span encoded_payload, uint32_t chunk_size,
 // --- PlannedProvider -------------------------------------------------------
 
 PlannedProvider::PlannedProvider(ChunkProvider* inner, uint32_t chunk_count,
-                                 FetchPlan plan)
-    : inner_(inner), plan_(std::move(plan)) {
+                                 FetchPlan plan, uint32_t max_prefetch)
+    : inner_(inner),
+      chunk_count_(chunk_count),
+      max_prefetch_(std::max<uint32_t>(max_prefetch, 1)),
+      plan_(std::move(plan)) {
   plan_.Normalize();
   // Clamp to the container geometry: a plan must never make the backend
   // serve chunks that do not exist.
@@ -127,54 +89,57 @@ PlannedProvider::PlannedProvider(ChunkProvider* inner, uint32_t chunk_count,
   plan_.runs = std::move(clamped);
 }
 
-void PlannedProvider::EnsureFetched() {
-  if (planned_trips_ > 0) return;
+void PlannedProvider::FetchPlanned() {
+  plan_fetched_ = true;
   ++planned_trips_;
-  const uint64_t expect = plan_.total_chunks();
   Result<std::vector<ChunkData>> fetched = inner_->GetSpans(plan_.runs);
-  if (!fetched.ok() || fetched.value().size() != expect) {
-    // Advisory contract: a failed or short planned batch leaves the
-    // buffer unpopulated and the request falls through to the inner
-    // provider, which surfaces any real backend error on its own trip.
-    return;
-  }
+  if (!fetched.ok() || fetched.value().size() != plan_.total_chunks()) return;
   chunks_fetched_ += fetched.value().size();
   size_t at = 0;
   for (const skipindex::ChunkRun& r : plan_.runs) {
     for (uint32_t i = 0; i < r.count; ++i) {
-      buf_[r.first + i] = std::move(fetched.value()[at++]);
+      buf_.insert_or_assign(r.first + i, std::move(fetched.value()[at++]));
     }
   }
 }
 
+Status PlannedProvider::FetchWindow(uint32_t first, uint32_t min_count) {
+  uint64_t end = std::min<uint64_t>(
+      uint64_t{first} + std::max(max_prefetch_, min_count), chunk_count_);
+  // Out-of-range requests pass through at their own size, so the backend's
+  // error is the answer rather than a clamped wrong one.
+  end = std::max<uint64_t>(end, uint64_t{first} + min_count);
+  ++window_trips_;
+  CSXA_ASSIGN_OR_RETURN(
+      std::vector<ChunkData> fetched,
+      inner_->GetChunks(first, static_cast<uint32_t>(end - first)));
+  chunks_fetched_ += fetched.size();
+  buf_.erase(buf_.begin(), buf_.lower_bound(first));
+  for (size_t i = 0; i < fetched.size(); ++i) {
+    buf_.insert_or_assign(first + static_cast<uint32_t>(i),
+                          std::move(fetched[i]));
+  }
+  return Status::OK();
+}
+
 Result<std::vector<ChunkData>> PlannedProvider::FetchChunks(uint32_t first,
                                                             uint32_t count) {
-  if (count == 0) return std::vector<ChunkData>{};
-
-  // Pull in the plan the first time the request touches it, then serve
-  // from the buffer if the whole request is covered.
-  bool covered = true;
-  for (uint32_t c = first; c < first + count; ++c) {
-    if (buf_.count(c) > 0) continue;
-    if (!plan_.Covers(c)) {
-      covered = false;
-      continue;
-    }
-    EnsureFetched();
-    if (buf_.count(c) == 0) covered = false;
-  }
-  if (!covered) {
-    // Conservative fallback: the plan missed (or the planned batch
-    // failed) — the inner provider serves the request exactly as an
-    // unplanned run would, on its own round trip.
-    ++plan_misses_;
-    return inner_->GetChunks(first, count);
-  }
-  ++plan_hits_;
   std::vector<ChunkData> out;
   out.reserve(count);
   for (uint32_t c = first; c < first + count; ++c) {
+    requested_.push_back(c);
     auto it = buf_.find(c);
+    if (it == buf_.end() && !plan_fetched_ && plan_.Covers(c)) {
+      FetchPlanned();
+      it = buf_.find(c);
+    }
+    if (it == buf_.end()) {
+      CSXA_RETURN_IF_ERROR(FetchWindow(c, first + count - c));
+      it = buf_.find(c);
+      if (it == buf_.end()) {
+        return Status::Internal("backend returned short chunk batch");
+      }
+    }
     out.push_back(std::move(it->second));
     buf_.erase(it);
   }

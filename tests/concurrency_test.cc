@@ -640,28 +640,30 @@ TEST(ConcurrencyTest, TerminalDspCountsArePerQueryUnderConcurrentSessions) {
     return terminal;
   };
 
-  // Each (doc, query) alone, once to warm the cache and once to record.
+  // Each (doc, query) alone: one pass to warm the cache, then one on a
+  // fresh terminal to record. Every concurrent session runs each (doc,
+  // query) once on a fresh terminal too, so both sides are learning runs
+  // on the miss window (a second pass on the warming terminal would ride
+  // its learned plans instead).
   struct Counts {
     uint64_t round_trips = 0;
     uint64_t bytes = 0;
   };
   std::map<std::pair<size_t, size_t>, Counts> alone;
-  {
+  for (int pass = 0; pass < 2; ++pass) {
     auto terminal = provisioned();
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t d = 0; d < docs.size(); ++d) {
-        for (size_t q = 0; q < queries.size(); ++q) {
-          proxy::QueryOptions qopt;
-          qopt.query = queries[q];
-          auto result = terminal->Query(docs[d], qopt);
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          // One OpenDocument plus the card's chunk trips, every one of
-          // them counted wherever the replica group served it.
-          EXPECT_EQ(result.value().dsp_round_trips,
-                    result.value().card.dsp_round_trips + 1);
-          alone[{d, q}] = {result.value().dsp_round_trips,
-                           result.value().dsp_bytes_fetched};
-        }
+    for (size_t d = 0; d < docs.size(); ++d) {
+      for (size_t q = 0; q < queries.size(); ++q) {
+        proxy::QueryOptions qopt;
+        qopt.query = queries[q];
+        auto result = terminal->Query(docs[d], qopt);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        // One OpenDocument plus the card's chunk trips, every one of
+        // them counted wherever the replica group served it.
+        EXPECT_EQ(result.value().dsp_round_trips,
+                  result.value().card.dsp_round_trips + 1);
+        alone[{d, q}] = {result.value().dsp_round_trips,
+                         result.value().dsp_bytes_fetched};
       }
     }
   }

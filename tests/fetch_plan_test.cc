@@ -1,13 +1,14 @@
-// The planner differential suite: the same query under per-chunk,
-// windowed and skip-index-planned fetch scheduling must deliver
-// byte-identical views at byte-identical card transfer/crypto cost —
-// only the round-trip count (and thus modeled latency) may move, and it
-// must move monotonically: planned <= windowed <= per-chunk. Plans are
-// advisory: wrong, stale, hostile or absent plans cost round trips,
-// never correctness.
+// The planner differential suite: the same query fetched per chunk, on a
+// first (learning) run, along an owner-computed plan and along the plan
+// the terminal learned must deliver byte-identical views at byte-identical
+// card transfer/crypto cost — only the round-trip count (and thus modeled
+// latency) may move, and it must move monotonically: planned <= first run
+// <= per-chunk. Plans are advisory: wrong, stale, hostile or absent plans
+// cost round trips, never correctness.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/rule.h"
@@ -24,7 +25,6 @@
 namespace csxa {
 namespace {
 
-using proxy::FetchPolicy;
 using proxy::Publisher;
 using proxy::QueryOptions;
 using proxy::QueryResult;
@@ -76,7 +76,7 @@ FetchPlan OwnerPlan(const xml::DomDocument& doc, const std::string& rules_text,
 
 // --- The headline differential ---------------------------------------------
 
-TEST(FetchPlanTest, PlannedVsWindowedVsPerChunkDifferential) {
+TEST(FetchPlanTest, PerChunkVsFirstRunVsPlannedDifferential) {
   dsp::DspServer dsp;
   pki::KeyRegistry registry;
   Publisher publisher(&dsp, &registry, 21);
@@ -86,51 +86,64 @@ TEST(FetchPlanTest, PlannedVsWindowedVsPerChunkDifferential) {
   const std::string rules = "+ u //patient/admin\n";  // skip-heavy
   ASSERT_TRUE(publisher.Publish("h", doc, rules, popt).ok());
 
-  auto run = [&](FetchPolicy policy, const FetchPlan* plan,
-                 uint32_t max_prefetch = QueryOptions{}.max_prefetch) {
-    Terminal t("u", CardProfile::EGate(), &dsp, &registry);
-    EXPECT_TRUE(t.Provision("h").ok());
-    QueryOptions q;
-    q.fetch_policy = policy;
-    q.plan = plan;
-    q.max_prefetch = max_prefetch;
-    return t.Query("h", q);
+  auto fresh = [&] {
+    auto t = std::make_unique<Terminal>("u", CardProfile::EGate(), &dsp,
+                                        &registry);
+    EXPECT_TRUE(t->Provision("h").ok());
+    return t;
   };
 
-  // A one-chunk window is per-chunk fetching: one trip per card request.
-  auto per_chunk = run(FetchPolicy::kWindowed, nullptr, 1);
+  // A one-chunk window on a first run is per-chunk fetching: one trip per
+  // card request.
+  QueryOptions one;
+  one.max_prefetch = 1;
+  auto per_chunk = fresh()->Query("h", one);
   ASSERT_TRUE(per_chunk.ok()) << per_chunk.status().ToString();
-  auto windowed = run(FetchPolicy::kWindowed, nullptr);
-  ASSERT_TRUE(windowed.ok()) << windowed.status().ToString();
+  // A first run on the default window, which learns the plan.
+  auto learner = fresh();
+  auto first_run = learner->Query("h", QueryOptions{});
+  ASSERT_TRUE(first_run.ok()) << first_run.status().ToString();
+  EXPECT_TRUE(first_run.value().plan_learned);
+  // The owner-computed plan.
   FetchPlan plan = OwnerPlan(doc, rules, "u", "");
   ASSERT_FALSE(plan.runs.empty());
-  auto planned = run(FetchPolicy::kPlanned, &plan);
+  QueryOptions owner;
+  owner.plan = &plan;
+  auto planned = fresh()->Query("h", owner);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  // The learned plan: the same query again on the learning terminal.
+  auto learned = learner->Query("h", QueryOptions{});
+  ASSERT_TRUE(learned.ok()) << learned.status().ToString();
+  EXPECT_FALSE(learned.value().plan_learned);
 
   // Byte-identical views, byte-identical card transfer/crypto.
-  ExpectSameCardCost(per_chunk.value(), windowed.value());
+  ExpectSameCardCost(per_chunk.value(), first_run.value());
   ExpectSameCardCost(per_chunk.value(), planned.value());
+  ExpectSameCardCost(per_chunk.value(), learned.value());
 
-  // Monotonically non-increasing round trips: planned <= windowed <=
+  // Monotonically non-increasing round trips: planned <= first run <=
   // per-chunk — and strictly better at both steps on this skip-heavy
   // workload.
-  EXPECT_LT(windowed.value().dsp_round_trips,
+  EXPECT_LT(first_run.value().dsp_round_trips,
             per_chunk.value().dsp_round_trips);
   EXPECT_LT(planned.value().dsp_round_trips,
-            windowed.value().dsp_round_trips);
+            first_run.value().dsp_round_trips);
+  EXPECT_LE(learned.value().dsp_round_trips, planned.value().dsp_round_trips);
   EXPECT_LE(planned.value().card.round_trip_seconds,
-            windowed.value().card.round_trip_seconds);
+            first_run.value().card.round_trip_seconds);
   EXPECT_LE(planned.value().card.total_seconds,
-            windowed.value().card.total_seconds);
+            first_run.value().card.total_seconds);
 
   // The acceptance bar: skip-heavy planned round trips (open + fetches)
   // within 2x the number of contiguous needed ranges. The whole plan is
-  // in fact ONE multi-span trip.
+  // in fact ONE multi-span trip, owner-computed or learned.
   EXPECT_EQ(planned.value().plan_ranges, plan.runs.size());
-  EXPECT_EQ(planned.value().plan_miss_trips, 0u);
+  EXPECT_EQ(planned.value().window_trips, 0u);
   EXPECT_EQ(planned.value().plan_trips, 1u);
   EXPECT_LE(planned.value().dsp_round_trips, 2 * plan.runs.size());
   EXPECT_EQ(planned.value().dsp_round_trips, 2u);  // open + one batch
+  EXPECT_EQ(learned.value().window_trips, 0u);
+  EXPECT_EQ(learned.value().dsp_round_trips, 2u);
 }
 
 TEST(FetchPlanTest, FullScanPlanIsOneContiguousRun) {
@@ -153,18 +166,17 @@ TEST(FetchPlanTest, FullScanPlanIsOneContiguousRun) {
   Terminal t("u", CardProfile::EGate(), &dsp, &registry);
   ASSERT_TRUE(t.Provision("f").ok());
   QueryOptions q;
-  q.fetch_policy = FetchPolicy::kPlanned;
   q.plan = &plan;
   auto planned = t.Query("f", q);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   EXPECT_EQ(planned.value().dsp_round_trips, 2u);
-  EXPECT_EQ(planned.value().plan_miss_trips, 0u);
+  EXPECT_EQ(planned.value().window_trips, 0u);
 
   Terminal w("u", CardProfile::EGate(), &dsp, &registry);
   ASSERT_TRUE(w.Provision("f").ok());
-  auto windowed = w.Query("f", QueryOptions{});
-  ASSERT_TRUE(windowed.ok());
-  ExpectSameCardCost(windowed.value(), planned.value());
+  auto first_run = w.Query("f", QueryOptions{});
+  ASSERT_TRUE(first_run.ok());
+  ExpectSameCardCost(first_run.value(), planned.value());
 }
 
 // --- Learned plans (the terminal's learn-on-first-run path) -----------------
@@ -181,10 +193,9 @@ TEST(FetchPlanTest, TerminalLearnsPlanAndSecondQueryRidesIt) {
 
   Terminal t("u", CardProfile::EGate(), &dsp, &registry);
   ASSERT_TRUE(t.Provision("h").ok());
-  QueryOptions q;
-  q.fetch_policy = FetchPolicy::kPlanned;  // no plan supplied
+  QueryOptions q;  // no plan supplied
 
-  // First run: windowed under the hood, records the plan.
+  // First run: on the miss window, records the plan.
   auto first = t.Query("h", q);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_TRUE(first.value().plan_learned);
@@ -199,7 +210,7 @@ TEST(FetchPlanTest, TerminalLearnsPlanAndSecondQueryRidesIt) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_FALSE(second.value().plan_learned);
   EXPECT_EQ(second.value().plan_trips, 1u);
-  EXPECT_EQ(second.value().plan_miss_trips, 0u);
+  EXPECT_EQ(second.value().window_trips, 0u);
   ExpectSameCardCost(first.value(), second.value());
   EXPECT_LT(second.value().dsp_round_trips, first.value().dsp_round_trips);
   EXPECT_EQ(t.cached_plans(), 1u);
@@ -226,7 +237,6 @@ TEST(FetchPlanTest, PolicyUpdateInvalidatesLearnedPlans) {
   Terminal t("doctor", CardProfile::EGate(), &dsp, &registry);
   ASSERT_TRUE(t.Provision("folder").ok());
   QueryOptions q;
-  q.fetch_policy = FetchPolicy::kPlanned;
   auto before = t.Query("folder", q);
   ASSERT_TRUE(before.ok());
   EXPECT_TRUE(before.value().plan_learned);
@@ -249,8 +259,44 @@ TEST(FetchPlanTest, PolicyUpdateInvalidatesLearnedPlans) {
   // And the re-learned plan serves the new view with no misses.
   auto replay = t.Query("folder", q);
   ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay.value().plan_miss_trips, 0u);
+  EXPECT_EQ(replay.value().window_trips, 0u);
   EXPECT_EQ(replay.value().xml, after.value().xml);
+}
+
+TEST(FetchPlanTest, DefaultOptionsLearnThenRidePlan) {
+  // Planning is the terminal's only path: plain QueryOptions{} learn on
+  // the first run and ride the plan from the second.
+  dsp::DspServer dsp;
+  pki::KeyRegistry registry;
+  Publisher publisher(&dsp, &registry, 26);
+  proxy::PublishOptions popt;
+  popt.chunk_size = kChunkSize;
+  auto receipt = publisher.Publish("h", MakeDoc(2000, 10),
+                                   "+ u //patient/admin\n", popt);
+  ASSERT_TRUE(receipt.ok());
+
+  Terminal t("u", CardProfile::EGate(), &dsp, &registry);
+  ASSERT_TRUE(t.Provision("h").ok());
+  auto first = t.Query("h", QueryOptions{});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(first.value().plan_learned);
+  EXPECT_GT(first.value().dsp_round_trips, 2u);
+
+  auto second = t.Query("h", QueryOptions{});
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_FALSE(second.value().plan_learned);
+  EXPECT_EQ(second.value().dsp_round_trips, 2u);  // open + one planned batch
+  ExpectSameCardCost(first.value(), second.value());
+
+  // A policy update bumps the rules version: the next query re-learns.
+  ASSERT_TRUE(publisher
+                  .UpdateRules("h", receipt.value().key,
+                               "+ u //patient/admin\n- u //admin/billing\n")
+                  .ok());
+  auto relearn = t.Query("h", QueryOptions{});
+  ASSERT_TRUE(relearn.ok()) << relearn.status().ToString();
+  EXPECT_TRUE(relearn.value().plan_learned);
+  EXPECT_EQ(relearn.value().plan_trips, 0u);
 }
 
 // --- Adversarial / degenerate plans: advisory, never authoritative ----------
@@ -267,8 +313,8 @@ TEST(FetchPlanTest, WrongPlansCostTripsNeverCorrectness) {
 
   Terminal reference("u", CardProfile::EGate(), &dsp, &registry);
   ASSERT_TRUE(reference.Provision("h").ok());
-  auto windowed = reference.Query("h", QueryOptions{});
-  ASSERT_TRUE(windowed.ok());
+  auto first_run = reference.Query("h", QueryOptions{});
+  ASSERT_TRUE(first_run.ok());
 
   FetchPlan good = OwnerPlan(doc, rules, "u", "");
   std::vector<std::pair<const char*, FetchPlan>> hostile;
@@ -297,11 +343,10 @@ TEST(FetchPlanTest, WrongPlansCostTripsNeverCorrectness) {
     Terminal t("u", CardProfile::EGate(), &dsp, &registry);
     ASSERT_TRUE(t.Provision("h").ok()) << label;
     QueryOptions q;
-    q.fetch_policy = FetchPolicy::kPlanned;
     q.plan = &plan;
     auto result = t.Query("h", q);
     ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
-    ExpectSameCardCost(windowed.value(), result.value());
+    ExpectSameCardCost(first_run.value(), result.value());
   }
 }
 
@@ -393,20 +438,40 @@ TEST(FetchPlanTest, PlannedProviderServesPlanInOneTripAndFallsBackOnMisses) {
   EXPECT_EQ(backend.span_batches, 1u);
   EXPECT_EQ(provider.round_trips(), 1u);
   EXPECT_EQ(provider.planned_trips(), 1u);
-  EXPECT_EQ(provider.plan_hits(), 5u);
-  EXPECT_EQ(provider.plan_misses(), 0u);
+  EXPECT_EQ(provider.window_trips(), 0u);
   EXPECT_EQ(provider.chunks_fetched(), 5u);
 
-  // A chunk outside the plan falls through to the inner provider: one
-  // ordinary trip, correct payload, counted as a miss.
+  // A chunk outside the plan falls back to a window fetch: one ordinary
+  // trip, correct payload.
   auto miss = provider.GetChunk(5);
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(miss.value().ciphertext[0], 5u);
-  EXPECT_EQ(provider.plan_misses(), 1u);
+  EXPECT_EQ(provider.window_trips(), 1u);
   EXPECT_EQ(provider.round_trips(), 2u);
 
-  // Out of range propagates the backend's error (through the fallback).
+  // Out of range propagates the backend's error (through the window).
   EXPECT_FALSE(provider.GetChunk(99).ok());
+}
+
+TEST(FetchPlanTest, PlannedProviderMixesPlanWithWindowMisses) {
+  CountingProvider backend(16);
+  FetchPlan plan;
+  plan.runs = {ChunkRun{0, 3}, ChunkRun{8, 2}};
+  PlannedProvider provider(&backend, 16, plan, /*max_prefetch=*/2);
+
+  // 0-2 and 8-9 ride the one planned trip; 4, 6 and 12 each miss and
+  // fetch a two-chunk window, which answers 5 and 7 from the buffer.
+  const std::vector<uint32_t> card = {0, 1, 2, 4, 5, 6, 7, 8, 9, 12};
+  for (uint32_t c : card) {
+    auto chunk = provider.GetChunk(c);
+    ASSERT_TRUE(chunk.ok()) << c;
+    EXPECT_EQ(chunk.value().ciphertext[0], static_cast<uint8_t>(c)) << c;
+  }
+  EXPECT_EQ(backend.span_batches, 1u);
+  EXPECT_EQ(provider.planned_trips(), 1u);
+  EXPECT_EQ(provider.window_trips(), 3u);
+  EXPECT_EQ(provider.round_trips(), 4u);
+  EXPECT_EQ(provider.requested(), card);
 }
 
 TEST(FetchPlanTest, PlannedProviderClampsHostileGeometry) {
@@ -424,7 +489,7 @@ TEST(FetchPlanTest, PlannedProviderClampsHostileGeometry) {
     ASSERT_TRUE(chunk.ok()) << c;
     EXPECT_EQ(chunk.value().ciphertext[0], static_cast<uint8_t>(c));
   }
-  EXPECT_EQ(provider.plan_misses(), 0u);
+  EXPECT_EQ(provider.window_trips(), 0u);
   EXPECT_EQ(backend.span_batches, 1u);
 }
 

@@ -265,7 +265,8 @@ TEST(ScenGenOracle, FetchPlanSoundOverSpecDocuments) {
     auto container = crypto::SecureContainer::Parse(sealed);
     ASSERT_TRUE(container.ok());
     soe::ContainerChunkProvider backend(&container.value());
-    soe::RecordingProvider recorder(&backend);
+    soe::PlannedProvider recorder(&backend,
+                                  container.value().header().chunk_count);
     soe::ChunkSource source(key, container.value().header(), &recorder,
                             nullptr);
     auto dec = skipindex::DocumentDecoder::Open(&source);

@@ -1,7 +1,7 @@
 // Transport-layer tests for the batch-first dsp::Service protocol: round
 // trip accounting of batched vs per-chunk fetches (byte-identical views),
-// sharded hash routing, caching revalidation, and the prefetch
-// window contract.
+// sharded hash routing, caching revalidation, and the miss-window
+// contract of soe::PlannedProvider.
 
 #include <gtest/gtest.h>
 
@@ -439,7 +439,7 @@ TEST(TransportTest, MultiSpanGetChunksKeepsSpanOrderOnShardedFleet) {
   EXPECT_EQ(again.value()[3].ciphertext, reference[7].ciphertext);
 }
 
-// --- Prefetch window contract ----------------------------------------------
+// --- Miss-window contract --------------------------------------------------
 
 // Counts backend batches without any store behind it.
 class CountingProvider : public soe::ChunkProvider {
@@ -469,42 +469,34 @@ class CountingProvider : public soe::ChunkProvider {
   uint32_t chunk_count_;
 };
 
-TEST(TransportTest, PrefetchWindowGrowsSequentiallyAndCollapsesOnJumps) {
+TEST(TransportTest, MissWindowFetchesFixedBatchesOnASequentialScan) {
   CountingProvider backend(16);
-  soe::PrefetchOptions opt;
-  opt.max_window = 8;
-  soe::PrefetchingProvider prefetch(&backend, /*chunk_count=*/16, opt);
+  soe::PlannedProvider prefetch(&backend, /*chunk_count=*/16, soe::FetchPlan{},
+                                /*max_prefetch=*/8);
 
-  // Sequential scan of all 16 chunks: windows 2,4,8,2 -> 4 backend
-  // batches instead of 16, and every chunk comes back intact.
+  // Sequential scan of all 16 chunks with no plan: two fixed windows of 8
+  // instead of 16 batches, and every chunk comes back intact.
   for (uint32_t i = 0; i < 16; ++i) {
     auto chunk = prefetch.GetChunk(i);
     ASSERT_TRUE(chunk.ok()) << i;
     EXPECT_EQ(chunk.value().ciphertext[0], static_cast<uint8_t>(i));
   }
-  EXPECT_EQ(backend.batches, 4u);
-  EXPECT_EQ(prefetch.round_trips(), 4u);
+  EXPECT_EQ(backend.batches, 2u);
+  EXPECT_EQ(prefetch.round_trips(), 2u);
+  EXPECT_EQ(prefetch.window_trips(), 2u);
+  EXPECT_EQ(prefetch.planned_trips(), 0u);
   EXPECT_EQ(prefetch.chunks_fetched(), 16u);
-  EXPECT_GT(prefetch.window_hits(), 0u);
-
-  // A jump back (skip pattern) collapses the window to one chunk.
-  size_t before = backend.batches;
-  ASSERT_TRUE(prefetch.GetChunk(3).ok());
-  EXPECT_EQ(backend.batches, before + 1);
-  EXPECT_EQ(prefetch.chunks_fetched(), 17u);  // exactly one speculative-free chunk
 
   // Out-of-range propagates the backend error.
   EXPECT_FALSE(prefetch.GetChunk(99).ok());
 }
 
-TEST(TransportTest, PrefetchWindowClampsAtContainerEnd) {
-  // 5 chunks with an 8-chunk window ceiling: the grown window straddles
-  // the container end at chunk 2 (unclamped it would ask for [2, 6)) and
-  // must be clamped to the real tail — the backend errors past the end.
+TEST(TransportTest, MissWindowClampsAtContainerEnd) {
+  // 5 chunks under an 8-chunk window: the one window is clamped to the
+  // real tail — the backend errors past the end.
   CountingProvider backend(5);
-  soe::PrefetchOptions opt;
-  opt.max_window = 8;
-  soe::PrefetchingProvider prefetch(&backend, /*chunk_count=*/5, opt);
+  soe::PlannedProvider prefetch(&backend, /*chunk_count=*/5, soe::FetchPlan{},
+                                /*max_prefetch=*/8);
 
   for (uint32_t i = 0; i < 5; ++i) {
     auto chunk = prefetch.GetChunk(i);
@@ -512,31 +504,27 @@ TEST(TransportTest, PrefetchWindowClampsAtContainerEnd) {
     EXPECT_EQ(chunk.value().ciphertext[0], static_cast<uint8_t>(i));
   }
   EXPECT_EQ(backend.max_end_requested, 5u);  // never past the end
-  EXPECT_EQ(backend.batches, 2u);            // [0,2) then [2,5) clamped
+  EXPECT_EQ(backend.batches, 1u);            // [0,5) clamped
 
   // An explicit out-of-range request still passes through (the backend's
   // error is the contract), rather than being clamped into a wrong answer.
   EXPECT_FALSE(prefetch.GetChunk(7).ok());
 }
 
-TEST(TransportTest, PrefetchBackwardJumpKeepsBufferConsistent) {
-  // After a backward skip jump the window buffer is rebased; every chunk
-  // served afterwards must still carry its own payload (buf_first_
-  // bookkeeping), including window hits against the rebased buffer.
+TEST(TransportTest, MissWindowBackwardJumpKeepsPayloadsRight) {
+  // After a backward jump the buffer is refilled from the jump target;
+  // every chunk served afterwards must still carry its own payload,
+  // whether it was fetched or answered from the buffer.
   CountingProvider backend(12);
-  soe::PrefetchOptions opt;
-  opt.max_window = 4;
-  soe::PrefetchingProvider prefetch(&backend, 12, opt);
+  soe::PlannedProvider prefetch(&backend, 12, soe::FetchPlan{},
+                                /*max_prefetch=*/4);
 
   for (uint32_t i = 0; i < 8; ++i) ASSERT_TRUE(prefetch.GetChunk(i).ok());
 
-  // Jump back: collapses the window to one chunk, rebasing the buffer.
   auto back = prefetch.GetChunk(2);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().ciphertext[0], 2u);
 
-  // Resume after the jump target: sequential growth again, and each chunk
-  // (fetched or window-hit) matches its index.
   for (uint32_t i = 3; i < 12; ++i) {
     auto chunk = prefetch.GetChunk(i);
     ASSERT_TRUE(chunk.ok()) << i;
@@ -545,16 +533,14 @@ TEST(TransportTest, PrefetchBackwardJumpKeepsBufferConsistent) {
   EXPECT_EQ(backend.max_end_requested, 12u);
 }
 
-TEST(TransportTest, PrefetchWindowOneIsPerChunk) {
+TEST(TransportTest, MissWindowOneIsPerChunk) {
   CountingProvider backend(6);
-  soe::PrefetchOptions opt;
-  opt.max_window = 1;
-  soe::PrefetchingProvider prefetch(&backend, 6, opt);
+  soe::PlannedProvider prefetch(&backend, 6, soe::FetchPlan{},
+                                /*max_prefetch=*/1);
   for (uint32_t i = 0; i < 6; ++i) ASSERT_TRUE(prefetch.GetChunk(i).ok());
   EXPECT_EQ(backend.batches, 6u);
   EXPECT_EQ(prefetch.round_trips(), 6u);
 }
-
 
 // --- Backend parity ----------------------------------------------------------
 //
