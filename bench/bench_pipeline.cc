@@ -1,24 +1,34 @@
-// EXP-PIPE — the zero-copy event pipeline (parser / decoder / end-to-end).
+// EXP-PIPE — the zero-copy event pipeline (parser / decoder / end-to-end)
+// and the card session around it.
 //
-// Wall-clock microbenchmarks of the borrowed-view (`EventView`) fast path
-// against the owning-event path it replaced, at each stage of the
-// producer→evaluator→writer pipeline:
+// Wall-clock (host) microbenchmarks of the borrowed-view (`EventView`)
+// path at each stage of the producer→evaluator→writer pipeline, and of one
+// whole card session:
 //
-//   BM_Parse/owning|view      textual XML pull parse (full document)
-//   BM_Decode/owning|view     skip-index binary decode (full document)
-//   BM_EndToEnd/owning|view   decode → StreamingEvaluator → CanonicalWriter
+//   BM_Parse/view      textual XML pull parse (full document)
+//   BM_Decode/view     skip-index binary decode (full document)
+//   BM_EndToEnd/view   decode → StreamingEvaluator → CanonicalWriter
+//   BM_CardSession     CardEngine::RunSession over the sealed document
+//                      (chunk 256): verify+decrypt, decode, skip, evaluate,
+//                      write and the per-event RAM meter; host ns per
+//                      session and events/s
 //
-// Modeled on-card costs are byte-identical across the two modes (pinned by
-// the oracle differential suite); what this bench demonstrates is the real
-// CPU cost of the one-copy-per-text-event the owning path performs and the
-// borrowed path eliminates.
+// The owning-event legs these replaced are retired (their last numbers are
+// in CHANGES.md); the modeled costs of both were byte-identical, pinned by
+// the oracle differential suite.
 
 #include <benchmark/benchmark.h>
 
 #include "common/logging.h"
+#include "common/random.h"
 #include "core/evaluator.h"
+#include "core/rule_envelope.h"
+#include "crypto/container.h"
+#include "scengen/scenario.h"
 #include "skipindex/byte_source.h"
 #include "skipindex/codec.h"
+#include "soe/card_engine.h"
+#include "soe/chunk_source.h"
 #include "xml/generator.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
@@ -58,36 +68,27 @@ void SetRates(benchmark::State& state, size_t events, size_t bytes) {
       static_cast<double>(bytes), benchmark::Counter::kIsRate);
 }
 
-void BM_Parse(benchmark::State& state, bool view_mode) {
+void BM_Parse(benchmark::State& state) {
   std::string text = MakeDocText();
   size_t events = 0;
   size_t bytes = 0;
   for (auto _ : state) {
     xml::PullParser parser(text);
     for (;;) {
-      if (view_mode) {
-        auto v = parser.NextView();
-        CSXA_CHECK(v.ok());
-        if (v.value().type == xml::EventType::kEnd) break;
-        benchmark::DoNotOptimize(v.value().name.data());
-        benchmark::DoNotOptimize(v.value().text.data());
-      } else {
-        auto e = parser.Next();
-        CSXA_CHECK(e.ok());
-        if (e.value().type == xml::EventType::kEnd) break;
-        benchmark::DoNotOptimize(e.value().name.data());
-        benchmark::DoNotOptimize(e.value().text.data());
-      }
+      auto v = parser.NextView();
+      CSXA_CHECK(v.ok());
+      if (v.value().type == xml::EventType::kEnd) break;
+      benchmark::DoNotOptimize(v.value().name.data());
+      benchmark::DoNotOptimize(v.value().text.data());
       ++events;
     }
     bytes += text.size();
   }
   SetRates(state, events, bytes);
 }
-BENCHMARK_CAPTURE(BM_Parse, owning, false);
-BENCHMARK_CAPTURE(BM_Parse, view, true);
+BENCHMARK(BM_Parse)->Name("BM_Parse/view");
 
-void BM_Decode(benchmark::State& state, bool view_mode) {
+void BM_Decode(benchmark::State& state) {
   Bytes encoded = MakeEncodedDoc();
   size_t events = 0;
   size_t bytes = 0;
@@ -96,35 +97,23 @@ void BM_Decode(benchmark::State& state, bool view_mode) {
     auto dec = skipindex::DocumentDecoder::Open(&source);
     CSXA_CHECK(dec.ok());
     for (;;) {
-      if (view_mode) {
-        auto v = dec.value()->NextView();
-        CSXA_CHECK(v.ok());
-        if (v.value().type == xml::EventType::kEnd) break;
-        benchmark::DoNotOptimize(v.value().name.data());
-        benchmark::DoNotOptimize(v.value().text.data());
-      } else {
-        auto e = dec.value()->Next();
-        CSXA_CHECK(e.ok());
-        if (e.value().type == xml::EventType::kEnd) break;
-        benchmark::DoNotOptimize(e.value().name.data());
-        benchmark::DoNotOptimize(e.value().text.data());
-      }
+      auto v = dec.value()->NextView();
+      CSXA_CHECK(v.ok());
+      if (v.value().type == xml::EventType::kEnd) break;
+      benchmark::DoNotOptimize(v.value().name.data());
+      benchmark::DoNotOptimize(v.value().text.data());
       ++events;
     }
     bytes += encoded.size();
   }
   SetRates(state, events, bytes);
 }
-BENCHMARK_CAPTURE(BM_Decode, owning, false);
-BENCHMARK_CAPTURE(BM_Decode, view, true);
+BENCHMARK(BM_Decode)->Name("BM_Decode/view");
 
-void BM_EndToEnd(benchmark::State& state, bool view_mode) {
+void BM_EndToEnd(benchmark::State& state) {
   Bytes encoded = MakeEncodedDoc();
   // Immediately-decidable rules (no value predicates): the pipeline stays
-  // empty and delivered text streams through ComposeValue — the regime
-  // where the borrowed path's copy elimination is visible end to end.
-  // Predicate-heavy sessions buffer (and copy) pending output in both
-  // modes; their cost is the evaluator's, not the event representation's.
+  // empty and delivered text streams through ComposeValue as views.
   auto rules = core::RuleSet::ParseText(
                    "+ u //patient\n- u //patient/name\n- u //admin/billing\n")
                    .value();
@@ -139,22 +128,12 @@ void BM_EndToEnd(benchmark::State& state, bool view_mode) {
                                                &writer);
     CSXA_CHECK(ev.ok());
     ev.value()->BindDocumentTags(dec.value()->tags());
-    std::vector<xml::AttrView> scratch;
-    // Identical control flow in both modes (no skips): only the event
-    // representation differs.
+    // No skips: every event is decoded and evaluated.
     for (;;) {
-      if (view_mode) {
-        auto v = dec.value()->NextView();
-        CSXA_CHECK(v.ok());
-        CSXA_CHECK(ev.value()->OnEventView(v.value()).ok());
-        if (v.value().type == xml::EventType::kEnd) break;
-      } else {
-        auto e = dec.value()->Next();
-        CSXA_CHECK(e.ok());
-        CSXA_CHECK(
-            ev.value()->OnEventView(xml::ViewOf(e.value(), &scratch)).ok());
-        if (e.value().type == xml::EventType::kEnd) break;
-      }
+      auto v = dec.value()->NextView();
+      CSXA_CHECK(v.ok());
+      CSXA_CHECK(ev.value()->OnEventView(v.value()).ok());
+      if (v.value().type == xml::EventType::kEnd) break;
     }
     benchmark::DoNotOptimize(writer.str().data());
     events += ev.value()->stats().events;
@@ -162,8 +141,40 @@ void BM_EndToEnd(benchmark::State& state, bool view_mode) {
   }
   SetRates(state, events, bytes);
 }
-BENCHMARK_CAPTURE(BM_EndToEnd, owning, false);
-BENCHMARK_CAPTURE(BM_EndToEnd, view, true);
+BENCHMARK(BM_EndToEnd)->Name("BM_EndToEnd/view");
+
+void BM_CardSession(benchmark::State& state) {
+  // The hospital scenario's doctor over one sealed folder: the whole card
+  // loop, RAM meter and skip probe included, with chunk fetches served
+  // from the parsed container (no transport stack).
+  Rng rng(73);
+  auto key = crypto::SymmetricKey::Generate(&rng);
+  Bytes container_bytes =
+      crypto::SecureContainer::Seal(key, MakeEncodedDoc(), 256, &rng);
+  auto container = crypto::SecureContainer::Parse(container_bytes).value();
+  ByteWriter header;
+  container.header().EncodeTo(&header);
+  scengen::Scenario scenario = scengen::HospitalScenario();
+  auto rules = core::RuleSet::ParseText(scenario.rules_text).value();
+  Bytes sealed_rules = core::SealRuleSet(key, rules, /*version=*/1, &rng);
+  soe::CardEngine card(soe::CardProfile::EGate());
+  card.InstallKey("folder", key);
+  soe::SessionOptions options;
+  options.subject = "doctor";
+  size_t events = 0;
+  size_t bytes = 0;
+  for (auto _ : state) {
+    soe::ContainerChunkProvider provider(&container);
+    auto out = card.RunSession("folder", header.bytes(), sealed_rules,
+                               &provider, options);
+    CSXA_CHECK(out.ok());
+    benchmark::DoNotOptimize(out.value().view_xml.data());
+    events += out.value().stats.evaluator.events;
+    bytes += container.header().payload_size;
+  }
+  SetRates(state, events, bytes);
+}
+BENCHMARK(BM_CardSession);
 
 }  // namespace
 

@@ -51,11 +51,15 @@ build-tsan/tests/concurrency_test --gtest_filter='*AsyncDispatcher*' --gtest_rep
 # label adds crypto_test, whose AES-NI / SHA-NI legs do 16-byte intrinsic
 # loads and stores at every buffer length. The planner and fuzz labels
 # cover soe::PlannedProvider, which moves chunks out of its buffer, fed
-# owner, learned and corrupted plans.
+# owner, learned and corrupted plans; the fuzz label also decodes mutated
+# documents through 7-, 13- and 64-byte chunk windows. The property label
+# adds chunking_invariance_test, whose chunk sizes 64-4096 (97 and 300
+# among them) put the document decoder's byte-window edge at every
+# offset: its reads fall back from the window to ReadExact there.
 cmake -B build-asan -S . -DCSXA_SANITIZE=address \
   -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j
-(cd build-asan && ctest --output-on-failure -L "durable|transport|unit|planner|fuzz")
+(cd build-asan && ctest --output-on-failure -L "durable|transport|unit|planner|fuzz|property")
 
 # UndefinedBehaviorSanitizer pass over every label: shifts, overflows,
 # misaligned loads and bad enum values anywhere in the tree. UBSan only

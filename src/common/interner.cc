@@ -10,6 +10,7 @@ TagId Interner::Intern(std::string_view name) {
   TagId id = static_cast<TagId>(names_.size());
   names_.emplace_back(name);
   index_.emplace(names_.back(), id);
+  modeled_bytes_ += 2 + name.size();
   return id;
 }
 
@@ -43,7 +44,7 @@ Result<Interner> Interner::DecodeFrom(ByteReader* in) {
   return dict;
 }
 
-size_t Interner::ModeledBytes() const {
+size_t Interner::RecountModeledBytes() const {
   size_t n = 0;
   for (const std::string& s : names_) n += 2 + s.size();
   return n;

@@ -55,8 +55,13 @@ class Interner {
   void EncodeTo(ByteWriter* out) const;
   static Result<Interner> DecodeFrom(ByteReader* in);
 
-  /// Modeled on-card footprint (the SOE keeps the dictionary in RAM).
-  size_t ModeledBytes() const;
+  /// Modeled on-card footprint (the SOE keeps the dictionary in RAM):
+  /// 2 bytes per entry plus its name. A running total kept by Intern(),
+  /// so the card's per-event RAM meter reads it in O(1).
+  size_t ModeledBytes() const { return modeled_bytes_; }
+  /// ModeledBytes() recomputed from scratch by walking every name: the
+  /// differential check for the running total.
+  size_t RecountModeledBytes() const;
 
  private:
   // Heterogeneous hashing so Lookup(string_view) never materializes a
@@ -78,6 +83,7 @@ class Interner {
   // later Intern() calls (the documented stability contract).
   std::deque<std::string> names_;
   std::unordered_map<std::string, TagId, Hash, Eq> index_;
+  size_t modeled_bytes_ = 0;
 };
 
 }  // namespace csxa

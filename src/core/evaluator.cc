@@ -812,6 +812,31 @@ size_t StreamingEvaluator::ModeledRamBytes() const {
          pipeline_modeled_ + composer_modeled_;
 }
 
+size_t StreamingEvaluator::RecountModeledRamBytes() const {
+  size_t n = obligations_.RecountModeledBytes();
+  auto count_run = [&n](const NavRun& run) {
+    for (size_t d = 0; d < run.tokens.size(); ++d) {
+      size_t tokens = 0;
+      for (const Token& t : run.tokens[d]) tokens += 2 + t.deps.size();
+      n += tokens * (1 + run.level_repeats[d]);
+      for (const Candidate& c : run.cands[d]) n += 3 + c.deps.size();
+    }
+  };
+  for (const NavRun& run : runs_) count_run(run);
+  if (query_run_) count_run(*query_run_);
+  for (const OutEvent& ev : pipeline_) {
+    n += 2 + ev.event.name.size() + ev.event.text.size();
+    for (const xml::Attribute& a : ev.event.attrs) {
+      n += a.name.size() + a.value.size();
+    }
+    if (ev.has_snapshot) n += ev.snapshot.ModeledBytes();
+  }
+  for (size_t i = 0; i < composer_size_; ++i) {
+    n += 2 + composer_[i].tag.size();
+  }
+  return n;
+}
+
 void StreamingEvaluator::UpdatePeaks() {
   size_t ram = ModeledRamBytes();
   if (ram > stats_.modeled_ram_peak) stats_.modeled_ram_peak = ram;

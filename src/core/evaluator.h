@@ -112,8 +112,13 @@ class StreamingEvaluator : public xml::EventSink {
   void NoteSubtreeSkipped() { ++stats_.subtrees_skipped; }
   /// @}
 
-  /// Current modeled on-card memory footprint in bytes.
+  /// Current modeled on-card memory footprint in bytes: a sum of running
+  /// totals, O(1).
   size_t ModeledRamBytes() const;
+  /// ModeledRamBytes() recomputed from scratch by walking every token,
+  /// candidate, obligation, buffered event and composer entry: the
+  /// differential check for the running totals.
+  size_t RecountModeledRamBytes() const;
   /// Statistics accumulated so far.
   const EvaluatorStats& stats() const { return stats_; }
   /// Navigational plus predicate NFA transitions (cost-model input).

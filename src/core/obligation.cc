@@ -7,6 +7,7 @@ namespace csxa::core {
 PredRun::PredRun(const CompiledPath* path, int ctx_depth)
     : path_(path), ctx_depth_(ctx_depth) {
   stack_.push_back({0});
+  modeled_ = 1;
 }
 
 bool PredRun::OnOpen(std::string_view tag, int depth, TagId tag_id) {
@@ -31,12 +32,14 @@ bool PredRun::OnOpen(std::string_view tag, int depth, TagId tag_id) {
         }
         // Value test: capture this node's direct text until it closes.
         captures_.push_back(Capture{depth, std::string()});
+        modeled_ += 2;
       }
       next.push_back(t);
     }
   }
   std::sort(next.begin(), next.end());
   next.erase(std::unique(next.begin(), next.end()), next.end());
+  modeled_ += next.size();
   stack_.push_back(std::move(next));
   return false;
 }
@@ -44,7 +47,10 @@ bool PredRun::OnOpen(std::string_view tag, int depth, TagId tag_id) {
 void PredRun::OnValue(std::string_view text, int depth) {
   if (satisfied_) return;
   for (Capture& c : captures_) {
-    if (c.depth == depth) c.text += text;
+    if (c.depth == depth) {
+      c.text += text;
+      modeled_ += text.size();
+    }
   }
 }
 
@@ -57,12 +63,16 @@ bool PredRun::OnClose(int depth) {
         satisfied_ = true;
         newly = true;
       }
+      modeled_ -= 2 + captures_[i].text.size();
       captures_.erase(captures_.begin() + static_cast<long>(i));
     } else {
       ++i;
     }
   }
-  if (stack_.size() > 1) stack_.pop_back();
+  if (stack_.size() > 1) {
+    modeled_ -= stack_.back().size();
+    stack_.pop_back();
+  }
   return newly;
 }
 
@@ -85,7 +95,7 @@ bool PredRun::CanResolveWithin(
   return CanReachFinal(*path_, stack_.back(), has_tag, subtree_nonempty);
 }
 
-size_t PredRun::ModeledBytes() const {
+size_t PredRun::RecountModeledBytes() const {
   size_t n = 0;
   for (const auto& level : stack_) n += level.size();  // 1 byte per state id
   for (const Capture& c : captures_) n += 2 + c.text.size();
@@ -97,9 +107,17 @@ int ObligationSet::Create(const CompiledPath* path, int ctx_depth) {
   Entry e;
   e.ctx_depth = ctx_depth;
   e.run = std::make_unique<PredRun>(path, ctx_depth);
+  modeled_ += 4 + e.run->ModeledBytes();
   entries_.push_back(std::move(e));
   live_.push_back(id);
   return id;
+}
+
+void ObligationSet::Retire(Entry* e, State state) {
+  e->state = state;
+  retired_transitions_ += e->run->transitions();
+  modeled_ -= e->run->ModeledBytes();
+  e->run.reset();
 }
 
 bool ObligationSet::Sweep() {
@@ -107,12 +125,11 @@ bool ObligationSet::Sweep() {
   for (size_t i = 0; i < live_.size();) {
     Entry& e = entries_[static_cast<size_t>(live_[i])];
     if (e.run && e.run->satisfied()) {
-      e.state = State::kTrue;
-      retired_transitions_ += e.run->transitions();
-      e.run.reset();
+      Retire(&e, State::kTrue);
       changed = true;
     }
     if (e.state != State::kPending) {
+      modeled_ -= 4;
       live_.erase(live_.begin() + static_cast<long>(i));
     } else {
       ++i;
@@ -124,8 +141,10 @@ bool ObligationSet::Sweep() {
 bool ObligationSet::OnOpen(std::string_view tag, int depth, TagId tag_id) {
   bool any = false;
   for (int id : live_) {
-    Entry& e = entries_[static_cast<size_t>(id)];
-    if (e.run->OnOpen(tag, depth, tag_id)) any = true;
+    PredRun& run = *entries_[static_cast<size_t>(id)].run;
+    size_t before = run.ModeledBytes();
+    if (run.OnOpen(tag, depth, tag_id)) any = true;
+    modeled_ += run.ModeledBytes() - before;
   }
   if (any) Sweep();
   return any;
@@ -133,7 +152,10 @@ bool ObligationSet::OnOpen(std::string_view tag, int depth, TagId tag_id) {
 
 bool ObligationSet::OnValue(std::string_view text, int depth) {
   for (int id : live_) {
-    entries_[static_cast<size_t>(id)].run->OnValue(text, depth);
+    PredRun& run = *entries_[static_cast<size_t>(id)].run;
+    size_t before = run.ModeledBytes();
+    run.OnValue(text, depth);
+    modeled_ += run.ModeledBytes() - before;
   }
   return false;
 }
@@ -142,12 +164,12 @@ bool ObligationSet::OnClose(int depth) {
   bool any = false;
   for (int id : live_) {
     Entry& e = entries_[static_cast<size_t>(id)];
+    size_t before = e.run->ModeledBytes();
     if (e.run->OnClose(depth)) any = true;
+    modeled_ += e.run->ModeledBytes() - before;  // modular: may shrink
     // Context node closing unsatisfied resolves the obligation to false.
     if (!e.run->satisfied() && e.ctx_depth == depth) {
-      e.state = State::kFalse;
-      retired_transitions_ += e.run->transitions();
-      e.run.reset();
+      Retire(&e, State::kFalse);
       any = true;
     }
   }
@@ -169,11 +191,11 @@ bool ObligationSet::BlocksSkip(
   return false;
 }
 
-size_t ObligationSet::ModeledBytes() const {
+size_t ObligationSet::RecountModeledBytes() const {
   size_t n = 0;
   for (int id : live_) {
     const Entry& e = entries_[static_cast<size_t>(id)];
-    n += 4 + (e.run ? e.run->ModeledBytes() : 0);
+    n += 4 + (e.run ? e.run->RecountModeledBytes() : 0);
   }
   return n;
 }

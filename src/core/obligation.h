@@ -59,8 +59,11 @@ class PredRun {
   bool CanResolveWithin(const std::function<bool(std::string_view)>& has_tag,
                         bool subtree_nonempty) const;
 
-  /// Modeled on-card footprint in bytes (stack entries + capture text).
-  size_t ModeledBytes() const;
+  /// Modeled on-card footprint in bytes (stack entries + capture text):
+  /// a running total kept by the On* calls, O(1).
+  size_t ModeledBytes() const { return modeled_; }
+  /// ModeledBytes() recomputed from scratch (differential check).
+  size_t RecountModeledBytes() const;
   /// Number of NFA transitions executed so far (cost accounting).
   size_t transitions() const { return transitions_; }
 
@@ -78,6 +81,7 @@ class PredRun {
     std::string text;
   };
   std::vector<Capture> captures_;
+  size_t modeled_ = 0;
 };
 
 /// \brief Registry of obligations for one evaluation session.
@@ -114,8 +118,12 @@ class ObligationSet {
   bool BlocksSkip(const std::function<bool(std::string_view)>& has_tag,
                   bool subtree_nonempty, int subtree_root_depth) const;
 
-  /// Total modeled footprint of live obligations.
-  size_t ModeledBytes() const;
+  /// Total modeled footprint of live obligations (4 bytes each plus their
+  /// run): a running total, O(1).
+  size_t ModeledBytes() const { return modeled_; }
+  /// ModeledBytes() recomputed from scratch by walking every live run
+  /// (differential check).
+  size_t RecountModeledBytes() const;
   /// Total predicate-NFA transitions executed.
   size_t transitions() const;
 
@@ -128,7 +136,10 @@ class ObligationSet {
   std::vector<Entry> entries_;
   std::vector<int> live_;
   size_t retired_transitions_ = 0;
+  size_t modeled_ = 0;
 
+  // Resolves a live entry: retires its run and its share of modeled_.
+  void Retire(Entry* e, State state);
   bool Sweep();  // drops resolved runs from live_, returns true if any
 };
 

@@ -11,6 +11,7 @@
 /// skip index exists to harvest (§2.3).
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/bytes.h"
@@ -35,64 +36,84 @@ struct ChunkRun {
 };
 
 /// \brief Abstract sequential source.
+///
+/// Byte window: a source that already holds the next bytes of the stream
+/// contiguously in memory (MemorySource: the rest of its buffer;
+/// soe::ChunkSource: the rest of the current decrypted chunk) exposes them
+/// as an inline, non-virtual window. A reader consumes from the window
+/// with Consume() and calls the virtual ReadExact only at its edge, so a
+/// one-byte token or varint costs no virtual call, and bytes inside the
+/// window can be borrowed without a copy. Window bytes are part of the
+/// stream: consuming them advances position() exactly as a ReadExact of
+/// the same bytes would. A source that must observe every read
+/// (RangeRecordingSource) exposes no window, which forces readers through
+/// its virtual methods. The window, and any pointer into it, is
+/// invalidated by the next virtual call on the source — the document
+/// decoder therefore only hands borrowed bytes out for one event.
 class ByteSource {
  public:
   virtual ~ByteSource() = default;
 
   /// Reads exactly `n` bytes into `buf`; IoError if the stream ends first.
   virtual Status ReadExact(uint8_t* buf, size_t n) = 0;
-  /// Zero-copy read: when the next `n` bytes are contiguous in a buffer
-  /// the source already owns, returns a pointer to them and advances the
-  /// cursor; otherwise returns nullptr and the cursor is unchanged (the
-  /// caller falls back to ReadExact, which also surfaces any I/O error).
-  /// The pointer is invalidated by the next ReadExact/Skip/View call that
-  /// refills the source's buffer — the document decoder therefore only
-  /// hands such views out for the duration of one event.
-  virtual const uint8_t* View(size_t n) {
-    (void)n;
-    return nullptr;
-  }
   /// Advances the cursor `n` bytes without necessarily materializing them.
   virtual Status Skip(uint64_t n) = 0;
   /// Absolute cursor position.
   virtual uint64_t position() const = 0;
   /// True when the cursor is at the end of the stream.
   virtual bool AtEnd() const = 0;
+
+  /// Bytes readable from the window without a virtual call (0 when the
+  /// source exposes none or the window is exhausted).
+  size_t window_size() const { return static_cast<size_t>(win_end_ - win_); }
+  /// The window's first byte; valid when window_size() > 0.
+  const uint8_t* window() const { return win_; }
+  /// Consumes `n <= window_size()` window bytes.
+  void Consume(size_t n) { win_ += n; }
+
+ protected:
+  /// Sets the window to [begin, end); pass nullptrs to expose none.
+  void SetWindow(const uint8_t* begin, const uint8_t* end) {
+    win_ = begin;
+    win_end_ = end;
+  }
+
+ private:
+  const uint8_t* win_ = nullptr;
+  const uint8_t* win_end_ = nullptr;
 };
 
 /// \brief In-memory source (tests, terminal-side decoding).
+///
+/// The window is the rest of the buffer, and it is also the cursor.
 class MemorySource : public ByteSource {
  public:
-  explicit MemorySource(Span data) : data_(data) {}
+  explicit MemorySource(Span data) : data_(data) {
+    SetWindow(data_.data(), data_.data() + data_.size());
+  }
 
   Status ReadExact(uint8_t* buf, size_t n) override {
-    if (data_.size() - pos_ < n) {
+    if (window_size() < n) {
       return Status::IoError("memory source exhausted");
     }
-    std::memcpy(buf, data_.data() + pos_, n);
-    pos_ += n;
+    std::memcpy(buf, window(), n);
+    Consume(n);
     return Status::OK();
-  }
-  const uint8_t* View(size_t n) override {
-    // The whole stream is one stable buffer: every read is zero-copy.
-    if (data_.size() - pos_ < n) return nullptr;
-    const uint8_t* p = data_.data() + pos_;
-    pos_ += n;
-    return p;
   }
   Status Skip(uint64_t n) override {
-    if (data_.size() - pos_ < n) {
+    if (window_size() < n) {
       return Status::IoError("skip past end of memory source");
     }
-    pos_ += n;
+    Consume(static_cast<size_t>(n));
     return Status::OK();
   }
-  uint64_t position() const override { return pos_; }
-  bool AtEnd() const override { return pos_ == data_.size(); }
+  uint64_t position() const override {
+    return static_cast<uint64_t>(window() - data_.data());
+  }
+  bool AtEnd() const override { return window_size() == 0; }
 
  private:
   Span data_;
-  size_t pos_ = 0;
 };
 
 /// \brief Decorator recording which byte ranges are actually *read* (as
@@ -104,6 +125,8 @@ class MemorySource : public ByteSource {
 /// the cursor without recording, which is the whole point: skipped
 /// ranges never need fetching. Reads are monotone (sources are forward
 /// only), so the recorded ranges come out sorted, disjoint and merged.
+/// It exposes no byte window: a read consumed from the inner source's
+/// window would bypass the recording.
 class RangeRecordingSource : public ByteSource {
  public:
   explicit RangeRecordingSource(ByteSource* inner) : inner_(inner) {}
@@ -113,12 +136,6 @@ class RangeRecordingSource : public ByteSource {
     CSXA_RETURN_IF_ERROR(inner_->ReadExact(buf, n));
     Record(at, n);
     return Status::OK();
-  }
-  const uint8_t* View(size_t n) override {
-    uint64_t at = inner_->position();
-    const uint8_t* p = inner_->View(n);
-    if (p != nullptr) Record(at, n);
-    return p;
   }
   Status Skip(uint64_t n) override { return inner_->Skip(n); }
   uint64_t position() const override { return inner_->position(); }

@@ -1,6 +1,7 @@
 #include "skipindex/codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "common/varint.h"
@@ -178,11 +179,25 @@ Result<Bytes> EncodeDocument(const xml::DomDocument& doc,
 // Decoder
 // ---------------------------------------------------------------------------
 
-Status DocumentDecoder::ReadByte(uint8_t* b) {
-  return source_->ReadExact(b, 1);
+Status DocumentDecoder::ReadVarint(uint64_t* v) {
+  // Fast path: the whole varint lies inside the window.
+  const uint8_t* p = source_->window();
+  size_t avail = source_->window_size();
+  uint64_t result = 0;
+  for (size_t i = 0; i < avail && i < 10; ++i) {
+    result |= static_cast<uint64_t>(p[i] & 0x7f) << (7 * i);
+    if ((p[i] & 0x80) == 0) {
+      source_->Consume(i + 1);
+      *v = result;
+      return Status::OK();
+    }
+  }
+  // Straddles the window edge (or is overlong): nothing consumed yet, so
+  // decode byte by byte from the start.
+  return ReadVarintSlow(v);
 }
 
-Status DocumentDecoder::ReadVarint(uint64_t* v) {
+Status DocumentDecoder::ReadVarintSlow(uint64_t* v) {
   uint64_t result = 0;
   int shift = 0;
   for (int i = 0; i < 10; ++i) {
@@ -214,16 +229,18 @@ Result<std::string_view> DocumentDecoder::ReadStringView(bool borrow,
   CSXA_RETURN_IF_ERROR(ReadVarint(&len));
   if (len > (1u << 26)) return Status::ParseError("oversized string");
   if (len == 0) return std::string_view();
-  if (borrow) {
-    const uint8_t* p = source_->View(static_cast<size_t>(len));
-    if (p != nullptr) {
-      return std::string_view(reinterpret_cast<const char*>(p),
-                              static_cast<size_t>(len));
-    }
+  size_t n = static_cast<size_t>(len);
+  if (source_->window_size() >= n) {
+    const char* p = reinterpret_cast<const char*>(source_->window());
+    source_->Consume(n);
+    if (borrow) return std::string_view(p, n);
+    scratch->assign(p, n);
+    return std::string_view(*scratch);
   }
-  scratch->resize(static_cast<size_t>(len));
-  CSXA_RETURN_IF_ERROR(source_->ReadExact(
-      reinterpret_cast<uint8_t*>(scratch->data()), static_cast<size_t>(len)));
+  // Straddles the window edge: copy.
+  scratch->resize(n);
+  CSXA_RETURN_IF_ERROR(
+      source_->ReadExact(reinterpret_cast<uint8_t*>(scratch->data()), n));
   return std::string_view(*scratch);
 }
 
@@ -255,9 +272,41 @@ Result<std::unique_ptr<DocumentDecoder>> DocumentDecoder::Open(
   return dec;
 }
 
+Status DocumentDecoder::ReadTagSet() {
+  // The bitmap's bits index the parent's set (recursive compression) or
+  // the whole dictionary; the root's parent set is the whole dictionary.
+  bool over_parent = recursive_ && !open_.empty();
+  size_t parent_begin = over_parent ? open_.back().set_begin : 0;
+  size_t width = over_parent ? tagset_ids_.size() - parent_begin
+                             : tag_dict_.size();
+  size_t nbytes = (width + 7) / 8;
+  const uint8_t* bits;
+  if (source_->window_size() >= nbytes) {
+    bits = source_->window();
+    source_->Consume(nbytes);
+  } else {
+    bitmap_scratch_.resize(nbytes);
+    CSXA_RETURN_IF_ERROR(source_->ReadExact(bitmap_scratch_.data(), nbytes));
+    bits = bitmap_scratch_.data();
+  }
+  // Set bits in ascending order; bits past `width` in the last byte are
+  // padding.
+  for (size_t byte = 0; byte < nbytes; ++byte) {
+    for (unsigned b = bits[byte]; b != 0; b &= b - 1) {
+      size_t i = byte * 8 + static_cast<size_t>(std::countr_zero(b));
+      if (i >= width) break;
+      // Copy first: push_back may reallocate the parent's entries.
+      uint32_t id = over_parent ? tagset_ids_[parent_begin + i]
+                                : static_cast<uint32_t>(i);
+      tagset_ids_.push_back(id);
+    }
+  }
+  return Status::OK();
+}
+
 Result<xml::EventView> DocumentDecoder::NextView() {
   if (done_) return xml::EventView::End();
-  if (depth_ == 0 && root_closed_) {
+  if (open_.empty() && root_closed_) {
     if (!source_->AtEnd()) {
       return Status::ParseError("trailing bytes after document root");
     }
@@ -295,43 +344,16 @@ Result<xml::EventView> DocumentDecoder::NextView() {
       last_content_size_ = 0;
       last_has_elements_ = false;
       last_has_text_ = false;
-      std::vector<uint32_t> own_set;
+      size_t set_begin = tagset_ids_.size();
       if (with_index_) {
         CSXA_RETURN_IF_ERROR(ReadVarint(&last_content_size_));
         uint8_t mflags;
         CSXA_RETURN_IF_ERROR(ReadByte(&mflags));
         last_has_elements_ = (mflags & kMetaHasElements) != 0;
         last_has_text_ = (mflags & kMetaHasText) != 0;
-        if (last_has_elements_) {
-          size_t width;
-          if (recursive_) {
-            width = tagset_stack_.empty() ? tag_dict_.size()
-                                          : tagset_stack_.back().size();
-          } else {
-            width = tag_dict_.size();
-          }
-          size_t nbytes = (width + 7) / 8;
-          std::vector<uint8_t> bits(nbytes);
-          if (nbytes > 0) {
-            CSXA_RETURN_IF_ERROR(source_->ReadExact(bits.data(), nbytes));
-          }
-          for (size_t i = 0; i < width; ++i) {
-            if ((bits[i / 8] >> (i % 8)) & 1) {
-              uint32_t id;
-              if (recursive_) {
-                id = tagset_stack_.empty() ? static_cast<uint32_t>(i)
-                                           : tagset_stack_.back()[i];
-              } else {
-                id = static_cast<uint32_t>(i);
-              }
-              own_set.push_back(id);
-            }
-          }
-        }
+        if (last_has_elements_) CSXA_RETURN_IF_ERROR(ReadTagSet());
       }
-      tagset_stack_.push_back(std::move(own_set));
-      open_tag_ids_.push_back(static_cast<uint32_t>(tag_id));
-      ++depth_;
+      open_.push_back(OpenLevel{static_cast<uint32_t>(tag_id), set_begin});
       just_opened_ = true;
       return xml::EventView::Open(
           tag_dict_.Name(static_cast<uint32_t>(tag_id)), attr_views_.data(),
@@ -339,7 +361,7 @@ Result<xml::EventView> DocumentDecoder::NextView() {
     }
     case kTokValue: {
       just_opened_ = false;
-      if (depth_ == 0) return Status::ParseError("value outside root");
+      if (open_.empty()) return Status::ParseError("value outside root");
       // The text bytes are the event's last read: borrow them straight
       // from the source's buffer when contiguous (zero-copy for the
       // dominant byte share of a document).
@@ -349,13 +371,12 @@ Result<xml::EventView> DocumentDecoder::NextView() {
     }
     case kTokClose: {
       just_opened_ = false;
-      if (depth_ == 0) return Status::ParseError("close without open");
-      uint32_t tag_id = open_tag_ids_.back();
-      open_tag_ids_.pop_back();
-      tagset_stack_.pop_back();
-      --depth_;
-      if (depth_ == 0) root_closed_ = true;
-      return xml::EventView::Close(tag_dict_.Name(tag_id), tag_id);
+      if (open_.empty()) return Status::ParseError("close without open");
+      OpenLevel level = open_.back();
+      open_.pop_back();
+      tagset_ids_.resize(level.set_begin);
+      if (open_.empty()) root_closed_ = true;
+      return xml::EventView::Close(tag_dict_.Name(level.tag_id), level.tag_id);
     }
     default:
       return Status::ParseError("unknown token in document stream");
@@ -368,11 +389,11 @@ Result<xml::Event> DocumentDecoder::Next() {
 }
 
 bool DocumentDecoder::SubtreeHasTag(std::string_view tag) const {
-  if (!with_index_ || tagset_stack_.empty()) return false;
+  if (!with_index_ || open_.empty()) return false;
   uint32_t id = tag_dict_.Lookup(tag);
   if (id == kNoTagId) return false;
-  const std::vector<uint32_t>& set = tagset_stack_.back();
-  return std::binary_search(set.begin(), set.end(), id);
+  return std::binary_search(tagset_ids_.begin() + open_.back().set_begin,
+                            tagset_ids_.end(), id);
 }
 
 Status DocumentDecoder::SkipContent() {
@@ -386,10 +407,14 @@ Status DocumentDecoder::SkipContent() {
   return source_->Skip(last_content_size_);
 }
 
-size_t DocumentDecoder::ModeledBytes() const {
-  size_t n = tag_dict_.ModeledBytes() + attr_dict_.ModeledBytes();
-  for (const auto& set : tagset_stack_) n += set.size() * 2;
-  n += open_tag_ids_.size() * 2;
+size_t DocumentDecoder::RecountModeledBytes() const {
+  size_t n = tag_dict_.RecountModeledBytes() + attr_dict_.RecountModeledBytes();
+  for (size_t i = 0; i < open_.size(); ++i) {
+    size_t end = i + 1 < open_.size() ? open_[i + 1].set_begin
+                                      : tagset_ids_.size();
+    n += 2 * (end - open_[i].set_begin);
+  }
+  n += 2 * open_.size();
   return n;
 }
 

@@ -116,10 +116,10 @@ class DocumentDecoder {
   /// Pulls the next event as a borrowed view — the SOE's zero-copy fast
   /// path. Tag and attribute names borrow from the decoder's dictionaries
   /// (stable for its lifetime); text borrows straight from the source's
-  /// chunk buffer when the bytes are contiguous (`ByteSource::View`),
-  /// falling back to a reused scratch buffer otherwise; attribute values
-  /// land in reused scratch. Everything except the dictionary names is
-  /// invalidated by the next Next()/NextView() call.
+  /// byte window when it lies inside it, falling back to a reused scratch
+  /// buffer otherwise; attribute values land in reused scratch. Everything
+  /// except the dictionary names is invalidated by the next
+  /// Next()/NextView() call.
   Result<xml::EventView> NextView();
 
   /// Owning convenience: NextView() materialized. Returns kEnd exactly
@@ -148,18 +148,45 @@ class DocumentDecoder {
   const Interner& tags() const { return tag_dict_; }
   const Interner& attrs() const { return attr_dict_; }
 
-  /// Modeled decoder RAM: dictionaries plus the ancestor tag-set stack.
-  size_t ModeledBytes() const;
+  /// Modeled decoder RAM: dictionaries plus the ancestor tag-set stack
+  /// (2 bytes per open element and per tag-set entry). O(1): every term
+  /// is a running total.
+  size_t ModeledBytes() const {
+    return tag_dict_.ModeledBytes() + attr_dict_.ModeledBytes() +
+           2 * (open_.size() + tagset_ids_.size());
+  }
+  /// ModeledBytes() recomputed from scratch by walking the dictionaries
+  /// and every open level: the differential check for the running total.
+  size_t RecountModeledBytes() const;
 
  private:
   DocumentDecoder() = default;
 
+  // One open element: its tag id and where its subtree tag set begins in
+  // tagset_ids_ (it runs to the next level's begin, or to the end).
+  struct OpenLevel {
+    uint32_t tag_id;
+    size_t set_begin;
+  };
+
+  // Both read from the source's byte window and call into the source only
+  // at the window's edge.
   Status ReadVarint(uint64_t* v);
-  Status ReadByte(uint8_t* b);
+  Status ReadByte(uint8_t* b) {
+    if (source_->window_size() > 0) {
+      *b = *source_->window();
+      source_->Consume(1);
+      return Status::OK();
+    }
+    return source_->ReadExact(b, 1);
+  }
+  Status ReadVarintSlow(uint64_t* v);
+  // Reads the OPEN's subtree bitmap and pushes the decoded tag set.
+  Status ReadTagSet();
   Result<std::string> ReadString();
   // Borrowed read of a length-prefixed string. With `borrow` the bytes
-  // may alias the source's internal buffer (only safe for the last read
-  // of an event); otherwise they are copied into `scratch`.
+  // may alias the source's byte window (only safe for the last read of an
+  // event); otherwise they are copied into `scratch`.
   Result<std::string_view> ReadStringView(bool borrow, std::string* scratch);
 
   ByteSource* source_ = nullptr;
@@ -169,25 +196,27 @@ class DocumentDecoder {
   bool recursive_ = false;
   bool done_ = false;
   bool root_closed_ = false;
-  int depth_ = 0;
   bool just_opened_ = false;
-  std::vector<uint32_t> open_tag_ids_;
+  std::vector<OpenLevel> open_;
 
   uint64_t last_content_size_ = 0;
   bool last_has_elements_ = false;
   bool last_has_text_ = false;
 
-  // Stack of subtree tag sets (sorted tag-id lists); back() is the set of
-  // the innermost open element. Root base is the full dictionary.
-  std::vector<std::vector<uint32_t>> tagset_stack_;
+  // Flat stack of subtree tag sets (sorted tag-id lists), one per open
+  // element, concatenated; the innermost set is the tail from
+  // open_.back().set_begin. The root's base is the full dictionary.
+  std::vector<uint32_t> tagset_ids_;
 
   // Per-event borrowed storage (NextView), reused across events so the
   // steady-state decode loop performs no allocation. attr_vals_ never
   // shrinks: views into its strings stay valid while attr_views_ is
-  // (re)built within one event.
+  // (re)built within one event. bitmap_scratch_ holds a subtree bitmap
+  // that straddles the source's window edge.
   std::vector<xml::AttrView> attr_views_;
   std::vector<std::string> attr_vals_;
   std::string text_scratch_;
+  std::vector<uint8_t> bitmap_scratch_;
 };
 
 }  // namespace csxa::skipindex

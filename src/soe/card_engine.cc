@@ -75,6 +75,7 @@ Result<SessionOutput> CardEngine::RunSession(const std::string& doc_id,
   skipindex::DocumentDecoder* dec = decoder.get();
   ChunkSource* src = &source;
   // Fixed applet overhead: key material, session bookkeeping, I/O staging.
+  // Every other term is a running total, so metering is O(1) per event.
   constexpr size_t kFixedOverhead = 96;
   fopts.on_event = [ev, dec, src, &ram]() {
     return ram.Update(kFixedOverhead + ev->ModeledRamBytes() +

@@ -1,5 +1,8 @@
 #include "soe/chunk_source.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace csxa::soe {
 
 Result<std::vector<ChunkData>> ContainerChunkProvider::FetchChunks(
@@ -61,42 +64,52 @@ Status ChunkSource::EnsureChunk(uint32_t index) {
   return Status::OK();
 }
 
+Status ChunkSource::LoadWindow() {
+  uint64_t pos = position();
+  uint32_t chunk = static_cast<uint32_t>(pos / header_.chunk_size);
+  CSXA_RETURN_IF_ERROR(EnsureChunk(chunk));
+  uint64_t chunk_begin = uint64_t{chunk} * header_.chunk_size;
+  size_t off = static_cast<size_t>(pos - chunk_begin);
+  // Never expose bytes past the payload, whatever the chunk's length.
+  size_t end = static_cast<size_t>(
+      std::min<uint64_t>(buf_.size(), header_.payload_size - chunk_begin));
+  if (off >= end) return Status::IntegrityError("chunk shorter than header");
+  win_pos_ = pos;
+  win_origin_ = buf_.data() + off;
+  SetWindow(win_origin_, buf_.data() + end);
+  return Status::OK();
+}
+
 Status ChunkSource::ReadExact(uint8_t* buf, size_t n) {
   while (n > 0) {
-    if (pos_ >= header_.payload_size) {
-      return Status::IoError("read past end of container payload");
+    if (window_size() == 0) {
+      if (AtEnd()) {
+        return Status::IoError("read past end of container payload");
+      }
+      CSXA_RETURN_IF_ERROR(LoadWindow());
     }
-    uint32_t chunk = static_cast<uint32_t>(pos_ / header_.chunk_size);
-    CSXA_RETURN_IF_ERROR(EnsureChunk(chunk));
-    size_t off = static_cast<size_t>(pos_ % header_.chunk_size);
-    size_t avail = buf_.size() - off;
-    size_t take = avail < n ? avail : n;
-    std::memcpy(buf, buf_.data() + off, take);
+    size_t take = std::min(window_size(), n);
+    std::memcpy(buf, window(), take);
+    Consume(take);
     buf += take;
     n -= take;
-    pos_ += take;
   }
   return Status::OK();
 }
 
-const uint8_t* ChunkSource::View(size_t n) {
-  if (n == 0 || header_.payload_size - pos_ < n) return nullptr;
-  uint32_t first = static_cast<uint32_t>(pos_ / header_.chunk_size);
-  uint32_t last = static_cast<uint32_t>((pos_ + n - 1) / header_.chunk_size);
-  if (first != last) return nullptr;  // crosses chunks: caller copies
-  if (!EnsureChunk(first).ok()) {
-    return nullptr;  // fall back to ReadExact, which surfaces the error
-  }
-  size_t off = static_cast<size_t>(pos_ % header_.chunk_size);
-  pos_ += n;
-  return buf_.data() + off;
-}
-
 Status ChunkSource::Skip(uint64_t n) {
-  if (header_.payload_size - pos_ < n) {
+  uint64_t pos = position();
+  if (header_.payload_size - pos < n) {
     return Status::IoError("skip past end of container payload");
   }
-  pos_ += n;
+  if (n <= window_size()) {
+    Consume(static_cast<size_t>(n));
+  } else {
+    // Past the window: park the cursor with no window until the next read.
+    win_pos_ = pos + n;
+    win_origin_ = nullptr;
+    SetWindow(nullptr, nullptr);
+  }
   return Status::OK();
 }
 

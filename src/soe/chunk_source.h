@@ -145,6 +145,11 @@ class ContainerChunkProvider : public ChunkProvider {
 };
 
 /// \brief ByteSource over the container payload with lazy chunk fetching.
+///
+/// Its byte window is the rest of the current decrypted chunk, so the
+/// decoder reads tokens and varints, and borrows text, straight out of the
+/// chunk buffer and calls back into the source only at a chunk edge. A
+/// new chunk replaces the buffer, which is what ends a borrow.
 class ChunkSource : public skipindex::ByteSource {
  public:
   /// `header` must already be root-verified under `key` by the caller.
@@ -156,15 +161,11 @@ class ChunkSource : public skipindex::ByteSource {
               CostModel* cost, bool charge_transfer = true);
 
   Status ReadExact(uint8_t* buf, size_t n) override;
-  /// Zero-copy read into the current chunk's plaintext buffer: succeeds
-  /// when the range lies within a single chunk (fetching it if needed).
-  /// The pointer is invalidated by the next chunk fetch, i.e. at the
-  /// earliest by the next read that leaves this chunk — within the
-  /// decoder's one-event borrow discipline that is always safe.
-  const uint8_t* View(size_t n) override;
   Status Skip(uint64_t n) override;
-  uint64_t position() const override { return pos_; }
-  bool AtEnd() const override { return pos_ >= header_.payload_size; }
+  uint64_t position() const override {
+    return win_pos_ + static_cast<uint64_t>(window() - win_origin_);
+  }
+  bool AtEnd() const override { return position() >= header_.payload_size; }
 
   /// Chunks actually fetched (transferred + decrypted).
   uint64_t chunks_fetched() const { return chunks_fetched_; }
@@ -176,6 +177,9 @@ class ChunkSource : public skipindex::ByteSource {
 
  private:
   Status EnsureChunk(uint32_t index);
+  // Makes the window the rest of the chunk holding the cursor, fetching
+  // that chunk if needed; the cursor must be inside the payload.
+  Status LoadWindow();
 
   crypto::DocCipher cipher_;
   crypto::ContainerHeader header_;
@@ -183,7 +187,10 @@ class ChunkSource : public skipindex::ByteSource {
   CostModel* cost_;
   bool charge_transfer_;
 
-  uint64_t pos_ = 0;
+  // The cursor is win_pos_ plus the window bytes consumed since
+  // win_origin_, the window start SetWindow was given.
+  uint64_t win_pos_ = 0;
+  const uint8_t* win_origin_ = nullptr;
   uint32_t buf_index_ = 0;
   bool buf_valid_ = false;
   Bytes buf_;  // plaintext of chunk buf_index_

@@ -51,6 +51,34 @@ uint64_t SeedOffset() {
   return offset;
 }
 
+// Differential check for the O(1) RAM meter: every running modeled-bytes
+// total equals its from-scratch recompute. Returns the first mismatch, or
+// "" when all agree. `dec` may be null (DOM-fed runs have no decoder).
+std::string RamTotalsMismatch(const core::StreamingEvaluator& ev,
+                              const skipindex::DocumentDecoder* dec) {
+  auto diff = [](const char* what, size_t running, size_t recount) {
+    return what + std::string(": running ") + std::to_string(running) +
+           " != recount " + std::to_string(recount);
+  };
+  if (ev.ModeledRamBytes() != ev.RecountModeledRamBytes()) {
+    return diff("evaluator", ev.ModeledRamBytes(),
+                ev.RecountModeledRamBytes());
+  }
+  if (dec == nullptr) return "";
+  if (dec->tags().ModeledBytes() != dec->tags().RecountModeledBytes()) {
+    return diff("tag dictionary", dec->tags().ModeledBytes(),
+                dec->tags().RecountModeledBytes());
+  }
+  if (dec->attrs().ModeledBytes() != dec->attrs().RecountModeledBytes()) {
+    return diff("attribute dictionary", dec->attrs().ModeledBytes(),
+                dec->attrs().RecountModeledBytes());
+  }
+  if (dec->ModeledBytes() != dec->RecountModeledBytes()) {
+    return diff("decoder", dec->ModeledBytes(), dec->RecountModeledBytes());
+  }
+  return "";
+}
+
 // Borrowed mode: EmitEvents delivers views straight into the evaluator's
 // OnEventView fast path.
 std::string StreamView(const xml::DomDocument& doc,
@@ -72,7 +100,9 @@ std::string StreamView(const xml::DomDocument& doc,
 
 // Owning mode: the same stream recorded as owning events and fed back as
 // views of them. The borrowed path must be indistinguishable from this —
-// same delivered bytes, same counters, same modeled RAM peak.
+// same delivered bytes, same counters, same modeled RAM peak. After every
+// event the evaluator's running RAM totals are checked against a
+// from-scratch recount (a mismatch fails the run).
 std::string StreamViewOwning(const xml::DomDocument& doc,
                              const std::vector<core::AccessRule>& rules,
                              const xpath::PathExpr* query, Status* status_out,
@@ -93,6 +123,11 @@ std::string StreamViewOwning(const xml::DomDocument& doc,
   for (const xml::Event& e : recorder.events()) {
     st = ev.value()->OnEventView(xml::ViewOf(e, &scratch));
     if (!st.ok()) break;
+    std::string mismatch = RamTotalsMismatch(*ev.value(), nullptr);
+    if (!mismatch.empty()) {
+      st = Status::Internal(mismatch);
+      break;
+    }
   }
   if (st.ok()) st = ev.value()->Finish();
   *status_out = st;
@@ -227,7 +262,9 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Skip-index-enabled differential runs: the full encode → decode →
 // RunFiltered path (interned-tag events, BindDocumentTags, subtree skips)
-// against the DOM oracle, with skip-on vs skip-off counter agreement.
+// against the DOM oracle, with skip-on vs skip-off counter agreement. The
+// decoder's and evaluator's running RAM totals are checked against a
+// from-scratch recount after every event.
 // ---------------------------------------------------------------------------
 
 struct SkipParams {
@@ -264,6 +301,12 @@ FilteredRun RunFilteredView(Span encoded,
   }
   skipindex::FilterOptions fopts;
   fopts.enable_skip = enable_skip;
+  const core::StreamingEvaluator* evp = ev.value().get();
+  const skipindex::DocumentDecoder* decp = dec.value().get();
+  fopts.on_event = [evp, decp]() {
+    std::string mismatch = RamTotalsMismatch(*evp, decp);
+    return mismatch.empty() ? Status::OK() : Status::Internal(mismatch);
+  };
   skipindex::FilterStats fstats;
   *status_out =
       skipindex::RunFiltered(dec.value().get(), ev.value().get(), fopts,

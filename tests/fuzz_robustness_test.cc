@@ -121,6 +121,88 @@ TEST(FuzzTest, XPathParserSurvivesRandomStrings) {
 }
 
 // --- Document codec fuzz ----------------------------------------------------
+//
+// Each input is decoded through a MemorySource (whose byte window is the
+// whole buffer) and through ChunkSources at chunk sizes 7, 13 and 64, whose
+// windows end every few bytes: tokens, varints, strings and subtree bitmaps
+// then straddle window edges and take the decoder's fallback reads. Both
+// must stop cleanly and agree event for event, skip-index metadata
+// included.
+
+// Skip-index metadata of one OPEN: content size, subtree flags, and the
+// subtree tag set as a mask over the first 64 dictionary ids.
+struct OpenMeta {
+  uint64_t content_size = 0;
+  bool has_elements = false;
+  bool has_text = false;
+  uint64_t tag_mask = 0;
+  bool operator==(const OpenMeta&) const = default;
+};
+
+struct DecodeTrace {
+  std::vector<xml::Event> events;
+  std::vector<OpenMeta> opens;
+  Status status = Status::OK();  // first error, or OK at kEnd
+};
+
+DecodeTrace DrainDecoder(skipindex::ByteSource* source, int max_events) {
+  DecodeTrace trace;
+  auto dec = skipindex::DocumentDecoder::Open(source);
+  if (!dec.ok()) {
+    trace.status = dec.status();
+    return trace;
+  }
+  for (int events = 0; events < max_events; ++events) {
+    auto ev = dec.value()->Next();
+    if (!ev.ok()) {
+      trace.status = ev.status();
+      break;
+    }
+    if (ev.value().type == xml::EventType::kEnd) break;
+    if (ev.value().type == xml::EventType::kOpen) {
+      const skipindex::DocumentDecoder& d = *dec.value();
+      OpenMeta meta{d.last_content_size(), d.last_has_elements(),
+                    d.last_has_text(), 0};
+      for (TagId id = 0; id < d.tags().size() && id < 64; ++id) {
+        if (d.SubtreeHasTag(d.tags().Name(id))) {
+          meta.tag_mask |= uint64_t{1} << id;
+        }
+      }
+      trace.opens.push_back(meta);
+    }
+    trace.events.push_back(std::move(ev).value());
+  }
+  return trace;
+}
+
+// `plain` sealed at `chunk` bytes and decoded through a ChunkSource.
+DecodeTrace DrainSealed(Span plain, size_t chunk, int max_events) {
+  Rng rng(chunk);
+  auto key = crypto::SymmetricKey::Generate(&rng);
+  Bytes sealed = crypto::SecureContainer::Seal(key, plain, chunk, &rng);
+  auto container = crypto::SecureContainer::Parse(sealed);
+  EXPECT_TRUE(container.ok()) << container.status().ToString();
+  if (!container.ok()) return {};
+  soe::ContainerChunkProvider provider(&container.value());
+  soe::ChunkSource source(key, container.value().header(), &provider,
+                          nullptr);
+  return DrainDecoder(&source, max_events);
+}
+
+// Decodes `plain` through every source and checks they agree.
+void ExpectSourcesAgree(const Bytes& plain, int max_events,
+                        const std::string& what) {
+  skipindex::MemorySource memory(plain);
+  DecodeTrace want = DrainDecoder(&memory, max_events);
+  for (size_t chunk : {7u, 13u, 64u}) {
+    DecodeTrace got = DrainSealed(plain, chunk, max_events);
+    EXPECT_EQ(got.events, want.events) << what << " chunk=" << chunk;
+    EXPECT_TRUE(got.opens == want.opens) << what << " chunk=" << chunk;
+    EXPECT_EQ(got.status.code(), want.status.code())
+        << what << " chunk=" << chunk << ": " << got.status.ToString()
+        << " vs " << want.status.ToString();
+  }
+}
 
 TEST(FuzzTest, DocumentDecoderSurvivesMutations) {
   xml::GeneratorParams gp;
@@ -130,19 +212,18 @@ TEST(FuzzTest, DocumentDecoderSurvivesMutations) {
   SCOPED_TRACE(SeedTrace(4));
   auto doc = xml::GenerateDocument(gp);
   Bytes encoded = skipindex::EncodeDocument(doc, {}).value();
+  // The unmutated document decodes fully, whatever the window size.
+  ExpectSourcesAgree(encoded, 100000, "original");
   Rng rng(FuzzSeed() + 5);
   for (int iter = 0; iter < 300; ++iter) {
     Bytes mutated = encoded;
     size_t pos = rng.Uniform(mutated.size());
     mutated[pos] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
-    skipindex::MemorySource src(mutated);
-    auto dec = skipindex::DocumentDecoder::Open(&src);
-    if (!dec.ok()) continue;
     // Drain with a hard event bound; decoding must stop cleanly.
-    for (int events = 0; events < 100000; ++events) {
-      auto ev = dec.value()->Next();
-      if (!ev.ok() || ev.value().type == xml::EventType::kEnd) break;
-    }
+    ExpectSourcesAgree(mutated, 100000,
+                       "iter=" + std::to_string(iter) +
+                           " pos=" + std::to_string(pos));
+    if (::testing::Test::HasFailure()) break;
   }
 }
 
@@ -152,18 +233,10 @@ TEST(FuzzTest, DocumentDecoderSurvivesTruncations) {
   for (size_t cut = 0; cut < encoded.size(); ++cut) {
     Bytes prefix(encoded.begin(), encoded.begin() + static_cast<long>(cut));
     skipindex::MemorySource src(prefix);
-    auto dec = skipindex::DocumentDecoder::Open(&src);
-    if (!dec.ok()) continue;
-    Status st = Status::OK();
-    for (int events = 0; events < 1000; ++events) {
-      auto ev = dec.value()->Next();
-      if (!ev.ok()) {
-        st = ev.status();
-        break;
-      }
-      if (ev.value().type == xml::EventType::kEnd) break;
-    }
-    EXPECT_FALSE(st.ok()) << "truncation at " << cut << " undetected";
+    DecodeTrace trace = DrainDecoder(&src, 1000);
+    EXPECT_FALSE(trace.status.ok()) << "truncation at " << cut
+                                    << " undetected";
+    ExpectSourcesAgree(prefix, 1000, "cut=" + std::to_string(cut));
   }
 }
 

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
+
 #include "common/random.h"
 #include "core/rule.h"
 #include "core/rule_envelope.h"
 #include "crypto/container.h"
 #include "proxy/publisher.h"
+#include "scengen/scenario.h"
 #include "skipindex/codec.h"
 #include "soe/apdu.h"
 #include "soe/card_engine.h"
@@ -355,6 +359,217 @@ TEST(CardEngineTest, RamPeakReported) {
   ASSERT_TRUE(out.ok());
   EXPECT_GT(out.value().stats.ram_peak, 0u);
   EXPECT_EQ(out.value().stats.ram_budget, CardProfile::EGate().ram_budget);
+}
+
+// --- Golden modeled costs -------------------------------------------------
+//
+// Every modeled number a card session reports, pinned for a fixed grid:
+// hospital document x 3 subjects (skip-heavy accountant, negative-rule
+// researcher, predicate-pending emergency) x {acute-patients query, none}
+// x skip {on, off} x chunk {64, 256} B x {MAC, Merkle}. Host-side work on
+// the scan loop (metering, decoding, byte sources) must leave all of them
+// byte-identical, `total_seconds` down to its bit pattern. Only a
+// deliberate change to the cost or RAM model may edit this table; a
+// mismatch prints the row the current code produces.
+
+struct GoldenRow {
+  const char* subject;
+  bool query;
+  bool skip;
+  uint32_t chunk;
+  bool merkle;
+  size_t ram_peak;
+  size_t modeled_ram_peak;
+  uint64_t bytes_transferred;
+  uint64_t bytes_decrypted;
+  uint64_t apdu_exchanges;
+  uint64_t dsp_round_trips;
+  uint64_t total_seconds_bits;
+};
+
+constexpr GoldenRow kGoldenSessions[] = {
+    // subject, query, skip, chunk, merkle, ram_peak, evaluator peak,
+    // transferred, decrypted, apdus, dsp trips, total_seconds bits
+    {"accountant", false, true, 64, false, 543, 70, 12419, 6163, 107, 91, 0x4023e5deae26e8d6ull},
+    {"accountant", false, false, 64, false, 558, 71, 17891, 9811, 164, 148, 0x402e13115ef28005ull},
+    {"accountant", true, true, 64, false, 638, 171, 14893, 9427, 149, 142, 0x402a9a506ea1f966ull},
+    {"accountant", true, false, 64, false, 638, 171, 15469, 9811, 155, 148, 0x402baf058e4839c3ull},
+    {"researcher", false, true, 64, false, 595, 108, 24552, 9811, 190, 148, 0x403258266815860cull},
+    {"researcher", false, false, 64, false, 595, 108, 24552, 9811, 190, 148, 0x4032596c4c9a882bull},
+    {"researcher", true, true, 64, false, 990, 512, 17013, 9811, 161, 148, 0x402d3845c60c1c7bull},
+    {"researcher", true, false, 64, false, 1056, 584, 17013, 9811, 161, 148, 0x402d3b11e7431bffull},
+    {"emergency", false, true, 64, false, 1013, 546, 17499, 9811, 163, 148, 0x402db0523e7c0f04ull},
+    {"emergency", false, false, 64, false, 1085, 618, 17499, 9811, 163, 148, 0x402db24b77916525ull},
+    {"emergency", true, true, 64, false, 1091, 624, 17499, 9811, 163, 148, 0x402db2bd616b756dull},
+    {"emergency", true, false, 64, false, 1164, 696, 17499, 9811, 163, 148, 0x402db4f6f2adc6d3ull},
+    {"accountant", false, true, 64, true, 543, 70, 32921, 6163, 197, 91, 0x40343a227175aeabull},
+    {"accountant", false, false, 64, true, 558, 71, 50939, 9811, 308, 148, 0x403f9a5bbd9ba9d4ull},
+    {"accountant", true, true, 64, true, 638, 171, 46735, 9427, 288, 142, 0x403d43564423798full},
+    {"accountant", true, false, 64, true, 638, 171, 48517, 9811, 299, 148, 0x403e6855d54686b2ull},
+    {"researcher", false, true, 64, true, 595, 108, 57600, 9811, 334, 148, 0x4041747cbb1bf7eeull},
+    {"researcher", false, false, 64, true, 595, 108, 57600, 9811, 334, 148, 0x4041751fad5e78feull},
+    {"researcher", true, true, 64, true, 990, 512, 50061, 9811, 305, 148, 0x403f2cf5f128780eull},
+    {"researcher", true, false, 64, true, 1056, 584, 50061, 9811, 305, 148, 0x403f2e5c01c3f7d0ull},
+    {"emergency", false, true, 64, true, 1013, 546, 50547, 9811, 307, 148, 0x403f68fc2d607154ull},
+    {"emergency", false, false, 64, true, 1085, 618, 50547, 9811, 307, 148, 0x403f69f8c9eb1c64ull},
+    {"emergency", true, true, 64, true, 1091, 624, 50547, 9811, 307, 148, 0x403f6a31bed82488ull},
+    {"emergency", true, false, 64, true, 1164, 696, 50547, 9811, 307, 148, 0x403f6b4e87794d3aull},
+    {"accountant", false, true, 256, false, 735, 70, 14339, 9811, 90, 37, 0x402168aa9e8f7512ull},
+    {"accountant", false, false, 256, false, 750, 71, 14339, 9811, 90, 37, 0x40216d922b83d135ull},
+    {"accountant", true, true, 256, false, 830, 171, 11917, 9811, 81, 37, 0x401e0d1098e4bc8cull},
+    {"accountant", true, false, 256, false, 830, 171, 11917, 9811, 81, 37, 0x401e130cb5b315e6ull},
+    {"researcher", false, true, 256, false, 787, 108, 21000, 9811, 116, 37, 0x40280acd9cbc5d47ull},
+    {"researcher", false, false, 256, false, 787, 108, 21000, 9811, 116, 37, 0x40280d5965c66186ull},
+    {"researcher", true, true, 256, false, 1182, 512, 13461, 9811, 87, 37, 0x402092c6929d6dabull},
+    {"researcher", true, false, 256, false, 1248, 584, 13461, 9811, 87, 37, 0x40209592b3d46d2full},
+    {"emergency", false, true, 256, false, 1205, 546, 13947, 9811, 89, 37, 0x40210ad30b0d6034ull},
+    {"emergency", false, false, 256, false, 1277, 618, 13947, 9811, 89, 37, 0x40210ccc4422b655ull},
+    {"emergency", true, true, 256, false, 1283, 624, 13947, 9811, 89, 37, 0x40210d3e2dfcc69cull},
+    {"emergency", true, false, 256, false, 1356, 696, 13947, 9811, 89, 37, 0x40210f77bf3f1802ull},
+    {"accountant", false, true, 256, true, 735, 70, 20159, 9811, 90, 37, 0x4027250312151d10ull},
+    {"accountant", false, false, 256, true, 750, 71, 20159, 9811, 90, 37, 0x402729ea9f097933ull},
+    {"accountant", true, true, 256, true, 830, 171, 17737, 9811, 81, 37, 0x4024c2e0bff80645ull},
+    {"accountant", true, false, 256, true, 830, 171, 17737, 9811, 81, 37, 0x4024c5dece5f32f2ull},
+    {"researcher", false, true, 256, true, 787, 108, 26820, 9811, 116, 37, 0x402dc72610420544ull},
+    {"researcher", false, false, 256, true, 787, 108, 26820, 9811, 116, 37, 0x402dc9b1d94c0983ull},
+    {"researcher", true, true, 256, true, 1182, 512, 19281, 9811, 87, 37, 0x40264f1f062315a9ull},
+    {"researcher", true, false, 256, true, 1248, 584, 19281, 9811, 87, 37, 0x402651eb275a152dull},
+    {"emergency", false, true, 256, true, 1205, 546, 19767, 9811, 89, 37, 0x4026c72b7e930832ull},
+    {"emergency", false, false, 256, true, 1277, 618, 19767, 9811, 89, 37, 0x4026c924b7a85e53ull},
+    {"emergency", true, true, 256, true, 1283, 624, 19767, 9811, 89, 37, 0x4026c996a1826e9bull},
+    {"emergency", true, false, 256, true, 1356, 696, 19767, 9811, 89, 37, 0x4026cbd032c4c001ull},
+};
+
+const char kGoldenQuery[] =
+    "//patient[medical/diagnosis/severity=\"acute\"]";
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// One sealed hospital document per (chunk size, integrity mode), with the
+// hospital scenario's rule set sealed under the same key.
+struct GoldenDoc {
+  SymmetricKey key;
+  Bytes header_bytes;
+  Bytes sealed_rules;
+  Bytes container_bytes;  // the parsed container borrows these bytes
+  std::unique_ptr<SecureContainer> container;
+
+  GoldenDoc(uint32_t chunk, bool merkle) {
+    Rng rng(4242);
+    key = SymmetricKey::Generate(&rng);
+    scengen::Scenario scenario = scengen::HospitalScenario();
+    xml::DomDocument doc =
+        scengen::MakeScenarioDocument(scenario, 600, /*seed=*/31);
+    Bytes encoded = skipindex::EncodeDocument(doc, {}).value();
+    container_bytes = SecureContainer::Seal(
+        key, encoded, chunk, &rng,
+        merkle ? crypto::IntegrityMode::kMerkle
+               : crypto::IntegrityMode::kChunkMac);
+    container = std::make_unique<SecureContainer>(
+        SecureContainer::Parse(container_bytes).value());
+    ByteWriter hw;
+    container->header().EncodeTo(&hw);
+    header_bytes = hw.Take();
+    auto rules = core::RuleSet::ParseText(scenario.rules_text).value();
+    sealed_rules = core::SealRuleSet(key, rules, /*version=*/1, &rng);
+  }
+
+  Result<soe::SessionOutput> Run(const GoldenRow& row,
+                                 const CardProfile& profile,
+                                 bool strict_ram) const {
+    soe::CardEngine card(profile);
+    card.InstallKey("doc", key);
+    soe::ContainerChunkProvider provider(container.get());
+    soe::SessionOptions opts;
+    opts.subject = row.subject;
+    if (row.query) opts.query_text = kGoldenQuery;
+    opts.use_skip = row.skip;
+    opts.strict_ram = strict_ram;
+    return card.RunSession("doc", header_bytes, sealed_rules, &provider, opts);
+  }
+};
+
+std::string FormatRow(const GoldenRow& key, const soe::SessionStats& st) {
+  std::ostringstream os;
+  os << "{\"" << key.subject << "\", " << (key.query ? "true" : "false")
+     << ", " << (key.skip ? "true" : "false") << ", " << key.chunk << ", "
+     << (key.merkle ? "true" : "false") << ", " << st.ram_peak << ", "
+     << st.evaluator.modeled_ram_peak << ", " << st.bytes_transferred << ", "
+     << st.bytes_decrypted << ", " << st.apdu_exchanges << ", "
+     << st.dsp_round_trips << ", 0x" << std::hex
+     << DoubleBits(st.total_seconds) << "ull},";
+  return os.str();
+}
+
+const GoldenRow* FindGolden(const GoldenRow& key) {
+  for (const GoldenRow& row : kGoldenSessions) {
+    if (std::strcmp(row.subject, key.subject) == 0 &&
+        row.query == key.query && row.skip == key.skip &&
+        row.chunk == key.chunk && row.merkle == key.merkle) {
+      return &row;
+    }
+  }
+  return nullptr;
+}
+
+TEST(GoldenSessionTest, ModeledCostsAreByteIdentical) {
+  size_t checked = 0;
+  for (uint32_t chunk : {64u, 256u}) {
+    for (bool merkle : {false, true}) {
+      GoldenDoc doc(chunk, merkle);
+      for (const char* subject : {"accountant", "researcher", "emergency"}) {
+        for (bool query : {false, true}) {
+          for (bool skip : {true, false}) {
+            GoldenRow key{subject, query, skip, chunk, merkle,
+                          0,       0,     0,    0,     0,      0, 0};
+            auto out = doc.Run(key, CardProfile::EGate(), false);
+            ASSERT_TRUE(out.ok()) << out.status().ToString();
+            const soe::SessionStats& st = out.value().stats;
+            std::string actual = FormatRow(key, st);
+            const GoldenRow* want = FindGolden(key);
+            if (want == nullptr) {
+              ADD_FAILURE() << "no golden row; current code gives\n"
+                            << actual;
+              continue;
+            }
+            EXPECT_EQ(st.ram_peak, want->ram_peak) << actual;
+            EXPECT_EQ(st.evaluator.modeled_ram_peak, want->modeled_ram_peak)
+                << actual;
+            EXPECT_EQ(st.bytes_transferred, want->bytes_transferred)
+                << actual;
+            EXPECT_EQ(st.bytes_decrypted, want->bytes_decrypted) << actual;
+            EXPECT_EQ(st.apdu_exchanges, want->apdu_exchanges) << actual;
+            EXPECT_EQ(st.dsp_round_trips, want->dsp_round_trips) << actual;
+            EXPECT_EQ(DoubleBits(st.total_seconds), want->total_seconds_bits)
+                << actual;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGoldenSessions));
+}
+
+// Strict mode trips at exactly the metered peak: a budget of one byte less
+// than the golden ram_peak aborts the session, the peak itself passes.
+TEST(GoldenSessionTest, StrictRamFailsAtTheSameBudget) {
+  GoldenRow key{"emergency", true, true, 64, false, 0, 0, 0, 0, 0, 0, 0};
+  const GoldenRow* want = FindGolden(key);
+  ASSERT_NE(want, nullptr);
+  GoldenDoc doc(key.chunk, key.merkle);
+  CardProfile profile = CardProfile::EGate();
+  profile.ram_budget = want->ram_peak - 1;
+  auto over = doc.Run(key, profile, /*strict_ram=*/true);
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  profile.ram_budget = want->ram_peak;
+  auto fits = doc.Run(key, profile, /*strict_ram=*/true);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits.value().stats.ram_peak, want->ram_peak);
 }
 
 }  // namespace
