@@ -27,6 +27,10 @@ ctest --output-on-failure -L planner
 ctest --output-on-failure -L scengen
 cd ..
 
+# The modeled-clock bench series (transport, ablation, baselines, end to
+# end) must reproduce the committed BENCH_*.json files byte for byte.
+./scripts/check_modeled_bench.sh build
+
 # ThreadSanitizer pass over the serving-stack suites: the transport,
 # concurrency, fault, planner, durable and scengen labels exercise the
 # shared caches, sharded stores, the async dispatcher, the replicated
@@ -53,9 +57,10 @@ build-tsan/tests/concurrency_test --gtest_filter='*AsyncDispatcher*' --gtest_rep
 # cover soe::PlannedProvider, which moves chunks out of its buffer, fed
 # owner, learned and corrupted plans; the fuzz label also decodes mutated
 # documents through 7-, 13- and 64-byte chunk windows. The property label
-# adds chunking_invariance_test, whose chunk sizes 64-4096 (97 and 300
-# among them) put the document decoder's byte-window edge at every
-# offset: its reads fall back from the window to ReadExact there.
+# adds chunking_invariance_test, whose chunk-size sweep (every size from 3
+# to 96 bytes, then 64-4096 with 97 and 300 among them) puts the document
+# decoder's byte-window edge inside multi-byte varints: its reads fall
+# back from the window to ReadExact there.
 cmake -B build-asan -S . -DCSXA_SANITIZE=address \
   -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j

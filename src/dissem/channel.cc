@@ -6,10 +6,6 @@
 
 namespace csxa::dissem {
 
-// The broadcast buffer the terminal already received is a local
-// ContainerChunkProvider: batch fetches cost no server round trips
-// (counts_round_trips = false — push-mode economics).
-
 Channel::Channel(std::string channel_id, std::string rules_text,
                  ChannelOptions options, uint64_t seed)
     : channel_id_(std::move(channel_id)),
@@ -56,8 +52,9 @@ Result<BroadcastReport> Channel::Publish(const xml::DomDocument& item) {
   Bytes sealed_rules =
       core::SealRuleSet(key_, rules, item_counter_, &rng_);
 
-  soe::ContainerChunkProvider provider(&container,
-                                       /*counts_round_trips=*/false);
+  // The broadcast buffer the terminal already received. Push-mode
+  // sessions charge no round trips for reading it.
+  soe::ContainerChunkProvider provider(&container);
   report.broadcast_wire_bytes = provider.TotalWireBytes();
 
   for (Subscriber* sub : subscribers_) {

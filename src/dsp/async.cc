@@ -7,19 +7,28 @@
 
 namespace csxa::dsp {
 
+namespace {
+// Modeled fixed server-side cost of admitting and parsing one request
+// (queueing, lookup, framing).
+constexpr double kPerRequestSeconds = 200e-6;
+// Modeled server-side serialization bandwidth applied to each response's
+// wire_bytes.
+constexpr double kServerBytesPerSecond = 100e6;
+}  // namespace
+
 AsyncDispatcher::AsyncDispatcher(Service* backend)
     : AsyncDispatcher(backend, Options()) {}
 
 AsyncDispatcher::AsyncDispatcher(Service* backend, Options options)
-    : backend_(backend), options_(options) {
+    : backend_(backend) {
   CSXA_CHECK(backend_ != nullptr);
-  if (options_.workers == 0) options_.workers = 1;
-  queues_.reserve(options_.workers);
-  for (size_t i = 0; i < options_.workers; ++i) {
+  const size_t workers = std::max<size_t>(1, options.workers);
+  queues_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
     queues_.push_back(std::make_unique<Lane>());
   }
-  workers_.reserve(options_.workers);
-  for (size_t i = 0; i < options_.workers; ++i) {
+  workers_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
@@ -116,10 +125,10 @@ void AsyncDispatcher::WorkerLoop(size_t lane_index) {
 void AsyncDispatcher::Charge(Lane& lane, const Result<Response>& result) {
   // Fixed admission cost plus the response payload at server bandwidth.
   // Errors still cost admission.
-  double seconds = options_.per_request_seconds;
-  if (result.ok() && options_.server_bytes_per_second > 0) {
+  double seconds = kPerRequestSeconds;
+  if (result.ok()) {
     seconds += static_cast<double>(result.value().wire_bytes) /
-               options_.server_bytes_per_second;
+               kServerBytesPerSecond;
   }
   lane.busy_ns.fetch_add(static_cast<uint64_t>(std::llround(seconds * 1e9)),
                          std::memory_order_relaxed);

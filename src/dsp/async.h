@@ -28,8 +28,8 @@
 ///    (CachingClient, ShardedService) composes around it unchanged.
 ///
 /// The dispatcher also keeps the modeled server-side clock: each executed
-/// request charges its lane a fixed per-request overhead plus its
-/// response's wire_bytes at the modeled server bandwidth. The modeled
+/// request charges its lane a fixed 200 µs admission cost plus its
+/// response's wire_bytes at a modeled 100 MB/s server bandwidth. The modeled
 /// makespan (busiest lane) is what the load harness divides by to get
 /// aggregate throughput — on a machine with few real cores, the modeled
 /// clock is what scales with worker count, exactly like the modeled card
@@ -67,12 +67,6 @@ class AsyncDispatcher : public Service {
     /// Worker threads == work queues. 1 reproduces the synchronous,
     /// single-threaded server (the load harness's baseline).
     size_t workers = 4;
-    /// Modeled fixed server-side cost of admitting and parsing one
-    /// request (queueing, lookup, framing).
-    double per_request_seconds = 200e-6;
-    /// Modeled server-side serialization bandwidth applied to each
-    /// response's wire_bytes.
-    double server_bytes_per_second = 100e6;
   };
 
   /// `backend` must be thread-safe and outlive the dispatcher.
@@ -132,7 +126,6 @@ class AsyncDispatcher : public Service {
   void Charge(Lane& lane, const Result<Response>& result);
 
   Service* backend_;
-  Options options_;
   std::vector<std::unique_ptr<Lane>> queues_;
   std::vector<std::thread> workers_;
   std::atomic<bool> stopping_{false};

@@ -48,18 +48,9 @@ Result<Response> DocProtocol::Read(const Request& request,
       return resp;
     }
     case Op::kGetChunks: {
-      for (const ChunkSpan& span : request.spans) {
-        for (uint32_t i = 0; i < span.count; ++i) {
-          uint32_t index = span.first + i;
-          soe::ChunkData chunk;
-          CSXA_ASSIGN_OR_RETURN(Span cipher,
-                                doc.container.ChunkCiphertext(index));
-          chunk.ciphertext = cipher.ToBytes();
-          CSXA_ASSIGN_OR_RETURN(chunk.auth, doc.container.GetChunkAuth(index));
-          resp.wire_bytes += chunk.WireBytes(doc.container.header().integrity);
-          resp.chunks.push_back(std::move(chunk));
-        }
-      }
+      CSXA_ASSIGN_OR_RETURN(
+          resp.wire_bytes,
+          soe::ServeChunks(doc.container, request.spans, &resp.chunks));
       chunks_served_.fetch_add(resp.chunks.size(), std::memory_order_relaxed);
       return resp;
     }

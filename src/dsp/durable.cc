@@ -25,6 +25,9 @@ enum RecordType : uint8_t {
 // Keeps every record type within one 512 B manifest frame.
 constexpr size_t kMaxDocIdSize = 256;
 
+// Data segment size: 1024 sealed 4 KB blocks per segment file.
+constexpr size_t kSegmentBytes = 4 << 20;
+
 struct RecordFields {
   uint8_t type = 0;
   std::string doc_id;
@@ -128,7 +131,7 @@ Result<std::unique_ptr<DurableServer>> DurableServer::Open(
   CSXA_ASSIGN_OR_RETURN(
       server->blocks_,
       BlockLog::Open(options.env, options.directory, options.key,
-                     options.store_id, options.segment_bytes,
+                     options.store_id, kSegmentBytes,
                      &data_torn_bytes));
   ManifestScan scan;
   CSXA_ASSIGN_OR_RETURN(

@@ -94,8 +94,6 @@ struct DurableOptions {
   crypto::SymmetricKey key;
   /// Filesystem to run on; null means the real one (PosixEnv::Default()).
   Env* env = nullptr;
-  /// Data segment size; rounded down to whole 4 KB blocks.
-  size_t segment_bytes = 4 << 20;
   /// Rollback anchor: the publisher's record of how many manifest records
   /// the store had committed (the `commit_seq` of its last mutation
   /// response). When non-zero, Open fails with kIntegrityError if fewer

@@ -6,6 +6,13 @@
 
 namespace csxa::dsp {
 
+namespace {
+// Modeled backoff before the first retry, and its ceiling; it doubles per
+// retry in between.
+constexpr double kInitialBackoffSeconds = 0.005;
+constexpr double kMaxBackoffSeconds = 0.25;
+}  // namespace
+
 RetryingClient::RetryingClient(Service* backend, RetryOptions options)
     : backend_(backend), options_(options) {
   CSXA_CHECK(backend_ != nullptr);
@@ -19,8 +26,7 @@ void RetryingClient::set_on_backoff(BackoffHook hook) {
 
 Result<Response> RetryingClient::Execute(Request request) {
   const Op op = request.op;
-  const bool retryable = !IsWrite(op) || options_.retry_writes;
-  double backoff = options_.initial_backoff_seconds;
+  double backoff = kInitialBackoffSeconds;
   Result<Response> result = Status::IoError("unreachable");
   for (int attempt = 1;; ++attempt) {
     Request attempt_req = request;
@@ -33,7 +39,7 @@ Result<Response> RetryingClient::Execute(Request request) {
       remove_races_absorbed_.fetch_add(1, std::memory_order_relaxed);
       return Response{};
     }
-    if (!retryable || result.status().code() != StatusCode::kIoError) {
+    if (result.status().code() != StatusCode::kIoError) {
       return result;  // authoritative answer, not a transport fault
     }
     if (attempt >= options_.max_attempts) break;
@@ -45,8 +51,7 @@ Result<Response> RetryingClient::Execute(Request request) {
       hook = on_backoff_;
     }
     if (hook) hook(attempt, backoff);
-    backoff = std::min(backoff * options_.backoff_multiplier,
-                       options_.max_backoff_seconds);
+    backoff = std::min(backoff * 2, kMaxBackoffSeconds);
   }
   exhausted_.fetch_add(1, std::memory_order_relaxed);
   return result;

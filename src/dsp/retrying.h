@@ -14,17 +14,18 @@
 ///  - only kIoError is retried — authoritative rejections (NotFound,
 ///    PermissionDenied, InvalidArgument) are final answers, and retrying
 ///    them would just hammer a healthy server;
-///  - reads and pings always retry; writes retry only when
-///    `retry_writes` is set. In this protocol writes ARE safe to retry
-///    (at-least-once): versions are monotone, republishes overwrite, and
-///    a kRemove retry answered NotFound just means the first, timed-out
-///    attempt actually applied — that is translated back into success;
-///  - backoff is exponential with a cap, on the *modeled* clock: no real
-///    sleeps, the accumulated backoff is reported in seconds and the
-///    `on_backoff` hook gives the embedding harness a place to advance
-///    the world (the load harness pumps HeartbeatTick() there, so a
-///    retry loop and failure detection make progress together, exactly
-///    as wall-clock time would interleave them).
+///  - every op retries, writes included. In this protocol writes are safe
+///    to retry (at-least-once): versions are monotone, republishes
+///    overwrite, and a kRemove retry answered NotFound just means the
+///    first, timed-out attempt actually applied — that is translated back
+///    into success;
+///  - backoff starts at 5 ms and doubles per retry up to 250 ms, on the
+///    *modeled* clock: no real sleeps, the accumulated backoff is
+///    reported in seconds and the `on_backoff` hook gives the embedding
+///    harness a place to advance the world (the load harness pumps
+///    HeartbeatTick() there, so a retry loop and failure detection make
+///    progress together, exactly as wall-clock time would interleave
+///    them).
 ///
 /// Threading: safe for concurrent Execute() from any number of threads;
 /// counters are atomics and the hook is copied under a mutex per use.
@@ -38,18 +39,10 @@
 
 namespace csxa::dsp {
 
-/// \brief Retry policy knobs.
+/// \brief Retry policy.
 struct RetryOptions {
   /// Total attempts including the first (1 disables retries).
   int max_attempts = 4;
-  /// Modeled backoff before the first retry.
-  double initial_backoff_seconds = 0.005;
-  /// Growth factor per retry.
-  double backoff_multiplier = 2.0;
-  /// Backoff ceiling.
-  double max_backoff_seconds = 0.25;
-  /// Retry writes too (safe here: versioned, at-least-once tolerant).
-  bool retry_writes = true;
 };
 
 /// \brief Service decorator retrying transient (kIoError) failures.

@@ -12,7 +12,7 @@ Result<Response> Service::OpenDocument(const std::string& doc_id,
 }
 
 Result<std::vector<soe::ChunkData>> Service::GetChunks(
-    const std::string& doc_id, std::vector<ChunkSpan> spans) {
+    const std::string& doc_id, std::vector<skipindex::ChunkRun> spans) {
   Request req;
   req.op = Op::kGetChunks;
   req.doc_id = doc_id;

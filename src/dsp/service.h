@@ -37,12 +37,6 @@
 
 namespace csxa::dsp {
 
-/// \brief A run of consecutive chunks: [first, first + count).
-struct ChunkSpan {
-  uint32_t first = 0;
-  uint32_t count = 0;
-};
-
 /// \brief Request vocabulary of the DSP protocol.
 enum class Op : uint8_t {
   kOpenDocument,  ///< header + sealed rules + rules version, one trip
@@ -83,7 +77,7 @@ struct Request {
   /// matches, the response is `not_modified` and omits the bodies.
   uint64_t known_rules_version = 0;
   /// kGetChunks: the chunk ranges wanted, served in request order.
-  std::vector<ChunkSpan> spans;
+  std::vector<skipindex::ChunkRun> spans;
   /// kPublish: the sealed container.
   Bytes container;
   /// kPublish, kUpdateRules: the sealed rule-set blob.
@@ -151,8 +145,8 @@ class Service {
   /// @{
   Result<Response> OpenDocument(const std::string& doc_id,
                                 uint64_t known_rules_version = 0);
-  Result<std::vector<soe::ChunkData>> GetChunks(const std::string& doc_id,
-                                                std::vector<ChunkSpan> spans);
+  Result<std::vector<soe::ChunkData>> GetChunks(
+      const std::string& doc_id, std::vector<skipindex::ChunkRun> spans);
   Result<Bytes> GetContainer(const std::string& doc_id);
   Status Publish(const std::string& doc_id, Bytes container,
                  Bytes sealed_rules);
@@ -175,21 +169,14 @@ class ServiceChunkProvider : public soe::ChunkProvider {
  protected:
   Result<std::vector<soe::ChunkData>> FetchChunks(uint32_t first,
                                                   uint32_t count) override {
-    return service_->GetChunks(doc_id_, {ChunkSpan{first, count}});
+    return service_->GetChunks(doc_id_, {skipindex::ChunkRun{first, count}});
   }
 
   /// Several runs become one multi-span kGetChunks request — the wire
   /// capability the fetch planner exists to exploit.
   Result<std::vector<soe::ChunkData>> FetchSpans(
       const std::vector<skipindex::ChunkRun>& spans) override {
-    std::vector<ChunkSpan> wire;
-    wire.reserve(spans.size());
-    for (const skipindex::ChunkRun& span : spans) {
-      if (span.count == 0) continue;
-      wire.push_back(ChunkSpan{span.first, span.count});
-    }
-    if (wire.empty()) return std::vector<soe::ChunkData>{};
-    return service_->GetChunks(doc_id_, std::move(wire));
+    return service_->GetChunks(doc_id_, spans);
   }
 
  private:

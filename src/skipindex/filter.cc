@@ -38,10 +38,6 @@ Status RunFiltered(DocumentDecoder* decoder,
       }
     }
   }
-  if (stats != nullptr) {
-    // Position is the whole stream: reads plus skips.
-    stats->bytes_total = 0;  // filled by callers that know the source size
-  }
   return Status::OK();
 }
 

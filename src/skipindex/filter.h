@@ -28,8 +28,6 @@ struct FilterOptions {
 
 /// Outcome counters.
 struct FilterStats {
-  /// Bytes consumed from the source, including skipped ranges.
-  uint64_t bytes_total = 0;
   /// Bytes jumped over thanks to the index.
   uint64_t bytes_skipped = 0;
   /// Number of subtree skips taken.

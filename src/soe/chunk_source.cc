@@ -5,17 +5,37 @@
 
 namespace csxa::soe {
 
+Result<uint64_t> ServeChunks(const crypto::SecureContainer& container,
+                             std::span<const skipindex::ChunkRun> runs,
+                             std::vector<ChunkData>* out) {
+  // Reserve once for the whole batch, bounded by the container so a
+  // hostile count cannot force a huge allocation.
+  uint64_t wanted = 0;
+  for (const skipindex::ChunkRun& run : runs) wanted += run.count;
+  out->reserve(out->size() +
+               std::min<uint64_t>(wanted, container.header().chunk_count));
+  const crypto::IntegrityMode mode = container.header().integrity;
+  uint64_t wire_bytes = 0;
+  for (const skipindex::ChunkRun& run : runs) {
+    for (uint32_t i = 0; i < run.count; ++i) {
+      const uint32_t index = run.first + i;
+      ChunkData chunk;
+      CSXA_ASSIGN_OR_RETURN(Span cipher, container.ChunkCiphertext(index));
+      chunk.ciphertext = cipher.ToBytes();
+      CSXA_ASSIGN_OR_RETURN(chunk.auth, container.GetChunkAuth(index));
+      wire_bytes += chunk.WireBytes(mode);
+      out->push_back(std::move(chunk));
+    }
+  }
+  return wire_bytes;
+}
+
 Result<std::vector<ChunkData>> ContainerChunkProvider::FetchChunks(
     uint32_t first, uint32_t count) {
+  const skipindex::ChunkRun run{first, count};
   std::vector<ChunkData> chunks;
-  chunks.reserve(count);
-  for (uint32_t i = first; i < first + count; ++i) {
-    ChunkData chunk;
-    CSXA_ASSIGN_OR_RETURN(Span cipher, container_->ChunkCiphertext(i));
-    chunk.ciphertext = cipher.ToBytes();
-    CSXA_ASSIGN_OR_RETURN(chunk.auth, container_->GetChunkAuth(i));
-    chunks.push_back(std::move(chunk));
-  }
+  CSXA_RETURN_IF_ERROR(
+      ServeChunks(*container_, std::span(&run, 1), &chunks).status());
   return chunks;
 }
 

@@ -19,6 +19,7 @@
 
 #include <iterator>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "crypto/container.h"
@@ -43,9 +44,10 @@ struct ChunkData {
 /// side).
 ///
 /// Each GetChunks() call is one modeled round trip to wherever the chunks
-/// live; implementations that serve from memory the terminal already holds
-/// (a received broadcast, a fetched plan or window) override round_trips()
-/// accordingly.
+/// live. A decorator that answers from chunks it already fetched
+/// (soe::PlannedProvider) overrides round_trips() to report its backend's
+/// count. Push-mode sessions charge no round trips at all: the card engine
+/// ignores the count when the broadcast already arrived.
 ///
 /// Reentrancy contract: one ChunkProvider instance serves one card
 /// session on one thread (its round-trip counter and any buffering are
@@ -118,22 +120,23 @@ class ChunkProvider {
   uint64_t round_trips_ = 0;
 };
 
+/// Appends the chunks of `runs`, in run order, from `container` to `out`
+/// and returns their total wire size. The one span-serving loop: the DSP's
+/// kGetChunks and ContainerChunkProvider both serve through it.
+Result<uint64_t> ServeChunks(const crypto::SecureContainer& container,
+                             std::span<const skipindex::ChunkRun> runs,
+                             std::vector<ChunkData>* out);
+
 /// \brief ChunkProvider over a parsed in-memory container.
 ///
-/// Models either a remote store front-end (default: every batch is one
-/// round trip) or a broadcast buffer the terminal already received
-/// (`counts_round_trips = false`, push mode: the stream arrived whether
-/// the card wanted it or not).
+/// Models a remote store front-end (every batch is one round trip) or, in
+/// push mode, the broadcast buffer the terminal already received.
 class ContainerChunkProvider : public ChunkProvider {
  public:
-  explicit ContainerChunkProvider(const crypto::SecureContainer* container,
-                                  bool counts_round_trips = true)
-      : container_(container), counts_round_trips_(counts_round_trips) {}
+  explicit ContainerChunkProvider(const crypto::SecureContainer* container)
+      : container_(container) {}
 
   uint64_t TotalWireBytes() const override;
-  uint64_t round_trips() const override {
-    return counts_round_trips_ ? ChunkProvider::round_trips() : 0;
-  }
 
  protected:
   Result<std::vector<ChunkData>> FetchChunks(uint32_t first,
@@ -141,7 +144,6 @@ class ContainerChunkProvider : public ChunkProvider {
 
  private:
   const crypto::SecureContainer* container_;
-  bool counts_round_trips_;
 };
 
 /// \brief ByteSource over the container payload with lazy chunk fetching.

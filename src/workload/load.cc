@@ -227,10 +227,7 @@ LoadReport RunLoad(const LoadOptions& options) {
         routers.back().get(), fopt));
     replica_ptrs.push_back(injectors.back().get());
   }
-  dsp::ReplicationOptions ropt;
-  ropt.write_quorum = opt.write_quorum;
-  ropt.suspect_after = opt.suspect_after;
-  dsp::ReplicatedService replicated(replica_ptrs, ropt);
+  dsp::ReplicatedService replicated(replica_ptrs);
   FaultSchedule schedule(opt.faults, opt.replicas, opt.sessions, injectors,
                          &replicated);
 

@@ -111,10 +111,6 @@ struct LoadOptions {
   /// DspServer fleet behind a fault injector. 1 is an unreplicated (but
   /// still fully decorated) stack.
   size_t replicas = 1;
-  /// Replicas that must apply a write before it is acked; 0 = majority.
-  size_t write_quorum = 0;
-  /// Consecutive missed heartbeats before a replica is declared down.
-  int suspect_after = 2;
   /// Modeled seconds between heartbeat rounds (failure-detector cadence).
   double heartbeat_interval_sec = 0.01;
   /// Shard backend (see StoreBackend).

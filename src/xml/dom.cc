@@ -1,6 +1,7 @@
 #include "xml/dom.h"
 
 #include "xml/escape.h"
+#include "xml/parser.h"
 
 namespace csxa::xml {
 
@@ -97,10 +98,9 @@ void DomNode::CollectElements(std::vector<const DomNode*>* out) const {
   for (const auto& c : children_) c->CollectElements(out);
 }
 
-Result<DomDocument> DomDocument::Parse(const std::string& text,
-                                       ParserOptions options) {
+Result<DomDocument> DomDocument::Parse(const std::string& text) {
   DomBuilder builder;
-  CSXA_RETURN_IF_ERROR(PullParser::ParseAll(text, &builder, options));
+  CSXA_RETURN_IF_ERROR(PullParser::ParseAll(text, &builder));
   if (!builder.complete()) {
     return Status::ParseError("document ended with open elements");
   }

@@ -15,7 +15,6 @@
 
 #include "common/status.h"
 #include "xml/event.h"
-#include "xml/parser.h"
 
 namespace csxa::xml {
 
@@ -104,8 +103,7 @@ class DomDocument {
   explicit DomDocument(std::unique_ptr<DomNode> root) : root_(std::move(root)) {}
 
   /// Parses a textual XML document.
-  static Result<DomDocument> Parse(const std::string& text,
-                                   ParserOptions options = {});
+  static Result<DomDocument> Parse(const std::string& text);
 
   /// Root element; nullptr for an empty document.
   DomNode* root() const { return root_.get(); }

@@ -1,7 +1,5 @@
 #include "xml/event.h"
 
-#include <cstring>
-
 namespace csxa::xml {
 
 Event EventView::Materialize() const {
@@ -31,79 +29,6 @@ EventView ViewOf(const Event& e, std::vector<AttrView>* attr_scratch) {
   v.num_attrs = attr_scratch->size();
   v.tag_id = e.tag_id;
   return v;
-}
-
-char* EventArena::Allocate(size_t n, size_t align) {
-  size_t need = n + align - 1;
-  if (blocks_.empty() || blocks_.back().cap - blocks_.back().used < need) {
-    // Geometric growth capped at kMaxBlock so one outlier string never
-    // becomes the doubling base; oversized requests get an exact-size
-    // block instead of inflating the growth schedule.
-    size_t cap = kMinBlock;
-    if (!blocks_.empty()) {
-      cap = blocks_.back().cap * 2;
-      if (cap > kMaxBlock) cap = kMaxBlock;
-      if (cap < kMinBlock) cap = kMinBlock;
-    }
-    if (cap < need) cap = need;
-    Block b;
-    b.data = std::make_unique<char[]>(cap);
-    b.cap = cap;
-    blocks_.push_back(std::move(b));
-  }
-  Block& b = blocks_.back();
-  size_t off = b.used;
-  size_t misalign = reinterpret_cast<uintptr_t>(b.data.get() + off) % align;
-  if (misalign != 0) off += align - misalign;
-  char* p = b.data.get() + off;
-  b.used = off + n;
-  bytes_used_ += n;
-  return p;
-}
-
-std::string_view EventArena::Copy(std::string_view s) {
-  if (s.empty()) return {};
-  char* p = Allocate(s.size(), 1);
-  std::memcpy(p, s.data(), s.size());
-  return std::string_view(p, s.size());
-}
-
-const AttrView* EventArena::CopyAttrs(const AttrView* attrs, size_t n) {
-  if (n == 0) return nullptr;
-  char* raw = Allocate(n * sizeof(AttrView), alignof(AttrView));
-  AttrView* out = reinterpret_cast<AttrView*>(raw);
-  for (size_t i = 0; i < n; ++i) {
-    out[i].name = Copy(attrs[i].name);
-    out[i].value = Copy(attrs[i].value);
-  }
-  return out;
-}
-
-EventView EventArena::Record(const EventView& v) {
-  EventView out;
-  out.type = v.type;
-  out.name = Copy(v.name);
-  out.text = Copy(v.text);
-  out.attrs = CopyAttrs(v.attrs, v.num_attrs);
-  out.num_attrs = v.num_attrs;
-  out.tag_id = v.tag_id;
-  return out;
-}
-
-void EventArena::Reset() {
-  if (blocks_.empty()) {
-    bytes_used_ = 0;
-    return;
-  }
-  size_t largest = 0;
-  for (size_t i = 1; i < blocks_.size(); ++i) {
-    if (blocks_[i].cap > blocks_[largest].cap) largest = i;
-  }
-  Block keep = std::move(blocks_[largest]);
-  keep.used = 0;
-  blocks_.clear();
-  blocks_.push_back(std::move(keep));
-  bytes_used_ = 0;
 }
 
 }  // namespace csxa::xml

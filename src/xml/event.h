@@ -16,22 +16,21 @@
 ///    after their producer is gone; short tags sit in SSO storage.
 ///  - `EventView` **borrows**: tag/text are `std::string_view` slices of a
 ///    producer-owned buffer (the parser's input, the decoder's chunk
-///    scratch, a DOM node's strings, or an `EventArena`). Views are only
-///    valid until the producer's next event — consumers that must retain
-///    one call `Materialize()` (→ owning `Event`) or record it into an
-///    `EventArena` they control. This is the pipeline's zero-copy fast
-///    path: a text event flows parser/decoder → evaluator → writer without
-///    its bytes ever being copied into a per-event allocation.
+///    scratch, or a DOM node's strings). Views are only valid until the
+///    producer's next event — consumers that must retain one call
+///    `Materialize()` (→ owning `Event`). This is the pipeline's
+///    zero-copy fast path: a text event flows parser/decoder → evaluator →
+///    writer without its bytes ever being copied into a per-event
+///    allocation.
 ///
 /// Both carry an optional interned `TagId` (common/interner.h) assigned by
 /// their producer: the document decoder emits its dictionary's ids
-/// natively, and the parser / DOM emitter fill them in when handed an
-/// interner. Consumers that dispatch per tag (the evaluator above all)
-/// translate the producer id once and then work on integers. The id is
-/// advisory: equality ignores it.
+/// natively, and the DOM emitter fills them in when handed an interner
+/// (the parser leaves them unset). Consumers that dispatch per tag (the
+/// evaluator above all) translate the producer id once and then work on
+/// integers. The id is advisory: equality ignores it.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -115,8 +114,7 @@ struct Event {
 ///
 /// All views (including `attrs[i].name/value`) point into storage owned by
 /// the producer; unless documented otherwise they are invalidated by the
-/// producer's next event, its destruction, or — for arena-backed streams —
-/// `EventArena::Reset()`.
+/// producer's next event or its destruction.
 struct EventView {
   EventType type = EventType::kEnd;
   std::string_view name;          ///< Tag name for kOpen / kClose.
@@ -173,81 +171,13 @@ struct EventView {
 /// returned view; the event itself must outlive it too.
 EventView ViewOf(const Event& e, std::vector<AttrView>* attr_scratch);
 
-/// \brief Bump allocator owning the bytes behind a recorded borrowed
-/// stream.
-///
-/// The explicit-ownership companion of `EventView`: producers (or
-/// consumers that must retain events past a producer's lifetime) copy the
-/// borrowed bytes into an arena once, and every view handed back borrows
-/// from the arena instead. One arena serves a whole recorded stream, so
-/// the per-event cost is a bump-pointer copy, never a per-string
-/// allocation.
-///
-/// Ownership rules (see src/xml/README.md):
-///  - views returned by Copy()/CopyAttrs()/Record() are valid until
-///    Reset() or destruction — *not* invalidated by later arena use;
-///  - Reset() keeps the largest block for reuse but invalidates every
-///    outstanding view;
-///  - the arena never shrinks while views are live; Materialize() remains
-///    the escape hatch for single events that must outlive the arena.
-class EventArena {
- public:
-  EventArena() = default;
-  EventArena(const EventArena&) = delete;
-  EventArena& operator=(const EventArena&) = delete;
-  // Movable: blocks live on the heap, so outstanding views survive a move
-  // (RecordedEvents relies on this to be returnable by value).
-  EventArena(EventArena&&) = default;
-  EventArena& operator=(EventArena&&) = default;
-
-  /// Copies `s` into the arena; the returned view lives until Reset().
-  std::string_view Copy(std::string_view s);
-  /// Copies `n` attribute views (array and backing strings) into the
-  /// arena; the returned array lives until Reset().
-  const AttrView* CopyAttrs(const AttrView* attrs, size_t n);
-  /// Deep-copies a borrowed event into the arena and returns a view of
-  /// the arena-owned copy (the recorded stream's unit operation).
-  EventView Record(const EventView& v);
-
-  /// Invalidates every outstanding view; keeps the largest block.
-  void Reset();
-  /// Bytes handed out so far (excludes block slack).
-  size_t bytes_used() const { return bytes_used_; }
-
- private:
-  char* Allocate(size_t n, size_t align);
-
-  struct Block {
-    std::unique_ptr<char[]> data;
-    size_t cap = 0;
-    size_t used = 0;
-  };
-  static constexpr size_t kMinBlock = 4096;
-  // Growth ceiling: blocks double up to this; larger single allocations
-  // get a dedicated exact-size block.
-  static constexpr size_t kMaxBlock = 65536;
-  std::vector<Block> blocks_;
-  size_t bytes_used_ = 0;
-};
-
-/// \brief A recorded borrowed event stream: a vector of views plus the
-/// arena that owns their bytes. The parse-into-arena and record-and-replay
-/// paths both return this.
-struct RecordedEvents {
-  EventArena arena;
-  std::vector<EventView> events;
-
-  /// Deep-copies `v` into the arena and appends the arena-backed view.
-  void Append(const EventView& v) { events.push_back(arena.Record(v)); }
-};
-
 /// \brief Consumer interface for event streams.
 ///
 /// Implementations include the access-control evaluator, the canonical
 /// writer and the DOM builder. Sinks have one entry point and consume
 /// borrowed views in place: a view is valid only for the duration of the
-/// call. A sink that must keep an event copies it (Materialize(), or an
-/// EventArena); a caller holding owning Events feeds ViewOf(e, &scratch).
+/// call. A sink that must keep an event copies it (Materialize()); a
+/// caller holding owning Events feeds ViewOf(e, &scratch).
 class EventSink {
  public:
   virtual ~EventSink() = default;

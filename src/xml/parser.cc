@@ -23,8 +23,7 @@ bool IsAllWhitespace(std::string_view s) {
 }
 }  // namespace
 
-PullParser::PullParser(std::string input, ParserOptions options)
-    : input_(std::move(input)), options_(options) {}
+PullParser::PullParser(std::string input) : input_(std::move(input)) {}
 
 std::string* PullParser::NewScratch() {
   if (scratch_used_ == scratch_.size()) scratch_.emplace_back();
@@ -133,16 +132,13 @@ Result<EventView> PullParser::ParseOpenTag() {
       Advance();
       open_tags_.push_back(name);
       ++depth_;
-      return EventView::Open(name, attr_views_.data(), attr_views_.size(),
-                             InternTag(name));
+      return EventView::Open(name, attr_views_.data(), attr_views_.size());
     }
     if (Lookahead("/>")) {
       pos_ += 2;
       pending_close_ = true;
       pending_close_name_ = name;
-      pending_close_id_ = InternTag(name);
-      return EventView::Open(name, attr_views_.data(), attr_views_.size(),
-                             pending_close_id_);
+      return EventView::Open(name, attr_views_.data(), attr_views_.size());
     }
     CSXA_ASSIGN_OR_RETURN(std::string_view attr_name, ParseName());
     while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek()))) Advance();
@@ -166,7 +162,7 @@ Result<EventView> PullParser::ParseCloseTag() {
   open_tags_.pop_back();
   --depth_;
   if (depth_ == 0) done_ = true;
-  return EventView::Close(name, InternTag(name));
+  return EventView::Close(name);
 }
 
 Result<EventView> PullParser::NextView() {
@@ -176,7 +172,7 @@ Result<EventView> PullParser::NextView() {
   if (pending_close_) {
     pending_close_ = false;
     if (depth_ == 0) done_ = true;
-    return EventView::Close(pending_close_name_, pending_close_id_);
+    return EventView::Close(pending_close_name_);
   }
   for (;;) {
     if (done_) {
@@ -259,12 +255,10 @@ Result<EventView> PullParser::NextView() {
           }
         }
         have_text = true;
-        if (!options_.coalesce_text) break;
       }
     }
     std::string_view text = acc != nullptr ? std::string_view(*acc) : direct;
-    if (!text.empty() &&
-        !(options_.skip_whitespace_text && IsAllWhitespace(text))) {
+    if (!text.empty() && !IsAllWhitespace(text)) {
       return EventView::Value(text);
     }
     // No deliverable text: handle the markup that stopped the scan.
@@ -284,9 +278,8 @@ Result<Event> PullParser::Next() {
   return v.Materialize();
 }
 
-Status PullParser::ParseAll(const std::string& input, EventSink* sink,
-                            ParserOptions options) {
-  PullParser parser(input, options);
+Status PullParser::ParseAll(const std::string& input, EventSink* sink) {
+  PullParser parser(input);
   for (;;) {
     CSXA_ASSIGN_OR_RETURN(EventView v, parser.NextView());
     CSXA_RETURN_IF_ERROR(sink->OnEventView(v));
@@ -294,25 +287,13 @@ Status PullParser::ParseAll(const std::string& input, EventSink* sink,
   }
 }
 
-Result<std::vector<Event>> PullParser::ParseToEvents(const std::string& input,
-                                                     ParserOptions options) {
-  PullParser parser(input, options);
+Result<std::vector<Event>> PullParser::ParseToEvents(const std::string& input) {
+  PullParser parser(input);
   std::vector<Event> events;
   for (;;) {
     CSXA_ASSIGN_OR_RETURN(EventView v, parser.NextView());
     if (v.type == EventType::kEnd) return events;
     events.push_back(v.Materialize());
-  }
-}
-
-Result<RecordedEvents> PullParser::ParseToRecorded(const std::string& input,
-                                                   ParserOptions options) {
-  PullParser parser(input, options);
-  RecordedEvents rec;
-  for (;;) {
-    CSXA_ASSIGN_OR_RETURN(EventView v, parser.NextView());
-    if (v.type == EventType::kEnd) return rec;
-    rec.Append(v);
   }
 }
 

@@ -18,38 +18,26 @@
 ///
 /// Supported: elements, attributes, character data with entity references,
 /// comments, processing instructions and XML declarations (skipped),
-/// CDATA sections, self-closing tags. Not supported (ParseError or
-/// NotSupported): DTDs, namespaces beyond treating ':' as a name char.
+/// CDATA sections, self-closing tags. Adjacent character data (including
+/// around CDATA and comments) is coalesced into one value event, and
+/// whitespace-only text (pretty-printing) is dropped. Not supported
+/// (ParseError or NotSupported): DTDs, namespaces beyond treating ':' as a
+/// name char.
 
 #include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/interner.h"
 #include "common/status.h"
 #include "xml/event.h"
 
 namespace csxa::xml {
 
-/// \brief Parser options.
-struct ParserOptions {
-  /// Drop text events that consist solely of whitespace (typical for
-  /// pretty-printed documents).
-  bool skip_whitespace_text = true;
-  /// Coalesce adjacent character data (including around CDATA) into a
-  /// single value event.
-  bool coalesce_text = true;
-  /// When set, every open/close event carries this interner's id for its
-  /// tag (names are interned on first sight). Must outlive the parser;
-  /// not owned.
-  Interner* interner = nullptr;
-};
-
 /// \brief Cursor-based pull parser over an in-memory document.
 class PullParser {
  public:
-  explicit PullParser(std::string input, ParserOptions options = {});
+  explicit PullParser(std::string input);
 
   // Non-copyable/movable: events and internal state hold views into
   // input_ and the scratch buffers, which relocate under copy/move (SSO).
@@ -59,8 +47,7 @@ class PullParser {
   /// Produces the next event as a borrowed view; type == kEnd after the
   /// root closes. The view (name/text/attrs) is valid only until the next
   /// NextView()/Next() call — callers that retain it must Materialize()
-  /// or Record() it into an EventArena. Returns ParseError on malformed
-  /// input.
+  /// it. Returns ParseError on malformed input.
   Result<EventView> NextView();
 
   /// Owning convenience: NextView() materialized.
@@ -71,19 +58,11 @@ class PullParser {
 
   /// Convenience: parses the whole document, pushing every event
   /// (including the trailing kEnd) into `sink` as borrowed views.
-  static Status ParseAll(const std::string& input, EventSink* sink,
-                         ParserOptions options = {});
+  static Status ParseAll(const std::string& input, EventSink* sink);
 
   /// Convenience: parses the whole document into an event vector
   /// (excluding the trailing kEnd).
-  static Result<std::vector<Event>> ParseToEvents(const std::string& input,
-                                                  ParserOptions options = {});
-
-  /// Parse-into-arena mode: the whole document as a recorded borrowed
-  /// stream (excluding the trailing kEnd). One arena owns every byte; the
-  /// views stay valid for the RecordedEvents' lifetime.
-  static Result<RecordedEvents> ParseToRecorded(const std::string& input,
-                                                ParserOptions options = {});
+  static Result<std::vector<Event>> ParseToEvents(const std::string& input);
 
  private:
   Status SkipMisc();               // whitespace, comments, PIs between markup
@@ -97,10 +76,6 @@ class PullParser {
   // next event.
   Result<std::string_view> ParseAttrValue();
   Status Error(const std::string& msg) const;
-  TagId InternTag(std::string_view name) {
-    return options_.interner != nullptr ? options_.interner->Intern(name)
-                                        : kNoTagId;
-  }
   // Scratch string reused across events (capacity kept). Deque storage:
   // growth never moves earlier strings, so views into them stay valid
   // within one event.
@@ -114,7 +89,6 @@ class PullParser {
   std::string input_;
   size_t pos_ = 0;
   int line_ = 1;
-  ParserOptions options_;
   int depth_ = 0;
   bool root_seen_ = false;
   bool done_ = false;
@@ -122,7 +96,6 @@ class PullParser {
   // of input_, which is stable for the parser's lifetime.
   bool pending_close_ = false;
   std::string_view pending_close_name_;
-  TagId pending_close_id_ = kNoTagId;
   std::vector<std::string_view> open_tags_;
   // Per-event borrowed storage, invalidated by the next NextView() call.
   std::vector<AttrView> attr_views_;

@@ -375,6 +375,28 @@ TEST(ConcurrencyTest, AsyncDispatcherExecuteOnIdleLaneRunsOnCallerThread) {
             worker_dispatcher.lane_busy_seconds());
 }
 
+TEST(ConcurrencyTest, AsyncDispatcherLaneChargeIsAdmissionPlusWireBytes) {
+  // Each executed request charges its lane 200 us of admission plus its
+  // response's wire_bytes at 100 MB/s; an error pays admission only.
+  dsp::AsyncDispatcher::Options opt;
+  opt.workers = 1;
+  ThreadRecordingService backend;
+  dsp::AsyncDispatcher dispatcher(&backend, opt);
+  dsp::Request req;
+  req.doc_id = "doc";
+  req.known_rules_version = 1000000;  // becomes wire_bytes: 10 ms
+  ASSERT_TRUE(dispatcher.Execute(req).ok());
+  EXPECT_DOUBLE_EQ(dispatcher.modeled_busy_seconds(), 0.0102);
+  req.known_rules_version = 0;  // an empty reply still pays admission
+  ASSERT_TRUE(dispatcher.Submit(req).get().ok());
+  EXPECT_DOUBLE_EQ(dispatcher.modeled_busy_seconds(), 0.0104);
+
+  dsp::DspServer store;
+  dsp::AsyncDispatcher failing(&store, opt);
+  EXPECT_FALSE(failing.OpenDocument("missing").ok());
+  EXPECT_DOUBLE_EQ(failing.modeled_busy_seconds(), 200e-6);
+}
+
 TEST(ConcurrencyTest, AsyncDispatcherExecuteHandsWritesToTheWorker) {
   ThreadRecordingService backend;
   dsp::AsyncDispatcher::Options opt;

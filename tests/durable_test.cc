@@ -144,15 +144,15 @@ TEST(DurableServerTest, MultiSpanGetChunksServesSpansInRequestOrder) {
 
   std::vector<soe::ChunkData> reference;  // 10 chunks of 256 (last short)
   for (uint32_t i = 0; i < 10; ++i) {
-    auto one = server->GetChunks("m", {dsp::ChunkSpan{i, 1}});
+    auto one = server->GetChunks("m", {skipindex::ChunkRun{i, 1}});
     ASSERT_TRUE(one.ok()) << i;
     reference.push_back(std::move(one.value()[0]));
   }
 
   uint64_t requests_before = server->stats().requests;
   auto got = server->GetChunks(
-      "m", {dsp::ChunkSpan{6, 3}, dsp::ChunkSpan{0, 2}, dsp::ChunkSpan{3, 0},
-            dsp::ChunkSpan{1, 2}, dsp::ChunkSpan{9, 1}});
+      "m", {skipindex::ChunkRun{6, 3}, skipindex::ChunkRun{0, 2}, skipindex::ChunkRun{3, 0},
+            skipindex::ChunkRun{1, 2}, skipindex::ChunkRun{9, 1}});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(server->stats().requests, requests_before + 1);
   const std::vector<uint32_t> expect = {6, 7, 8, 0, 1, 1, 2, 9};
@@ -163,10 +163,10 @@ TEST(DurableServerTest, MultiSpanGetChunksServesSpansInRequestOrder) {
   }
 
   EXPECT_FALSE(
-      server->GetChunks("m", {dsp::ChunkSpan{0, 1}, dsp::ChunkSpan{9, 2}})
+      server->GetChunks("m", {skipindex::ChunkRun{0, 1}, skipindex::ChunkRun{9, 2}})
           .ok());
   auto none =
-      server->GetChunks("m", {dsp::ChunkSpan{0, 0}, dsp::ChunkSpan{5, 0}});
+      server->GetChunks("m", {skipindex::ChunkRun{0, 0}, skipindex::ChunkRun{5, 0}});
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none.value().empty());
 }

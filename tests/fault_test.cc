@@ -322,6 +322,33 @@ TEST(RetryingClientTest, ExhaustsBoundedBudgetAgainstADeadBackend) {
   EXPECT_EQ(client.exhausted(), 1u);
 }
 
+TEST(RetryingClientTest, BackoffStartsAt5msDoublesAndCapsAt250ms) {
+  dsp::DspServer store;
+  dsp::FaultInjectingService faulty(&store);
+  faulty.set_crashed(true);
+  dsp::RetryOptions ropt;
+  ropt.max_attempts = 9;
+  dsp::RetryingClient client(&faulty, ropt);
+  std::vector<int> attempts;
+  std::vector<double> backoffs;
+  client.set_on_backoff([&](int attempt, double seconds) {
+    attempts.push_back(attempt);
+    backoffs.push_back(seconds);
+  });
+  // A write retries like a read.
+  EXPECT_EQ(client.UpdateRules("doc", RulesBlobFor(1)).code(),
+            StatusCode::kIoError);
+  const std::vector<double> expected = {0.005, 0.01, 0.02, 0.04,
+                                        0.08,  0.16, 0.25, 0.25};
+  ASSERT_EQ(backoffs.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(attempts[i], static_cast<int>(i) + 1);
+    EXPECT_DOUBLE_EQ(backoffs[i], expected[i]) << i;
+  }
+  EXPECT_DOUBLE_EQ(client.modeled_backoff_seconds(), 0.815);
+  EXPECT_EQ(client.retries(), 8u);
+}
+
 TEST(RetryingClientTest, RemoveRetryAbsorbsTheNotFoundRace) {
   dsp::DspServer store;
   ASSERT_TRUE(store.Publish("doc", MakeContainer(1), RulesBlobFor(1)).ok());

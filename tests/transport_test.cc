@@ -170,7 +170,7 @@ TEST(TransportTest, ShardedOpsTouchOnlyTheHomeShard) {
   });
   expect_home_only(doc_id, "get-chunks", [&] {
     auto chunks = sharded.GetChunks(
-        doc_id, {dsp::ChunkSpan{0, 1}, dsp::ChunkSpan{2, 1}});
+        doc_id, {skipindex::ChunkRun{0, 1}, skipindex::ChunkRun{2, 1}});
     ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
     EXPECT_EQ(chunks.value().size(), 2u);
   });
@@ -370,7 +370,7 @@ std::vector<soe::ChunkData> PublishTenChunks(dsp::Service* dsp,
   EXPECT_TRUE(dsp->Publish(doc_id, container, Bytes{1}).ok());
   std::vector<soe::ChunkData> reference;
   for (uint32_t i = 0; i < 10; ++i) {
-    auto one = dsp->GetChunks(doc_id, {dsp::ChunkSpan{i, 1}});
+    auto one = dsp->GetChunks(doc_id, {skipindex::ChunkRun{i, 1}});
     EXPECT_TRUE(one.ok()) << i;
     reference.push_back(std::move(one.value()[0]));
   }
@@ -385,7 +385,7 @@ TEST(TransportTest, MultiSpanGetChunksServesSpansInRequestOrder) {
   // and an overlap thrown in: the response is the flattened concatenation
   // in REQUEST order (a chunk appearing in two spans is served twice) —
   // and the whole thing is exactly one request.
-  std::vector<dsp::ChunkSpan> spans = {
+  std::vector<skipindex::ChunkRun> spans = {
       {7, 2}, {0, 3}, {4, 0}, {2, 2}, {9, 1}};
   const std::vector<uint32_t> expect = {7, 8, 0, 1, 2, 2, 3, 9};
   uint64_t requests_before = dsp.stats().requests;
@@ -398,15 +398,15 @@ TEST(TransportTest, MultiSpanGetChunksServesSpansInRequestOrder) {
   }
 
   // All-empty spans are a legal no-op request.
-  auto none = dsp.GetChunks("m", {dsp::ChunkSpan{3, 0}, dsp::ChunkSpan{0, 0}});
+  auto none = dsp.GetChunks("m", {skipindex::ChunkRun{3, 0}, skipindex::ChunkRun{0, 0}});
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none.value().empty());
 
   // Any span reaching past the end fails the whole request: a planner bug
   // must surface as an error here, not as truncated data.
-  EXPECT_FALSE(dsp.GetChunks("m", {dsp::ChunkSpan{0, 1}, dsp::ChunkSpan{9, 2}})
+  EXPECT_FALSE(dsp.GetChunks("m", {skipindex::ChunkRun{0, 1}, skipindex::ChunkRun{9, 2}})
                    .ok());
-  EXPECT_FALSE(dsp.GetChunks("m", {dsp::ChunkSpan{10, 1}}).ok());
+  EXPECT_FALSE(dsp.GetChunks("m", {skipindex::ChunkRun{10, 1}}).ok());
 }
 
 TEST(TransportTest, MultiSpanGetChunksKeepsSpanOrderOnShardedFleet) {
@@ -421,7 +421,7 @@ TEST(TransportTest, MultiSpanGetChunksKeepsSpanOrderOnShardedFleet) {
   EXPECT_EQ(home->size(), 1u);
 
   auto got = sharded.GetChunks(
-      doc_id, {dsp::ChunkSpan{8, 2}, dsp::ChunkSpan{1, 2}});
+      doc_id, {skipindex::ChunkRun{8, 2}, skipindex::ChunkRun{1, 2}});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_EQ(got.value().size(), 4u);
   EXPECT_EQ(got.value()[0].ciphertext, reference[8].ciphertext);
@@ -432,7 +432,7 @@ TEST(TransportTest, MultiSpanGetChunksKeepsSpanOrderOnShardedFleet) {
   // And the span-order contract holds through the router exactly as it
   // does against a single store.
   auto again = sharded.GetChunks(
-      doc_id, {dsp::ChunkSpan{0, 1}, dsp::ChunkSpan{0, 0}, dsp::ChunkSpan{5, 3}});
+      doc_id, {skipindex::ChunkRun{0, 1}, skipindex::ChunkRun{0, 0}, skipindex::ChunkRun{5, 3}});
   ASSERT_TRUE(again.ok());
   ASSERT_EQ(again.value().size(), 4u);
   EXPECT_EQ(again.value()[0].ciphertext, reference[0].ciphertext);

@@ -84,17 +84,9 @@ TEST(ParserTest, TextCoalescingAroundComments) {
   EXPECT_EQ(events[1].text, "onetwo");
 }
 
-TEST(ParserTest, WhitespaceOnlyTextSkippedByDefault) {
+TEST(ParserTest, WhitespaceOnlyTextSkipped) {
   auto events = Parse("<a>\n  <b>x</b>\n</a>");
   ASSERT_EQ(events.size(), 5u);
-}
-
-TEST(ParserTest, WhitespaceKeptWhenConfigured) {
-  xml::ParserOptions opt;
-  opt.skip_whitespace_text = false;
-  auto r = PullParser::ParseToEvents("<a> <b>x</b></a>", opt);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().size(), 6u);
 }
 
 TEST(ParserTest, EntityEscapesInText) {
