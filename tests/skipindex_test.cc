@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hex.h"
 #include "common/random.h"
 #include "core/evaluator.h"
 #include "core/ref_evaluator.h"
+#include "crypto/sha256.h"
 #include "skipindex/codec.h"
 #include "skipindex/filter.h"
 #include "scengen/rulegen.h"
@@ -289,6 +291,154 @@ TEST(SkipEffectiveness, SelectiveRulesSkipBytes) {
       skipindex::RunFiltered(dec.get(), ev.get(), {}, &stats).ok());
   EXPECT_GT(stats.skips, 0u);
   EXPECT_GT(stats.bytes_skipped, enc.size() / 20);
+}
+
+
+// --- Golden encodings: the format pinned byte for byte -------------------
+//
+// SHA-256 of the encoded bytes plus every EncodeStats field, for three
+// documents under all four option pairs. The documents between them cover
+// deep recursive bitmaps (a folder_depth-4 hospital folder), a dictionary
+// of more than 64 tags (random tags over a 150-word vocabulary) and
+// 3-byte content_size and text-length varints next to attributes, empty
+// elements and text-only elements.
+
+xml::DomDocument GoldenDocument(const std::string& name) {
+  xml::GeneratorParams gp;
+  if (name == "hospital") {
+    gp.profile = xml::DocProfile::kHospital;
+    gp.target_elements = 2000;
+    gp.folder_depth = 4;
+    gp.seed = 2005;
+    return xml::GenerateDocument(gp);
+  }
+  if (name == "random150") {
+    gp.profile = xml::DocProfile::kRandom;
+    gp.target_elements = 1500;
+    gp.vocabulary = 150;
+    gp.seed = 64;
+    return xml::GenerateDocument(gp);
+  }
+  // "large": an element whose content is well over 16 KiB.
+  Rng rng(16384);
+  auto root = xml::DomNode::Element("archive",
+                                    {{"owner", "ward-7"}, {"blank", ""}});
+  root->AddElement("empty");
+  root->AddElement("flagged", {{"level", "high"}});
+  root->AddElement("note")->AddText("text only");
+  xml::DomNode* blob =
+      root->AddElement("blob", {{"id", "b1"}, {"codec", "raw"}});
+  for (int i = 0; i < 160; ++i) {
+    xml::DomNode* entry = blob->AddElement("entry", {{"n", std::to_string(i)}});
+    entry->AddText(rng.Ident(96));
+    if (i % 16 == 0) entry->AddElement("mark");
+  }
+  blob->AddText(std::string(20000, 'x'));
+  root->AddElement("tail")->AddText("end");
+  return xml::DomDocument(std::move(root));
+}
+
+struct GoldenEncoding {
+  const char* doc;
+  bool with_index;
+  bool recursive;
+  const char* sha256;
+  EncodeStats stats;
+};
+
+// Each failing row prints the row the current encoder produces.
+constexpr GoldenEncoding kGoldenEncodings[] = {
+    {"hospital", true, true,
+     "3dfb88f08c6367178a7cddfa483bb072b2032f7aaf5931d3ddc1d4d4eae06d55",
+     {57663, 189, 15367, 33002, 6907, 2196, 3131}},
+    {"hospital", true, false,
+     "3eb239ba1ca137fc8697923f5382b8796a020375d396b239fc92b04e72e5d1ec",
+     {59194, 189, 15367, 33002, 6908, 3726, 3131}},
+    {"hospital", false, true,
+     "724da87804e67d774cb7552232e69b705f726b8dc2c32371a5b77866bafad8ff",
+     {48560, 189, 15367, 33002, 0, 0, 3131}},
+    {"hospital", false, false,
+     "4c4b8c4ca4e5374fd150b5e6e80c1b1db8271123f84d656262425f9636de284f",
+     {48560, 189, 15367, 33002, 0, 0, 3131}},
+    {"random150", true, true,
+     "e289317c1c44e9e2490b3281977f510afdb22d02d60b50173101ae72d13d340d",
+     {17197, 643, 6191, 4085, 3071, 3205, 1500}},
+    {"random150", true, false,
+     "176a94521f3471f49ba432cdef45c6170beb1dea95f853f23750d3590a598ac5",
+     {26588, 643, 6191, 4085, 3146, 12521, 1500}},
+    {"random150", false, true,
+     "90be0769445032446a3086ca88099e23dace7a797ec6638789ee86523d692768",
+     {10921, 643, 6191, 4085, 0, 0, 1500}},
+    {"random150", false, false,
+     "d091f3fe04b5938d78e8e6ec8beddf6a47dd0988996ee97949204355bd8dd3d6",
+     {10921, 643, 6191, 4085, 0, 0, 1500}},
+    {"large", true, true,
+     "33f99f0186afea65781a0cd851676550213d4fefdb1c45489c746c2938a60b44",
+     {37568, 79, 1419, 35700, 356, 12, 176}},
+    {"large", true, false,
+     "97759eba1665e2f29d3f46745cad4371ba576111a56a6bdfff4079878077af2c",
+     {37568, 79, 1419, 35700, 356, 12, 176}},
+    {"large", false, true,
+     "28efb4a155f88372f77973932aba50ce2a81542f7351165c1e4c42b23e956999",
+     {37200, 79, 1419, 35700, 0, 0, 176}},
+    {"large", false, false,
+     "fa10a72e5deb852f114bb1bfc25f5bd75a2fce3801ca5e1612cbcbd54e7c49a8",
+     {37200, 79, 1419, 35700, 0, 0, 176}},
+};
+
+TEST(GoldenEncodingTest, EncodedBytesAndStatsArePinned) {
+  for (const GoldenEncoding& g : kGoldenEncodings) {
+    xml::DomDocument doc = GoldenDocument(g.doc);
+    EncodeOptions opt;
+    opt.with_index = g.with_index;
+    opt.recursive_bitmaps = g.recursive;
+    EncodeStats s;
+    auto enc = EncodeDocument(doc, opt, &s);
+    ASSERT_TRUE(enc.ok()) << enc.status().ToString();
+    crypto::Digest d = crypto::Sha256::Hash(enc.value());
+    std::string sha = HexEncode(Span(d.data(), d.size()));
+    std::string row = "{\"" + std::string(g.doc) + "\", " +
+                      (g.with_index ? "true" : "false") + ", " +
+                      (g.recursive ? "true" : "false") + ", \"" + sha +
+                      "\", {" + std::to_string(s.total_bytes) + ", " +
+                      std::to_string(s.dict_bytes) + ", " +
+                      std::to_string(s.structure_bytes) + ", " +
+                      std::to_string(s.text_bytes) + ", " +
+                      std::to_string(s.index_size_bytes) + ", " +
+                      std::to_string(s.index_bitmap_bytes) + ", " +
+                      std::to_string(s.element_count) + "}},";
+    EXPECT_EQ(sha, g.sha256) << row;
+    EXPECT_EQ(s.total_bytes, g.stats.total_bytes) << row;
+    EXPECT_EQ(s.dict_bytes, g.stats.dict_bytes) << row;
+    EXPECT_EQ(s.structure_bytes, g.stats.structure_bytes) << row;
+    EXPECT_EQ(s.text_bytes, g.stats.text_bytes) << row;
+    EXPECT_EQ(s.index_size_bytes, g.stats.index_size_bytes) << row;
+    EXPECT_EQ(s.index_bitmap_bytes, g.stats.index_bitmap_bytes) << row;
+    EXPECT_EQ(s.element_count, g.stats.element_count) << row;
+    EXPECT_EQ(DecodeAll(enc.value()), doc.Serialize()) << row;
+  }
+}
+
+TEST(GoldenEncodingTest, DocumentsCoverWideBitmapsAndLongVarints) {
+  Bytes random = EncodeDocument(GoldenDocument("random150"), {}).value();
+  MemorySource random_src(random);
+  auto dec = DocumentDecoder::Open(&random_src).value();
+  EXPECT_GT(dec->tags().size(), 128u);  // tag sets span three 64-bit words
+
+  Bytes large = EncodeDocument(GoldenDocument("large"), {}).value();
+  MemorySource large_src(large);
+  dec = DocumentDecoder::Open(&large_src).value();
+  uint64_t blob_size = 0;
+  for (;;) {
+    auto ev = dec->NextView();
+    ASSERT_TRUE(ev.ok()) << ev.status().ToString();
+    if (ev.value().type == xml::EventType::kEnd) break;
+    if (ev.value().type == xml::EventType::kOpen &&
+        ev.value().name == "blob") {
+      blob_size = dec->last_content_size();
+    }
+  }
+  EXPECT_GE(blob_size, 16384u);  // a 3-byte content_size varint
 }
 
 }  // namespace
