@@ -12,6 +12,11 @@
 //                      (chunk 256): verify+decrypt, decode, skip, evaluate,
 //                      write and the per-event RAM meter; host ns per
 //                      session and events/s
+//   BM_Encode          skipindex::EncodeDocument of a deep hospital folder
+//                      (2000-element target, folder_depth 4: ~3,100
+//                      elements, ~57 KB encoded); the publisher's encode
+//   BM_Seal            SecureContainer::Seal of that encoded folder
+//                      (chunk 256, chunk MACs); the publisher's seal
 //
 // The owning-event legs these replaced are retired (their last numbers are
 // in CHANGES.md); the modeled costs of both were byte-identical, pinned by
@@ -175,6 +180,45 @@ void BM_CardSession(benchmark::State& state) {
   SetRates(state, events, bytes);
 }
 BENCHMARK(BM_CardSession);
+
+xml::DomDocument MakeDeepFolder() {
+  xml::GeneratorParams gp;
+  gp.profile = xml::DocProfile::kHospital;
+  gp.target_elements = kDocElements;
+  gp.folder_depth = 4;
+  gp.seed = 71;
+  return xml::GenerateDocument(gp);
+}
+
+void BM_Encode(benchmark::State& state) {
+  xml::DomDocument doc = MakeDeepFolder();
+  size_t elements = 0;
+  size_t bytes = 0;
+  for (auto _ : state) {
+    skipindex::EncodeStats stats;
+    auto encoded = skipindex::EncodeDocument(doc, {}, &stats);
+    CSXA_CHECK(encoded.ok());
+    benchmark::DoNotOptimize(encoded.value().data());
+    elements += stats.element_count;
+    bytes += stats.total_bytes;
+  }
+  SetRates(state, elements, bytes);
+}
+BENCHMARK(BM_Encode);
+
+void BM_Seal(benchmark::State& state) {
+  Bytes payload = skipindex::EncodeDocument(MakeDeepFolder(), {}).value();
+  Rng rng(74);
+  auto key = crypto::SymmetricKey::Generate(&rng);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    Bytes sealed = crypto::SecureContainer::Seal(key, payload, 256, &rng);
+    benchmark::DoNotOptimize(sealed.data());
+    bytes += payload.size();
+  }
+  SetRates(state, 0, bytes);
+}
+BENCHMARK(BM_Seal);
 
 }  // namespace
 

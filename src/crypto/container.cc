@@ -1,9 +1,17 @@
 #include "crypto/container.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace csxa::crypto {
 
 namespace {
 constexpr uint8_t kMagic[4] = {'C', 'S', 'X', 'A'};
+
+void StoreU32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
 }  // namespace
 
 void ContainerHeader::EncodeTo(ByteWriter* out) const {
@@ -43,10 +51,11 @@ Result<ContainerHeader> ContainerHeader::DecodeFrom(ByteReader* in) {
 }
 
 Bytes SecureContainer::LeafPayload(uint32_t index, Span ciphertext) {
-  ByteWriter w;
-  w.PutU32(index);
-  w.PutBytes(ciphertext);
-  return w.Take();
+  Bytes leaf(4 + ciphertext.size());
+  StoreU32(leaf.data(), index);
+  std::copy(ciphertext.data(), ciphertext.data() + ciphertext.size(),
+            leaf.data() + 4);
+  return leaf;
 }
 
 Digest SecureContainer::ComputeRootMac(const HmacKey& mac,
@@ -64,13 +73,15 @@ Digest SecureContainer::ComputeRootMac(const HmacKey& mac,
 Digest SecureContainer::ComputeChunkMac(const HmacKey& mac,
                                         const ContainerHeader& h,
                                         uint32_t index, Span ciphertext) {
-  ByteWriter w;
-  w.PutString("chunk");
-  w.PutBytes(Span(h.nonce.data(), h.nonce.size()));
-  w.PutU32(index);
-  w.PutU32(h.chunk_size);
+  // u32 length || "chunk" || nonce || index || chunk_size, on the stack.
+  uint8_t prefix[4 + 5 + 16 + 4 + 4];
+  StoreU32(prefix, 5);
+  std::memcpy(prefix + 4, "chunk", 5);
+  std::memcpy(prefix + 9, h.nonce.data(), h.nonce.size());
+  StoreU32(prefix + 25, index);
+  StoreU32(prefix + 29, h.chunk_size);
   Sha256 hasher = mac.Begin();
-  hasher.Update(w.bytes());
+  hasher.Update(Span(prefix, sizeof(prefix)));
   hasher.Update(ciphertext);
   return mac.Finish(hasher);
 }
@@ -96,39 +107,44 @@ Bytes SecureContainer::Seal(const SymmetricKey& key, Span payload,
   const DocCipher cipher = DocCipher::For(key);
   Span nonce(h.nonce.data(), h.nonce.size());
 
-  std::vector<Bytes> ciphertexts;
-  ciphertexts.reserve(h.chunk_count);
+  // One buffer, sized once: header, auth table, then the ciphertexts,
+  // each encrypted straight into its place.
+  const size_t auth_off = ContainerHeader::kWireSize;
+  const size_t chunks_off =
+      auth_off + static_cast<size_t>(h.chunk_count) * kSha256Size;
+  Bytes out(chunks_off + payload.size());
+  auto ciphertext = [&](uint32_t i) {
+    return Span(out).subspan(chunks_off + size_t{i} * chunk_size, chunk_size);
+  };
   for (uint32_t i = 0; i < h.chunk_count; ++i) {
-    size_t off = static_cast<size_t>(i) * chunk_size;
-    Span plain = payload.subspan(off, chunk_size);
-    Bytes chunk;
-    CtrTransform(cipher.enc, DeriveCtrIv(nonce, i), plain, &chunk);
-    ciphertexts.push_back(std::move(chunk));
+    Span plain = payload.subspan(size_t{i} * chunk_size, chunk_size);
+    cipher.enc.CtrXor(DeriveCtrIv(nonce, i).data(), plain.data(),
+                      out.data() + chunks_off + size_t{i} * chunk_size,
+                      plain.size());
   }
 
   // Authentication table: Merkle leaf digests or keyed chunk MACs.
-  std::vector<Digest> auth_table;
-  auth_table.reserve(h.chunk_count);
+  uint8_t* auth = out.data() + auth_off;
   if (mode == IntegrityMode::kMerkle) {
+    std::vector<Digest> leaves(h.chunk_count);
     for (uint32_t i = 0; i < h.chunk_count; ++i) {
-      auth_table.push_back(
-          MerkleTree::HashLeaf(LeafPayload(i, ciphertexts[i])));
+      leaves[i] = MerkleTree::HashLeaf(LeafPayload(i, ciphertext(i)));
+      std::memcpy(auth + i * kSha256Size, leaves[i].data(), kSha256Size);
     }
-    MerkleTree tree = MerkleTree::BuildFromDigests(auth_table);
-    h.merkle_root = tree.root();
+    h.merkle_root = MerkleTree::BuildFromDigests(std::move(leaves)).root();
   } else {
     h.merkle_root.fill(0);
     for (uint32_t i = 0; i < h.chunk_count; ++i) {
-      auth_table.push_back(ComputeChunkMac(cipher.mac, h, i, ciphertexts[i]));
+      Digest d = ComputeChunkMac(cipher.mac, h, i, ciphertext(i));
+      std::memcpy(auth + i * kSha256Size, d.data(), kSha256Size);
     }
   }
   h.root_mac = ComputeRootMac(cipher.mac, h);
 
-  ByteWriter w;
-  h.EncodeTo(&w);
-  for (const Digest& d : auth_table) w.PutBytes(Span(d.data(), d.size()));
-  for (const Bytes& c : ciphertexts) w.PutBytes(c);
-  return w.Take();
+  ByteWriter header;
+  h.EncodeTo(&header);
+  std::memcpy(out.data(), header.bytes().data(), ContainerHeader::kWireSize);
+  return out;
 }
 
 Result<SecureContainer> SecureContainer::Parse(Span data) {
@@ -201,9 +217,11 @@ Status SecureContainer::VerifyRoot(const DocCipher& cipher,
   return Status::OK();
 }
 
-Result<Bytes> SecureContainer::VerifyAndDecryptChunk(
-    const DocCipher& cipher, const ContainerHeader& header, uint32_t index,
-    Span ciphertext, const ChunkAuth& auth) {
+Status SecureContainer::VerifyAndDecryptChunk(const DocCipher& cipher,
+                                              const ContainerHeader& header,
+                                              uint32_t index, Span ciphertext,
+                                              const ChunkAuth& auth,
+                                              Bytes* plain) {
   if (index >= header.chunk_count) {
     return Status::InvalidArgument("chunk index out of range");
   }
@@ -220,10 +238,18 @@ Result<Bytes> SecureContainer::VerifyAndDecryptChunk(
       return Status::IntegrityError("chunk MAC mismatch");
     }
   }
-  Bytes plain;
   CtrTransform(cipher.enc,
                DeriveCtrIv(Span(header.nonce.data(), header.nonce.size()), index),
-               ciphertext, &plain);
+               ciphertext, plain);
+  return Status::OK();
+}
+
+Result<Bytes> SecureContainer::VerifyAndDecryptChunk(
+    const DocCipher& cipher, const ContainerHeader& header, uint32_t index,
+    Span ciphertext, const ChunkAuth& auth) {
+  Bytes plain;
+  CSXA_RETURN_IF_ERROR(
+      VerifyAndDecryptChunk(cipher, header, index, ciphertext, auth, &plain));
   return plain;
 }
 

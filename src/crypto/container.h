@@ -125,7 +125,13 @@ class SecureContainer {
 
   /// SOE-side: verifies `ciphertext` as chunk `index` per the header's
   /// integrity mode (the header must already be root-verified), then
-  /// decrypts it.
+  /// decrypts it into `plain`, resized to the ciphertext's length; `plain`
+  /// is untouched when verification fails. In kChunkMac mode this form
+  /// allocates nothing once `plain` has the capacity.
+  static Status VerifyAndDecryptChunk(const DocCipher& cipher,
+                                      const ContainerHeader& header,
+                                      uint32_t index, Span ciphertext,
+                                      const ChunkAuth& auth, Bytes* plain);
   static Result<Bytes> VerifyAndDecryptChunk(const DocCipher& cipher,
                                              const ContainerHeader& header,
                                              uint32_t index, Span ciphertext,
@@ -147,9 +153,10 @@ class SecureContainer {
   /// Leaf payload for the Merkle tree: chunk index || ciphertext.
   static Bytes LeafPayload(uint32_t index, Span ciphertext);
 
-  /// Keyed per-chunk MAC: HMAC(mac_key, "chunk" || nonce || index ||
-  /// chunk_size || ciphertext), with the ciphertext streamed into the
-  /// hasher rather than copied.
+  /// Keyed per-chunk MAC: HMAC(mac_key, u32(5) || "chunk" || nonce ||
+  /// index || chunk_size || ciphertext). The fixed 33-byte prefix is built
+  /// on the stack and the ciphertext streamed into the hasher: no copy,
+  /// no allocation.
   static Digest ComputeChunkMac(const HmacKey& mac, const ContainerHeader& h,
                                 uint32_t index, Span ciphertext);
 

@@ -12,6 +12,15 @@ namespace csxa::scengen {
 
 namespace {
 
+// `prefix` followed by the decimal `k` ("s0", "m12"). Appending, rather
+// than `"s" + std::to_string(k)`, keeps GCC 12's -Wrestrict quiet: its
+// inlined insert-at-front of the temporary draws a false positive.
+std::string SubjectName(char prefix, size_t k) {
+  std::string name(1, prefix);
+  name += std::to_string(k);
+  return name;
+}
+
 // Domain-separation salts: document bodies, rule revisions and queries
 // draw from independent streams so tweaking one knob never perturbs the
 // others' bytes.
@@ -85,7 +94,7 @@ ScenarioDoc GeneratedScenario::MakeDoc(size_t index,
     d.subjects = base.value().Subjects();
   }
   for (size_t k = 0; k < StableSubjectCount(spec); ++k) {
-    d.subjects.push_back("s" + std::to_string(k));
+    d.subjects.push_back(SubjectName('s', k));
   }
   return d;
 }
@@ -119,7 +128,7 @@ std::string GeneratedScenario::RulesRevision(size_t index,
   // Stable core: same subjects every revision, fresh rule bodies — a
   // policy *update*, not a revocation.
   for (size_t k = 0; k < StableSubjectCount(spec); ++k) {
-    text += GenerateRules(doc, "s" + std::to_string(k), rp, &rng).ToText();
+    text += GenerateRules(doc, SubjectName('s', k), rp, &rng).ToText();
   }
 
   // Mobile subscribers: a window of M subjects out of a universe of 3M,
@@ -131,7 +140,7 @@ std::string GeneratedScenario::RulesRevision(size_t index,
     size_t universe = 3 * mobile;
     for (size_t j = 0; j < mobile; ++j) {
       size_t id = (revision + j) % universe;
-      text += GenerateRules(doc, "m" + std::to_string(id), rp, &rng).ToText();
+      text += GenerateRules(doc, SubjectName('m', id), rp, &rng).ToText();
     }
   }
   return text;

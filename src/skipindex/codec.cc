@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
+#include <cstring>
 
 #include "common/varint.h"
 
@@ -23,123 +23,246 @@ constexpr uint8_t kMetaHasText = 0x02;
 
 using xml::DomNode;
 
-struct Encoder {
-  Interner tags;
-  Interner attrs;
-  EncodeOptions opt;
-  EncodeStats stats;
-  // S(node): sorted tag ids of strict descendants; computed bottom-up.
-  std::unordered_map<const DomNode*, std::vector<uint32_t>> subtree_tags;
+// A bounds-checked write cursor over the pre-sized output buffer. A write
+// that would pass the end is dropped and marks the cursor overflowed, so a
+// sizing bug surfaces as Status::Internal, never as a buffer overrun.
+class Cursor {
+ public:
+  Cursor(uint8_t* begin, uint8_t* end) : p_(begin), end_(end) {}
 
-  void InternNames(const DomNode* n) {
-    if (n->is_text()) return;
-    tags.Intern(n->tag());
-    for (const auto& a : n->attrs()) attrs.Intern(a.name);
-    for (const auto& c : n->children()) InternNames(c.get());
+  void U8(uint8_t v) {
+    if (Fits(1)) *p_++ = v;
+  }
+  void Varint(uint64_t v) {
+    if (!Fits(VarintLength(v))) return;
+    while (v >= 0x80) {
+      *p_++ = static_cast<uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    *p_++ = static_cast<uint8_t>(v);
+  }
+  void Raw(const std::string& s) {
+    if (!Fits(s.size())) return;
+    std::memcpy(p_, s.data(), s.size());
+    p_ += s.size();
   }
 
-  // Computes S(n) and whether the subtree has text, bottom-up.
-  std::pair<std::vector<uint32_t>, bool> ComputeSets(const DomNode* n) {
-    std::vector<uint32_t> set;
-    bool has_text = false;
+  // True iff every write fitted and the buffer is exactly full.
+  bool Complete() const { return !overflow_ && p_ == end_; }
+
+ private:
+  bool Fits(size_t n) {
+    if (static_cast<size_t>(end_ - p_) >= n) return true;
+    overflow_ = true;
+    return false;
+  }
+
+  uint8_t* p_;
+  uint8_t* end_;
+  bool overflow_ = false;
+};
+
+// Encodes in four passes over flat arrays indexed by element preorder
+// number, so every size is known before the single write: (1) intern the
+// names, (2) bottom-up subtree tag sets and has-text flags, (3) bottom-up
+// byte sizes, (4) one preorder write into the final buffer.
+class Encoder {
+ public:
+  explicit Encoder(const EncodeOptions& opt) : opt_(opt) {}
+
+  Result<Bytes> Encode(const DomNode* root, EncodeStats* stats_out) {
+    Collect(root, kNoParent);
+    ComputeSets();
+    ComputeSizes();
+
+    ByteWriter header;
+    header.PutU8(kMagic);
+    uint8_t flags = 0;
+    if (opt_.with_index) flags |= kFlagIndex;
+    if (opt_.recursive_bitmaps) flags |= kFlagRecursive;
+    header.PutU8(flags);
+    tags_.EncodeTo(&header);
+    attrs_.EncodeTo(&header);
+    stats_.dict_bytes = header.size() - 2;
+
+    Bytes out = header.Take();
+    const size_t header_size = out.size();
+    out.resize(header_size + elems_[0].total);
+    Cursor cursor(out.data() + header_size, out.data() + out.size());
+    next_ = 0;
+    Write(root, &cursor);
+    if (!cursor.Complete()) {
+      return Status::Internal("skip-index encoder size mismatch");
+    }
+    stats_.element_count = elems_.size();
+    stats_.total_bytes = out.size();
+    if (stats_out != nullptr) *stats_out = stats_;
+    return out;
+  }
+
+ private:
+  static constexpr uint32_t kNoParent = 0xFFFFFFFFu;
+
+  // One element, at its preorder number.
+  struct Element {
+    const DomNode* node;
+    uint32_t parent;
+    TagId tag;
+    uint32_t set_size = 0;  // tags in the strict-descendant set
+    bool has_text = false;  // the subtree holds text
+    size_t content = 0;     // content_size: bytes strictly inside
+    size_t total = 0;       // bytes from OPEN through CLOSE
+  };
+
+  uint64_t* Set(size_t i) { return &sets_[i * words_]; }
+
+  // Pass 1: preorder numbering and name interning (tag, then attribute
+  // names, then children: the dictionary order of the format).
+  void Collect(const DomNode* n, uint32_t parent) {
+    const uint32_t self = static_cast<uint32_t>(elems_.size());
+    elems_.push_back(Element{n, parent, tags_.Intern(n->tag())});
+    for (const auto& a : n->attrs()) attrs_.Intern(a.name);
     for (const auto& c : n->children()) {
       if (c->is_text()) {
-        has_text = true;
-        continue;
+        elems_[self].has_text = true;
+      } else {
+        Collect(c.get(), self);
       }
-      auto [child_set, child_text] = ComputeSets(c.get());
-      has_text = has_text || child_text;
-      child_set.push_back(tags.Lookup(c->tag()));
-      for (uint32_t id : child_set) set.push_back(id);
     }
-    std::sort(set.begin(), set.end());
-    set.erase(std::unique(set.begin(), set.end()), set.end());
-    subtree_tags.emplace(n, set);
-    subtree_has_text.emplace(n, has_text);
-    return {std::move(set), has_text};
   }
-  std::unordered_map<const DomNode*, bool> subtree_has_text;
 
-  // Encodes the bitmap of `set` over `base` (recursive mode) or over the
-  // full dictionary. Returns encoded bytes and accounts them.
-  Bytes EncodeBitmap(const std::vector<uint32_t>& set,
-                     const std::vector<uint32_t>& base) {
-    ByteWriter w;
-    if (opt.recursive_bitmaps) {
-      size_t width = base.size();
-      size_t nbytes = (width + 7) / 8;
-      std::vector<uint8_t> bits(nbytes, 0);
-      size_t si = 0;
-      for (size_t i = 0; i < base.size(); ++i) {
-        while (si < set.size() && set[si] < base[i]) ++si;
-        if (si < set.size() && set[si] == base[i]) {
-          bits[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+  // Pass 2: each element's strict-descendant tag set as a bitset over the
+  // dictionary, and whether its subtree holds text. Reverse preorder
+  // finishes every child before its parent.
+  void ComputeSets() {
+    words_ = (tags_.size() + 63) / 64;
+    sets_.assign(elems_.size() * words_, 0);
+    for (size_t i = elems_.size(); i-- > 0;) {
+      Element& e = elems_[i];
+      const uint64_t* own = Set(i);
+      for (size_t w = 0; w < words_; ++w) e.set_size += std::popcount(own[w]);
+      if (e.parent == kNoParent) continue;
+      uint64_t* up = Set(e.parent);
+      for (size_t w = 0; w < words_; ++w) up[w] |= own[w];
+      up[e.tag / 64] |= uint64_t{1} << (e.tag % 64);
+      elems_[e.parent].has_text |= e.has_text;
+    }
+  }
+
+  // Bitmap bytes of `e`: one bit per tag of its parent's set
+  // (recursive mode) or per dictionary entry (flat mode, and the root).
+  size_t BitmapBytes(const Element& e) const {
+    size_t width = opt_.recursive_bitmaps && e.parent != kNoParent
+                       ? elems_[e.parent].set_size
+                       : tags_.size();
+    return (width + 7) / 8;
+  }
+
+  // Pass 3: content and total byte sizes, bottom-up, plus the stats
+  // breakdown. A child's total is added into its parent's content before
+  // the parent is reached.
+  void ComputeSizes() {
+    for (size_t i = elems_.size(); i-- > 0;) {
+      Element& e = elems_[i];
+      const DomNode* node = e.node;
+      size_t open = 1 + VarintLength(e.tag) +
+                    VarintLength(node->attrs().size());
+      for (const auto& a : node->attrs()) {
+        open += VarintLength(attrs_.Lookup(a.name)) +
+                VarintLength(a.value.size()) + a.value.size();
+      }
+      stats_.structure_bytes += open + 1;  // +1 for CLOSE
+      for (const auto& c : node->children()) {
+        if (!c->is_text()) continue;
+        const size_t len = c->text().size();
+        const size_t value = 1 + VarintLength(len) + len;
+        stats_.text_bytes += value;
+        e.content += value;
+      }
+      size_t meta = 0;
+      if (opt_.with_index) {
+        size_t sizes = VarintLength(e.content) + 1;  // + mflags
+        size_t bitmap = e.set_size > 0 ? BitmapBytes(e) : 0;
+        stats_.index_size_bytes += sizes;
+        stats_.index_bitmap_bytes += bitmap;
+        meta = sizes + bitmap;
+      }
+      e.total = open + meta + e.content + 1;
+      if (e.parent != kNoParent) elems_[e.parent].content += e.total;
+    }
+  }
+
+  // Pass 4: the preorder write. Elements are renumbered in the same order
+  // Collect numbered them.
+  void Write(const DomNode* n, Cursor* out) {
+    const size_t i = next_++;
+    const Element& e = elems_[i];
+    out->U8(kTokOpen);
+    out->Varint(e.tag);
+    out->Varint(n->attrs().size());
+    for (const auto& a : n->attrs()) {
+      out->Varint(attrs_.Lookup(a.name));
+      out->Varint(a.value.size());
+      out->Raw(a.value);
+    }
+    if (opt_.with_index) {
+      out->Varint(e.content);
+      uint8_t mflags = 0;
+      if (e.set_size > 0) mflags |= kMetaHasElements;
+      if (e.has_text) mflags |= kMetaHasText;
+      out->U8(mflags);
+      if (e.set_size > 0) WriteBitmap(i, out);
+    }
+    for (const auto& c : n->children()) {
+      if (c->is_text()) {
+        out->U8(kTokValue);
+        out->Varint(c->text().size());
+        out->Raw(c->text());
+      } else {
+        Write(c.get(), out);
+      }
+    }
+    out->U8(kTokClose);
+  }
+
+  void WriteBitmap(size_t i, Cursor* out) {
+    const Element& e = elems_[i];
+    const uint64_t* own = Set(i);
+    const size_t nbytes = BitmapBytes(e);
+    if (!opt_.recursive_bitmaps || e.parent == kNoParent) {
+      // Bit `id` of the dictionary-wide bitmap is bit `id` of the set:
+      // the set's words, little-endian.
+      for (size_t b = 0; b < nbytes; ++b) {
+        out->U8(static_cast<uint8_t>(own[b / 8] >> (8 * (b % 8))));
+      }
+      return;
+    }
+    // Bit k says whether the parent's k-th tag (ascending id) is in the
+    // element's own set.
+    const uint64_t* base = Set(e.parent);
+    uint8_t byte = 0;
+    size_t k = 0;
+    for (size_t w = 0; w < words_; ++w) {
+      for (uint64_t bits = base[w]; bits != 0; bits &= bits - 1) {
+        int bit = std::countr_zero(bits);
+        if ((own[w] >> bit) & 1) byte |= static_cast<uint8_t>(1u << (k % 8));
+        if (++k % 8 == 0) {
+          out->U8(byte);
+          byte = 0;
         }
       }
-      for (uint8_t b : bits) w.PutU8(b);
-    } else {
-      size_t width = tags.size();
-      size_t nbytes = (width + 7) / 8;
-      std::vector<uint8_t> bits(nbytes, 0);
-      for (uint32_t id : set) {
-        bits[id / 8] |= static_cast<uint8_t>(1u << (id % 8));
-      }
-      for (uint8_t b : bits) w.PutU8(b);
     }
-    return w.Take();
+    if (k % 8 != 0) out->U8(byte);
   }
 
-  // Encodes one element (OPEN .. content .. CLOSE); `base` is the parent's
-  // subtree tag set (full dictionary at the root).
-  Bytes EncodeElement(const DomNode* n, const std::vector<uint32_t>& base) {
-    ++stats.element_count;
-    const std::vector<uint32_t>& own_set = subtree_tags.at(n);
-    // Content first (children in document order).
-    ByteWriter content;
-    for (const auto& c : n->children()) {
-      if (c->is_text()) {
-        ByteWriter v;
-        v.PutU8(kTokValue);
-        PutVarint(&v, c->text().size());
-        v.PutBytes(Span(c->text()));
-        stats.text_bytes += v.size();
-        content.PutBytes(v.bytes());
-      } else {
-        Bytes child = EncodeElement(c.get(), own_set);
-        content.PutBytes(child);
-      }
-    }
-    // OPEN token.
-    ByteWriter open;
-    open.PutU8(kTokOpen);
-    PutVarint(&open, tags.Lookup(n->tag()));
-    PutVarint(&open, n->attrs().size());
-    for (const auto& a : n->attrs()) {
-      PutVarint(&open, attrs.Lookup(a.name));
-      PutVarint(&open, a.value.size());
-      open.PutBytes(Span(a.value));
-    }
-    stats.structure_bytes += open.size() + 1;  // +1 for CLOSE
-    if (opt.with_index) {
-      size_t before = open.size();
-      PutVarint(&open, content.size());
-      uint8_t mflags = 0;
-      if (!own_set.empty()) mflags |= kMetaHasElements;
-      if (subtree_has_text.at(n)) mflags |= kMetaHasText;
-      open.PutU8(mflags);
-      stats.index_size_bytes += open.size() - before;
-      if (!own_set.empty()) {
-        Bytes bitmap = EncodeBitmap(own_set, base);
-        stats.index_bitmap_bytes += bitmap.size();
-        open.PutBytes(bitmap);
-      }
-    }
-    ByteWriter out;
-    out.PutBytes(open.bytes());
-    out.PutBytes(content.bytes());
-    out.PutU8(kTokClose);
-    return out.Take();
-  }
+  const EncodeOptions& opt_;
+  Interner tags_;
+  Interner attrs_;
+  EncodeStats stats_;
+  size_t words_ = 0;
+  size_t next_ = 0;
+  std::vector<Element> elems_;  // by preorder number
+  std::vector<uint64_t> sets_;  // words_ per element, same order
 };
 
 }  // namespace
@@ -149,30 +272,7 @@ Result<Bytes> EncodeDocument(const xml::DomDocument& doc,
   if (doc.root() == nullptr) {
     return Status::InvalidArgument("cannot encode an empty document");
   }
-  Encoder enc;
-  enc.opt = options;
-  enc.InternNames(doc.root());
-  enc.ComputeSets(doc.root());
-
-  ByteWriter out;
-  out.PutU8(kMagic);
-  uint8_t flags = 0;
-  if (options.with_index) flags |= kFlagIndex;
-  if (options.recursive_bitmaps) flags |= kFlagRecursive;
-  out.PutU8(flags);
-  size_t before_dict = out.size();
-  enc.tags.EncodeTo(&out);
-  enc.attrs.EncodeTo(&out);
-  enc.stats.dict_bytes = out.size() - before_dict;
-
-  std::vector<uint32_t> root_base(enc.tags.size());
-  for (uint32_t i = 0; i < enc.tags.size(); ++i) root_base[i] = i;
-  Bytes body = enc.EncodeElement(doc.root(), root_base);
-  out.PutBytes(body);
-
-  enc.stats.total_bytes = out.size();
-  if (stats != nullptr) *stats = enc.stats;
-  return out.Take();
+  return Encoder(options).Encode(doc.root(), stats);
 }
 
 // ---------------------------------------------------------------------------

@@ -74,10 +74,11 @@ Status ChunkSource::EnsureChunk(uint32_t index) {
     cost_->AddHash(chunk.ciphertext.size() + 4 + chunk.auth.proof.size() * 64);
     cost_->AddDecrypt(chunk.ciphertext.size());
   }
-  CSXA_ASSIGN_OR_RETURN(
-      Bytes plain, crypto::SecureContainer::VerifyAndDecryptChunk(
-                       cipher_, header_, index, chunk.ciphertext, chunk.auth));
-  buf_ = std::move(plain);
+  // Decrypts into the reused chunk buffer: no allocation once it has
+  // grown to a full chunk.
+  buf_valid_ = false;
+  CSXA_RETURN_IF_ERROR(crypto::SecureContainer::VerifyAndDecryptChunk(
+      cipher_, header_, index, chunk.ciphertext, chunk.auth, &buf_));
   buf_index_ = index;
   buf_valid_ = true;
   ++chunks_fetched_;

@@ -11,27 +11,34 @@ std::string Escape(std::string_view raw) {
 
 void AppendEscaped(std::string_view raw, std::string* outp) {
   std::string& out = *outp;
-  for (char c : raw) {
-    switch (c) {
+  // Each run between special characters goes in with one append.
+  size_t run = 0;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    const char* entity;
+    switch (raw[i]) {
       case '&':
-        out += "&amp;";
+        entity = "&amp;";
         break;
       case '<':
-        out += "&lt;";
+        entity = "&lt;";
         break;
       case '>':
-        out += "&gt;";
+        entity = "&gt;";
         break;
       case '"':
-        out += "&quot;";
+        entity = "&quot;";
         break;
       case '\'':
-        out += "&apos;";
+        entity = "&apos;";
         break;
       default:
-        out.push_back(c);
+        continue;
     }
+    out.append(raw.data() + run, i - run);
+    out += entity;
+    run = i + 1;
   }
+  out.append(raw.data() + run, raw.size() - run);
 }
 
 Result<std::string> Unescape(std::string_view escaped) {

@@ -166,7 +166,8 @@ INSTANTIATE_TEST_SUITE_P(
         InvarianceParams{97, crypto::IntegrityMode::kMerkle, true, false}),
     [](const ::testing::TestParamInfo<InvarianceParams>& info) {
       const auto& p = info.param;
-      std::string name = "c" + std::to_string(p.chunk_size);
+      std::string name = "c";
+      name += std::to_string(p.chunk_size);
       name += p.mode == crypto::IntegrityMode::kMerkle ? "_merkle" : "_mac";
       name += p.use_skip ? "_skip" : "_noskip";
       name += p.modern_card ? "_modern" : "_egate";

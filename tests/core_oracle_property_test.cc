@@ -385,9 +385,11 @@ INSTANTIATE_TEST_SUITE_P(
         SkipParams{60, 128, 0.0, 13000, 6}),
     [](const ::testing::TestParamInfo<SkipParams>& info) {
       const SkipParams& p = info.param;
-      return "r" + std::to_string(p.num_rules) + "_p" +
-             std::to_string(static_cast<int>(p.predicate_prob * 100)) +
-             "_s" + std::to_string(p.seed_base);
+      std::string name = "r";
+      name += std::to_string(p.num_rules) + "_p" +
+              std::to_string(static_cast<int>(p.predicate_prob * 100)) +
+              "_s" + std::to_string(p.seed_base);
+      return name;
     });
 
 // ---------------------------------------------------------------------------
@@ -516,7 +518,8 @@ INSTANTIATE_TEST_SUITE_P(
         PlanParams{40, 4, 0.3, false, 65536, true, 14400, 5}),
     [](const ::testing::TestParamInfo<PlanParams>& info) {
       const PlanParams& p = info.param;
-      std::string name = "c" + std::to_string(p.chunk_size);
+      std::string name = "c";
+      name += std::to_string(p.chunk_size);
       name += p.use_skip ? "_skip1" : "_skip0";
       name += p.with_query ? "_q1" : "_q0";
       name += "_s" + std::to_string(p.seed_base);

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "alloc_counter.h"
 #include "common/hex.h"
 #include "common/random.h"
 #include "crypto/aes.h"
@@ -590,6 +593,60 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == crypto::IntegrityMode::kChunkMac ? "ChunkMac"
                                                             : "Merkle";
     });
+
+// The card's per-chunk step in MAC mode: once the output buffer holds a
+// full chunk, verify+decrypt allocates nothing (the MAC prefix is built
+// on the stack, the plaintext lands in the reused buffer).
+TEST(ContainerTest, ChunkMacVerifyAndDecryptIsAllocationFreeAfterWarmUp) {
+  Rng rng(62);
+  SymmetricKey key = SymmetricKey::Generate(&rng);
+  Bytes payload = RandomBytes(&rng, 2000);
+  Bytes sealed = SecureContainer::Seal(key, payload, 256, &rng);
+  auto container = SecureContainer::Parse(sealed).value();
+  const crypto::ContainerHeader& header = container.header();
+  const DocCipher cipher = DocCipher::For(key);
+  std::vector<Span> chunks;
+  std::vector<crypto::ChunkAuth> auths;
+  for (uint32_t i = 0; i < header.chunk_count; ++i) {
+    chunks.push_back(container.ChunkCiphertext(i).value());
+    auths.push_back(container.GetChunkAuth(i).value());
+  }
+  Bytes plain;
+  ASSERT_TRUE(SecureContainer::VerifyAndDecryptChunk(cipher, header, 0,
+                                                     chunks[0], auths[0],
+                                                     &plain)
+                  .ok());  // warm-up: grows `plain` to a full chunk
+
+  bool all_match = true;
+  size_t allocations = CountAllocations([&] {
+    for (uint32_t i = 0; i < header.chunk_count; ++i) {
+      all_match &= SecureContainer::VerifyAndDecryptChunk(
+                       cipher, header, i, chunks[i], auths[i], &plain)
+                       .ok() &&
+                   std::memcmp(plain.data(), payload.data() + i * 256,
+                               plain.size()) == 0;
+    }
+  });
+  EXPECT_TRUE(all_match);
+  EXPECT_EQ(allocations, 0u) << "over " << header.chunk_count << " chunks";
+  // The counter is live: the owning overload allocates its result.
+  EXPECT_GT(CountAllocations([&] {
+              auto owned = SecureContainer::VerifyAndDecryptChunk(
+                  cipher, header, 1, chunks[1], auths[1]);
+              all_match &= owned.ok();
+            }),
+            0u);
+
+  // A rejected chunk leaves the buffer as it was.
+  Bytes before = plain;
+  Bytes flipped = chunks[2].ToBytes();
+  flipped[0] ^= 0x01;
+  EXPECT_FALSE(SecureContainer::VerifyAndDecryptChunk(cipher, header, 2,
+                                                      flipped, auths[2],
+                                                      &plain)
+                   .ok());
+  EXPECT_EQ(plain, before);
+}
 
 TEST(ContainerTest, ModesProduceDifferentAuthTables) {
   Rng rng(61);

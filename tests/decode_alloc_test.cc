@@ -3,18 +3,18 @@
 // heap allocation on an indexed document — including every OPEN with
 // element children, whose subtree tag set lands in the flat tag-set stack.
 //
-// Allocations are counted by replacing the global operator new. The
-// document is a hospital folder repeated twice under one root: the first
-// copy is the warm-up (it grows every scratch buffer to what the second
-// copy needs), the second copy must decode allocation-free.
+// Allocations are counted by replacing the global operator new
+// (alloc_counter.h). The document is a hospital folder repeated twice
+// under one root: the first copy is the warm-up (it grows every scratch
+// buffer to what the second copy needs), the second copy must decode
+// allocation-free.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 
+#include "alloc_counter.h"
 #include "common/random.h"
 #include "crypto/container.h"
 #include "skipindex/byte_source.h"
@@ -22,28 +22,6 @@
 #include "soe/chunk_source.h"
 #include "xml/dom.h"
 #include "xml/generator.h"
-
-namespace {
-bool g_counting = false;
-size_t g_allocations = 0;
-}  // namespace
-
-// The replacements pair malloc with free on purpose; GCC's mismatch
-// heuristic does not know the pair is replaced as a whole.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t n) {
-  if (g_counting) ++g_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace csxa {
 namespace {

@@ -76,7 +76,7 @@ TEST(FuzzTest, XmlParserSurvivesMutations) {
                                           static_cast<char>('<' + rng.Uniform(4))));
           break;
       }
-      if (mutated.empty()) mutated = "<";
+      if (mutated.empty()) mutated.assign(1, '<');
     }
     // Must terminate with either a parse error or a consistent DOM.
     auto doc = xml::DomDocument::Parse(mutated);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "common/hex.h"
 #include "common/random.h"
 #include "core/evaluator.h"
@@ -439,6 +440,20 @@ TEST(GoldenEncodingTest, DocumentsCoverWideBitmapsAndLongVarints) {
     }
   }
   EXPECT_GE(blob_size, 16384u);  // a 3-byte content_size varint
+}
+
+// The encoder works on a few flat arrays and writes one pre-sized buffer:
+// its allocation count depends on the dictionaries, not on the element
+// count.
+TEST(EncoderAllocTest, FolderEncodesInFewAllocations) {
+  xml::DomDocument doc = GoldenDocument("hospital");
+  EncodeStats stats;
+  Result<Bytes> enc = Status::Internal("not run");
+  size_t allocations = CountAllocations(
+      [&] { enc = EncodeDocument(doc, EncodeOptions{}, &stats); });
+  ASSERT_TRUE(enc.ok()) << enc.status().ToString();
+  EXPECT_GE(stats.element_count, 3000u);
+  EXPECT_LT(allocations, 128u);
 }
 
 }  // namespace

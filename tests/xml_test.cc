@@ -30,6 +30,18 @@ TEST(EscapeTest, RoundTrip) {
   EXPECT_EQ(back.value(), raw);
 }
 
+TEST(EscapeTest, EscapedBytesArePinned) {
+  EXPECT_EQ(xml::Escape(""), "");
+  EXPECT_EQ(xml::Escape("plain text"), "plain text");
+  EXPECT_EQ(xml::Escape("a<b&c>\"d'e"), "a&lt;b&amp;c&gt;&quot;d&apos;e");
+  EXPECT_EQ(xml::Escape("&&<>"), "&amp;&amp;&lt;&gt;");
+  EXPECT_EQ(xml::Escape("<lead"), "&lt;lead");
+  EXPECT_EQ(xml::Escape("trail'"), "trail&apos;");
+  std::string out = "kept:";
+  xml::AppendEscaped(std::string_view("x\0y>", 4), &out);
+  EXPECT_EQ(out, std::string("kept:x\0y&gt;", 12));
+}
+
 TEST(EscapeTest, NumericReferences) {
   EXPECT_EQ(xml::Unescape("&#65;&#x42;").value(), "AB");
   EXPECT_EQ(xml::Unescape("&#233;").value(), "\xC3\xA9");  // é in UTF-8
