@@ -94,10 +94,9 @@ void AblationTagSets() {
                                                &out)
                   .value();
     uint64_t skipped = 0;
-    std::vector<xml::AttrView> scratch;
     for (;;) {
-      auto event = dec->Next().value();
-      CSXA_CHECK(ev->OnEventView(xml::ViewOf(event, &scratch)).ok());
+      auto event = dec->NextView().value();
+      CSXA_CHECK(ev->OnEventView(event).ok());
       if (event.type == xml::EventType::kEnd) break;
       if (event.type == xml::EventType::kOpen &&
           dec->last_content_size() > 0) {

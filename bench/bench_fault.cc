@@ -27,8 +27,8 @@ workload::LoadOptions BaseOptions() {
   opt.sessions = bench::Smoke(12, 6);
   opt.ops_per_session = bench::Smoke(8, 3);
   opt.shards = 2;
-  opt.documents = bench::Smoke(6, 3);
-  opt.elements_per_doc = bench::Smoke(200, 60);
+  opt.spec.documents = bench::Smoke(6, 3);
+  opt.spec.doc.elements = bench::Smoke(200, 60);
   opt.seed = 17;
   opt.replicas = 3;
   opt.retry_attempts = 8;

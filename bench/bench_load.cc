@@ -89,8 +89,8 @@ int main() {
   base.sessions = bench::Smoke(16, 8);
   base.ops_per_session = bench::Smoke(6, 2);
   base.shards = 4;
-  base.documents = bench::Smoke(6, 3);
-  base.elements_per_doc = bench::Smoke(200, 60);
+  base.spec.documents = bench::Smoke(6, 3);
+  base.spec.doc.elements = bench::Smoke(200, 60);
   base.seed = 1;
 
   const std::vector<size_t> worker_sweep = bench::SmokeMode()

@@ -483,11 +483,6 @@ Result<xml::EventView> DocumentDecoder::NextView() {
   }
 }
 
-Result<xml::Event> DocumentDecoder::Next() {
-  CSXA_ASSIGN_OR_RETURN(xml::EventView v, NextView());
-  return v.Materialize();
-}
-
 bool DocumentDecoder::SubtreeHasTag(std::string_view tag) const {
   if (!with_index_ || open_.empty()) return false;
   uint32_t id = tag_dict_.Lookup(tag);

@@ -118,13 +118,9 @@ class DocumentDecoder {
   /// (stable for its lifetime); text borrows straight from the source's
   /// byte window when it lies inside it, falling back to a reused scratch
   /// buffer otherwise; attribute values land in reused scratch. Everything
-  /// except the dictionary names is invalidated by the next
-  /// Next()/NextView() call.
+  /// except the dictionary names is invalidated by the next NextView()
+  /// call; a caller that keeps an event calls Materialize().
   Result<xml::EventView> NextView();
-
-  /// Owning convenience: NextView() materialized. Returns kEnd exactly
-  /// once at end of stream.
-  Result<xml::Event> Next();
 
   /// True if the format embeds the skip index.
   bool has_index() const { return with_index_; }

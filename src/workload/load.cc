@@ -26,30 +26,22 @@
 #include "proxy/publisher.h"
 #include "proxy/terminal.h"
 #include "scengen/publish.h"
-#include "scengen/scenario.h"
 #include "scengen/spec.h"
-#include "xml/generator.h"
+#include "soe/card_profile.h"
 
 namespace csxa::workload {
 
 namespace {
 
-// One shared document's replay material: which query set applies to it
-// and which subjects may open it. `scenario` indexes the run's query
-// catalog — per canonical scenario on the classic path, a single shared
-// entry on the spec path.
+// Container chunk size of every publish in a load run.
+constexpr size_t kChunkSize = 256;
+
+// One document's replay material: its id and the subjects that may
+// query it.
 struct DocInfo {
   std::string doc_id;
-  size_t scenario = 0;
   std::vector<std::string> subjects;
 };
-
-xml::DomDocument MakeDoc(const scengen::Scenario& scenario, size_t elements,
-                         uint64_t seed) {
-  // text_avg_len 32 is the harness's historical document shape; keep it so
-  // classic runs stay byte-identical across releases.
-  return scengen::MakeScenarioDocument(scenario, elements, seed, 32);
-}
 
 double Quantile(std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0;
@@ -172,19 +164,11 @@ LoadReport RunLoad(const LoadOptions& options) {
   LoadOptions opt = options;
   if (opt.sessions == 0) opt.sessions = 1;
   if (opt.shards == 0) opt.shards = 1;
-  if (opt.documents == 0) opt.documents = 1;
   if (opt.replicas == 0) opt.replicas = 1;
-
-  // A generated scenario governs the workload shape: fleet size, document
-  // shape and churn rates come from the spec, not the legacy knobs.
-  const bool has_spec = opt.spec.has_value();
-  scengen::GeneratedScenario gen;
-  if (has_spec) {
-    gen = scengen::BuildScenario(*opt.spec);
-    opt.documents = gen.docs.size();
-    opt.update_fraction = gen.spec.churn.update_fraction;
-    opt.publish_fraction = gen.spec.churn.publish_fraction;
-  }
+  const scengen::GeneratedScenario gen = scengen::BuildScenario(opt.spec);
+  const scengen::ChurnShape& churn = gen.spec.churn;
+  // Every terminal models the paper's e-gate card.
+  const soe::CardProfile card = soe::CardProfile::EGate();
 
   // --- The deployment under test -----------------------------------------
   // Per replica: a `shards`-wide DspServer fleet behind one router, wrapped
@@ -285,93 +269,56 @@ LoadReport RunLoad(const LoadOptions& options) {
         schedule.AwaitTransition();
       });
   pki::KeyRegistry registry;
-
-  const std::vector<scengen::Scenario> scenarios = scengen::AllScenarios();
-
-  // Query catalog, indexed by DocInfo::scenario. Classic runs keep one
-  // entry per canonical scenario; a generated scenario shares one query
-  // mix fleet-wide.
-  std::vector<std::vector<std::pair<std::string, std::string>>> query_sets;
-  if (has_spec) {
-    query_sets.push_back(gen.queries);
-  } else {
-    for (const scengen::Scenario& scn : scenarios) {
-      query_sets.push_back(scn.queries);
-    }
-  }
-  const proxy::PublishOptions publish_options{.chunk_size = opt.chunk_size};
+  const proxy::PublishOptions publish_options{.chunk_size = kChunkSize};
 
   // --- Setup: publish the shared pool + one owned doc per session --------
   // Each session gets its own Publisher (publishers are single-threaded by
-  // contract); all of them push through the shared serving stack.
+  // contract); all of them push through the shared serving stack. A failed
+  // setup publish is a failed operation of the run.
   std::vector<std::unique_ptr<proxy::Publisher>> publishers;
   for (size_t k = 0; k < opt.sessions; ++k) {
     publishers.push_back(
         std::make_unique<proxy::Publisher>(&retrying, &registry, opt.seed + k));
   }
   proxy::Publisher setup_publisher(&retrying, &registry, opt.seed + 7777);
+  uint64_t setup_failures = 0;
 
   std::vector<DocInfo> shared_docs;
-  if (has_spec) {
-    for (const scengen::ScenarioDoc& doc : gen.docs) {
-      auto pub = scengen::PublishGeneratedDoc(&setup_publisher, gen, doc,
-                                              publish_options);
-      if (!pub.ok()) continue;  // counted nowhere: setup must succeed
-      DocInfo info;
-      info.doc_id = pub.value().doc_id;
-      info.scenario = 0;  // the fleet-wide query mix
-      info.subjects = std::move(pub.value().subjects);
-      shared_docs.push_back(std::move(info));
+  for (const scengen::ScenarioDoc& doc : gen.docs) {
+    auto pub = scengen::PublishGeneratedDoc(&setup_publisher, gen, doc,
+                                            publish_options);
+    if (!pub.ok()) {
+      ++setup_failures;
+      continue;
     }
-  } else {
-    for (size_t d = 0; d < opt.documents; ++d) {
-      DocInfo info;
-      info.scenario = d % scenarios.size();
-      const scengen::Scenario& scn = scenarios[info.scenario];
-      info.doc_id = "shared-" + std::to_string(d);
-      info.subjects =
-          core::RuleSet::ParseText(scn.rules_text).value().Subjects();
-      auto receipt = setup_publisher.Publish(
-          info.doc_id, MakeDoc(scn, opt.elements_per_doc, opt.seed + 100 + d),
-          scn.rules_text, publish_options);
-      if (!receipt.ok()) continue;  // counted nowhere: setup must succeed
-      shared_docs.push_back(std::move(info));
-    }
+    shared_docs.push_back(
+        {std::move(pub.value().doc_id), std::move(pub.value().subjects)});
   }
 
   struct OwnedDoc {
     DocInfo info;
     crypto::SymmetricKey key;
-    /// Spec path: the document's index in the generated scenario and its
-    /// current content/policy revision (republishes and updates advance it).
+    /// The document's index in the generated scenario and its current
+    /// content/policy revision (republishes and updates advance it).
     size_t gen_index = 0;
     uint64_t revision = 0;
   };
   std::vector<OwnedDoc> owned(opt.sessions);
   for (size_t k = 0; k < opt.sessions; ++k) {
+    // Session-owned documents extend the fleet: indexes past the shared
+    // pool, same spec-governed shape, same deterministic minting.
     OwnedDoc& own = owned[k];
-    if (has_spec) {
-      // Session-owned documents extend the fleet: indexes past the shared
-      // pool, same spec-governed shape, same deterministic minting.
-      own.gen_index = gen.spec.documents + k;
-      scengen::ScenarioDoc doc = gen.MakeDoc(own.gen_index);
-      own.info.doc_id = doc.doc_id;
-      own.info.scenario = 0;
-      own.info.subjects = doc.subjects;
-      auto pub = scengen::PublishGeneratedDoc(publishers[k].get(), gen, doc,
-                                              publish_options);
-      if (pub.ok()) own.key = pub.value().key;
-      continue;
+    own.gen_index = gen.spec.documents + k;
+    scengen::ScenarioDoc doc = gen.MakeDoc(own.gen_index);
+    own.info.doc_id = doc.doc_id;
+    own.info.subjects = doc.subjects;
+    auto pub = scengen::PublishGeneratedDoc(publishers[k].get(), gen, doc,
+                                            publish_options);
+    if (pub.ok()) {
+      own.key = pub.value().key;
+    } else {
+      ++setup_failures;
     }
-    own.info.scenario = k % scenarios.size();
-    const scengen::Scenario& scn = scenarios[own.info.scenario];
-    own.info.doc_id = "own-" + std::to_string(k);
-    own.info.subjects =
-        core::RuleSet::ParseText(scn.rules_text).value().Subjects();
-    auto receipt = publishers[k]->Publish(
-        own.info.doc_id, MakeDoc(scn, opt.elements_per_doc, opt.seed + 500 + k),
-        scn.rules_text, publish_options);
-    if (receipt.ok()) own.key = receipt.value().key;
   }
 
   // Measure the run, not the setup: snapshot every monotone counter.
@@ -389,20 +336,18 @@ LoadReport RunLoad(const LoadOptions& options) {
     SessionOutcome& out = outcomes[k];
     Rng rng(opt.seed * 9176 + k);
     OwnedDoc& own = owned[k];
-    const double write_latency = opt.card.round_trip_latency_sec;
+    const double write_latency = card.round_trip_latency_sec;
 
     // Terminals persist for the whole session, one per card holder the
     // session impersonates.
     std::map<std::string, proxy::Terminal> terminals;
 
     auto run_query = [&](const DocInfo& doc) {
-      const auto& queries = query_sets[doc.scenario];
       const std::string& subject =
           doc.subjects[rng.Uniform(doc.subjects.size())];
-      const auto& q = queries[rng.Uniform(queries.size())];
+      const auto& q = gen.queries[rng.Uniform(gen.queries.size())];
       proxy::Terminal& terminal =
-          terminals
-              .try_emplace(subject, subject, opt.card, &retrying, &registry)
+          terminals.try_emplace(subject, subject, card, &retrying, &registry)
               .first->second;
       if (!terminal.Provision(doc.doc_id).ok()) {
         ++out.failures;
@@ -422,49 +367,34 @@ LoadReport RunLoad(const LoadOptions& options) {
 
     for (size_t i = 0; i < opt.ops_per_session; ++i) {
       const double dice = rng.NextDouble();
-      if (dice < opt.publish_fraction) {
+      if (dice < churn.publish_fraction) {
         // Full republish of the session's own document: fresh key, fresh
-        // container, version bumped past every cached copy. On the spec
-        // path both the body and the policy advance one revision —
-        // republishing is how a generated scenario's documents age.
-        bool ok;
-        if (has_spec) {
-          ++own.revision;
-          scengen::ScenarioDoc doc =
-              gen.MakeDoc(own.gen_index, own.revision);
-          doc.rules_text = gen.RulesRevision(own.gen_index, own.revision);
-          auto pub = scengen::PublishGeneratedDoc(publishers[k].get(), gen,
-                                                  doc, publish_options);
-          ok = pub.ok();
-          if (ok) own.key = pub.value().key;
-        } else {
-          const scengen::Scenario& scn = scenarios[own.info.scenario];
-          auto receipt = publishers[k]->Publish(
-              own.info.doc_id,
-              MakeDoc(scn, opt.elements_per_doc, opt.seed + 900 + i * 31 + k),
-              scn.rules_text, publish_options);
-          ok = receipt.ok();
-          if (ok) own.key = receipt.value().key;
-        }
+        // container, version bumped past every cached copy. Both the body
+        // and the policy advance one revision — republishing is how a
+        // generated scenario's documents age.
+        ++own.revision;
+        scengen::ScenarioDoc doc = gen.MakeDoc(own.gen_index, own.revision);
+        doc.rules_text = gen.RulesRevision(own.gen_index, own.revision);
+        auto pub = scengen::PublishGeneratedDoc(publishers[k].get(), gen, doc,
+                                                publish_options);
         ++out.publishes;
-        if (ok) {
+        if (pub.ok()) {
+          own.key = pub.value().key;
           out.latencies_sec.push_back(write_latency);
         } else {
           ++out.failures;
         }
         advance_modeled_clock(write_latency);
-      } else if (dice < opt.publish_fraction + opt.update_fraction) {
+      } else if (dice < churn.publish_fraction + churn.update_fraction) {
         // The paper's cheap dynamic policy update: reseal rules, bump the
-        // version — every cache holding this doc revalidates. On the spec
-        // path each update is the next RulesRevision: stable subjects keep
-        // access with fresh rule bodies while the mobile-subscriber window
-        // slides (newly granted subjects receive the key; churned-out ones
-        // keep a key the next republish rotates away).
-        const std::string& rules_text =
-            has_spec ? gen.RulesRevision(own.gen_index, ++own.revision)
-                     : scenarios[own.info.scenario].rules_text;
-        auto updated =
-            publishers[k]->UpdateRules(own.info.doc_id, own.key, rules_text);
+        // version — every cache holding this doc revalidates. Each update
+        // is the next RulesRevision: stable subjects keep access with fresh
+        // rule bodies while the mobile-subscriber window slides (newly
+        // granted subjects receive the key; churned-out ones keep a key the
+        // next republish rotates away).
+        auto updated = publishers[k]->UpdateRules(
+            own.info.doc_id, own.key,
+            gen.RulesRevision(own.gen_index, ++own.revision));
         ++out.updates;
         if (updated.ok()) {
           out.latencies_sec.push_back(write_latency);
@@ -504,11 +434,10 @@ LoadReport RunLoad(const LoadOptions& options) {
   // --- The report ---------------------------------------------------------
   LoadReport report;
   report.sessions = opt.sessions;
-  report.workers = dispatcher.worker_count();
-  report.shards = opt.shards;
   report.replicas = opt.replicas;
   report.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
+  report.failures = setup_failures;
 
   std::vector<double> latencies;
   for (const SessionOutcome& out : outcomes) {

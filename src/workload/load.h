@@ -6,13 +6,16 @@
 /// against a replicated, sharded, cached, asynchronously-dispatched DSP
 /// deployment — optionally under a scripted fault schedule.
 ///
-/// This is ROADMAP items 1 and 3 made measurable. The harness assembles
-/// the full serving stack — RetryingClient over CachingClient over
-/// AsyncDispatcher over ReplicatedService over `replicas` fault-injected
-/// ShardedService fleets of DspServers, one shared pki::KeyRegistry —
-/// publishes a pool of scenario documents, then lets `sessions` OS
-/// threads replay mixed traffic (authorized queries over the scenario
-/// rule sets, cheap policy updates, full republishes) concurrently. Every
+/// The harness assembles the full serving stack — RetryingClient over
+/// CachingClient over AsyncDispatcher over ReplicatedService over
+/// `replicas` fault-injected ShardedService fleets of DspServers, one
+/// shared pki::KeyRegistry — publishes the shared fleet of a generated
+/// scenario (scengen::ScenarioSpec), then lets `sessions` OS threads
+/// replay mixed traffic concurrently: authorized queries from the
+/// scenario's query mix, policy updates and full republishes that walk
+/// each document's RulesRevision chain. The spec is the one description
+/// of the workload — documents, rules, queries and op mix; the other
+/// options set the stack topology, the faults and the op-mix seed. Every
 /// layer below the terminals is shared mutable state; the harness is both
 /// the throughput experiment and, under ThreadSanitizer, the race
 /// detector for it.
@@ -44,12 +47,10 @@
 /// counters.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "dsp/service.h"
 #include "scengen/spec.h"
-#include "soe/card_profile.h"
 
 namespace csxa::workload {
 
@@ -93,19 +94,8 @@ struct LoadOptions {
   size_t shards = 4;
   /// AsyncDispatcher worker lanes; 1 is the single-threaded baseline.
   size_t workers = 4;
-  /// Shared scenario documents published at setup (round-robin over the
-  /// agenda / hospital / news-feed scenarios).
-  size_t documents = 6;
-  /// Approximate element count of each generated document.
-  size_t elements_per_doc = 200;
-  /// Fraction of ops that are cheap policy updates (kUpdateRules).
-  double update_fraction = 0.15;
-  /// Fraction of ops that republish the session's own document.
-  double publish_fraction = 0.10;
+  /// Seed of the op mix, the fault injectors and the publishers' keys.
   uint64_t seed = 1;
-  size_t chunk_size = 256;
-  /// Card hardware model used by every terminal.
-  soe::CardProfile card = soe::CardProfile::EGate();
 
   /// Replica groups in the fabric: each replica is its own `shards`-wide
   /// DspServer fleet behind a fault injector. 1 is an unreplicated (but
@@ -120,27 +110,20 @@ struct LoadOptions {
   /// Scripted crash/partition schedule (needs replicas > 1 to be useful).
   FaultPlan faults;
 
-  /// Generated scenario to replay instead of the canonical agenda /
-  /// hospital / news-feed round-robin. When set, the spec governs the
-  /// scenario shape — `documents`, `elements_per_doc`, `update_fraction`
-  /// and `publish_fraction` above are ignored in favor of the spec's
-  /// fleet size, document shape and churn rates; policy updates and
-  /// republishes walk the spec's RulesRevision chain (churning mobile
-  /// subscribers in and out) instead of resealing a fixed rule text.
-  /// Everything else (stack topology, card model, faults, seed for the
-  /// op mix) still comes from the fields above.
-  std::optional<scengen::ScenarioSpec> spec;
+  /// The workload: the shared fleet published at setup (one more
+  /// document per session is minted past it), the query mix and the
+  /// update / republish fractions of the op mix.
+  scengen::ScenarioSpec spec;
 };
 
 /// What one load run measured.
 struct LoadReport {
   size_t sessions = 0;
-  size_t workers = 0;
-  size_t shards = 0;
   uint64_t queries = 0;
   uint64_t updates = 0;
   uint64_t publishes = 0;
-  uint64_t failures = 0;  ///< non-OK operations (0 on a correct stack)
+  /// Non-OK operations, setup publishes included (0 on a correct stack).
+  uint64_t failures = 0;
 
   double wall_seconds = 0;  ///< host time (informational; core-count bound)
   /// Modeled server work: sum / busiest-lane of dispatcher lane clocks,

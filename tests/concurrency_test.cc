@@ -729,8 +729,8 @@ TEST(ConcurrencyTest, FullStackLoadHarnessCompletesWithZeroFailures) {
   opt.ops_per_session = 3;
   opt.shards = 2;
   opt.workers = 2;
-  opt.documents = 3;
-  opt.elements_per_doc = 60;
+  opt.spec.documents = 3;
+  opt.spec.doc.elements = 60;
   opt.seed = 42;
 
   workload::LoadReport report = workload::RunLoad(opt);

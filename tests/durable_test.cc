@@ -567,8 +567,8 @@ TEST(DurableStackTest, LoadHarnessRidesOutFaultsOnDurableShards) {
   options.ops_per_session = 8;
   options.shards = 2;
   options.workers = 2;
-  options.documents = 3;
-  options.elements_per_doc = 60;
+  options.spec.documents = 3;
+  options.spec.doc.elements = 60;
   options.replicas = 3;
   options.backend = workload::StoreBackend::kDurable;
   options.seed = 7;
@@ -597,8 +597,8 @@ TEST(DurableStackTest, HeartbeatsTickOnModeledClockWithoutBackoff) {
   options.ops_per_session = 4;
   options.shards = 1;
   options.workers = 1;
-  options.documents = 2;
-  options.elements_per_doc = 60;
+  options.spec.documents = 2;
+  options.spec.doc.elements = 60;
   options.replicas = 2;
   options.heartbeat_interval_sec = 0.005;
   options.seed = 11;

@@ -485,8 +485,8 @@ TEST(FaultLoadTest, ScriptedCrashAndPartitionCompleteWithZeroFailures) {
   opt.ops_per_session = 6;
   opt.shards = 2;
   opt.workers = 2;
-  opt.documents = 3;
-  opt.elements_per_doc = 60;
+  opt.spec.documents = 3;
+  opt.spec.doc.elements = 60;
   opt.seed = 42;
   opt.replicas = 3;
   opt.faults.enabled = true;
@@ -525,11 +525,11 @@ TEST(FaultLoadTest, DroppedNotificationsSelfHeal) {
   opt.ops_per_session = 4;
   opt.shards = 2;
   opt.workers = 2;
-  opt.documents = 2;
-  opt.elements_per_doc = 60;
+  opt.spec.documents = 2;
+  opt.spec.doc.elements = 60;
   opt.seed = 7;
   opt.replicas = 2;
-  opt.update_fraction = 0.4;  // plenty of fan-out traffic
+  opt.spec.churn.update_fraction = 0.4;  // plenty of fan-out traffic
   opt.faults.enabled = true;
   opt.faults.crash_replica = opt.replicas;  // out of range: no crash
   opt.faults.partition_replica = opt.replicas;
@@ -540,6 +540,24 @@ TEST(FaultLoadTest, DroppedNotificationsSelfHeal) {
   EXPECT_EQ(report.stale_reads_served, 0u);
   EXPECT_GT(report.updates + report.publishes, 0u);
   EXPECT_GT(report.notifications_dropped, 0u);  // p=0.5 over many commits
+}
+
+TEST(FaultLoadTest, FailedSetupPublishesCountAsFailures) {
+  // Every response is lost and nothing retries, so no setup publish (the
+  // shared fleet plus one owned document per session) can succeed. A run
+  // whose setup broke must not report a clean bill.
+  workload::LoadOptions opt;
+  opt.sessions = 2;
+  opt.ops_per_session = 0;
+  opt.replicas = 1;
+  opt.retry_attempts = 1;
+  opt.faults.enabled = true;
+  opt.faults.timeout_probability = 1.0;
+  opt.faults.crash_replica = opt.replicas;  // out of range: no crash
+  opt.faults.partition_replica = opt.replicas;
+
+  workload::LoadReport report = workload::RunLoad(opt);
+  EXPECT_EQ(report.failures, opt.spec.documents + opt.sessions);
 }
 
 }  // namespace

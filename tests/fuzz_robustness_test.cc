@@ -153,7 +153,7 @@ DecodeTrace DrainDecoder(skipindex::ByteSource* source, int max_events) {
     return trace;
   }
   for (int events = 0; events < max_events; ++events) {
-    auto ev = dec.value()->Next();
+    auto ev = dec.value()->NextView();
     if (!ev.ok()) {
       trace.status = ev.status();
       break;
@@ -170,7 +170,7 @@ DecodeTrace DrainDecoder(skipindex::ByteSource* source, int max_events) {
       }
       trace.opens.push_back(meta);
     }
-    trace.events.push_back(std::move(ev).value());
+    trace.events.push_back(ev.value().Materialize());
   }
   return trace;
 }

@@ -38,13 +38,12 @@ std::string DecodeAll(Span encoded) {
   auto dec = DocumentDecoder::Open(&src);
   EXPECT_TRUE(dec.ok()) << dec.status().ToString();
   xml::CanonicalWriter w;
-  std::vector<xml::AttrView> scratch;
   for (;;) {
-    auto ev = dec.value()->Next();
+    auto ev = dec.value()->NextView();
     EXPECT_TRUE(ev.ok()) << ev.status().ToString();
     if (!ev.ok()) return "";
     if (ev.value().type == xml::EventType::kEnd) break;
-    EXPECT_TRUE(w.OnEventView(xml::ViewOf(ev.value(), &scratch)).ok());
+    EXPECT_TRUE(w.OnEventView(ev.value()).ok());
   }
   EXPECT_TRUE(w.complete());
   return w.str();
@@ -106,7 +105,7 @@ TEST(CodecTest, RejectsTruncatedStream) {
   if (!dec.ok()) return;  // truncation in the header is fine too
   Status st = Status::OK();
   for (;;) {
-    auto ev = dec.value()->Next();
+    auto ev = dec.value()->NextView();
     if (!ev.ok()) {
       st = ev.status();
       break;
@@ -150,18 +149,18 @@ TEST(CodecTest, SkipContentLandsOnClose) {
   MemorySource src(enc);
   auto dec = DocumentDecoder::Open(&src).value();
   // a
-  ASSERT_EQ(dec->Next().value().type, xml::EventType::kOpen);
+  ASSERT_EQ(dec->NextView().value().type, xml::EventType::kOpen);
   // big
-  auto big = dec->Next().value();
+  auto big = dec->NextView().value().Materialize();
   ASSERT_EQ(big.name, "big");
   EXPECT_TRUE(dec->SubtreeHasTag("x"));
   EXPECT_TRUE(dec->SubtreeHasTag("y"));
   EXPECT_FALSE(dec->SubtreeHasTag("after"));
   ASSERT_TRUE(dec->SkipContent().ok());
-  auto close_big = dec->Next().value();
+  auto close_big = dec->NextView().value().Materialize();
   EXPECT_EQ(close_big.type, xml::EventType::kClose);
   EXPECT_EQ(close_big.name, "big");
-  auto after = dec->Next().value();
+  auto after = dec->NextView().value().Materialize();
   EXPECT_EQ(after.type, xml::EventType::kOpen);
   EXPECT_EQ(after.name, "after");
 }
@@ -171,9 +170,9 @@ TEST(CodecTest, SkipRequiresJustOpened) {
   auto enc = EncodeDocument(doc, EncodeOptions{}).value();
   MemorySource src(enc);
   auto dec = DocumentDecoder::Open(&src).value();
-  ASSERT_EQ(dec->Next().value().name, "a");
-  ASSERT_EQ(dec->Next().value().name, "b");
-  ASSERT_EQ(dec->Next().value().type, xml::EventType::kValue);
+  ASSERT_EQ(dec->NextView().value().name, "a");
+  ASSERT_EQ(dec->NextView().value().name, "b");
+  ASSERT_EQ(dec->NextView().value().type, xml::EventType::kValue);
   EXPECT_FALSE(dec->SkipContent().ok());
 }
 

@@ -75,28 +75,6 @@ TEST(BorrowedParserTest, NextViewMatchesNext) {
   }
 }
 
-TEST(BorrowedDecoderTest, NextViewMatchesNext) {
-  auto doc = xml::DomDocument::Parse(
-                 "<r a=\"v\"><p id=\"1\">alpha</p><p id=\"2\">beta "
-                 "gamma</p><q><deep>x</deep></q></r>")
-                 .value();
-  auto encoded = skipindex::EncodeDocument(doc, {}).value();
-
-  skipindex::MemorySource s1{Span(encoded)};
-  skipindex::MemorySource s2{Span(encoded)};
-  auto d1 = skipindex::DocumentDecoder::Open(&s1).value();
-  auto d2 = skipindex::DocumentDecoder::Open(&s2).value();
-  for (;;) {
-    auto e = d1->Next();
-    auto v = d2->NextView();
-    ASSERT_TRUE(e.ok()) << e.status().ToString();
-    ASSERT_TRUE(v.ok()) << v.status().ToString();
-    EXPECT_EQ(v.value().Materialize(), e.value());
-    EXPECT_EQ(v.value().tag_id, e.value().tag_id);
-    if (e.value().type == EventType::kEnd) break;
-  }
-}
-
 TEST(BorrowedDecoderTest, DecodedViewsRoundTripToCanonicalXml) {
   std::string text = "<r><a k=\"v\">one</a><b><c>two</c></b></r>";
   auto doc = xml::DomDocument::Parse(text).value();
