@@ -1,4 +1,4 @@
-// EXP-ABL — ablations of the design choices DESIGN.md calls out.
+// EXP-ABL — ablations of three design choices of the card path.
 //
 //   A. Pending machinery: predicate density vs buffered output and the
 //      cost of the order-preserving pipeline.

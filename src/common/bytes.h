@@ -121,8 +121,6 @@ class ByteReader {
   size_t position() const { return pos_; }
   /// True when the cursor is at the end.
   bool AtEnd() const { return pos_ == span_.size(); }
-  /// Moves the cursor to an absolute offset (clamped).
-  void Seek(size_t pos) { pos_ = pos > span_.size() ? span_.size() : pos; }
   /// Advances the cursor by `n` bytes; returns false on underflow.
   bool Skip(size_t n) {
     if (remaining() < n) return false;

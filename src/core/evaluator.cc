@@ -343,7 +343,7 @@ StreamingEvaluator::DecisionResult StreamingEvaluator::Combine(
   // Authorization, bracketed by two extreme worlds. Pending candidates of
   // negative rules hold in the deny-world; of positive rules in the
   // permit-world. Per-rule monotonicity makes the bracket exact (see
-  // DESIGN.md §4).
+  // "Access-control semantics" in src/core/README.md).
   DecisionResult r;
   bool permit_in_deny_world = deny_world.Permit();
   bool permit_in_permit_world = permit_world.Permit();

@@ -76,11 +76,6 @@ bool PredRun::OnClose(int depth) {
   return newly;
 }
 
-std::vector<int> PredRun::ActiveStates() const {
-  if (satisfied_) return {};
-  return stack_.back();
-}
-
 bool PredRun::HasCaptureAtDepth(int depth) const {
   for (const Capture& c : captures_) {
     if (c.depth == depth) return true;

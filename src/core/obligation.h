@@ -49,8 +49,6 @@ class PredRun {
   /// Context node depth.
   int ctx_depth() const { return ctx_depth_; }
 
-  /// States the run could still advance from (for skip reachability).
-  std::vector<int> ActiveStates() const;
   /// True if a value capture is open at exactly `depth` — content at that
   /// depth (direct text) may still resolve this run, blocking skips.
   bool HasCaptureAtDepth(int depth) const;

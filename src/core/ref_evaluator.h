@@ -6,9 +6,9 @@
 /// semantics — the oracle against which the streaming evaluator is tested,
 /// and the engine of the trusted-server baseline.
 ///
-/// Implements exactly the semantics of DESIGN.md §4 by brute force:
-/// materialize the document, compute every rule's match set, resolve
-/// conflicts per node, prune.
+/// Implements exactly the semantics set out in src/core/README.md
+/// ("Access-control semantics") by brute force: materialize the document,
+/// compute every rule's match set, resolve conflicts per node, prune.
 
 #include <memory>
 #include <vector>

@@ -1,5 +1,7 @@
 #include "dsp/service.h"
 
+#include <iterator>
+
 namespace csxa::dsp {
 
 Result<Response> Service::OpenDocument(const std::string& doc_id,
@@ -58,6 +60,20 @@ Status Service::Ping() {
   Request req;
   req.op = Op::kPing;
   return Execute(std::move(req)).status();
+}
+
+Status ServiceChunkProvider::FetchRuns(
+    std::span<const skipindex::ChunkRun> runs,
+    std::vector<soe::ChunkData>* out) {
+  Request req;
+  req.op = Op::kGetChunks;
+  req.doc_id = doc_id_;
+  req.spans.assign(runs.begin(), runs.end());
+  CSXA_ASSIGN_OR_RETURN(Response resp, service_->Execute(std::move(req)));
+  wire_bytes_ += resp.wire_bytes;
+  out->insert(out->end(), std::make_move_iterator(resp.chunks.begin()),
+              std::make_move_iterator(resp.chunks.end()));
+  return Status::OK();
 }
 
 }  // namespace csxa::dsp

@@ -28,6 +28,7 @@
 /// the server side replaceable, scale-out-able and survivable.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -159,29 +160,26 @@ class Service {
 };
 
 /// \brief soe::ChunkProvider bound to one document on a Service (what the
-/// proxy hands to the card engine in pull mode). Every batch is one
-/// kGetChunks round trip; wrap it in soe::PlannedProvider to amortize.
+/// proxy hands to the card engine in pull mode). Every Fetch is one
+/// multi-span kGetChunks round trip; wrap it in soe::PlannedProvider to
+/// amortize. Its round_trips() and wire_bytes() are the session's own
+/// chunk traffic, exact however many sessions share the service.
 class ServiceChunkProvider : public soe::ChunkProvider {
  public:
   ServiceChunkProvider(Service* service, std::string doc_id)
       : service_(service), doc_id_(std::move(doc_id)) {}
 
- protected:
-  Result<std::vector<soe::ChunkData>> FetchChunks(uint32_t first,
-                                                  uint32_t count) override {
-    return service_->GetChunks(doc_id_, {skipindex::ChunkRun{first, count}});
-  }
+  /// Summed `wire_bytes` of the OK kGetChunks replies so far.
+  uint64_t wire_bytes() const { return wire_bytes_; }
 
-  /// Several runs become one multi-span kGetChunks request — the wire
-  /// capability the fetch planner exists to exploit.
-  Result<std::vector<soe::ChunkData>> FetchSpans(
-      const std::vector<skipindex::ChunkRun>& spans) override {
-    return service_->GetChunks(doc_id_, spans);
-  }
+ protected:
+  Status FetchRuns(std::span<const skipindex::ChunkRun> runs,
+                   std::vector<soe::ChunkData>* out) override;
 
  private:
   Service* service_;
   std::string doc_id_;
+  uint64_t wire_bytes_ = 0;
 };
 
 }  // namespace csxa::dsp

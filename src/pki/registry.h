@@ -34,11 +34,6 @@ class KeyRegistry {
     std::lock_guard lock(mu_);
     users_.insert(user);
   }
-  /// True if `user` is registered.
-  bool HasUser(const std::string& user) const {
-    std::lock_guard lock(mu_);
-    return users_.count(user) > 0;
-  }
   /// All registered users.
   std::vector<std::string> Users() const {
     std::lock_guard lock(mu_);

@@ -38,45 +38,23 @@ Status FromSw(uint16_t sw, const std::string& what) {
   }
 }
 
-// Query-local view of the DSP: counts this session's own calls, and the
-// wire bytes of their OK results, whatever else shares the backend.
-class CountingService : public dsp::Service {
- public:
-  explicit CountingService(dsp::Service* backend) : backend_(backend) {}
-
-  Result<dsp::Response> Execute(dsp::Request request) override {
-    ++calls_;
-    Result<dsp::Response> result = backend_->Execute(std::move(request));
-    if (result.ok()) bytes_ += result.value().wire_bytes;
-    return result;
-  }
-  dsp::ServiceStats stats() const override { return backend_->stats(); }
-
-  uint64_t calls() const { return calls_; }
-  uint64_t bytes() const { return bytes_; }
-
- private:
-  dsp::Service* backend_;
-  uint64_t calls_ = 0;
-  uint64_t bytes_ = 0;
-};
 }  // namespace
 
 Result<QueryResult> Terminal::Query(const std::string& doc_id,
                                     const QueryOptions& options) {
   // One OpenDocument round trip fetches header + sealed rules + rules
   // version together (three separate calls before the batch protocol).
-  CountingService dsp(dsp_);
-  CSXA_ASSIGN_OR_RETURN(dsp::Response open, dsp.OpenDocument(doc_id));
+  CSXA_ASSIGN_OR_RETURN(dsp::Response open, dsp_->OpenDocument(doc_id));
 
-  // The chunk supply the card pulls from during the session: a per-chunk
-  // Service provider under the plan-riding provider. The plan is the
-  // caller's, else the one learned for this exact query, else none — the
-  // session then runs on the miss window and learns it.
+  // The chunk supply the card pulls from during the session: the
+  // session's Service provider, which counts its own trips and bytes,
+  // under the plan-riding provider. The plan is the caller's, else the one
+  // learned for this exact query, else none — the session then runs on
+  // the miss window and learns it.
   ByteReader header_reader(open.header);
   CSXA_ASSIGN_OR_RETURN(crypto::ContainerHeader parsed_header,
                         crypto::ContainerHeader::DecodeFrom(&header_reader));
-  dsp::ServiceChunkProvider chunk_provider(&dsp, doc_id);
+  dsp::ServiceChunkProvider chunk_provider(dsp_, doc_id);
 
   const PlanKey plan_key{doc_id, open.rules_version, options.query,
                          options.use_skip};
@@ -132,10 +110,7 @@ Result<QueryResult> Terminal::Query(const std::string& doc_id,
     ByteWriter w;
     w.PutString(user_);
     w.PutString(options.query);
-    uint8_t flags = 0;
-    if (options.use_skip) flags |= 1;
-    if (options.strict_ram) flags |= 2;
-    w.PutU8(flags);
+    w.PutU8(options.use_skip ? 1 : 0);
     run.data = w.Take();
   }
   resp = transport.Exchange(&applet_, run);
@@ -158,8 +133,8 @@ Result<QueryResult> Terminal::Query(const std::string& doc_id,
   result.card = applet_.last_stats();
   transport.Exchange(&applet_, end);
 
-  result.dsp_bytes_fetched = dsp.bytes();
-  result.dsp_round_trips = dsp.calls();
+  result.dsp_bytes_fetched = open.wire_bytes + chunk_provider.wire_bytes();
+  result.dsp_round_trips = 1 + chunk_provider.round_trips();
   result.apdu_round_trips = transport.exchanges();
 
   result.plan_ranges = provider.plan().runs.size();

@@ -33,8 +33,6 @@ struct QueryOptions {
   std::string query;
   /// Exploit the skip index.
   bool use_skip = true;
-  /// Enforce the modeled card RAM budget strictly.
-  bool strict_ram = false;
   /// Chunks per miss-window fetch (chunks no plan covers); 1 makes every
   /// such chunk its own round trip.
   uint32_t max_prefetch = 8;
@@ -53,8 +51,9 @@ struct QueryResult {
   /// Card-side session statistics (cost model, skips, RAM, round trips).
   soe::SessionStats card;
   /// Terminal-side accounting. The DSP figures count this query's own
-  /// calls (OpenDocument + chunk batches) and the wire bytes of their OK
-  /// responses, exact however many sessions share the backend.
+  /// round trips (one OpenDocument + the chunk provider's batches) and the
+  /// wire bytes of their OK responses, exact however many sessions share
+  /// the backend.
   uint64_t dsp_bytes_fetched = 0;
   uint64_t dsp_round_trips = 0;
   uint64_t apdu_round_trips = 0;

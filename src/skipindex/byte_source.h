@@ -12,24 +12,17 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
 
 namespace csxa::skipindex {
 
-/// \brief A half-open byte interval [begin, end) of the underlying stream.
-struct ByteRange {
-  uint64_t begin = 0;
-  uint64_t end = 0;
-};
-
 /// \brief A run of consecutive fixed-size chunks: [first, first + count).
 ///
-/// The chunk-level counterpart of ByteRange; the container layer splits
-/// the payload into fixed-size chunks and the fetch planner speaks in
-/// these runs (see codec.h ChunkMap and soe::FetchPlan).
+/// The container layer splits the payload into fixed-size chunks; chunk
+/// fetches and fetch plans speak in these runs (soe::ChunkProvider,
+/// soe::FetchPlan).
 struct ChunkRun {
   uint32_t first = 0;
   uint32_t count = 0;
@@ -45,9 +38,9 @@ struct ChunkRun {
 /// one-byte token or varint costs no virtual call, and bytes inside the
 /// window can be borrowed without a copy. Window bytes are part of the
 /// stream: consuming them advances position() exactly as a ReadExact of
-/// the same bytes would. A source that must observe every read
-/// (RangeRecordingSource) exposes no window, which forces readers through
-/// its virtual methods. The window, and any pointer into it, is
+/// the same bytes would. A source that must observe every read (the fetch
+/// planner's probe, filter.cc) exposes no window, which forces readers
+/// through its virtual methods. The window, and any pointer into it, is
 /// invalidated by the next virtual call on the source — the document
 /// decoder therefore only hands borrowed bytes out for one event.
 class ByteSource {
@@ -114,48 +107,6 @@ class MemorySource : public ByteSource {
 
  private:
   Span data_;
-};
-
-/// \brief Decorator recording which byte ranges are actually *read* (as
-/// opposed to skipped) from the inner source.
-///
-/// The fetch planner's probe: drive the ordinary filtered scan through
-/// one of these and the recorded ranges are exactly the bytes — and via
-/// the chunk map, exactly the chunks — that scan touches. Skips advance
-/// the cursor without recording, which is the whole point: skipped
-/// ranges never need fetching. Reads are monotone (sources are forward
-/// only), so the recorded ranges come out sorted, disjoint and merged.
-/// It exposes no byte window: a read consumed from the inner source's
-/// window would bypass the recording.
-class RangeRecordingSource : public ByteSource {
- public:
-  explicit RangeRecordingSource(ByteSource* inner) : inner_(inner) {}
-
-  Status ReadExact(uint8_t* buf, size_t n) override {
-    uint64_t at = inner_->position();
-    CSXA_RETURN_IF_ERROR(inner_->ReadExact(buf, n));
-    Record(at, n);
-    return Status::OK();
-  }
-  Status Skip(uint64_t n) override { return inner_->Skip(n); }
-  uint64_t position() const override { return inner_->position(); }
-  bool AtEnd() const override { return inner_->AtEnd(); }
-
-  /// Byte ranges read so far: ascending, disjoint, coalesced.
-  const std::vector<ByteRange>& ranges() const { return ranges_; }
-
- private:
-  void Record(uint64_t at, uint64_t n) {
-    if (n == 0) return;
-    if (!ranges_.empty() && at <= ranges_.back().end) {
-      if (at + n > ranges_.back().end) ranges_.back().end = at + n;
-    } else {
-      ranges_.push_back(ByteRange{at, at + n});
-    }
-  }
-
-  ByteSource* inner_;
-  std::vector<ByteRange> ranges_;
 };
 
 }  // namespace csxa::skipindex

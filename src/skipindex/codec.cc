@@ -513,35 +513,4 @@ size_t DocumentDecoder::RecountModeledBytes() const {
   return n;
 }
 
-std::vector<ChunkRun> ChunkMap::Runs(
-    const std::vector<ByteRange>& ranges) const {
-  // Each byte range touches the inclusive chunk interval
-  // [ChunkOf(begin), ChunkOf(end - 1)], clamped to the geometry.
-  std::vector<std::pair<uint32_t, uint32_t>> intervals;
-  intervals.reserve(ranges.size());
-  for (const ByteRange& r : ranges) {
-    if (r.end <= r.begin || chunk_count_ == 0) continue;
-    uint32_t first = ChunkOf(r.begin);
-    if (first >= chunk_count_) continue;
-    uint32_t last = std::min(ChunkOf(r.end - 1), chunk_count_ - 1);
-    intervals.emplace_back(first, last);
-  }
-  std::sort(intervals.begin(), intervals.end());
-  std::vector<ChunkRun> runs;
-  for (const auto& [first, last] : intervals) {
-    // Merge overlapping *and* adjacent intervals: chunks first-1 and first
-    // both needed means one contiguous span serves both.
-    if (!runs.empty() &&
-        first <= runs.back().first + runs.back().count) {
-      uint32_t back_last = runs.back().first + runs.back().count - 1;
-      if (last > back_last) {
-        runs.back().count = last - runs.back().first + 1;
-      }
-    } else {
-      runs.push_back(ChunkRun{first, last - first + 1});
-    }
-  }
-  return runs;
-}
-
 }  // namespace csxa::skipindex

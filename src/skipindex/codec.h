@@ -71,38 +71,6 @@ Result<Bytes> EncodeDocument(const xml::DomDocument& doc,
                              const EncodeOptions& options,
                              EncodeStats* stats = nullptr);
 
-/// \brief Maps encoded-payload byte offsets onto container chunk indices.
-///
-/// The secure container splits the encoded document into fixed-size
-/// chunks (the last possibly short) and AES-CTR preserves byte positions,
-/// so plaintext offset `o` lives in chunk `o / chunk_size` — this class
-/// is that arithmetic plus the coalescing that turns the byte ranges a
-/// scan touches into the minimal sorted list of contiguous chunk runs
-/// (the shape a multi-span kGetChunks request wants).
-class ChunkMap {
- public:
-  /// `chunk_size` must be non-zero; `chunk_count` clamps every result to
-  /// the container geometry (ranges beyond it are truncated, not errors —
-  /// the planner must never fabricate unfetchable chunks).
-  ChunkMap(uint32_t chunk_size, uint32_t chunk_count)
-      : chunk_size_(chunk_size == 0 ? 1 : chunk_size),
-        chunk_count_(chunk_count) {}
-
-  /// Chunk index containing byte offset `offset`.
-  uint32_t ChunkOf(uint64_t offset) const {
-    return static_cast<uint32_t>(offset / chunk_size_);
-  }
-
-  /// Coalesces byte ranges (any order, possibly overlapping) into sorted,
-  /// disjoint chunk runs; adjacent runs merge (both chunks are needed, so
-  /// a single span covers them for free).
-  std::vector<ChunkRun> Runs(const std::vector<ByteRange>& ranges) const;
-
- private:
-  uint32_t chunk_size_;
-  uint32_t chunk_count_;
-};
-
 /// \brief Streaming decoder over a ByteSource.
 ///
 /// Pull API mirroring the event model; after an OPEN the caller may call

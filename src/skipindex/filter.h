@@ -11,6 +11,7 @@
 /// over its bytes instead of decoding them.
 
 #include <functional>
+#include <vector>
 
 #include "core/evaluator.h"
 #include "skipindex/codec.h"
@@ -40,21 +41,22 @@ Status RunFiltered(DocumentDecoder* decoder,
                    core::StreamingEvaluator* evaluator,
                    const FilterOptions& options, FilterStats* stats);
 
-/// \brief Fetch-planning probe: which bytes will a scan actually read?
+/// \brief Fetch-planning probe: which chunks will a scan actually read?
 ///
 /// Replays exactly the filtered scan RunFiltered performs — same decoder,
 /// same evaluator skip decisions — over the plaintext `encoded` document,
-/// but discards the output and records only the byte ranges the scan
-/// reads (skipped subtrees advance the cursor without being recorded).
-/// Run by whoever holds the plaintext: the owner at publish/update time,
-/// or a test oracle. The card-side scan over the sealed container touches
-/// the same byte positions (CTR encryption is position preserving), so
-/// these ranges — pushed through codec's ChunkMap — are the exact chunk
-/// runs that scan will fetch. `rules` is the subject's rule slice;
+/// but discards the output and records, in read order, the index of every
+/// `chunk_size`-byte chunk the scan reads a byte of (skipped subtrees
+/// advance the cursor without being recorded). Run by whoever holds the
+/// plaintext: the owner at publish/update time, or a test oracle. The
+/// card-side scan over the sealed container touches the same byte
+/// positions (CTR encryption is position preserving), so these are the
+/// chunks that scan will fetch. `rules` is the subject's rule slice;
 /// `query` may be null (whole authorized view).
-Result<std::vector<ByteRange>> CollectTouchedRanges(
-    Span encoded, const std::vector<core::AccessRule>& rules,
-    const xpath::PathExpr* query, bool enable_skip);
+Result<std::vector<uint32_t>> CollectTouchedChunks(
+    Span encoded, uint32_t chunk_size,
+    const std::vector<core::AccessRule>& rules, const xpath::PathExpr* query,
+    bool enable_skip);
 
 }  // namespace csxa::skipindex
 

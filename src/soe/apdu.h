@@ -23,7 +23,7 @@ enum class Ins : uint8_t {
   kSelectDocument = 0xA0,  ///< data: doc id + container header
   kInstallKey = 0xA2,      ///< data: doc id + key (via secure channel)
   kPutRules = 0xA4,        ///< data: sealed rule-set record
-  kRunQuery = 0xA6,        ///< data: subject + query text
+  kRunQuery = 0xA6,        ///< data: subject + query text + skip flag
   kFetchOutput = 0xA8,     ///< response: next slice of the delivered view
   kGetStats = 0xAA,        ///< response: serialized session statistics
   kEndSession = 0xAC,

@@ -88,7 +88,6 @@ ApduResponse CsxaApplet::HandleRunQuery(const ApduCommand& cmd) {
     return Error(kSwWrongData);
   }
   opts.use_skip = (flags & 1) != 0;
-  opts.strict_ram = (flags & 2) != 0;
   auto result = engine_.RunSession(selected_doc_, header_bytes_, sealed_rules_,
                                    provider_, opts);
   if (!result.ok()) {

@@ -7,9 +7,11 @@
 /// Implements the terminal-visible state machine of Fig. 3: select a
 /// document, receive the sealed rules, run a query, page the delivered
 /// view out in APDU-sized slices. Chunk supply is modeled through the
-/// ChunkProvider wired at session start (the proxy charges those
-/// exchanges on the shared cost model — see DESIGN.md §2 on the
-/// synchronous-callback simplification).
+/// ChunkProvider wired at session start: the card calls it synchronously
+/// during kRunQuery, where a real card would return to the terminal and
+/// ask for each chunk by APDU. The session's cost model charges that
+/// traffic (chunk bytes and, in pull mode, round trips) as if it had
+/// crossed the link.
 
 #include <memory>
 #include <string>

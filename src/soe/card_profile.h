@@ -9,7 +9,7 @@
 /// for on-board applications) and a low bandwidth (2 KB/s)" (§3). The
 /// original work validated on a cycle-accurate simulator; this profile
 /// reproduces the same two bottlenecks — the link and the crypto — as a
-/// first-order cost model (see DESIGN.md substitution table).
+/// first-order cost model (cost_model.h) in place of that simulator.
 
 #include <cstddef>
 #include <string>

@@ -2,8 +2,25 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 namespace csxa::soe {
+
+Status ChunkProvider::Fetch(std::span<const skipindex::ChunkRun> runs,
+                            std::vector<ChunkData>* out) {
+  ++round_trips_;
+  const size_t before = out->size();
+  Status status = FetchRuns(runs, out);
+  uint64_t wanted = 0;
+  for (const skipindex::ChunkRun& run : runs) wanted += run.count;
+  if (status.ok() && out->size() - before != wanted) {
+    status = Status::IntegrityError(
+        "chunk reply holds " + std::to_string(out->size() - before) +
+        " chunks, " + std::to_string(wanted) + " requested");
+  }
+  if (!status.ok()) out->resize(before);
+  return status;
+}
 
 Result<uint64_t> ServeChunks(const crypto::SecureContainer& container,
                              std::span<const skipindex::ChunkRun> runs,
@@ -28,15 +45,6 @@ Result<uint64_t> ServeChunks(const crypto::SecureContainer& container,
     }
   }
   return wire_bytes;
-}
-
-Result<std::vector<ChunkData>> ContainerChunkProvider::FetchChunks(
-    uint32_t first, uint32_t count) {
-  const skipindex::ChunkRun run{first, count};
-  std::vector<ChunkData> chunks;
-  CSXA_RETURN_IF_ERROR(
-      ServeChunks(*container_, std::span(&run, 1), &chunks).status());
-  return chunks;
 }
 
 uint64_t ContainerChunkProvider::TotalWireBytes() const {
@@ -64,7 +72,10 @@ ChunkSource::ChunkSource(const crypto::SymmetricKey& key,
 
 Status ChunkSource::EnsureChunk(uint32_t index) {
   if (buf_valid_ && buf_index_ == index) return Status::OK();
-  CSXA_ASSIGN_OR_RETURN(ChunkData chunk, provider_->GetChunk(index));
+  const skipindex::ChunkRun run{index, 1};
+  fetched_.clear();
+  CSXA_RETURN_IF_ERROR(provider_->Fetch(std::span(&run, 1), &fetched_));
+  const ChunkData& chunk = fetched_[0];
   if (cost_ != nullptr) {
     if (charge_transfer_) {
       cost_->AddTransfer(chunk.WireBytes(header_.integrity));

@@ -10,14 +10,13 @@
 /// Skips merely advance the cursor: chunks that are entirely jumped over
 /// are neither transferred nor decrypted — the skip index's payoff.
 ///
-/// The provider interface is batch-first: one GetChunks() call is one
-/// modeled terminal<->server round trip, however many chunks it carries.
-/// The card itself still consumes one chunk at a time (its RAM budget);
-/// batching happens terminal-side in soe::PlannedProvider, which answers
-/// per-chunk card requests from one multi-span planned fetch or from
-/// fixed-window server fetches.
+/// The provider interface is batch-first: one Fetch() call is one
+/// modeled terminal<->server round trip, however many chunk runs it
+/// carries. The card itself still consumes one chunk at a time (its RAM
+/// budget); batching happens terminal-side in soe::PlannedProvider, which
+/// answers per-chunk card requests from one multi-span planned fetch or
+/// from fixed-window server fetches.
 
-#include <iterator>
 #include <memory>
 #include <span>
 #include <vector>
@@ -40,10 +39,10 @@ struct ChunkData {
   }
 };
 
-/// \brief Supplies chunk batches by range (implemented by the proxy/DSP
+/// \brief Supplies chunk batches by run (implemented by the proxy/DSP
 /// side).
 ///
-/// Each GetChunks() call is one modeled round trip to wherever the chunks
+/// Each Fetch() call is one modeled round trip to wherever the chunks
 /// live. A decorator that answers from chunks it already fetched
 /// (soe::PlannedProvider) overrides round_trips() to report its backend's
 /// count. Push-mode sessions charge no round trips at all: the card engine
@@ -57,34 +56,12 @@ class ChunkProvider {
  public:
   virtual ~ChunkProvider() = default;
 
-  /// Fetches the `count` consecutive chunks starting at `first` in one
-  /// round trip.
-  Result<std::vector<ChunkData>> GetChunks(uint32_t first, uint32_t count) {
-    ++round_trips_;
-    return FetchChunks(first, count);
-  }
-
-  /// Single-chunk convenience: a one-chunk batch (still one round trip).
-  Result<ChunkData> GetChunk(uint32_t index) {
-    CSXA_ASSIGN_OR_RETURN(std::vector<ChunkData> chunks, GetChunks(index, 1));
-    if (chunks.size() != 1) {
-      return Status::Internal("provider returned wrong batch size");
-    }
-    return std::move(chunks[0]);
-  }
-
-  /// Fetches several (possibly discontiguous) chunk runs in ONE round
-  /// trip, returned concatenated in run order. This is what the fetch
-  /// planner uses: a whole query's worth of ranges for one trip's
-  /// latency. Backends that speak a multi-span protocol (dsp::Service
-  /// kGetChunks) override FetchSpans to send one request; the default
-  /// gathers the runs from FetchChunks, which is honest for providers
-  /// already serving from local memory.
-  Result<std::vector<ChunkData>> GetSpans(
-      const std::vector<skipindex::ChunkRun>& spans) {
-    ++round_trips_;
-    return FetchSpans(spans);
-  }
+  /// Appends the chunks of `runs`, concatenated in run order, to `out` in
+  /// ONE round trip. The reply comes from an untrusted party, so it fails,
+  /// leaving `out` as it was, unless it holds exactly the chunks asked
+  /// for; the card then verifies each chunk against its index.
+  Status Fetch(std::span<const skipindex::ChunkRun> runs,
+               std::vector<ChunkData>* out);
 
   /// Total wire size of the full stream; used by push mode, where the
   /// broadcast reaches the card whether it decrypts it or not. 0 means
@@ -96,25 +73,9 @@ class ChunkProvider {
   virtual uint64_t round_trips() const { return round_trips_; }
 
  protected:
-  /// Backend fetch of the batch [first, first+count).
-  virtual Result<std::vector<ChunkData>> FetchChunks(uint32_t first,
-                                                     uint32_t count) = 0;
-
-  /// Backend fetch of several runs as one exchange. Default: gather each
-  /// run via FetchChunks (no extra round trips are counted — GetSpans
-  /// already charged the one trip).
-  virtual Result<std::vector<ChunkData>> FetchSpans(
-      const std::vector<skipindex::ChunkRun>& spans) {
-    std::vector<ChunkData> out;
-    for (const skipindex::ChunkRun& span : spans) {
-      if (span.count == 0) continue;
-      CSXA_ASSIGN_OR_RETURN(std::vector<ChunkData> part,
-                            FetchChunks(span.first, span.count));
-      out.insert(out.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-    }
-    return out;
-  }
+  /// Backend fetch: appends the chunks of `runs` to `out`.
+  virtual Status FetchRuns(std::span<const skipindex::ChunkRun> runs,
+                           std::vector<ChunkData>* out) = 0;
 
  private:
   uint64_t round_trips_ = 0;
@@ -139,8 +100,10 @@ class ContainerChunkProvider : public ChunkProvider {
   uint64_t TotalWireBytes() const override;
 
  protected:
-  Result<std::vector<ChunkData>> FetchChunks(uint32_t first,
-                                             uint32_t count) override;
+  Status FetchRuns(std::span<const skipindex::ChunkRun> runs,
+                   std::vector<ChunkData>* out) override {
+    return ServeChunks(*container_, runs, out).status();
+  }
 
  private:
   const crypto::SecureContainer* container_;
@@ -196,6 +159,7 @@ class ChunkSource : public skipindex::ByteSource {
   uint32_t buf_index_ = 0;
   bool buf_valid_ = false;
   Bytes buf_;  // plaintext of chunk buf_index_
+  std::vector<ChunkData> fetched_;  // reused one-chunk fetch reply
   uint64_t chunks_fetched_ = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "skipindex/codec.h"
 #include "skipindex/filter.h"
 
 namespace csxa::soe {
@@ -46,27 +45,15 @@ FetchPlan FetchPlan::FromChunkSequence(const std::vector<uint32_t>& sequence) {
   return plan;
 }
 
-FetchPlan FetchPlan::FromRanges(const std::vector<skipindex::ByteRange>& ranges,
-                                uint32_t chunk_size, uint32_t chunk_count) {
-  FetchPlan plan;
-  plan.runs = skipindex::ChunkMap(chunk_size, chunk_count).Runs(ranges);
-  return plan;
-}
-
 Result<FetchPlan> ComputeFetchPlan(Span encoded_payload, uint32_t chunk_size,
                                    const std::vector<core::AccessRule>& rules,
                                    const xpath::PathExpr* query,
                                    bool use_skip) {
-  if (chunk_size == 0) {
-    return Status::InvalidArgument("fetch plan needs a non-zero chunk size");
-  }
   CSXA_ASSIGN_OR_RETURN(
-      std::vector<skipindex::ByteRange> ranges,
-      skipindex::CollectTouchedRanges(encoded_payload, rules, query, use_skip));
-  uint64_t payload = encoded_payload.size();
-  uint32_t chunk_count =
-      static_cast<uint32_t>((payload + chunk_size - 1) / chunk_size);
-  return FetchPlan::FromRanges(ranges, chunk_size, chunk_count);
+      std::vector<uint32_t> chunks,
+      skipindex::CollectTouchedChunks(encoded_payload, chunk_size, rules,
+                                      query, use_skip));
+  return FetchPlan::FromChunkSequence(chunks);
 }
 
 // --- PlannedProvider -------------------------------------------------------
@@ -92,13 +79,13 @@ PlannedProvider::PlannedProvider(ChunkProvider* inner, uint32_t chunk_count,
 void PlannedProvider::FetchPlanned() {
   plan_fetched_ = true;
   ++planned_trips_;
-  Result<std::vector<ChunkData>> fetched = inner_->GetSpans(plan_.runs);
-  if (!fetched.ok() || fetched.value().size() != plan_.total_chunks()) return;
-  chunks_fetched_ += fetched.value().size();
+  std::vector<ChunkData> fetched;
+  if (!inner_->Fetch(plan_.runs, &fetched).ok()) return;
+  chunks_fetched_ += fetched.size();
   size_t at = 0;
   for (const skipindex::ChunkRun& r : plan_.runs) {
     for (uint32_t i = 0; i < r.count; ++i) {
-      buf_.insert_or_assign(r.first + i, std::move(fetched.value()[at++]));
+      buf_.insert_or_assign(r.first + i, std::move(fetched[at++]));
     }
   }
 }
@@ -110,9 +97,9 @@ Status PlannedProvider::FetchWindow(uint32_t first, uint32_t min_count) {
   // error is the answer rather than a clamped wrong one.
   end = std::max<uint64_t>(end, uint64_t{first} + min_count);
   ++window_trips_;
-  CSXA_ASSIGN_OR_RETURN(
-      std::vector<ChunkData> fetched,
-      inner_->GetChunks(first, static_cast<uint32_t>(end - first)));
+  const skipindex::ChunkRun window{first, static_cast<uint32_t>(end - first)};
+  std::vector<ChunkData> fetched;
+  CSXA_RETURN_IF_ERROR(inner_->Fetch(std::span(&window, 1), &fetched));
   chunks_fetched_ += fetched.size();
   buf_.erase(buf_.begin(), buf_.lower_bound(first));
   for (size_t i = 0; i < fetched.size(); ++i) {
@@ -122,28 +109,27 @@ Status PlannedProvider::FetchWindow(uint32_t first, uint32_t min_count) {
   return Status::OK();
 }
 
-Result<std::vector<ChunkData>> PlannedProvider::FetchChunks(uint32_t first,
-                                                            uint32_t count) {
-  std::vector<ChunkData> out;
-  out.reserve(count);
-  for (uint32_t c = first; c < first + count; ++c) {
-    requested_.push_back(c);
-    auto it = buf_.find(c);
-    if (it == buf_.end() && !plan_fetched_ && plan_.Covers(c)) {
-      FetchPlanned();
-      it = buf_.find(c);
-    }
-    if (it == buf_.end()) {
-      CSXA_RETURN_IF_ERROR(FetchWindow(c, first + count - c));
-      it = buf_.find(c);
-      if (it == buf_.end()) {
-        return Status::Internal("backend returned short chunk batch");
+Status PlannedProvider::FetchRuns(std::span<const skipindex::ChunkRun> runs,
+                                  std::vector<ChunkData>* out) {
+  for (const skipindex::ChunkRun& run : runs) {
+    const uint32_t end = run.first + run.count;
+    for (uint32_t c = run.first; c < end; ++c) {
+      requested_.push_back(c);
+      auto it = buf_.find(c);
+      if (it == buf_.end() && !plan_fetched_ && plan_.Covers(c)) {
+        FetchPlanned();
+        it = buf_.find(c);
       }
+      if (it == buf_.end()) {
+        // An exact window reply starts at `c`, so it fills this entry.
+        CSXA_RETURN_IF_ERROR(FetchWindow(c, end - c));
+        it = buf_.find(c);
+      }
+      out->push_back(std::move(it->second));
+      buf_.erase(it);
     }
-    out.push_back(std::move(it->second));
-    buf_.erase(it);
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace csxa::soe

@@ -9,9 +9,11 @@
 /// terminal<->DSP round trip per chunk is exactly the per-message cost the
 /// paper calls out as a limiting factor (§2.3). The skip index knows which
 /// chunks a query will touch, so the terminal fetches them as a FetchPlan:
-/// every planned chunk in one multi-span round trip. Chunks no plan covers
-/// (a learning run, a stale or hostile plan) arrive in fixed windows of
-/// consecutive chunks.
+/// every planned chunk in one multi-span ChunkProvider::Fetch, one round
+/// trip. Chunks no plan covers (a learning run, a stale or hostile plan)
+/// arrive in fixed windows of consecutive chunks. Every plan, learned or
+/// owner-computed, is compiled from a chunk sequence by
+/// FetchPlan::FromChunkSequence.
 ///
 /// Buffered-but-unread chunks stay in the terminal and never cross the
 /// APDU link, so card-side transfer and crypto costs are byte-identical
@@ -20,6 +22,7 @@
 
 #include <cstddef>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/rule.h"
@@ -52,14 +55,11 @@ struct FetchPlan {
   /// Sorts, de-duplicates and coalesces `runs` in place (idempotent).
   void Normalize();
 
-  /// Builds a plan from an observed per-chunk request sequence (what
-  /// PlannedProvider::requested() captured from a live session): the
-  /// terminal's learn-on-first-run path.
+  /// The one plan compiler: builds a plan from a chunk sequence, either
+  /// one observed live (PlannedProvider::requested(), the terminal's
+  /// learn-on-first-run path) or one the owner's planning probe recorded
+  /// (skipindex::CollectTouchedChunks, in ComputeFetchPlan).
   static FetchPlan FromChunkSequence(const std::vector<uint32_t>& sequence);
-  /// Builds a plan from the byte ranges a planning probe recorded
-  /// (skipindex::CollectTouchedRanges), via the codec chunk map.
-  static FetchPlan FromRanges(const std::vector<skipindex::ByteRange>& ranges,
-                              uint32_t chunk_size, uint32_t chunk_count);
 };
 
 /// \brief Owner-side planning pass: runs the skip filter's reachability
@@ -83,7 +83,7 @@ Result<FetchPlan> ComputeFetchPlan(Span encoded_payload, uint32_t chunk_size,
 /// window.
 ///
 /// The first card request for a planned chunk pulls the whole plan as one
-/// multi-span batch (GetSpans — one round trip however many runs). Any
+/// multi-span batch (one Fetch, one round trip however many runs). Any
 /// other request the buffer cannot answer fetches a fixed window of
 /// `max_prefetch` consecutive chunks from the requested one, clamped to
 /// the container end. Card scans only move forward, so for them a fixed
@@ -130,11 +130,12 @@ class PlannedProvider : public ChunkProvider {
   /// @}
 
  protected:
-  Result<std::vector<ChunkData>> FetchChunks(uint32_t first,
-                                             uint32_t count) override;
+  /// Serves each requested chunk from the buffer, the plan or the window.
+  Status FetchRuns(std::span<const skipindex::ChunkRun> runs,
+                   std::vector<ChunkData>* out) override;
 
  private:
-  // Fetches the whole plan into the buffer, once. A failed or short
+  // Fetches the whole plan into the buffer, once. A failed or malformed
   // planned batch is swallowed: the request falls back to a window fetch,
   // which surfaces any real backend error on its own trip.
   void FetchPlanned();

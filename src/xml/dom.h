@@ -61,7 +61,7 @@ class DomNode {
 
   /// Concatenation of the *direct* text children only. Value predicates in
   /// this system compare direct text (a streaming-friendly restriction;
-  /// see DESIGN.md §4).
+  /// see "Access-control semantics" in src/core/README.md).
   std::string DirectText() const;
 
   /// Number of element nodes in this subtree (including self if element).
@@ -107,8 +107,6 @@ class DomDocument {
 
   /// Root element; nullptr for an empty document.
   DomNode* root() const { return root_.get(); }
-  /// Transfers root ownership.
-  std::unique_ptr<DomNode> TakeRoot() { return std::move(root_); }
 
   /// Serializes to compact canonical XML (attributes in stored order,
   /// escaped text, no insignificant whitespace). Suitable for equality

@@ -8,8 +8,8 @@
 /// a community (pull, textual) and selective dissemination of rated
 /// content (push) — plus the medical-exchange and parental-control
 /// scenarios motivating §1. The authors' demo used live data we do not
-/// have; these seeded generators produce structurally equivalent documents
-/// (see DESIGN.md §2 substitution table).
+/// have; these seeded generators stand in for it with documents of the
+/// same structure, reproducible from a seed.
 
 #include <string>
 

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/bitvec.h"
 #include "common/bytes.h"
 #include "common/hex.h"
 #include "common/random.h"
@@ -123,62 +122,6 @@ TEST(VarintTest, RejectsTruncated) {
   ByteReader r(b);
   uint64_t v;
   EXPECT_FALSE(GetVarint(&r, &v));
-}
-
-TEST(BitVecTest, SetTestClear) {
-  BitVec v(130);
-  v.Set(0);
-  v.Set(64);
-  v.Set(129);
-  EXPECT_TRUE(v.Test(0));
-  EXPECT_TRUE(v.Test(64));
-  EXPECT_TRUE(v.Test(129));
-  EXPECT_FALSE(v.Test(1));
-  EXPECT_EQ(v.Count(), 3u);
-  v.Clear(64);
-  EXPECT_EQ(v.Count(), 2u);
-}
-
-TEST(BitVecTest, SubsetAndIntersect) {
-  BitVec a(70), b(70);
-  a.Set(3);
-  a.Set(65);
-  b.Set(3);
-  b.Set(65);
-  b.Set(9);
-  EXPECT_TRUE(a.IsSubsetOf(b));
-  EXPECT_FALSE(b.IsSubsetOf(a));
-  EXPECT_TRUE(a.Intersects(b));
-  BitVec c(70);
-  c.Set(50);
-  EXPECT_FALSE(a.Intersects(c));
-}
-
-TEST(BitVecTest, RankSelect) {
-  BitVec v(100);
-  v.Set(5);
-  v.Set(20);
-  v.Set(77);
-  EXPECT_EQ(v.RankBefore(5), 0u);
-  EXPECT_EQ(v.RankBefore(6), 1u);
-  EXPECT_EQ(v.RankBefore(78), 3u);
-  EXPECT_EQ(v.SelectSet(0), 5u);
-  EXPECT_EQ(v.SelectSet(2), 77u);
-  EXPECT_EQ(v.SelectSet(3), 100u);
-}
-
-TEST(BitVecTest, EncodeDecodeRoundTrip) {
-  BitVec v(19);
-  v.Set(0);
-  v.Set(7);
-  v.Set(18);
-  ByteWriter w;
-  v.EncodeTo(&w);
-  EXPECT_EQ(w.size(), 3u);
-  ByteReader r(w.bytes());
-  BitVec back;
-  ASSERT_TRUE(BitVec::DecodeFrom(&r, 19, &back));
-  EXPECT_EQ(v, back);
 }
 
 TEST(RngTest, DeterministicForSeed) {

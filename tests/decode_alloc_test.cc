@@ -7,7 +7,8 @@
 // (alloc_counter.h). The document is a hospital folder repeated twice
 // under one root: the first copy is the warm-up (it grows every scratch
 // buffer to what the second copy needs), the second copy must decode
-// allocation-free.
+// allocation-free. The NextView calls that fetched a chunk are counted
+// apart, per fetched chunk: that is the cost of the card's chunk path.
 
 #include <gtest/gtest.h>
 
@@ -40,10 +41,13 @@ Bytes EncodeTwinFolders() {
 struct SteadyState {
   size_t calls = 0;        // NextView calls counted after the warm-up
   size_t allocations = 0;  // heap allocations during those calls
+  // The warm NextView calls for which `fetched()` moved, kept apart.
+  uint64_t fetched_chunks = 0;   // chunks they fetched
+  size_t fetch_allocations = 0;  // heap allocations during them
 };
 
 // Decodes the whole document. Calls after the first folder closes are
-// counted, except those for which `fetched()` moved: a chunk fetch
+// counted; those for which `fetched()` moved count apart: a chunk fetch
 // allocates in the transport and the crypto, not in the decoder.
 template <typename FetchCount>
 SteadyState DecodeSteadyState(skipindex::ByteSource* source,
@@ -65,6 +69,9 @@ SteadyState DecodeSteadyState(skipindex::ByteSource* source,
     if (warm && fetched() == fetched_before) {
       ++out.calls;
       out.allocations += g_allocations - before;
+    } else if (warm) {
+      out.fetched_chunks += fetched() - fetched_before;
+      out.fetch_allocations += g_allocations - before;
     }
     if (ev.value().type == xml::EventType::kOpen) ++depth;
     if (ev.value().type == xml::EventType::kClose && --depth == 1) {
@@ -91,22 +98,49 @@ TEST(DecodeAllocTest, MemorySourceNextViewIsAllocationFree) {
   EXPECT_EQ(st.allocations, 0u) << "over " << st.calls << " NextView calls";
 }
 
+// Decodes the twin folders from a container sealed in `chunk`-byte chunks
+// through a ChunkSource over a ContainerChunkProvider.
+SteadyState DecodeSealed(const Bytes& encoded, size_t chunk) {
+  Rng rng(chunk);
+  auto key = crypto::SymmetricKey::Generate(&rng);
+  Bytes sealed = crypto::SecureContainer::Seal(key, encoded, chunk, &rng);
+  auto container = crypto::SecureContainer::Parse(sealed);
+  EXPECT_TRUE(container.ok());
+  if (!container.ok()) return {};
+  soe::ContainerChunkProvider provider(&container.value());
+  soe::ChunkSource source(key, container.value().header(), &provider,
+                          nullptr);
+  return DecodeSteadyState(&source,
+                           [&source] { return source.chunks_fetched(); });
+}
+
 TEST(DecodeAllocTest, ChunkSourceNextViewIsAllocationFree) {
   Bytes encoded = EncodeTwinFolders();
   for (size_t chunk : {64u, 256u}) {
     SCOPED_TRACE("chunk=" + std::to_string(chunk));
-    Rng rng(chunk);
-    auto key = crypto::SymmetricKey::Generate(&rng);
-    Bytes sealed = crypto::SecureContainer::Seal(key, encoded, chunk, &rng);
-    auto container = crypto::SecureContainer::Parse(sealed);
-    ASSERT_TRUE(container.ok());
-    soe::ContainerChunkProvider provider(&container.value());
-    soe::ChunkSource source(key, container.value().header(), &provider,
-                            nullptr);
-    SteadyState st = DecodeSteadyState(
-        &source, [&source] { return source.chunks_fetched(); });
+    SteadyState st = DecodeSealed(encoded, chunk);
     EXPECT_GT(st.calls, 400u);
     EXPECT_EQ(st.allocations, 0u) << "over " << st.calls << " NextView calls";
+  }
+}
+
+// The fetch cost, per fetched chunk: the NextView calls that fetched a
+// chunk allocate once for it, the ciphertext copy ServeChunks makes out
+// of the container (the one-chunk reply vector is reused). At 256-byte
+// chunks one of those calls also grows a decoder scratch buffer, for a
+// read that straddles a chunk edge at a place the warm-up did not.
+TEST(DecodeAllocTest, ChunkSourceFetchAllocationsPerChunk) {
+  struct Pin {
+    size_t chunk;
+    uint64_t fetched_chunks;
+    size_t allocations;
+  };
+  Bytes encoded = EncodeTwinFolders();
+  for (const Pin& pin : {Pin{64, 97, 97}, Pin{256, 24, 25}}) {
+    SCOPED_TRACE("chunk=" + std::to_string(pin.chunk));
+    SteadyState st = DecodeSealed(encoded, pin.chunk);
+    EXPECT_EQ(st.fetched_chunks, pin.fetched_chunks);
+    EXPECT_EQ(st.fetch_allocations, pin.allocations);
   }
 }
 

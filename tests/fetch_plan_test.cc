@@ -19,6 +19,7 @@
 #include "proxy/terminal.h"
 #include "skipindex/codec.h"
 #include "soe/prefetch.h"
+#include "tagged_chunks.h"
 #include "xml/generator.h"
 #include "xpath/parser.h"
 
@@ -384,46 +385,8 @@ TEST(FetchPlanTest, FromChunkSequenceCoalescesObservedRequests) {
   EXPECT_EQ(plan.runs[2].count, 1u);
 }
 
-// In-memory backend counting trips: GetChunks and GetSpans are one round
-// trip each, whatever they carry.
-class CountingProvider : public soe::ChunkProvider {
- public:
-  explicit CountingProvider(uint32_t chunk_count) : chunk_count_(chunk_count) {}
-  size_t span_batches = 0;
-
- protected:
-  Result<std::vector<soe::ChunkData>> FetchChunks(uint32_t first,
-                                                  uint32_t count) override {
-    if (first + count > chunk_count_) {
-      return Status::NotFound("chunk out of range");
-    }
-    std::vector<soe::ChunkData> chunks;
-    for (uint32_t i = first; i < first + count; ++i) {
-      soe::ChunkData chunk;
-      chunk.ciphertext = Bytes{static_cast<uint8_t>(i)};
-      chunks.push_back(std::move(chunk));
-    }
-    return chunks;
-  }
-
-  Result<std::vector<soe::ChunkData>> FetchSpans(
-      const std::vector<ChunkRun>& spans) override {
-    ++span_batches;
-    std::vector<soe::ChunkData> out;
-    for (const ChunkRun& r : spans) {
-      CSXA_ASSIGN_OR_RETURN(std::vector<soe::ChunkData> part,
-                            FetchChunks(r.first, r.count));
-      for (auto& c : part) out.push_back(std::move(c));
-    }
-    return out;
-  }
-
- private:
-  uint32_t chunk_count_;
-};
-
 TEST(FetchPlanTest, PlannedProviderServesPlanInOneTripAndFallsBackOnMisses) {
-  CountingProvider backend(16);
+  fakes::TaggedChunkProvider backend(16);
   FetchPlan plan;
   plan.runs = {ChunkRun{0, 3}, ChunkRun{8, 2}};
   PlannedProvider provider(&backend, 16, plan);
@@ -431,7 +394,7 @@ TEST(FetchPlanTest, PlannedProviderServesPlanInOneTripAndFallsBackOnMisses) {
   // First planned chunk pulls the WHOLE plan in one multi-span trip; the
   // rest of the plan is served from the buffer.
   for (uint32_t c : {0u, 1u, 2u, 8u, 9u}) {
-    auto chunk = provider.GetChunk(c);
+    auto chunk = fakes::FetchOne(provider, c);
     ASSERT_TRUE(chunk.ok()) << c;
     EXPECT_EQ(chunk.value().ciphertext[0], static_cast<uint8_t>(c)) << c;
   }
@@ -443,18 +406,18 @@ TEST(FetchPlanTest, PlannedProviderServesPlanInOneTripAndFallsBackOnMisses) {
 
   // A chunk outside the plan falls back to a window fetch: one ordinary
   // trip, correct payload.
-  auto miss = provider.GetChunk(5);
+  auto miss = fakes::FetchOne(provider, 5);
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(miss.value().ciphertext[0], 5u);
   EXPECT_EQ(provider.window_trips(), 1u);
   EXPECT_EQ(provider.round_trips(), 2u);
 
   // Out of range propagates the backend's error (through the window).
-  EXPECT_FALSE(provider.GetChunk(99).ok());
+  EXPECT_FALSE(fakes::FetchOne(provider, 99).ok());
 }
 
 TEST(FetchPlanTest, PlannedProviderMixesPlanWithWindowMisses) {
-  CountingProvider backend(16);
+  fakes::TaggedChunkProvider backend(16);
   FetchPlan plan;
   plan.runs = {ChunkRun{0, 3}, ChunkRun{8, 2}};
   PlannedProvider provider(&backend, 16, plan, /*max_prefetch=*/2);
@@ -463,7 +426,7 @@ TEST(FetchPlanTest, PlannedProviderMixesPlanWithWindowMisses) {
   // fetch a two-chunk window, which answers 5 and 7 from the buffer.
   const std::vector<uint32_t> card = {0, 1, 2, 4, 5, 6, 7, 8, 9, 12};
   for (uint32_t c : card) {
-    auto chunk = provider.GetChunk(c);
+    auto chunk = fakes::FetchOne(provider, c);
     ASSERT_TRUE(chunk.ok()) << c;
     EXPECT_EQ(chunk.value().ciphertext[0], static_cast<uint8_t>(c)) << c;
   }
@@ -475,7 +438,7 @@ TEST(FetchPlanTest, PlannedProviderMixesPlanWithWindowMisses) {
 }
 
 TEST(FetchPlanTest, PlannedProviderClampsHostileGeometry) {
-  CountingProvider backend(8);
+  fakes::TaggedChunkProvider backend(8);
   FetchPlan plan;
   plan.runs = {ChunkRun{6, 10},      // straddles the end: clamp to [6,8)
                ChunkRun{50, 4},      // entirely past the end: dropped
@@ -485,44 +448,12 @@ TEST(FetchPlanTest, PlannedProviderClampsHostileGeometry) {
   EXPECT_EQ(provider.plan().total_chunks(), 3u);
 
   for (uint32_t c : {0u, 6u, 7u}) {
-    auto chunk = provider.GetChunk(c);
+    auto chunk = fakes::FetchOne(provider, c);
     ASSERT_TRUE(chunk.ok()) << c;
     EXPECT_EQ(chunk.value().ciphertext[0], static_cast<uint8_t>(c));
   }
   EXPECT_EQ(provider.window_trips(), 0u);
   EXPECT_EQ(backend.span_batches, 1u);
-}
-
-TEST(FetchPlanTest, DefaultFetchSpansGathersPerRun) {
-  // A provider that does not override FetchSpans still serves multi-span
-  // requests (gathering run by run) and still counts ONE round trip: the
-  // honest accounting for backends with no wire to batch over.
-  class PlainProvider : public soe::ChunkProvider {
-   public:
-    size_t fetch_calls = 0;
-
-   protected:
-    Result<std::vector<soe::ChunkData>> FetchChunks(uint32_t first,
-                                                    uint32_t count) override {
-      ++fetch_calls;
-      std::vector<soe::ChunkData> chunks;
-      for (uint32_t i = first; i < first + count; ++i) {
-        soe::ChunkData chunk;
-        chunk.ciphertext = Bytes{static_cast<uint8_t>(i)};
-        chunks.push_back(std::move(chunk));
-      }
-      return chunks;
-    }
-  };
-  PlainProvider plain;
-  auto chunks = plain.GetSpans({ChunkRun{2, 2}, ChunkRun{0, 0}, ChunkRun{7, 1}});
-  ASSERT_TRUE(chunks.ok());
-  ASSERT_EQ(chunks.value().size(), 3u);
-  EXPECT_EQ(chunks.value()[0].ciphertext[0], 2u);
-  EXPECT_EQ(chunks.value()[1].ciphertext[0], 3u);
-  EXPECT_EQ(chunks.value()[2].ciphertext[0], 7u);
-  EXPECT_EQ(plain.fetch_calls, 2u);  // the empty run is skipped
-  EXPECT_EQ(plain.round_trips(), 1u);
 }
 
 }  // namespace

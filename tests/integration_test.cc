@@ -262,9 +262,7 @@ TEST(IntegrationTest, RamStaysUnderEGateBudgetOnScenarioWorkloads) {
     for (const std::string& subject : rules.Subjects()) {
       Terminal term(subject, CardProfile::EGate(), &w.dsp, &w.registry);
       ASSERT_TRUE(term.Provision(doc_id).ok());
-      QueryOptions qo;
-      qo.strict_ram = false;
-      auto result = term.Query(doc_id, qo);
+      auto result = term.Query(doc_id, QueryOptions{});
       ASSERT_TRUE(result.ok());
       EXPECT_LE(result.value().card.ram_peak, 4096u)
           << doc_id << "/" << subject << " peak "

@@ -98,44 +98,33 @@ TEST(ApduTest, ResponseCodecRoundTrip) {
 }
 
 // In-memory provider over a parsed container, with optional tampering.
-class TestProvider : public soe::ChunkProvider {
+class TestProvider : public soe::ContainerChunkProvider {
  public:
-  explicit TestProvider(const SecureContainer* c) : container_(c) {}
-  uint64_t TotalWireBytes() const override {
-    uint64_t total = crypto::ContainerHeader::kWireSize;
-    for (uint32_t i = 0; i < container_->header().chunk_count; ++i) {
-      auto cipher = container_->ChunkCiphertext(i);
-      auto auth = container_->GetChunkAuth(i);
-      if (cipher.ok() && auth.ok()) {
-        total += cipher.value().size() +
-                 auth.value().WireBytes(container_->header().integrity);
-      }
-    }
-    return total;
-  }
+  explicit TestProvider(const SecureContainer* c)
+      : ContainerChunkProvider(c), container_(c) {}
   uint32_t tamper_index_ = UINT32_MAX;
   uint32_t swap_with_ok_proof_ = UINT32_MAX;
   size_t fetches_ = 0;
 
  protected:
-  Result<std::vector<ChunkData>> FetchChunks(uint32_t first,
-                                             uint32_t count) override {
-    std::vector<ChunkData> chunks;
-    for (uint32_t index = first; index < first + count; ++index) {
-      ChunkData chunk;
-      CSXA_ASSIGN_OR_RETURN(Span cipher, container_->ChunkCiphertext(index));
-      chunk.ciphertext = cipher.ToBytes();
-      CSXA_ASSIGN_OR_RETURN(chunk.auth, container_->GetChunkAuth(index));
-      if (index == tamper_index_) chunk.ciphertext[0] ^= 0xFF;
-      if (index == swap_with_ok_proof_) {
-        // Substitute another chunk's ciphertext, keep this index's auth.
-        auto other = container_->ChunkCiphertext(0);
-        if (other.ok()) chunk.ciphertext = other.value().ToBytes();
+  Status FetchRuns(std::span<const skipindex::ChunkRun> runs,
+                   std::vector<ChunkData>* out) override {
+    size_t at = out->size();
+    CSXA_RETURN_IF_ERROR(ContainerChunkProvider::FetchRuns(runs, out));
+    for (const skipindex::ChunkRun& run : runs) {
+      for (uint32_t index = run.first; index < run.first + run.count;
+           ++index) {
+        ChunkData& chunk = (*out)[at++];
+        if (index == tamper_index_) chunk.ciphertext[0] ^= 0xFF;
+        if (index == swap_with_ok_proof_) {
+          // Substitute another chunk's ciphertext, keep this index's auth.
+          auto other = container_->ChunkCiphertext(0);
+          if (other.ok()) chunk.ciphertext = other.value().ToBytes();
+        }
+        ++fetches_;
       }
-      ++fetches_;
-      chunks.push_back(std::move(chunk));
     }
-    return chunks;
+    return Status::OK();
   }
 
  private:

@@ -1,12 +1,14 @@
 // Transport-layer tests for the batch-first dsp::Service protocol: round
 // trip accounting of batched vs per-chunk fetches (byte-identical views),
-// sharded hash routing, caching revalidation, and the miss-window
-// contract of soe::PlannedProvider.
+// sharded hash routing, caching revalidation, the miss-window contract
+// of soe::PlannedProvider, and malformed chunk replies from the DSP.
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "core/ref_evaluator.h"
+#include "core/rule.h"
 #include "crypto/container.h"
 #include "dsp/async.h"
 #include "dsp/blockfile.h"
@@ -19,7 +21,9 @@
 #include "pki/registry.h"
 #include "proxy/publisher.h"
 #include "proxy/terminal.h"
+#include "skipindex/codec.h"
 #include "soe/prefetch.h"
+#include "tagged_chunks.h"
 #include "xml/generator.h"
 
 namespace csxa {
@@ -441,43 +445,15 @@ TEST(TransportTest, MultiSpanGetChunksKeepsSpanOrderOnShardedFleet) {
 
 // --- Miss-window contract --------------------------------------------------
 
-// Counts backend batches without any store behind it.
-class CountingProvider : public soe::ChunkProvider {
- public:
-  explicit CountingProvider(uint32_t chunk_count) : chunk_count_(chunk_count) {}
-  size_t batches = 0;
-  uint32_t max_end_requested = 0;  // one-past-the-last chunk index asked for
-
- protected:
-  Result<std::vector<soe::ChunkData>> FetchChunks(uint32_t first,
-                                                  uint32_t count) override {
-    if (first + count > max_end_requested) max_end_requested = first + count;
-    if (first + count > chunk_count_) {
-      return Status::NotFound("chunk out of range");
-    }
-    ++batches;
-    std::vector<soe::ChunkData> chunks;
-    for (uint32_t i = first; i < first + count; ++i) {
-      soe::ChunkData chunk;
-      chunk.ciphertext = Bytes{static_cast<uint8_t>(i)};
-      chunks.push_back(std::move(chunk));
-    }
-    return chunks;
-  }
-
- private:
-  uint32_t chunk_count_;
-};
-
 TEST(TransportTest, MissWindowFetchesFixedBatchesOnASequentialScan) {
-  CountingProvider backend(16);
+  fakes::TaggedChunkProvider backend(16);
   soe::PlannedProvider prefetch(&backend, /*chunk_count=*/16, soe::FetchPlan{},
                                 /*max_prefetch=*/8);
 
   // Sequential scan of all 16 chunks with no plan: two fixed windows of 8
   // instead of 16 batches, and every chunk comes back intact.
   for (uint32_t i = 0; i < 16; ++i) {
-    auto chunk = prefetch.GetChunk(i);
+    auto chunk = fakes::FetchOne(prefetch, i);
     ASSERT_TRUE(chunk.ok()) << i;
     EXPECT_EQ(chunk.value().ciphertext[0], static_cast<uint8_t>(i));
   }
@@ -488,18 +464,18 @@ TEST(TransportTest, MissWindowFetchesFixedBatchesOnASequentialScan) {
   EXPECT_EQ(prefetch.chunks_fetched(), 16u);
 
   // Out-of-range propagates the backend error.
-  EXPECT_FALSE(prefetch.GetChunk(99).ok());
+  EXPECT_FALSE(fakes::FetchOne(prefetch, 99).ok());
 }
 
 TEST(TransportTest, MissWindowClampsAtContainerEnd) {
   // 5 chunks under an 8-chunk window: the one window is clamped to the
   // real tail — the backend errors past the end.
-  CountingProvider backend(5);
+  fakes::TaggedChunkProvider backend(5);
   soe::PlannedProvider prefetch(&backend, /*chunk_count=*/5, soe::FetchPlan{},
                                 /*max_prefetch=*/8);
 
   for (uint32_t i = 0; i < 5; ++i) {
-    auto chunk = prefetch.GetChunk(i);
+    auto chunk = fakes::FetchOne(prefetch, i);
     ASSERT_TRUE(chunk.ok()) << i;
     EXPECT_EQ(chunk.value().ciphertext[0], static_cast<uint8_t>(i));
   }
@@ -508,25 +484,25 @@ TEST(TransportTest, MissWindowClampsAtContainerEnd) {
 
   // An explicit out-of-range request still passes through (the backend's
   // error is the contract), rather than being clamped into a wrong answer.
-  EXPECT_FALSE(prefetch.GetChunk(7).ok());
+  EXPECT_FALSE(fakes::FetchOne(prefetch, 7).ok());
 }
 
 TEST(TransportTest, MissWindowBackwardJumpKeepsPayloadsRight) {
   // After a backward jump the buffer is refilled from the jump target;
   // every chunk served afterwards must still carry its own payload,
   // whether it was fetched or answered from the buffer.
-  CountingProvider backend(12);
+  fakes::TaggedChunkProvider backend(12);
   soe::PlannedProvider prefetch(&backend, 12, soe::FetchPlan{},
                                 /*max_prefetch=*/4);
 
-  for (uint32_t i = 0; i < 8; ++i) ASSERT_TRUE(prefetch.GetChunk(i).ok());
+  for (uint32_t i = 0; i < 8; ++i) ASSERT_TRUE(fakes::FetchOne(prefetch, i).ok());
 
-  auto back = prefetch.GetChunk(2);
+  auto back = fakes::FetchOne(prefetch, 2);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().ciphertext[0], 2u);
 
   for (uint32_t i = 3; i < 12; ++i) {
-    auto chunk = prefetch.GetChunk(i);
+    auto chunk = fakes::FetchOne(prefetch, i);
     ASSERT_TRUE(chunk.ok()) << i;
     EXPECT_EQ(chunk.value().ciphertext[0], static_cast<uint8_t>(i)) << i;
   }
@@ -534,12 +510,101 @@ TEST(TransportTest, MissWindowBackwardJumpKeepsPayloadsRight) {
 }
 
 TEST(TransportTest, MissWindowOneIsPerChunk) {
-  CountingProvider backend(6);
+  fakes::TaggedChunkProvider backend(6);
   soe::PlannedProvider prefetch(&backend, 6, soe::FetchPlan{},
                                 /*max_prefetch=*/1);
-  for (uint32_t i = 0; i < 6; ++i) ASSERT_TRUE(prefetch.GetChunk(i).ok());
+  for (uint32_t i = 0; i < 6; ++i) ASSERT_TRUE(fakes::FetchOne(prefetch, i).ok());
   EXPECT_EQ(backend.batches, 6u);
   EXPECT_EQ(prefetch.round_trips(), 6u);
+}
+
+// --- Untrusted chunk replies -------------------------------------------------
+
+// The shapes a hostile DSP can give a kGetChunks reply.
+enum class ReplyShape { kDropOne, kExtraOne, kDuplicateNeighbour };
+
+// Serves every request from `backend` but reshapes each OK kGetChunks reply.
+class ReshapingService : public dsp::Service {
+ public:
+  ReshapingService(dsp::Service* backend, ReplyShape shape)
+      : backend_(backend), shape_(shape) {}
+
+  Result<dsp::Response> Execute(dsp::Request request) override {
+    const dsp::Op op = request.op;
+    CSXA_ASSIGN_OR_RETURN(dsp::Response resp,
+                          backend_->Execute(std::move(request)));
+    std::vector<soe::ChunkData>& chunks = resp.chunks;
+    if (op != dsp::Op::kGetChunks || chunks.empty()) return resp;
+    const size_t mid = chunks.size() / 2;
+    switch (shape_) {
+      case ReplyShape::kDropOne:
+        chunks.erase(chunks.begin() + static_cast<std::ptrdiff_t>(mid));
+        break;
+      case ReplyShape::kExtraOne:
+        chunks.push_back(chunks.back());
+        break;
+      case ReplyShape::kDuplicateNeighbour:
+        if (chunks.size() < 2) return resp;
+        chunks[mid] = chunks[mid - 1];
+        break;
+    }
+    ++reshaped;
+    return resp;
+  }
+  dsp::ServiceStats stats() const override { return backend_->stats(); }
+
+  uint64_t reshaped = 0;
+
+ private:
+  dsp::Service* backend_;
+  ReplyShape shape_;
+};
+
+TEST(TransportTest, MalformedChunkRepliesFailOrDeliverTheOracleView) {
+  dsp::DspServer dsp;
+  pki::KeyRegistry registry;
+  Publisher publisher(&dsp, &registry, 31);
+  proxy::PublishOptions popt;
+  popt.chunk_size = 128;
+  const xml::DomDocument doc = MakeDoc(800, 9);
+  const std::string rules_text = "+ u //patient/admin\n";
+  ASSERT_TRUE(publisher.Publish("h", doc, rules_text, popt).ok());
+
+  const core::RuleSet rules = core::RuleSet::ParseText(rules_text).value();
+  const std::string oracle =
+      core::BuildAuthorizedView(doc, rules.ForSubject("u"), nullptr)
+          .value()
+          .Serialize();
+  const Bytes encoded =
+      skipindex::EncodeDocument(doc, skipindex::EncodeOptions{}).value();
+  const soe::FetchPlan plan =
+      soe::ComputeFetchPlan(encoded, popt.chunk_size, rules.ForSubject("u"),
+                            nullptr)
+          .value();
+  ASSERT_FALSE(plan.runs.empty());
+
+  QueryOptions learning;
+  QueryOptions planned;
+  planned.plan = &plan;
+  QueryOptions per_chunk;
+  per_chunk.max_prefetch = 1;
+
+  for (ReplyShape shape : {ReplyShape::kDropOne, ReplyShape::kExtraOne,
+                           ReplyShape::kDuplicateNeighbour}) {
+    ReshapingService hostile(&dsp, shape);
+    for (const QueryOptions* options : {&learning, &planned, &per_chunk}) {
+      Terminal t("u", CardProfile::EGate(), &hostile, &registry);
+      ASSERT_TRUE(t.Provision("h").ok());
+      auto result = t.Query("h", *options);
+      if (result.ok()) {
+        EXPECT_EQ(result.value().xml, oracle)
+            << "shape " << static_cast<int>(shape) << ", max_prefetch "
+            << options->max_prefetch << ", planned "
+            << (options->plan != nullptr);
+      }
+    }
+    EXPECT_GT(hostile.reshaped, 0u) << static_cast<int>(shape);
+  }
 }
 
 // --- Backend parity ----------------------------------------------------------
