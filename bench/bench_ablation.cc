@@ -93,6 +93,8 @@ void AblationTagSets() {
     auto ev = core::StreamingEvaluator::Create(rules.ForSubject("u"), nullptr,
                                                &out)
                   .value();
+    // The skip probe asks by document tag id.
+    ev->BindDocumentTags(dec->tags());
     uint64_t skipped = 0;
     for (;;) {
       auto event = dec->NextView().value();
@@ -100,10 +102,8 @@ void AblationTagSets() {
       if (event.type == xml::EventType::kEnd) break;
       if (event.type == xml::EventType::kOpen &&
           dec->last_content_size() > 0) {
-        auto real_tags = [&](std::string_view t) {
-          return dec->SubtreeHasTag(t);
-        };
-        auto any_tag = [](std::string_view) { return true; };
+        auto real_tags = [&](TagId t) { return dec->SubtreeHasTag(t); };
+        auto any_tag = [](TagId) { return true; };
         bool can =
             use_tag_sets
                 ? ev->CanSkipCurrentSubtree(real_tags, dec->last_has_elements(),

@@ -9,9 +9,12 @@
 //   BM_Decode/view     skip-index binary decode (full document)
 //   BM_EndToEnd/view   decode → StreamingEvaluator → CanonicalWriter
 //   BM_CardSession     CardEngine::RunSession over the sealed document
-//                      (chunk 256): verify+decrypt, decode, skip, evaluate,
-//                      write and the per-event RAM meter; host ns per
-//                      session and events/s
+//                      (chunk 256), the doctor's rules: verify+decrypt,
+//                      decode, skip, evaluate, write and the per-event RAM
+//                      meter; host ns per session and events/s
+//   BM_CardSession/emergency
+//                      the same for emergency staff asking //treatment:
+//                      predicates live, output buffered while pending
 //   BM_Encode          skipindex::EncodeDocument of a deep hospital folder
 //                      (2000-element target, folder_depth 4: ~3,100
 //                      elements, ~57 KB encoded); the publisher's encode
@@ -148,10 +151,13 @@ void BM_EndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEnd)->Name("BM_EndToEnd/view");
 
-void BM_CardSession(benchmark::State& state) {
-  // The hospital scenario's doctor over one sealed folder: the whole card
-  // loop, RAM meter and skip probe included, with chunk fetches served
-  // from the parsed container (no transport stack).
+// One card's sessions over one sealed folder (chunk 256) for `subject`
+// and `query`: the whole card loop, RAM meter and skip probe included,
+// with chunk fetches served from the parsed container (no transport
+// stack). The card is reused, as a terminal's is, so every session after
+// the first runs on the evaluator's warm buffers.
+void RunCardSessions(benchmark::State& state, const char* subject,
+                     const char* query) {
   Rng rng(73);
   auto key = crypto::SymmetricKey::Generate(&rng);
   Bytes container_bytes =
@@ -165,7 +171,8 @@ void BM_CardSession(benchmark::State& state) {
   soe::CardEngine card(soe::CardProfile::EGate());
   card.InstallKey("folder", key);
   soe::SessionOptions options;
-  options.subject = "doctor";
+  options.subject = subject;
+  options.query_text = query;
   size_t events = 0;
   size_t bytes = 0;
   for (auto _ : state) {
@@ -179,7 +186,20 @@ void BM_CardSession(benchmark::State& state) {
   }
   SetRates(state, events, bytes);
 }
+
+// The doctor: immediately decidable rules, no query.
+void BM_CardSession(benchmark::State& state) {
+  RunCardSessions(state, "doctor", "");
+}
 BENCHMARK(BM_CardSession);
+
+// Emergency staff asking for treatments: the acute-diagnosis predicate is
+// live on every patient, so obligations, pending candidates and buffered
+// output all run.
+void BM_CardSessionEmergency(benchmark::State& state) {
+  RunCardSessions(state, "emergency", "//treatment");
+}
+BENCHMARK(BM_CardSessionEmergency)->Name("BM_CardSession/emergency");
 
 xml::DomDocument MakeDeepFolder() {
   xml::GeneratorParams gp;

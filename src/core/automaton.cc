@@ -59,35 +59,32 @@ Result<CompiledRule> CompileExpr(const xpath::PathExpr& expr, bool positive) {
   return rule;
 }
 
-bool CanReachFinal(const CompiledPath& path, const std::vector<int>& active,
-                   const std::function<bool(std::string_view)>& has_tag,
-                   bool subtree_nonempty) {
+void BindTags(const Interner& doc_tags, CompiledPath* path) {
+  for (CompiledPath::State& st : path->states) {
+    st.doc_tag_id = st.wildcard ? kNoTagId : doc_tags.Lookup(st.tag);
+  }
+}
+
+bool CanReachFinal(const CompiledPath& path, std::span<const int> active,
+                   TagProbe has_tag, bool subtree_nonempty) {
   if (!subtree_nonempty) return false;
-  // BFS over states; an edge from state s to s+1 is traversable if its
-  // name test can be satisfied by some tag in the subtree. Self-loops do
-  // not change reachability.
-  std::vector<bool> visited(path.states.size(), false);
-  std::vector<int> frontier;
-  for (int s : active) {
-    if (s >= 0 && s < static_cast<int>(path.states.size()) && !visited[s]) {
-      visited[s] = true;
-      frontier.push_back(s);
-    }
+  // An edge from state s to s+1 is traversable if its name test can be
+  // satisfied by some tag in the subtree; self-loops do not change
+  // reachability. The final state is reachable from s iff every edge from
+  // s on is traversable, and the edges from the highest active state are
+  // a suffix of those from any lower one: walking from it decides all.
+  const int size = static_cast<int>(path.states.size());
+  int s = -1;
+  for (int a : active) {
+    if (a >= 0 && a < size && a > s) s = a;
   }
-  while (!frontier.empty()) {
-    int s = frontier.back();
-    frontier.pop_back();
-    if (s == path.final_state) return true;
-    const CompiledPath::State& st = path.states[s];
-    int next = s + 1;
-    if (next >= static_cast<int>(path.states.size())) continue;
-    bool traversable = st.wildcard || has_tag(st.tag);
-    if (traversable && !visited[next]) {
-      visited[next] = true;
-      frontier.push_back(next);
-    }
+  if (s < 0) return false;
+  for (; s != path.final_state; ++s) {
+    if (s + 1 >= size) return false;
+    const CompiledPath::State& st = path.states[static_cast<size_t>(s)];
+    if (!st.wildcard && !has_tag(st.doc_tag_id)) return false;
   }
-  return false;
+  return true;
 }
 
 }  // namespace csxa::core

@@ -10,9 +10,9 @@
 /// automata attached to the state where the predicate applies. The
 /// evaluator executes these with a token stack (core/evaluator.h).
 
-#include <functional>
+#include <concepts>
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/interner.h"
@@ -40,6 +40,10 @@ struct CompiledPath {
     /// (stamped by StreamingEvaluator::Create; kNoTagId until then).
     /// Matching falls back to the string when either side lacks an id.
     TagId tag_id = kNoTagId;
+    /// `tag` in the document's dictionary (stamped by BindTags; kNoTagId
+    /// when the document never uses the tag, or before binding). The skip
+    /// probe asks about this id.
+    TagId doc_tag_id = kNoTagId;
     /// Predicate automata (indices into CompiledRule::predicates)
     /// instantiated when a token *enters* this state. Empty for predicate
     /// paths themselves — the fragment forbids nested predicates.
@@ -80,6 +84,35 @@ Result<CompiledRule> CompileExpr(const xpath::PathExpr& expr, bool positive);
 Result<CompiledPath> CompileRelative(const xpath::RelativePath& path,
                                      xpath::CmpOp op, const std::string& literal);
 
+/// \brief Non-owning membership test over a subtree's tag set, keyed by
+/// the document's tag id (CompiledPath::State::doc_tag_id).
+///
+/// A function pointer plus a pointer to the wrapped callable: passing one
+/// costs no allocation. The callable must outlive every call through the
+/// probe, so pass probes down a call chain, never store them. A probe
+/// that answers from the document's tag sets returns false for kNoTagId:
+/// a tag the document never uses is in no subtree.
+class TagProbe {
+ public:
+  template <typename F>
+    requires(!std::same_as<F, TagProbe> &&
+             std::predicate<const F&, TagId>)
+  TagProbe(const F& fn)  // NOLINT: implicit, like a function reference
+      : ctx_(&fn), call_([](const void* ctx, TagId tag) {
+          return static_cast<bool>((*static_cast<const F*>(ctx))(tag));
+        }) {}
+
+  bool operator()(TagId tag) const { return call_(ctx_, tag); }
+
+ private:
+  const void* ctx_;
+  bool (*call_)(const void*, TagId);
+};
+
+/// Stamps every state's doc_tag_id: `tag` looked up in `doc_tags` (one
+/// hash probe per state, once per document instead of once per probe).
+void BindTags(const Interner& doc_tags, CompiledPath* path);
+
 /// \brief Conservative reachability test used by the skip index (§2.3).
 ///
 /// Returns true if, starting from any state in `active`, the automaton
@@ -87,10 +120,11 @@ Result<CompiledPath> CompileRelative(const xpath::RelativePath& path,
 /// `has_tag` (wildcard edges require the subtree to be non-empty). When
 /// this returns false for every positive automaton and every live
 /// predicate run, the subtree cannot change any delivery decision and may
-/// be skipped.
-bool CanReachFinal(const CompiledPath& path, const std::vector<int>& active,
-                   const std::function<bool(std::string_view)>& has_tag,
-                   bool subtree_nonempty);
+/// be skipped. States outside the automaton are ignored. Edges only lead
+/// from a state to the next, so this walks the chain from the highest
+/// active state: no visited set, no allocation.
+bool CanReachFinal(const CompiledPath& path, std::span<const int> active,
+                   TagProbe has_tag, bool subtree_nonempty);
 
 }  // namespace csxa::core
 

@@ -13,9 +13,8 @@ using xml::EventView;
 
 namespace {
 
-// Cap on recycled level vectors / snapshots / pipeline slots; beyond this
-// the pools stop growing and retired storage is simply freed.
-constexpr size_t kMaxPooled = 64;
+// Slots of the first output ring; it doubles when full.
+constexpr size_t kFirstRingSlots = 8;
 
 // Copies borrowed attribute views into an owning vector, reusing the
 // existing elements' string capacity (steady state: no allocation).
@@ -41,48 +40,75 @@ size_t StreamingEvaluator::Snapshot::ModeledBytes() const {
   return n;
 }
 
+void StreamingEvaluator::NavRun::Start(const CompiledRule* compiled) {
+  rule = compiled;
+  positive = compiled->positive;
+  Level root;
+  root.live_mask = 1;
+  root.token_units = 2;  // one token, no deps
+  levels.assign(1, root);
+  tokens.assign(1, Token{});
+  cands.clear();
+  deps.clear();
+  dormant = 0;
+  dep_cand_count = 0;
+}
+
 Result<std::unique_ptr<StreamingEvaluator>> StreamingEvaluator::Create(
     const std::vector<AccessRule>& rules, const xpath::PathExpr* query,
     xml::EventSink* out) {
   auto ev = std::unique_ptr<StreamingEvaluator>(new StreamingEvaluator());
-  ev->out_ = out;
+  CSXA_RETURN_IF_ERROR(ev->Reset(rules, query, out));
+  return ev;
+}
+
+Status StreamingEvaluator::Reset(const std::vector<AccessRule>& rules,
+                                 const xpath::PathExpr* query,
+                                 xml::EventSink* out) {
+  // Refuse events and skip probes until the new session is fully wired.
+  finished_ = true;
+  doc_tags_bound_ = false;
+  out_ = out;
+  compiled_rules_.clear();
+  compiled_query_.reset();
+  query_run_ = nullptr;
   for (const AccessRule& r : rules) {
     CSXA_ASSIGN_OR_RETURN(
         CompiledRule cr, CompileExpr(r.object, r.sign == Sign::kPermit));
-    ev->compiled_rules_.push_back(std::move(cr));
+    compiled_rules_.push_back(std::move(cr));
   }
   if (query != nullptr) {
     CSXA_ASSIGN_OR_RETURN(CompiledRule cq, CompileExpr(*query, true));
-    ev->compiled_query_ = std::make_unique<CompiledRule>(std::move(cq));
+    compiled_query_ = std::make_unique<CompiledRule>(std::move(cq));
   }
 
   // Intern the rule alphabet: every tag named by a navigational or
   // predicate state, across rules and query.
-  auto intern_path = [&ev](CompiledPath* path) {
+  rule_tags_ = Interner();
+  auto intern_path = [this](CompiledPath* path) {
     for (CompiledPath::State& st : path->states) {
       if (!st.wildcard && !st.tag.empty()) {
-        st.tag_id = ev->rule_tags_.Intern(st.tag);
+        st.tag_id = rule_tags_.Intern(st.tag);
       }
     }
   };
-  for (CompiledRule& cr : ev->compiled_rules_) {
+  for (CompiledRule& cr : compiled_rules_) {
     intern_path(&cr.nav);
     for (CompiledPath& p : cr.predicates) intern_path(&p);
   }
-  if (ev->compiled_query_) {
-    intern_path(&ev->compiled_query_->nav);
-    for (CompiledPath& p : ev->compiled_query_->predicates) intern_path(&p);
+  if (compiled_query_) {
+    intern_path(&compiled_query_->nav);
+    for (CompiledPath& p : compiled_query_->predicates) intern_path(&p);
   }
 
   // Build the combined transition index: per slot the static self-loop /
   // wildcard masks, plus a dense (TagId × slot) table of literal-edge
   // state masks. Slot = rule index; the query takes the last slot.
-  ev->num_slots_ =
-      ev->compiled_rules_.size() + (ev->compiled_query_ ? 1 : 0);
-  ev->rule_static_.resize(ev->num_slots_);
-  ev->edge_masks_.assign(ev->rule_tags_.size() * ev->num_slots_, 0);
-  auto index_slot = [&ev](size_t slot, const CompiledPath& nav) {
-    RuleStatic& rs = ev->rule_static_[slot];
+  num_slots_ = compiled_rules_.size() + (compiled_query_ ? 1 : 0);
+  rule_static_.assign(num_slots_, RuleStatic{});
+  edge_masks_.assign(rule_tags_.size() * num_slots_, 0);
+  auto index_slot = [this](size_t slot, const CompiledPath& nav) {
+    RuleStatic& rs = rule_static_[slot];
     if (nav.states.size() > 64) {
       rs.oversize = true;
       return;
@@ -94,7 +120,7 @@ Result<std::unique_ptr<StreamingEvaluator>> StreamingEvaluator::Create(
       if (st.wildcard) {
         rs.wildcard_edge_mask |= bit;
       } else if (st.tag_id != kNoTagId) {
-        ev->edge_masks_[st.tag_id * ev->num_slots_ + slot] |= bit;
+        edge_masks_[st.tag_id * num_slots_ + slot] |= bit;
       }
     }
     // A self-loop on the final state would keep tokens alive; final states
@@ -105,32 +131,33 @@ Result<std::unique_ptr<StreamingEvaluator>> StreamingEvaluator::Create(
   };
 
   // Wire the runs after all compilations (stable pointers).
-  auto init_run = [](NavRun* run, const CompiledRule* rule) {
-    run->rule = rule;
-    run->positive = rule->positive;
-    run->tokens.push_back({Token{0, {}}});
-    run->cands.push_back({});
-    run->live_masks.push_back(1);
-    run->level_token_units.push_back(2);  // one token, no deps
-    run->level_cand_units.push_back(0);
-    run->level_repeats.push_back(0);
-  };
-  for (size_t i = 0; i < ev->compiled_rules_.size(); ++i) {
-    CompiledRule& cr = ev->compiled_rules_[i];
-    NavRun run;
-    init_run(&run, &cr);
-    ev->runs_.push_back(std::move(run));
-    index_slot(i, cr.nav);
-    ev->run_modeled_units_ += 2;
+  run_modeled_units_ = 0;
+  runs_.resize(compiled_rules_.size());
+  for (size_t i = 0; i < compiled_rules_.size(); ++i) {
+    runs_[i].Start(&compiled_rules_[i]);
+    index_slot(i, compiled_rules_[i].nav);
+    run_modeled_units_ += 2;
   }
-  if (ev->compiled_query_) {
-    auto qr = std::make_unique<NavRun>();
-    init_run(qr.get(), ev->compiled_query_.get());
-    ev->query_run_ = std::move(qr);
-    index_slot(ev->num_slots_ - 1, ev->compiled_query_->nav);
-    ev->run_modeled_units_ += 2;
+  if (compiled_query_) {
+    query_storage_.Start(compiled_query_.get());
+    query_run_ = &query_storage_;
+    index_slot(num_slots_ - 1, compiled_query_->nav);
+    run_modeled_units_ += 2;
   }
-  return ev;
+
+  doc_to_rule_.clear();
+  obligations_.Clear();
+  depth_ = 0;
+  pipe_head_ = 0;
+  pipe_size_ = 0;
+  composer_size_ = 0;
+  last_open_decision_ = DecisionResult{};
+  last_open_decided_definitively_ = false;
+  pipeline_modeled_ = 0;
+  composer_modeled_ = 0;
+  stats_ = EvaluatorStats{};
+  finished_ = false;
+  return Status::OK();
 }
 
 void StreamingEvaluator::BindDocumentTags(const Interner& doc_tags) {
@@ -138,6 +165,13 @@ void StreamingEvaluator::BindDocumentTags(const Interner& doc_tags) {
   for (TagId i = 0; i < doc_tags.size(); ++i) {
     doc_to_rule_[i] = rule_tags_.Lookup(doc_tags.Name(i));
   }
+  auto bind_rule = [&doc_tags](CompiledRule* rule) {
+    BindTags(doc_tags, &rule->nav);
+    for (CompiledPath& p : rule->predicates) BindTags(doc_tags, &p);
+  };
+  for (CompiledRule& cr : compiled_rules_) bind_rule(&cr);
+  if (compiled_query_) bind_rule(compiled_query_.get());
+  doc_tags_bound_ = true;
 }
 
 TagId StreamingEvaluator::ResolveTag(const xml::EventView& event) const {
@@ -154,63 +188,64 @@ void StreamingEvaluator::AdvanceNav(NavRun* run, size_t slot, TagId tag) {
     return;
   }
   const CompiledPath& nav = run->rule->nav;
-  const std::vector<Token>& top = run->tokens.back();
+  Level& top = run->levels.back();
+  const auto top_begin = top.token_begin;
+  const auto top_end = static_cast<uint32_t>(run->tokens.size());
   const RuleStatic& rs = rule_static_[slot];
   if (!rs.oversize) {
-    uint64_t live = run->live_masks.back();
+    uint64_t live = top.live_mask;
     uint64_t advancing =
         live & (rs.wildcard_edge_mask | EdgeMask(slot, tag));
     if (advancing == 0) {
       uint64_t kept = live & rs.self_loop_mask;
       if (kept == 0) {
         // No live transition on this tag: the next level is provably empty.
-        stats_.nfa_transitions += top.size();
+        stats_.nfa_transitions += top_end - top_begin;
         ++run->dormant;
         return;
       }
       if (kept == live) {
         // Every token survives via its self-loop and nothing advances:
         // the next level is identical to the top one — just note a repeat.
-        stats_.nfa_transitions += top.size();
-        run_modeled_units_ += run->level_token_units.back();
-        ++run->level_repeats.back();
+        stats_.nfa_transitions += top_end - top_begin;
+        run_modeled_units_ += top.token_units;
+        ++top.repeats;
         return;
       }
       // Partial survival: fall through to the token loop.
     }
   }
 
-  std::vector<Token> next;
-  if (!token_level_pool_.empty()) {
-    next = std::move(token_level_pool_.back());
-    token_level_pool_.pop_back();
-  }
-  std::vector<Candidate> new_cands;
-  if (!cand_level_pool_.empty()) {
-    new_cands = std::move(cand_level_pool_.back());
-    cand_level_pool_.pop_back();
-  }
-  uint64_t next_mask = 0;
-  uint32_t next_token_units = 0;
-  uint32_t next_cand_units = 0;
+  // The next level is built at the tails of the run's flat arrays. The top
+  // level is read by index, by value: appending may move the arrays.
+  Level next;
+  next.token_begin = top_end;
+  next.cand_begin = static_cast<uint32_t>(run->cands.size());
+  next.deps_begin = static_cast<uint32_t>(run->deps.size());
   // One obligation per (predicate, node) even if several tokens enter the
   // predicated state at this node.
   const bool has_preds = !run->rule->predicates.empty();
   if (has_preds) pred_scratch_.assign(run->rule->predicates.size(), -1);
 
-  for (const Token& t : top) {
+  for (uint32_t i = top_begin; i < top_end; ++i) {
+    const Token t = run->tokens[i];
     const CompiledPath::State& st = nav.states[static_cast<size_t>(t.state)];
     ++stats_.nfa_transitions;
     if (st.self_loop) {
-      next.push_back(t);
-      if (t.state < 64) next_mask |= uint64_t{1} << t.state;
-      next_token_units += static_cast<uint32_t>(2 + t.deps.size());
+      // The survivor keeps its dependency list, which lives below.
+      run->tokens.push_back(t);
+      if (t.state < 64) next.live_mask |= uint64_t{1} << t.state;
+      next.token_units += 2 + (t.deps_end - t.deps_begin);
     }
     if (t.state + 1 <= nav.final_state &&
         (st.wildcard || (tag != kNoTagId && st.tag_id == tag))) {
       Token nt;
       nt.state = t.state + 1;
-      nt.deps = t.deps;
+      nt.deps_begin = static_cast<uint32_t>(run->deps.size());
+      for (uint32_t k = t.deps_begin; k < t.deps_end; ++k) {
+        const int dep = run->deps[k];
+        run->deps.push_back(dep);
+      }
       for (int pid : nav.states[static_cast<size_t>(nt.state)].pred_ids) {
         int& cached = pred_scratch_[static_cast<size_t>(pid)];
         if (cached < 0) {
@@ -218,52 +253,46 @@ void StreamingEvaluator::AdvanceNav(NavRun* run, size_t slot, TagId tag) {
               &run->rule->predicates[static_cast<size_t>(pid)], depth_);
           ++stats_.obligations_created;
         }
-        nt.deps.push_back(cached);
+        run->deps.push_back(cached);
       }
-      if (nt.state == nav.final_state) {
-        Candidate c;
-        c.depth = depth_;
-        c.deps = nt.deps;
-        if (!c.deps.empty()) ++run->dep_cand_count;
-        new_cands.push_back(std::move(c));
-        next_cand_units += static_cast<uint32_t>(3 + nt.deps.size());
-        ++run->cand_count;
-        ++stats_.candidates_created;
-      }
-      // Dedupe identical tokens.
+      nt.deps_end = static_cast<uint32_t>(run->deps.size());
+      const uint32_t n_deps = nt.deps_end - nt.deps_begin;
+      // Dedupe identical tokens; a duplicate's list is dropped again and
+      // its candidate shares the equal list already in the arena.
       bool dup = false;
-      for (const Token& e : next) {
-        if (e.state == nt.state && e.deps == nt.deps) {
+      for (size_t j = top_end; j < run->tokens.size(); ++j) {
+        const Token& e = run->tokens[j];
+        if (e.state == nt.state &&
+            std::ranges::equal(run->DepsOf(e.deps_begin, e.deps_end),
+                               run->DepsOf(nt.deps_begin, nt.deps_end))) {
+          run->deps.resize(nt.deps_begin);
+          nt.deps_begin = e.deps_begin;
+          nt.deps_end = e.deps_end;
           dup = true;
           break;
         }
       }
+      if (nt.state == nav.final_state) {
+        if (n_deps > 0) ++run->dep_cand_count;
+        run->cands.push_back(Candidate{depth_, nt.deps_begin, nt.deps_end});
+        next.cand_units += 3 + n_deps;
+        ++stats_.candidates_created;
+      }
       if (!dup) {
-        if (nt.state < 64) next_mask |= uint64_t{1} << nt.state;
-        next_token_units += static_cast<uint32_t>(2 + nt.deps.size());
-        next.push_back(std::move(nt));
+        if (nt.state < 64) next.live_mask |= uint64_t{1} << nt.state;
+        next.token_units += 2 + n_deps;
+        run->tokens.push_back(nt);
       }
     }
   }
-  if (next.empty()) {
+  if (run->tokens.size() == top_end) {
     // Oversize fallback only: the mask test already proved this otherwise.
-    if (token_level_pool_.size() < kMaxPooled) {
-      token_level_pool_.push_back(std::move(next));
-    }
-    if (cand_level_pool_.size() < kMaxPooled) {
-      cand_level_pool_.push_back(std::move(new_cands));
-    }
+    // No token means no candidate and no new dependency list either.
     ++run->dormant;
     return;
   }
-  if (!new_cands.empty()) run->cand_level_depths.push_back(depth_);
-  run->tokens.push_back(std::move(next));
-  run->cands.push_back(std::move(new_cands));
-  run->live_masks.push_back(next_mask);
-  run->level_token_units.push_back(next_token_units);
-  run->level_cand_units.push_back(next_cand_units);
-  run->level_repeats.push_back(0);
-  run_modeled_units_ += next_token_units + next_cand_units;
+  run->levels.push_back(next);
+  run_modeled_units_ += next.token_units + next.cand_units;
 }
 
 void StreamingEvaluator::RetreatNav(NavRun* run) {
@@ -271,60 +300,28 @@ void StreamingEvaluator::RetreatNav(NavRun* run) {
     --run->dormant;
     return;
   }
-  if (run->level_repeats.back() > 0) {
-    --run->level_repeats.back();
-    run_modeled_units_ -= run->level_token_units.back();
+  Level& top = run->levels.back();
+  if (top.repeats > 0) {
+    --top.repeats;
+    run_modeled_units_ -= top.token_units;
     return;
   }
-  if (!run->cands.back().empty()) {
-    run->cand_level_depths.pop_back();
-    for (const Candidate& c : run->cands.back()) {
-      if (!c.deps.empty()) --run->dep_cand_count;
-    }
+  for (size_t i = top.cand_begin; i < run->cands.size(); ++i) {
+    const Candidate& c = run->cands[i];
+    if (c.deps_end != c.deps_begin) --run->dep_cand_count;
   }
-  run->cand_count -= run->cands.back().size();
-  run_modeled_units_ -=
-      run->level_token_units.back() + run->level_cand_units.back();
-  run->level_token_units.pop_back();
-  run->level_cand_units.pop_back();
-  run->live_masks.pop_back();
-  run->level_repeats.pop_back();
-  std::vector<Token> toks = std::move(run->tokens.back());
-  run->tokens.pop_back();
-  std::vector<Candidate> cands = std::move(run->cands.back());
-  run->cands.pop_back();
-  toks.clear();
-  cands.clear();
-  if (token_level_pool_.size() < kMaxPooled) {
-    token_level_pool_.push_back(std::move(toks));
-  }
-  if (cand_level_pool_.size() < kMaxPooled) {
-    cand_level_pool_.push_back(std::move(cands));
-  }
+  run_modeled_units_ -= top.token_units + top.cand_units;
+  run->tokens.resize(top.token_begin);
+  run->cands.resize(top.cand_begin);
+  run->deps.resize(top.deps_begin);
+  run->levels.pop_back();
 }
 
 StreamingEvaluator::CandStatus StreamingEvaluator::StatusOf(
-    const Candidate& c) const {
+    std::span<const int> deps) const {
   bool pending = false;
-  for (int dep : c.deps) {
+  for (int dep : deps) {
     switch (obligations_.state(dep)) {
-      case ObligationSet::State::kFalse:
-        return CandStatus::kDead;
-      case ObligationSet::State::kPending:
-        pending = true;
-        break;
-      case ObligationSet::State::kTrue:
-        break;
-    }
-  }
-  return pending ? CandStatus::kPending : CandStatus::kHolds;
-}
-
-StreamingEvaluator::CandStatus StreamingEvaluator::StatusOfSpan(
-    const Snapshot& snap, const SnapCand& c) const {
-  bool pending = false;
-  for (uint32_t i = c.deps_begin; i < c.deps_end; ++i) {
-    switch (obligations_.state(snap.deps[i])) {
       case ObligationSet::State::kFalse:
         return CandStatus::kDead;
       case ObligationSet::State::kPending:
@@ -373,47 +370,45 @@ StreamingEvaluator::DecisionResult StreamingEvaluator::Combine(
 StreamingEvaluator::DecisionResult StreamingEvaluator::DecideLive() const {
   WorldAcc deny_world, permit_world;
   for (const NavRun& run : runs_) {
-    if (run.cand_count == 0) continue;
+    if (run.cands.empty()) continue;
     if (run.dep_cand_count == 0) {
-      // Every candidate holds unconditionally in both worlds.
-      int eff = run.cand_level_depths.back();
+      // Every candidate holds unconditionally in both worlds; the last one
+      // sits on the deepest level that has any.
+      int eff = run.cands.back().depth;
       deny_world.AddRule(eff, run.positive);
       permit_world.AddRule(eff, run.positive);
       continue;
     }
     int eff_deny = -1, eff_permit = -1;
-    for (const auto& level : run.cands) {
-      for (const Candidate& c : level) {
-        CandStatus s = StatusOf(c);
-        if (s == CandStatus::kDead) continue;
-        bool holds_deny =
-            s == CandStatus::kHolds ||
-            (s == CandStatus::kPending && !run.positive);
-        bool holds_permit =
-            s == CandStatus::kHolds ||
-            (s == CandStatus::kPending && run.positive);
-        if (holds_deny && c.depth > eff_deny) eff_deny = c.depth;
-        if (holds_permit && c.depth > eff_permit) eff_permit = c.depth;
-      }
+    for (const Candidate& c : run.cands) {
+      CandStatus s = StatusOf(run.DepsOf(c.deps_begin, c.deps_end));
+      if (s == CandStatus::kDead) continue;
+      bool holds_deny =
+          s == CandStatus::kHolds ||
+          (s == CandStatus::kPending && !run.positive);
+      bool holds_permit =
+          s == CandStatus::kHolds ||
+          (s == CandStatus::kPending && run.positive);
+      if (holds_deny && c.depth > eff_deny) eff_deny = c.depth;
+      if (holds_permit && c.depth > eff_permit) eff_permit = c.depth;
     }
     deny_world.AddRule(eff_deny, run.positive);
     permit_world.AddRule(eff_permit, run.positive);
   }
   bool query_min = false, query_max = false;
-  if (query_run_ && query_run_->cand_count > 0) {
+  if (query_run_ && !query_run_->cands.empty()) {
     if (query_run_->dep_cand_count == 0) {
       query_min = true;
       query_max = true;
     } else {
-      for (const auto& level : query_run_->cands) {
-        for (const Candidate& c : level) {
-          CandStatus s = StatusOf(c);
-          if (s == CandStatus::kHolds) {
-            query_min = true;
-            query_max = true;
-          } else if (s == CandStatus::kPending) {
-            query_max = true;
-          }
+      for (const Candidate& c : query_run_->cands) {
+        CandStatus s =
+            StatusOf(query_run_->DepsOf(c.deps_begin, c.deps_end));
+        if (s == CandStatus::kHolds) {
+          query_min = true;
+          query_max = true;
+        } else if (s == CandStatus::kPending) {
+          query_max = true;
         }
       }
     }
@@ -424,6 +419,10 @@ StreamingEvaluator::DecisionResult StreamingEvaluator::DecideLive() const {
 
 StreamingEvaluator::DecisionResult StreamingEvaluator::Decide(
     const Snapshot& snap) const {
+  auto deps_of = [&snap](const SnapCand& c) {
+    return std::span<const int>(snap.deps).subspan(
+        c.deps_begin, c.deps_end - c.deps_begin);
+  };
   WorldAcc deny_world, permit_world;
   size_t i = 0;
   while (i < snap.auth.size()) {
@@ -432,7 +431,7 @@ StreamingEvaluator::DecisionResult StreamingEvaluator::Decide(
     int eff_deny = -1, eff_permit = -1;
     for (; i < snap.auth.size() && snap.auth[i].rule == rule; ++i) {
       const SnapCand& c = snap.auth[i];
-      CandStatus s = StatusOfSpan(snap, c);
+      CandStatus s = StatusOf(deps_of(c));
       if (s == CandStatus::kDead) continue;
       bool holds_deny =
           s == CandStatus::kHolds || (s == CandStatus::kPending && !positive);
@@ -446,7 +445,7 @@ StreamingEvaluator::DecisionResult StreamingEvaluator::Decide(
   }
   bool query_min = false, query_max = false;
   for (const SnapCand& c : snap.query) {
-    CandStatus s = StatusOfSpan(snap, c);
+    CandStatus s = StatusOf(deps_of(c));
     if (s == CandStatus::kHolds) {
       query_min = true;
       query_max = true;
@@ -458,45 +457,28 @@ StreamingEvaluator::DecisionResult StreamingEvaluator::Decide(
                  query_max);
 }
 
-StreamingEvaluator::Snapshot StreamingEvaluator::BuildSnapshot() {
-  Snapshot snap;
-  if (!snapshot_pool_.empty()) {
-    snap = std::move(snapshot_pool_.back());
-    snapshot_pool_.pop_back();
-    snap.Clear();
-  }
-  auto append = [&snap](const NavRun& run, uint32_t slot,
-                        std::vector<SnapCand>* dst) {
-    for (const auto& level : run.cands) {
-      for (const Candidate& c : level) {
-        SnapCand sc;
-        sc.depth = c.depth;
-        sc.rule = slot;
-        sc.positive = run.positive;
-        sc.deps_begin = static_cast<uint32_t>(snap.deps.size());
-        snap.deps.insert(snap.deps.end(), c.deps.begin(), c.deps.end());
-        sc.deps_end = static_cast<uint32_t>(snap.deps.size());
-        dst->push_back(sc);
-      }
+void StreamingEvaluator::BuildSnapshot(Snapshot* snap) const {
+  snap->Clear();
+  auto append = [snap](const NavRun& run, uint32_t slot,
+                       std::vector<SnapCand>* dst) {
+    for (const Candidate& c : run.cands) {
+      SnapCand sc;
+      sc.depth = c.depth;
+      sc.rule = slot;
+      sc.positive = run.positive;
+      sc.deps_begin = static_cast<uint32_t>(snap->deps.size());
+      std::span<const int> deps = run.DepsOf(c.deps_begin, c.deps_end);
+      snap->deps.insert(snap->deps.end(), deps.begin(), deps.end());
+      sc.deps_end = static_cast<uint32_t>(snap->deps.size());
+      dst->push_back(sc);
     }
   };
   for (size_t i = 0; i < runs_.size(); ++i) {
-    if (runs_[i].cand_count == 0) continue;
-    append(runs_[i], static_cast<uint32_t>(i), &snap.auth);
+    append(runs_[i], static_cast<uint32_t>(i), &snap->auth);
   }
   if (query_run_) {
-    snap.has_query = true;
-    if (query_run_->cand_count > 0) {
-      append(*query_run_, 0, &snap.query);
-    }
-  }
-  return snap;
-}
-
-void StreamingEvaluator::ReleaseSnapshot(Snapshot&& snap) {
-  if (snapshot_pool_.size() < kMaxPooled) {
-    snap.Clear();
-    snapshot_pool_.push_back(std::move(snap));
+    snap->has_query = true;
+    append(*query_run_, 0, &snap->query);
   }
 }
 
@@ -518,13 +500,19 @@ Status StreamingEvaluator::OnEventView(const EventView& event) {
   return Status::Internal("unknown event type");
 }
 
-StreamingEvaluator::OutEvent StreamingEvaluator::AcquireOut(
+StreamingEvaluator::OutEvent& StreamingEvaluator::PushOut(
     const xml::EventView& event, int depth) {
-  OutEvent oe;
-  if (!out_pool_.empty()) {
-    oe = std::move(out_pool_.back());
-    out_pool_.pop_back();
+  if (pipe_size_ == pipeline_.size()) {
+    // Full: double the ring, unrolled so the oldest event lands in slot 0.
+    std::vector<OutEvent> grown(
+        std::max(kFirstRingSlots, 2 * pipeline_.size()));
+    for (size_t i = 0; i < pipe_size_; ++i) {
+      grown[i] = std::move(PipelineAt(i));
+    }
+    pipeline_ = std::move(grown);
+    pipe_head_ = 0;
   }
+  OutEvent& oe = PipelineAt(pipe_size_++);
   oe.event.type = event.type;
   oe.event.name.assign(event.name);
   oe.event.text.assign(event.text);
@@ -541,19 +529,6 @@ StreamingEvaluator::OutEvent StreamingEvaluator::AcquireOut(
   return oe;
 }
 
-void StreamingEvaluator::RecycleOut(OutEvent&& ev) {
-  if (ev.has_snapshot) {
-    ReleaseSnapshot(std::move(ev.snapshot));
-    ev.has_snapshot = false;
-  }
-  if (out_pool_.size() < kMaxPooled) {
-    ev.event.name.clear();
-    ev.event.text.clear();
-    ev.event.attrs.clear();
-    out_pool_.push_back(std::move(ev));
-  }
-}
-
 Status StreamingEvaluator::HandleOpen(const EventView& event) {
   ++depth_;
   TagId tag = ResolveTag(event);
@@ -562,19 +537,18 @@ Status StreamingEvaluator::HandleOpen(const EventView& event) {
   obligations_.OnOpen(event.name, depth_, tag);
   // 2. Rule and query automata advance; new obligations/candidates appear.
   for (size_t i = 0; i < runs_.size(); ++i) AdvanceNav(&runs_[i], i, tag);
-  if (query_run_) AdvanceNav(query_run_.get(), num_slots_ - 1, tag);
+  if (query_run_) AdvanceNav(query_run_, num_slots_ - 1, tag);
   // 3. Immediate decision attempt over live state (also powers skips).
   DecisionResult d = DecideLive();
   last_open_decision_ = d;
   last_open_decided_definitively_ = (d.delivered != Tri::kPending);
   if (d.delivered == Tri::kPending) {
     ++stats_.nodes_initially_pending;
-    OutEvent ev = AcquireOut(event, depth_);
-    ev.snapshot = BuildSnapshot();
+    OutEvent& ev = PushOut(event, depth_);
+    BuildSnapshot(&ev.snapshot);
     ev.has_snapshot = true;
     ev.modeled += ev.snapshot.ModeledBytes();
     pipeline_modeled_ += ev.modeled;
-    pipeline_.push_back(std::move(ev));
     CSXA_RETURN_IF_ERROR(FlushPipeline());
   } else {
     bool delivered = (d.delivered == Tri::kYes);
@@ -583,15 +557,14 @@ Status StreamingEvaluator::HandleOpen(const EventView& event) {
     } else {
       ++stats_.nodes_denied;
     }
-    if (pipeline_.empty()) {
+    if (pipe_size_ == 0) {
       // Nothing buffered ahead of us: bypass the pipeline entirely.
       CSXA_RETURN_IF_ERROR(ComposeOpen(event, delivered));
     } else {
-      OutEvent ev = AcquireOut(event, depth_);
+      OutEvent& ev = PushOut(event, depth_);
       ev.decided = true;
       ev.delivered = delivered;
       pipeline_modeled_ += ev.modeled;
-      pipeline_.push_back(std::move(ev));
       CSXA_RETURN_IF_ERROR(FlushPipeline());
     }
   }
@@ -604,12 +577,10 @@ Status StreamingEvaluator::HandleValue(const EventView& event) {
     return Status::InvalidArgument("text event outside any element");
   }
   obligations_.OnValue(event.text, depth_);
-  if (pipeline_.empty()) {
+  if (pipe_size_ == 0) {
     CSXA_RETURN_IF_ERROR(ComposeValue(event));
   } else {
-    OutEvent ev = AcquireOut(event, depth_);
-    pipeline_modeled_ += ev.modeled;
-    pipeline_.push_back(std::move(ev));
+    pipeline_modeled_ += PushOut(event, depth_).modeled;
     CSXA_RETURN_IF_ERROR(FlushPipeline());
   }
   UpdatePeaks();
@@ -624,15 +595,13 @@ Status StreamingEvaluator::HandleClose(const EventView& event) {
   // captures at this depth complete.
   obligations_.OnClose(depth_);
   for (NavRun& run : runs_) RetreatNav(&run);
-  if (query_run_) RetreatNav(query_run_.get());
-  if (pipeline_.empty()) {
+  if (query_run_) RetreatNav(query_run_);
+  if (pipe_size_ == 0) {
     CSXA_RETURN_IF_ERROR(ComposeClose(event));
     --depth_;
     last_open_decided_definitively_ = false;  // stale after close
   } else {
-    OutEvent ev = AcquireOut(event, depth_);
-    pipeline_modeled_ += ev.modeled;
-    pipeline_.push_back(std::move(ev));
+    pipeline_modeled_ += PushOut(event, depth_).modeled;
     --depth_;
     last_open_decided_definitively_ = false;  // stale after close
     CSXA_RETURN_IF_ERROR(FlushPipeline());
@@ -642,8 +611,8 @@ Status StreamingEvaluator::HandleClose(const EventView& event) {
 }
 
 Status StreamingEvaluator::FlushPipeline() {
-  while (!pipeline_.empty()) {
-    OutEvent& ev = pipeline_.front();
+  while (pipe_size_ > 0) {
+    OutEvent& ev = PipelineAt(0);
     if (ev.event.type == EventType::kOpen && !ev.decided) {
       DecisionResult d = Decide(ev.snapshot);
       if (d.delivered == Tri::kPending) break;  // head still blocked
@@ -657,9 +626,9 @@ Status StreamingEvaluator::FlushPipeline() {
     }
     CSXA_RETURN_IF_ERROR(DispatchToComposer(&ev));
     pipeline_modeled_ -= ev.modeled;
-    OutEvent done = std::move(pipeline_.front());
-    pipeline_.pop_front();
-    RecycleOut(std::move(done));
+    // The slot keeps its capacity for a later event.
+    pipe_head_ = (pipe_head_ + 1) & (pipeline_.size() - 1);
+    --pipe_size_;
   }
   return Status::OK();
 }
@@ -755,7 +724,7 @@ Status StreamingEvaluator::ComposeClose(const EventView& /*event*/) {
 Status StreamingEvaluator::Finish() {
   if (finished_) return Status::OK();
   CSXA_RETURN_IF_ERROR(FlushPipeline());
-  if (!pipeline_.empty()) {
+  if (pipe_size_ != 0) {
     return Status::Internal("pending output not resolved at end of stream");
   }
   if (depth_ != 0) {
@@ -766,9 +735,11 @@ Status StreamingEvaluator::Finish() {
   return out_->OnEventView(EventView::End());
 }
 
-bool StreamingEvaluator::CanSkipCurrentSubtree(
-    const std::function<bool(std::string_view)>& has_tag,
-    bool subtree_nonempty, bool /*has_text*/) {
+bool StreamingEvaluator::CanSkipCurrentSubtree(TagProbe has_tag,
+                                               bool subtree_nonempty,
+                                               bool /*has_text*/) {
+  // The probe asks about document tag ids: without them, never skip.
+  if (!doc_tags_bound_) return false;
   // Only a definitively-undelivered node may be skipped.
   if (!last_open_decided_definitively_ ||
       last_open_decision_.delivered != Tri::kNo) {
@@ -780,11 +751,16 @@ bool StreamingEvaluator::CanSkipCurrentSubtree(
   }
   auto nav_reachable = [&](const NavRun& run) {
     if (run.dormant > 0) return false;  // no live tokens at this depth
-    std::vector<int> active;
-    for (const Token& t : run.tokens.back()) {
-      if (t.state != run.rule->nav.final_state) active.push_back(t.state);
+    // The highest non-final active state decides (CanReachFinal); -1,
+    // when every token is final, is no state at all.
+    int from = -1;
+    for (size_t i = run.levels.back().token_begin; i < run.tokens.size();
+         ++i) {
+      const int s = run.tokens[i].state;
+      if (s != run.rule->nav.final_state && s > from) from = s;
     }
-    return CanReachFinal(run.rule->nav, active, has_tag, subtree_nonempty);
+    return CanReachFinal(run.rule->nav, std::span<const int>(&from, 1),
+                         has_tag, subtree_nonempty);
   };
   // Case A: authorization is definitively deny and no positive rule can
   // produce a deeper (overriding) match inside the subtree.
@@ -815,16 +791,27 @@ size_t StreamingEvaluator::ModeledRamBytes() const {
 size_t StreamingEvaluator::RecountModeledRamBytes() const {
   size_t n = obligations_.RecountModeledBytes();
   auto count_run = [&n](const NavRun& run) {
-    for (size_t d = 0; d < run.tokens.size(); ++d) {
+    for (size_t d = 0; d < run.levels.size(); ++d) {
+      const Level& level = run.levels[d];
+      const bool last = d + 1 == run.levels.size();
+      const size_t token_end =
+          last ? run.tokens.size() : run.levels[d + 1].token_begin;
+      const size_t cand_end =
+          last ? run.cands.size() : run.levels[d + 1].cand_begin;
       size_t tokens = 0;
-      for (const Token& t : run.tokens[d]) tokens += 2 + t.deps.size();
-      n += tokens * (1 + run.level_repeats[d]);
-      for (const Candidate& c : run.cands[d]) n += 3 + c.deps.size();
+      for (size_t i = level.token_begin; i < token_end; ++i) {
+        tokens += 2 + (run.tokens[i].deps_end - run.tokens[i].deps_begin);
+      }
+      n += tokens * (1 + level.repeats);
+      for (size_t i = level.cand_begin; i < cand_end; ++i) {
+        n += 3 + (run.cands[i].deps_end - run.cands[i].deps_begin);
+      }
     }
   };
   for (const NavRun& run : runs_) count_run(run);
   if (query_run_) count_run(*query_run_);
-  for (const OutEvent& ev : pipeline_) {
+  for (size_t i = 0; i < pipe_size_; ++i) {
+    const OutEvent& ev = PipelineAt(i);
     n += 2 + ev.event.name.size() + ev.event.text.size();
     for (const xml::Attribute& a : ev.event.attrs) {
       n += a.name.size() + a.value.size();
@@ -840,8 +827,8 @@ size_t StreamingEvaluator::RecountModeledRamBytes() const {
 void StreamingEvaluator::UpdatePeaks() {
   size_t ram = ModeledRamBytes();
   if (ram > stats_.modeled_ram_peak) stats_.modeled_ram_peak = ram;
-  if (pipeline_.size() > stats_.buffered_events_peak) {
-    stats_.buffered_events_peak = pipeline_.size();
+  if (pipe_size_ > stats_.buffered_events_peak) {
+    stats_.buffered_events_peak = pipe_size_;
   }
 }
 

@@ -35,12 +35,17 @@
 /// The evaluator never materializes the document; its modeled memory
 /// footprint (ModeledRamBytes, maintained incrementally) is what the
 /// smart card would consume.
+///
+/// Storage is flat and reused: each automaton's token levels, candidates
+/// and their obligation-id lists live in per-run arrays truncated level by
+/// level, buffered output sits in a ring of reused slots, and Reset()
+/// starts a new session on the same buffers. A card that keeps one
+/// evaluator across sessions (soe::CardEngine) runs a warm session without
+/// a per-element heap allocation.
 
-#include <deque>
-#include <functional>
 #include <memory>
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/interner.h"
@@ -73,16 +78,29 @@ class StreamingEvaluator : public xml::EventSink {
  public:
   /// Creates an evaluator for `rules` (already filtered to one subject).
   /// `query` may be null (whole authorized view). Delivered-view events are
-  /// pushed into `out`, which must outlive the evaluator.
+  /// pushed into `out`, which must stay valid until the session ends (the
+  /// last event, or the next Reset()).
   static Result<std::unique_ptr<StreamingEvaluator>> Create(
       const std::vector<AccessRule>& rules, const xpath::PathExpr* query,
       xml::EventSink* out);
 
+  StreamingEvaluator(const StreamingEvaluator&) = delete;
+  StreamingEvaluator& operator=(const StreamingEvaluator&) = delete;
+
+  /// Starts a new session as Create() would, on this evaluator's buffers:
+  /// every level array, the output ring, the composer stack and the
+  /// obligation table keep their capacity. On failure the evaluator
+  /// refuses events until a Reset() succeeds.
+  Status Reset(const std::vector<AccessRule>& rules,
+               const xpath::PathExpr* query, xml::EventSink* out);
+
   /// Installs an O(1) translation from `doc_tags` ids (the producer's
   /// dictionary — e.g. the document codec's) to the evaluator's rule
-  /// alphabet, so events carrying tag ids skip the per-event hash probe.
-  /// Call before feeding events; without it, events fall back to a name
-  /// lookup. The interner is copied from, not retained.
+  /// alphabet, so events carrying tag ids skip the per-event hash probe,
+  /// and stamps every rule state with its document tag id for the skip
+  /// probe (CanSkipCurrentSubtree). Call before feeding events; without
+  /// it, events fall back to a name lookup and no subtree is skipped. The
+  /// interner is copied from, not retained.
   void BindDocumentTags(const Interner& doc_tags);
 
   /// Feeds the next document event (kEnd finishes the stream). The
@@ -101,12 +119,11 @@ class StreamingEvaluator : public xml::EventSink {
   /// without changing any output: its root's delivery must be definitively
   /// negative, no positive automaton may reach a match inside, and no live
   /// predicate instance may resolve inside. `has_tag` answers membership
-  /// in the subtree's tag set; `subtree_nonempty` tells whether the
-  /// subtree contains at least one element; `has_text` whether it contains
-  /// character data.
-  bool CanSkipCurrentSubtree(
-      const std::function<bool(std::string_view)>& has_tag,
-      bool subtree_nonempty, bool has_text);
+  /// in the subtree's tag set by document tag id (BindDocumentTags; false
+  /// until it ran); `subtree_nonempty` tells whether the subtree contains
+  /// at least one element; `has_text` whether it contains character data.
+  bool CanSkipCurrentSubtree(TagProbe has_tag, bool subtree_nonempty,
+                             bool has_text);
   /// Records that the caller skipped the current subtree (stats only; the
   /// caller must next feed the matching close event).
   void NoteSubtreeSkipped() { ++stats_.subtrees_skipped; }
@@ -132,10 +149,12 @@ class StreamingEvaluator : public xml::EventSink {
   // --- decision machinery -------------------------------------------------
 
   // A navigational match candidate: the rule matched (or may match) at
-  // `depth`; it holds iff all obligations in `deps` resolve true.
+  // `depth`; it holds iff all obligations in its dependency list resolve
+  // true. The list is [deps_begin, deps_end) of the owning run's arena.
   struct Candidate {
     int depth = 0;
-    std::vector<int> deps;
+    uint32_t deps_begin = 0;
+    uint32_t deps_end = 0;
   };
 
   // Flattened candidate inside a buffered Snapshot; deps live in the
@@ -150,7 +169,7 @@ class StreamingEvaluator : public xml::EventSink {
 
   // Snapshot of all candidates relevant to one node's decision, grouped
   // by rule (auth entries are contiguous per rule, in slot order).
-  // Only built for nodes whose decision is still pending; pooled.
+  // Only built for nodes whose decision is still pending.
   struct Snapshot {
     std::vector<SnapCand> auth;
     std::vector<SnapCand> query;
@@ -172,43 +191,62 @@ class StreamingEvaluator : public xml::EventSink {
   };
 
   // One NFA token: active state plus the obligations accumulated along its
-  // path through predicated steps.
+  // path through predicated steps ([deps_begin, deps_end) of the arena).
   struct Token {
     int state = 0;
-    std::vector<int> deps;
+    uint32_t deps_begin = 0;
+    uint32_t deps_end = 0;
+  };
+
+  // One materialized depth of a run's token stack. Its tokens run from
+  // token_begin to the next level's token_begin (or the end), and so do
+  // its candidates from cand_begin.
+  struct Level {
+    uint32_t token_begin = 0;
+    uint32_t cand_begin = 0;
+    // Arena size when the level was pushed: popping the level truncates
+    // the arena back to it.
+    uint32_t deps_begin = 0;
+    // Bitmask of states occupied by the level's tokens (valid for
+    // automata of <= 64 states).
+    uint64_t live_mask = 0;
+    // Modeled bytes contributed by the level, split so repeated levels
+    // (which share tokens but never candidates) account correctly.
+    uint32_t token_units = 0;
+    uint32_t cand_units = 0;
+    // Run-length compression: additional depths whose token set is
+    // identical to this level's (self-loop steady state, no advances, no
+    // candidates). They are popped before the level is.
+    uint32_t repeats = 0;
   };
 
   // Execution state of one rule's (or the query's) navigational automaton.
+  // Token stack (the paper's) and match stack are flat arrays cut into
+  // levels; levels[0] is the virtual root. Depths that would hold no token
+  // are not materialized: `dormant` counts them instead.
   struct NavRun {
     const CompiledRule* rule = nullptr;
     bool positive = true;
-    // Token stack: tokens_[d] = active tokens at depth d (0 = virtual
-    // root). Levels above `tokens.size()-1` that would be empty are not
-    // materialized; `dormant` counts them instead.
-    std::vector<std::vector<Token>> tokens;
-    // Match stack: cands[d] = candidates created at depth d.
-    std::vector<std::vector<Candidate>> cands;
-    // Bitmask of states occupied by tokens[d] (valid for sizes <= 64).
-    std::vector<uint64_t> live_masks;
-    // Modeled bytes contributed by level d, split so repeated levels
-    // (which share tokens but never candidates) account correctly.
-    std::vector<uint32_t> level_token_units;
-    std::vector<uint32_t> level_cand_units;
-    // Run-length compression: level_repeats[d] counts additional depths
-    // whose token set is identical to tokens[d] (self-loop steady state,
-    // no advances, no candidates). They are popped before tokens[d] is.
-    std::vector<uint32_t> level_repeats;
-    // Number of virtual empty levels above tokens.back(): while > 0 the
+    std::vector<Level> levels;
+    std::vector<Token> tokens;
+    std::vector<Candidate> cands;
+    // Dependency arena: the obligation-id lists of tokens and candidates.
+    // A level's new lists are appended when it is pushed and dropped when
+    // it is popped; a token surviving on its self-loop keeps its list.
+    std::vector<int> deps;
+    // Number of virtual empty levels above levels.back(): while > 0 the
     // rule is untouched by events except for depth bookkeeping.
     int dormant = 0;
-    // Total candidates across all levels (0 = skip in decisions).
-    size_t cand_count = 0;
-    // Candidates with unresolved-dependency lists. When 0, every candidate
+    // Candidates with non-empty dependency lists. When 0, every candidate
     // holds unconditionally and the rule's decision input is just the
-    // deepest candidate depth — O(1) via cand_level_depths.back().
+    // deepest candidate depth — O(1) via cands.back().
     size_t dep_cand_count = 0;
-    // Depth of each materialized level that holds >= 1 candidate (stack).
-    std::vector<int> cand_level_depths;
+
+    // Back to the virtual root: one start token, no candidates.
+    void Start(const CompiledRule* compiled);
+    std::span<const int> DepsOf(uint32_t begin, uint32_t end) const {
+      return std::span<const int>(deps).subspan(begin, end - begin);
+    }
   };
 
   // Static per-rule dispatch data (index keyed by (rule, state, TagId);
@@ -221,7 +259,8 @@ class StreamingEvaluator : public xml::EventSink {
     bool oversize = false;
   };
 
-  // A buffered output event awaiting decision or order release.
+  // A buffered output event awaiting decision or order release. A ring
+  // slot: its strings and snapshot keep their capacity across uses.
   struct OutEvent {
     xml::Event event;
     int depth = 0;
@@ -254,15 +293,14 @@ class StreamingEvaluator : public xml::EventSink {
 
   // Decision over the live run state (no materialization).
   DecisionResult DecideLive() const;
-  // Builds the buffered snapshot for a still-pending node (pooled).
-  Snapshot BuildSnapshot();
-  void ReleaseSnapshot(Snapshot&& snap);
+  // Fills a pending node's snapshot (reusing its capacity).
+  void BuildSnapshot(Snapshot* snap) const;
   // Evaluates a buffered snapshot under current obligation resolutions.
   DecisionResult Decide(const Snapshot& snap) const;
-  // Candidate status under current resolutions.
+  // Status of a candidate with dependency list `deps` under current
+  // resolutions.
   enum class CandStatus : uint8_t { kHolds, kDead, kPending };
-  CandStatus StatusOf(const Candidate& c) const;
-  CandStatus StatusOfSpan(const Snapshot& snap, const SnapCand& c) const;
+  CandStatus StatusOf(std::span<const int> deps) const;
 
   // Shared conflict-resolution fold (closed policy, DTP, MSOTP) over the
   // two extreme worlds; see Decide()/DecideLive().
@@ -287,8 +325,14 @@ class StreamingEvaluator : public xml::EventSink {
   // Order-preserving output: append then flush as far as decisions allow.
   Status FlushPipeline();
   Status DispatchToComposer(OutEvent* ev);
-  OutEvent AcquireOut(const xml::EventView& event, int depth);
-  void RecycleOut(OutEvent&& ev);
+  // Appends a slot for `event` at the ring's tail (growing a full ring).
+  OutEvent& PushOut(const xml::EventView& event, int depth);
+  OutEvent& PipelineAt(size_t i) {
+    return pipeline_[(pipe_head_ + i) & (pipeline_.size() - 1)];
+  }
+  const OutEvent& PipelineAt(size_t i) const {
+    return pipeline_[(pipe_head_ + i) & (pipeline_.size() - 1)];
+  }
 
   // --- composer: lazy ancestors / scaffolding ------------------------------
   // The stack lives in composer_[0 .. composer_size_); retired entries
@@ -314,8 +358,10 @@ class StreamingEvaluator : public xml::EventSink {
   // --- members -------------------------------------------------------------
   std::vector<CompiledRule> compiled_rules_;
   std::unique_ptr<CompiledRule> compiled_query_;
-  std::vector<NavRun> runs_;        // one per rule
-  std::unique_ptr<NavRun> query_run_;
+  std::vector<NavRun> runs_;  // one per rule
+  // The query's run: &query_storage_ when there is a query, else null.
+  NavRun* query_run_ = nullptr;
+  NavRun query_storage_;
   ObligationSet obligations_;
   xml::EventSink* out_ = nullptr;
 
@@ -328,10 +374,16 @@ class StreamingEvaluator : public xml::EventSink {
   size_t num_slots_ = 0;
   // Producer-id → rule-alphabet translation (BindDocumentTags).
   std::vector<TagId> doc_to_rule_;
+  // Rule states carry document tag ids: the skip probe may run.
+  bool doc_tags_bound_ = false;
 
   int depth_ = 0;
   bool finished_ = false;
-  std::deque<OutEvent> pipeline_;
+  // Buffered output, in document order: a ring of pipe_size_ slots from
+  // pipe_head_ over pipeline_, whose size is 0 or a power of two.
+  std::vector<OutEvent> pipeline_;
+  size_t pipe_head_ = 0;
+  size_t pipe_size_ = 0;
   std::vector<ComposerEntry> composer_;
   size_t composer_size_ = 0;
   // Attribute-view scratch, one per borrow site so a view built for one
@@ -343,12 +395,6 @@ class StreamingEvaluator : public xml::EventSink {
   DecisionResult last_open_decision_;
   bool last_open_decided_definitively_ = false;
 
-  // Pools: retired level vectors, snapshots and pipeline slots are reused
-  // so the steady-state event loop performs no heap allocation.
-  std::vector<std::vector<Token>> token_level_pool_;
-  std::vector<std::vector<Candidate>> cand_level_pool_;
-  std::vector<Snapshot> snapshot_pool_;
-  std::vector<OutEvent> out_pool_;
   std::vector<int> pred_scratch_;  // per-rule predicate-instance cache
 
   // Incremental ModeledRamBytes components.

@@ -4,96 +4,107 @@
 
 namespace csxa::core {
 
-PredRun::PredRun(const CompiledPath* path, int ctx_depth)
-    : path_(path), ctx_depth_(ctx_depth) {
-  stack_.push_back({0});
+void PredRun::Reset(const CompiledPath* path, int ctx_depth) {
+  path_ = path;
+  ctx_depth_ = ctx_depth;
+  satisfied_ = false;
+  transitions_ = 0;
+  states_.assign(1, 0);
+  level_begin_.assign(1, 0);
+  num_captures_ = 0;
   modeled_ = 1;
 }
 
 bool PredRun::OnOpen(std::string_view tag, int depth, TagId tag_id) {
   if (satisfied_) return false;
   // The run only sees the subtree: depth must be ctx_depth_+stack size.
-  std::vector<int> next;
-  const std::vector<int>& top = stack_.back();
-  for (int s : top) {
+  // The next level is built at the tail of states_, read by index because
+  // appending may move the array.
+  const size_t begin = level_begin_.back();
+  const size_t end = states_.size();
+  for (size_t i = begin; i < end; ++i) {
+    const int s = states_[i];
     const CompiledPath::State& st = path_->states[static_cast<size_t>(s)];
     ++transitions_;
     bool name_match =
         st.wildcard || (st.tag_id != kNoTagId && tag_id != kNoTagId
                             ? st.tag_id == tag_id
                             : st.tag == tag);
-    if (st.self_loop) next.push_back(s);
+    if (st.self_loop) states_.push_back(s);
     if (s + 1 <= path_->final_state && name_match) {
       int t = s + 1;
       if (t == path_->final_state) {
         if (path_->op == xpath::CmpOp::kExists) {
           satisfied_ = true;
+          states_.resize(end);
           return true;
         }
         // Value test: capture this node's direct text until it closes.
-        captures_.push_back(Capture{depth, std::string()});
+        if (num_captures_ == captures_.size()) captures_.emplace_back();
+        Capture& c = captures_[num_captures_++];
+        c.depth = depth;
+        c.text.clear();
         modeled_ += 2;
       }
-      next.push_back(t);
+      states_.push_back(t);
     }
   }
-  std::sort(next.begin(), next.end());
-  next.erase(std::unique(next.begin(), next.end()), next.end());
-  modeled_ += next.size();
-  stack_.push_back(std::move(next));
+  std::sort(states_.begin() + static_cast<long>(end), states_.end());
+  states_.erase(std::unique(states_.begin() + static_cast<long>(end),
+                            states_.end()),
+                states_.end());
+  modeled_ += states_.size() - end;
+  level_begin_.push_back(static_cast<uint32_t>(end));
   return false;
 }
 
 void PredRun::OnValue(std::string_view text, int depth) {
-  if (satisfied_) return;
-  for (Capture& c : captures_) {
-    if (c.depth == depth) {
-      c.text += text;
-      modeled_ += text.size();
-    }
+  if (satisfied_ || num_captures_ == 0) return;
+  // Only the innermost capture can belong to the element holding `text`.
+  Capture& c = captures_[num_captures_ - 1];
+  if (c.depth == depth) {
+    c.text += text;
+    modeled_ += text.size();
   }
 }
 
 bool PredRun::OnClose(int depth) {
   if (satisfied_) return false;
   bool newly = false;
-  for (size_t i = 0; i < captures_.size();) {
-    if (captures_[i].depth == depth) {
-      if (xpath::CompareValue(captures_[i].text, path_->op, path_->literal)) {
-        satisfied_ = true;
-        newly = true;
-      }
-      modeled_ -= 2 + captures_[i].text.size();
-      captures_.erase(captures_.begin() + static_cast<long>(i));
-    } else {
-      ++i;
+  if (num_captures_ > 0 && captures_[num_captures_ - 1].depth == depth) {
+    Capture& c = captures_[num_captures_ - 1];
+    if (xpath::CompareValue(c.text, path_->op, path_->literal)) {
+      satisfied_ = true;
+      newly = true;
     }
+    modeled_ -= 2 + c.text.size();
+    --num_captures_;  // the slot keeps its text capacity
   }
-  if (stack_.size() > 1) {
-    modeled_ -= stack_.back().size();
-    stack_.pop_back();
+  if (level_begin_.size() > 1) {
+    modeled_ -= states_.size() - level_begin_.back();
+    states_.resize(level_begin_.back());
+    level_begin_.pop_back();
   }
   return newly;
 }
 
 bool PredRun::HasCaptureAtDepth(int depth) const {
-  for (const Capture& c : captures_) {
-    if (c.depth == depth) return true;
+  for (size_t i = 0; i < num_captures_; ++i) {
+    if (captures_[i].depth == depth) return true;
   }
   return false;
 }
 
-bool PredRun::CanResolveWithin(
-    const std::function<bool(std::string_view)>& has_tag,
-    bool subtree_nonempty) const {
+bool PredRun::CanResolveWithin(TagProbe has_tag, bool subtree_nonempty) const {
   if (satisfied_) return false;
-  return CanReachFinal(*path_, stack_.back(), has_tag, subtree_nonempty);
+  return CanReachFinal(*path_, Top(), has_tag, subtree_nonempty);
 }
 
 size_t PredRun::RecountModeledBytes() const {
-  size_t n = 0;
-  for (const auto& level : stack_) n += level.size();  // 1 byte per state id
-  for (const Capture& c : captures_) n += 2 + c.text.size();
+  size_t n = states_.size();  // 1 byte per state id, every level
+  for (size_t i = 0; i < num_captures_; ++i) {
+    n += 2 + captures_[i].text.size();
+  }
   return n;
 }
 
@@ -101,25 +112,45 @@ int ObligationSet::Create(const CompiledPath* path, int ctx_depth) {
   int id = static_cast<int>(entries_.size());
   Entry e;
   e.ctx_depth = ctx_depth;
-  e.run = std::make_unique<PredRun>(path, ctx_depth);
-  modeled_ += 4 + e.run->ModeledBytes();
-  entries_.push_back(std::move(e));
+  if (free_runs_.empty()) {
+    e.run = static_cast<int>(runs_.size());
+    runs_.emplace_back(path, ctx_depth);
+  } else {
+    e.run = free_runs_.back();
+    free_runs_.pop_back();
+    RunOf(e).Reset(path, ctx_depth);
+  }
+  modeled_ += 4 + RunOf(e).ModeledBytes();
+  entries_.push_back(e);
   live_.push_back(id);
   return id;
 }
 
+void ObligationSet::Clear() {
+  entries_.clear();
+  live_.clear();
+  free_runs_.clear();
+  for (size_t i = runs_.size(); i > 0; --i) {
+    free_runs_.push_back(static_cast<int>(i - 1));
+  }
+  retired_transitions_ = 0;
+  modeled_ = 0;
+}
+
 void ObligationSet::Retire(Entry* e, State state) {
   e->state = state;
-  retired_transitions_ += e->run->transitions();
-  modeled_ -= e->run->ModeledBytes();
-  e->run.reset();
+  const PredRun& run = RunOf(*e);
+  retired_transitions_ += run.transitions();
+  modeled_ -= run.ModeledBytes();
+  free_runs_.push_back(e->run);
+  e->run = -1;
 }
 
 bool ObligationSet::Sweep() {
   bool changed = false;
   for (size_t i = 0; i < live_.size();) {
     Entry& e = entries_[static_cast<size_t>(live_[i])];
-    if (e.run && e.run->satisfied()) {
+    if (e.run >= 0 && RunOf(e).satisfied()) {
       Retire(&e, State::kTrue);
       changed = true;
     }
@@ -136,7 +167,7 @@ bool ObligationSet::Sweep() {
 bool ObligationSet::OnOpen(std::string_view tag, int depth, TagId tag_id) {
   bool any = false;
   for (int id : live_) {
-    PredRun& run = *entries_[static_cast<size_t>(id)].run;
+    PredRun& run = RunOf(entries_[static_cast<size_t>(id)]);
     size_t before = run.ModeledBytes();
     if (run.OnOpen(tag, depth, tag_id)) any = true;
     modeled_ += run.ModeledBytes() - before;
@@ -147,7 +178,7 @@ bool ObligationSet::OnOpen(std::string_view tag, int depth, TagId tag_id) {
 
 bool ObligationSet::OnValue(std::string_view text, int depth) {
   for (int id : live_) {
-    PredRun& run = *entries_[static_cast<size_t>(id)].run;
+    PredRun& run = RunOf(entries_[static_cast<size_t>(id)]);
     size_t before = run.ModeledBytes();
     run.OnValue(text, depth);
     modeled_ += run.ModeledBytes() - before;
@@ -159,11 +190,12 @@ bool ObligationSet::OnClose(int depth) {
   bool any = false;
   for (int id : live_) {
     Entry& e = entries_[static_cast<size_t>(id)];
-    size_t before = e.run->ModeledBytes();
-    if (e.run->OnClose(depth)) any = true;
-    modeled_ += e.run->ModeledBytes() - before;  // modular: may shrink
+    PredRun& run = RunOf(e);
+    size_t before = run.ModeledBytes();
+    if (run.OnClose(depth)) any = true;
+    modeled_ += run.ModeledBytes() - before;  // modular: may shrink
     // Context node closing unsatisfied resolves the obligation to false.
-    if (!e.run->satisfied() && e.ctx_depth == depth) {
+    if (!run.satisfied() && e.ctx_depth == depth) {
       Retire(&e, State::kFalse);
       any = true;
     }
@@ -172,16 +204,14 @@ bool ObligationSet::OnClose(int depth) {
   return any;
 }
 
-bool ObligationSet::BlocksSkip(
-    const std::function<bool(std::string_view)>& has_tag,
-    bool subtree_nonempty, int subtree_root_depth) const {
+bool ObligationSet::BlocksSkip(TagProbe has_tag, bool subtree_nonempty,
+                               int subtree_root_depth) const {
   for (int id : live_) {
     const Entry& e = entries_[static_cast<size_t>(id)];
-    if (!e.run) continue;
-    if (e.run->HasCaptureAtDepth(subtree_root_depth)) return true;
-    // Reconstruct the path pointer via the run (it stores it); we expose
-    // reachability through the run's active states.
-    if (e.run->CanResolveWithin(has_tag, subtree_nonempty)) return true;
+    if (e.run < 0) continue;
+    const PredRun& run = RunOf(e);
+    if (run.HasCaptureAtDepth(subtree_root_depth)) return true;
+    if (run.CanResolveWithin(has_tag, subtree_nonempty)) return true;
   }
   return false;
 }
@@ -190,15 +220,17 @@ size_t ObligationSet::RecountModeledBytes() const {
   size_t n = 0;
   for (int id : live_) {
     const Entry& e = entries_[static_cast<size_t>(id)];
-    n += 4 + (e.run ? e.run->RecountModeledBytes() : 0);
+    n += 4 + (e.run >= 0 ? RunOf(e).RecountModeledBytes() : 0);
   }
   return n;
 }
 
 size_t ObligationSet::transitions() const {
+  // Only pending entries hold a run, and every pending entry is live.
   size_t n = retired_transitions_;
-  for (const Entry& e : entries_) {
-    if (e.run) n += e.run->transitions();
+  for (int id : live_) {
+    const Entry& e = entries_[static_cast<size_t>(id)];
+    if (e.run >= 0) n += RunOf(e).transitions();
   }
   return n;
 }

@@ -13,7 +13,7 @@
 /// reached while obligations are unresolved are the paper's *pending*
 /// rules; the evaluator buffers their output until resolution.
 
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,11 +25,18 @@ namespace csxa::core {
 /// \brief A live predicate-path NFA run rooted at a context node.
 ///
 /// Depths are absolute document depths (root element = 1); the run only
-/// consumes events strictly below its context depth.
+/// consumes events strictly below its context depth. A run is reusable:
+/// Reset() starts it over for another context node and keeps the capacity
+/// of its state stack and capture buffers, so ObligationSet recycles
+/// retired runs instead of allocating one per obligation.
 class PredRun {
  public:
+  PredRun() = default;
   /// `path` must outlive the run. `ctx_depth` is the context node's depth.
-  PredRun(const CompiledPath* path, int ctx_depth);
+  PredRun(const CompiledPath* path, int ctx_depth) { Reset(path, ctx_depth); }
+
+  /// Starts the run over at a new context node.
+  void Reset(const CompiledPath* path, int ctx_depth);
 
   /// Feeds an element open at `depth`. Returns true if the predicate
   /// became satisfied (kExists predicates satisfy on open). `tag_id` is
@@ -53,9 +60,8 @@ class PredRun {
   /// depth (direct text) may still resolve this run, blocking skips.
   bool HasCaptureAtDepth(int depth) const;
   /// Conservative: true if this run could become satisfied by content of a
-  /// subtree whose tag set is described by `has_tag` (skip safety test).
-  bool CanResolveWithin(const std::function<bool(std::string_view)>& has_tag,
-                        bool subtree_nonempty) const;
+  /// subtree whose tag set `has_tag` probes (skip safety test).
+  bool CanResolveWithin(TagProbe has_tag, bool subtree_nonempty) const;
 
   /// Modeled on-card footprint in bytes (stack entries + capture text):
   /// a running total kept by the On* calls, O(1).
@@ -66,32 +72,50 @@ class PredRun {
   size_t transitions() const { return transitions_; }
 
  private:
-  const CompiledPath* path_;
-  int ctx_depth_;
-  bool satisfied_ = false;
-  size_t transitions_ = 0;
-  // stack_[i] = active states at relative depth i (i = depth - ctx_depth);
-  // stack_[0] = {0}, the start state waiting at the context node.
-  std::vector<std::vector<int>> stack_;
-  // Open value-test captures: absolute depth + accumulated direct text.
+  // Open value-test capture: absolute depth + accumulated direct text.
   struct Capture {
-    int depth;
+    int depth = 0;
     std::string text;
   };
+
+  // Active states of the innermost level.
+  std::span<const int> Top() const {
+    return std::span<const int>(states_).subspan(level_begin_.back());
+  }
+
+  const CompiledPath* path_ = nullptr;
+  int ctx_depth_ = 0;
+  bool satisfied_ = false;
+  size_t transitions_ = 0;
+  // Flat state stack: level i (relative depth i = depth - ctx_depth) holds
+  // states_[level_begin_[i] ..) up to the next level's begin, or the end;
+  // level 0 = {0}, the start state waiting at the context node.
+  std::vector<int> states_;
+  std::vector<uint32_t> level_begin_;
+  // Open captures are captures_[0 .. num_captures_), a stack: an element
+  // opens at most one (only one state precedes the final one), so they
+  // nest, and the innermost is last. Closed slots keep their text
+  // capacity for the next capture.
   std::vector<Capture> captures_;
+  size_t num_captures_ = 0;
   size_t modeled_ = 0;
 };
 
 /// \brief Registry of obligations for one evaluation session.
 ///
 /// Obligation ids are stable for the lifetime of the session (buffered
-/// decisions refer to them after resolution).
+/// decisions refer to them after resolution). Clear() starts a new
+/// session and keeps every buffer's capacity: the entry table, and the
+/// pool of runs that retired obligations hand back for reuse.
 class ObligationSet {
  public:
   enum class State : uint8_t { kPending, kTrue, kFalse };
 
   /// Creates a pending obligation; returns its id.
   int Create(const CompiledPath* path, int ctx_depth);
+
+  /// Forgets every obligation (a new session); capacity is kept.
+  void Clear();
 
   /// Feeds events to all live obligations. Each returns true if at least
   /// one obligation changed state (a signal to retry the output pipeline).
@@ -113,8 +137,8 @@ class ObligationSet {
   /// its final state over the subtree's tag set, or it has an open value
   /// capture at `subtree_root_depth` (direct text of the node whose
   /// content would be skipped).
-  bool BlocksSkip(const std::function<bool(std::string_view)>& has_tag,
-                  bool subtree_nonempty, int subtree_root_depth) const;
+  bool BlocksSkip(TagProbe has_tag, bool subtree_nonempty,
+                  int subtree_root_depth) const;
 
   /// Total modeled footprint of live obligations (4 bytes each plus their
   /// run): a running total, O(1).
@@ -129,10 +153,19 @@ class ObligationSet {
   struct Entry {
     State state = State::kPending;
     int ctx_depth = 0;
-    std::unique_ptr<PredRun> run;  // reset once resolved
+    int run = -1;  // index into runs_ while pending, -1 once resolved
   };
+  PredRun& RunOf(const Entry& e) { return runs_[static_cast<size_t>(e.run)]; }
+  const PredRun& RunOf(const Entry& e) const {
+    return runs_[static_cast<size_t>(e.run)];
+  }
+
   std::vector<Entry> entries_;
   std::vector<int> live_;
+  // Run slots: a retired obligation's slot goes to free_runs_ and is
+  // Reset() by the next Create.
+  std::vector<PredRun> runs_;
+  std::vector<int> free_runs_;
   size_t retired_transitions_ = 0;
   size_t modeled_ = 0;
 

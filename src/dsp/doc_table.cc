@@ -11,7 +11,7 @@ constexpr uint64_t kPingWireBytes = 8;
 }  // namespace
 
 Status DocState::SetContainer(Bytes raw) {
-  auto bytes = std::make_unique<Bytes>(std::move(raw));
+  auto bytes = std::make_shared<const Bytes>(std::move(raw));
   CSXA_ASSIGN_OR_RETURN(crypto::SecureContainer parsed,
                         crypto::SecureContainer::Parse(*bytes));
   container = std::move(parsed);
@@ -48,9 +48,10 @@ Result<Response> DocProtocol::Read(const Request& request,
       return resp;
     }
     case Op::kGetChunks: {
-      CSXA_ASSIGN_OR_RETURN(
-          resp.wire_bytes,
-          soe::ServeChunks(doc.container, request.spans, &resp.chunks));
+      CSXA_ASSIGN_OR_RETURN(resp.wire_bytes,
+                            soe::ServeChunks(doc.container, request.spans,
+                                             &resp.chunks,
+                                             doc.container_bytes));
       chunks_served_.fetch_add(resp.chunks.size(), std::memory_order_relaxed);
       return resp;
     }

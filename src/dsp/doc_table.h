@@ -34,7 +34,10 @@ namespace csxa::dsp {
 struct DocState {
   /// Stable address for `container`'s zero-copy view. Null while the
   /// document is not loaded (a DurableServer warm open loads lazily).
-  std::unique_ptr<Bytes> container_bytes;
+  /// Shared: every chunk a kGetChunks reply serves holds a reference, so
+  /// the bytes outlive a republish or remove of the document for as long
+  /// as a reply that views them does.
+  std::shared_ptr<const Bytes> container_bytes;
   crypto::SecureContainer container;
   Bytes sealed_rules;
   uint64_t rules_version = 0;

@@ -71,8 +71,14 @@ Status ServiceChunkProvider::FetchRuns(
   req.spans.assign(runs.begin(), runs.end());
   CSXA_ASSIGN_OR_RETURN(Response resp, service_->Execute(std::move(req)));
   wire_bytes_ += resp.wire_bytes;
-  out->insert(out->end(), std::make_move_iterator(resp.chunks.begin()),
-              std::make_move_iterator(resp.chunks.end()));
+  // The chunks hold their own references to the served bytes: moving
+  // them (or taking the whole reply vector) copies no ciphertext.
+  if (out->empty()) {
+    out->swap(resp.chunks);
+  } else {
+    out->insert(out->end(), std::make_move_iterator(resp.chunks.begin()),
+                std::make_move_iterator(resp.chunks.end()));
+  }
   return Status::OK();
 }
 

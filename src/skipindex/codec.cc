@@ -369,6 +369,9 @@ Result<std::unique_ptr<DocumentDecoder>> DocumentDecoder::Open(
   };
   CSXA_RETURN_IF_ERROR(decode_dict(&dec->tag_dict_));
   CSXA_RETURN_IF_ERROR(decode_dict(&dec->attr_dict_));
+  // A subtree bitmap has at most one bit per dictionary entry, so this is
+  // every straddling bitmap's size: the scratch never grows mid-scan.
+  dec->bitmap_scratch_.reserve((dec->tag_dict_.size() + 7) / 8);
   return dec;
 }
 
@@ -483,12 +486,10 @@ Result<xml::EventView> DocumentDecoder::NextView() {
   }
 }
 
-bool DocumentDecoder::SubtreeHasTag(std::string_view tag) const {
-  if (!with_index_ || open_.empty()) return false;
-  uint32_t id = tag_dict_.Lookup(tag);
-  if (id == kNoTagId) return false;
+bool DocumentDecoder::SubtreeHasTag(TagId tag) const {
+  if (!with_index_ || open_.empty() || tag == kNoTagId) return false;
   return std::binary_search(tagset_ids_.begin() + open_.back().set_begin,
-                            tagset_ids_.end(), id);
+                            tagset_ids_.end(), tag);
 }
 
 Status DocumentDecoder::SkipContent() {

@@ -100,8 +100,14 @@ class DocumentDecoder {
   /// Whether the subtree contains elements / text.
   bool last_has_elements() const { return last_has_elements_; }
   bool last_has_text() const { return last_has_text_; }
-  /// Membership test over the subtree's tag set (false without index).
-  bool SubtreeHasTag(std::string_view tag) const;
+  /// Membership test over the subtree's tag set (false without index):
+  /// a binary search of the innermost tag set by dictionary id. kNoTagId,
+  /// a tag the dictionary lacks, is in no set.
+  bool SubtreeHasTag(TagId tag) const;
+  /// The same test by name: one dictionary lookup, then the id form.
+  bool SubtreeHasTag(std::string_view tag) const {
+    return SubtreeHasTag(tag_dict_.Lookup(tag));
+  }
   /// @}
 
   /// Skips the content of the element just opened; the next event will be

@@ -8,7 +8,8 @@ Status RunFiltered(DocumentDecoder* decoder,
                    core::StreamingEvaluator* evaluator,
                    const FilterOptions& options, FilterStats* stats) {
   // Events from the decoder carry its dictionary's tag ids; bind them so
-  // the evaluator dispatches on integers without per-event name lookups.
+  // the evaluator dispatches on integers without per-event name lookups,
+  // and its skip probe asks the decoder by id, with no hash per probe.
   evaluator->BindDocumentTags(decoder->tags());
   for (;;) {
     // Borrowed fast path: the decoder's views flow into the evaluator
@@ -23,7 +24,7 @@ Status RunFiltered(DocumentDecoder* decoder,
     if (event.type == xml::EventType::kOpen && options.enable_skip &&
         decoder->has_index() && decoder->last_content_size() > 0) {
       bool nonempty = decoder->last_has_elements();
-      auto has_tag = [decoder](std::string_view tag) {
+      auto has_tag = [decoder](TagId tag) {
         return decoder->SubtreeHasTag(tag);
       };
       if (evaluator->CanSkipCurrentSubtree(has_tag, nonempty,

@@ -89,8 +89,9 @@ ApduResponse CsxaApplet::HandleRunQuery(const ApduCommand& cmd) {
   }
   opts.use_skip = (flags & 1) != 0;
   auto result = engine_.RunSession(selected_doc_, header_bytes_, sealed_rules_,
-                                   provider_, opts);
+                                   provider_, opts, &output_);
   if (!result.ok()) {
+    output_.clear();
     switch (result.status().code()) {
       case StatusCode::kIntegrityError:
         return Error(kSwSecurityStatus);
@@ -102,8 +103,7 @@ ApduResponse CsxaApplet::HandleRunQuery(const ApduCommand& cmd) {
         return Error(kSwInternal);
     }
   }
-  output_ = std::move(result.value().view_xml);
-  last_stats_ = result.value().stats;
+  last_stats_ = result.value();
   output_cursor_ = 0;
   session_ready_ = true;
   ByteWriter w;

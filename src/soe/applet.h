@@ -57,6 +57,8 @@ class CsxaApplet : public ApduHandler {
   std::string selected_doc_;
   Bytes header_bytes_;
   Bytes sealed_rules_;
+  // The delivered view: the engine renders into it, and it keeps its
+  // capacity from one session to the next.
   std::string output_;
   size_t output_cursor_ = 0;
   SessionStats last_stats_;

@@ -11,6 +11,19 @@ Result<SessionOutput> CardEngine::RunSession(const std::string& doc_id,
                                              Span sealed_rules,
                                              ChunkProvider* provider,
                                              const SessionOptions& options) {
+  SessionOutput out;
+  CSXA_ASSIGN_OR_RETURN(out.stats,
+                        RunSession(doc_id, header_bytes, sealed_rules,
+                                   provider, options, &out.view_xml));
+  return out;
+}
+
+Result<SessionStats> CardEngine::RunSession(const std::string& doc_id,
+                                            Span header_bytes,
+                                            Span sealed_rules,
+                                            ChunkProvider* provider,
+                                            const SessionOptions& options,
+                                            std::string* view) {
   auto key_it = keys_.find(doc_id);
   if (key_it == keys_.end()) {
     return Status::NotFound("no key installed for document " + doc_id);
@@ -63,15 +76,20 @@ Result<SessionOutput> CardEngine::RunSession(const std::string& doc_id,
                      /*charge_transfer=*/!options.push_mode);
   CSXA_ASSIGN_OR_RETURN(auto decoder, skipindex::DocumentDecoder::Open(&source));
 
-  xml::CanonicalWriter writer;
-  CSXA_ASSIGN_OR_RETURN(
-      auto evaluator,
-      core::StreamingEvaluator::Create(rules.ForSubject(options.subject),
-                                       query_ptr, &writer));
+  xml::CanonicalWriter writer(view);
+  const std::vector<core::AccessRule> subject_rules =
+      rules.ForSubject(options.subject);
+  if (evaluator_ == nullptr) {
+    CSXA_ASSIGN_OR_RETURN(evaluator_,
+                          core::StreamingEvaluator::Create(
+                              subject_rules, query_ptr, &writer));
+  } else {
+    CSXA_RETURN_IF_ERROR(evaluator_->Reset(subject_rules, query_ptr, &writer));
+  }
 
   skipindex::FilterOptions fopts;
   fopts.enable_skip = options.use_skip;
-  core::StreamingEvaluator* ev = evaluator.get();
+  core::StreamingEvaluator* ev = evaluator_.get();
   skipindex::DocumentDecoder* dec = decoder.get();
   ChunkSource* src = &source;
   // Fixed applet overhead: key material, session bookkeeping, I/O staging.
@@ -86,7 +104,7 @@ Result<SessionOutput> CardEngine::RunSession(const std::string& doc_id,
       skipindex::RunFiltered(dec, ev, fopts, &fstats));
 
   // The delivered view streams back to the terminal.
-  cost.AddTransfer(writer.str().size());
+  cost.AddTransfer(view->size());
   cost.AddEvaluator(ev->stats().events, ev->TotalTransitions());
   // Every provider batch the session triggered was one terminal<->DSP
   // request. Push mode charges none: the broadcast already arrived.
@@ -94,9 +112,7 @@ Result<SessionOutput> CardEngine::RunSession(const std::string& doc_id,
     cost.AddRoundTrip(provider->round_trips() - round_trips_before);
   }
 
-  SessionOutput out;
-  out.view_xml = writer.str();
-  SessionStats& st = out.stats;
+  SessionStats st;
   st.transfer_seconds = cost.TransferSeconds();
   st.crypto_seconds = cost.CryptoSeconds();
   st.evaluator_seconds = cost.EvaluatorSeconds();
@@ -113,8 +129,8 @@ Result<SessionOutput> CardEngine::RunSession(const std::string& doc_id,
   st.evaluator = ev->stats();
   st.ram_peak = ram.peak();
   st.ram_budget = ram.budget();
-  st.output_bytes = out.view_xml.size();
-  return out;
+  st.output_bytes = view->size();
+  return st;
 }
 
 }  // namespace csxa::soe

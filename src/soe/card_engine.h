@@ -90,9 +90,20 @@ class CardEngine {
   /// True if the card holds a key for `doc_id`.
   bool HasKey(const std::string& doc_id) const { return keys_.count(doc_id) > 0; }
 
-  /// Runs a full query session. `header_bytes` is the serialized container
-  /// header; `sealed_rules` the encrypted rule set as stored on the DSP;
-  /// `provider` supplies ciphertext chunks on demand.
+  /// Runs a full query session and renders the delivered view into
+  /// `*view`, which is cleared first: a caller that keeps one view buffer
+  /// (the applet's output buffer) renders into its capacity.
+  /// `header_bytes` is the serialized container header; `sealed_rules` the
+  /// encrypted rule set as stored on the DSP; `provider` supplies
+  /// ciphertext chunks on demand. The card keeps its evaluator's buffers
+  /// from one session to the next, so a repeated session allocates a
+  /// fixed number of times, whatever the size of the document.
+  Result<SessionStats> RunSession(const std::string& doc_id,
+                                  Span header_bytes, Span sealed_rules,
+                                  ChunkProvider* provider,
+                                  const SessionOptions& options,
+                                  std::string* view);
+  /// The same session, with the view in a new string.
   Result<SessionOutput> RunSession(const std::string& doc_id,
                                    Span header_bytes, Span sealed_rules,
                                    ChunkProvider* provider,
@@ -112,6 +123,9 @@ class CardEngine {
   std::map<std::string, crypto::SymmetricKey> keys_;
   // Anti-rollback: highest rule-envelope version accepted per document.
   std::map<std::string, uint64_t> rules_versions_;
+  // The evaluator every session runs on, Reset() per session (null until
+  // the first).
+  std::unique_ptr<core::StreamingEvaluator> evaluator_;
 };
 
 }  // namespace csxa::soe

@@ -24,7 +24,8 @@ Status ChunkProvider::Fetch(std::span<const skipindex::ChunkRun> runs,
 
 Result<uint64_t> ServeChunks(const crypto::SecureContainer& container,
                              std::span<const skipindex::ChunkRun> runs,
-                             std::vector<ChunkData>* out) {
+                             std::vector<ChunkData>* out,
+                             const std::shared_ptr<const Bytes>& owner) {
   // Reserve once for the whole batch, bounded by the container so a
   // hostile count cannot force a huge allocation.
   uint64_t wanted = 0;
@@ -37,8 +38,8 @@ Result<uint64_t> ServeChunks(const crypto::SecureContainer& container,
     for (uint32_t i = 0; i < run.count; ++i) {
       const uint32_t index = run.first + i;
       ChunkData chunk;
-      CSXA_ASSIGN_OR_RETURN(Span cipher, container.ChunkCiphertext(index));
-      chunk.ciphertext = cipher.ToBytes();
+      CSXA_ASSIGN_OR_RETURN(chunk.ciphertext, container.ChunkCiphertext(index));
+      chunk.owner = owner;
       CSXA_ASSIGN_OR_RETURN(chunk.auth, container.GetChunkAuth(index));
       wire_bytes += chunk.WireBytes(mode);
       out->push_back(std::move(chunk));

@@ -29,13 +29,29 @@ namespace csxa::soe {
 
 /// \brief One chunk as shipped to the card: ciphertext plus its
 /// authentication material (keyed MAC or Merkle path per container mode).
+///
+/// The ciphertext is a view, never a copy. With `owner` set it views the
+/// bytes `owner` keeps alive: a DSP reply holds a reference to the stored
+/// container, so the chunk stays valid after the document is republished
+/// or removed, on whatever thread it lands. With `owner` null it views a
+/// container its provider's caller keeps alive for as long as the chunk
+/// is used (ContainerChunkProvider).
 struct ChunkData {
-  Bytes ciphertext;
+  Span ciphertext;
+  std::shared_ptr<const Bytes> owner;
   crypto::ChunkAuth auth;
 
   /// Wire size as transferred to the card.
   size_t WireBytes(crypto::IntegrityMode mode) const {
     return ciphertext.size() + auth.WireBytes(mode);
+  }
+
+  /// Makes `bytes` the chunk's own ciphertext (for a provider that hands
+  /// out bytes no container holds, such as a mutated copy).
+  void SetOwnedCiphertext(Bytes bytes) {
+    auto held = std::make_shared<const Bytes>(std::move(bytes));
+    ciphertext = Span(*held);
+    owner = std::move(held);
   }
 };
 
@@ -83,15 +99,20 @@ class ChunkProvider {
 
 /// Appends the chunks of `runs`, in run order, from `container` to `out`
 /// and returns their total wire size. The one span-serving loop: the DSP's
-/// kGetChunks and ContainerChunkProvider both serve through it.
+/// kGetChunks and ContainerChunkProvider both serve through it. Chunks
+/// view the container's bytes, which `owner` (the buffer `container`
+/// parses, or null) keeps alive in each of them.
 Result<uint64_t> ServeChunks(const crypto::SecureContainer& container,
                              std::span<const skipindex::ChunkRun> runs,
-                             std::vector<ChunkData>* out);
+                             std::vector<ChunkData>* out,
+                             const std::shared_ptr<const Bytes>& owner = {});
 
 /// \brief ChunkProvider over a parsed in-memory container.
 ///
 /// Models a remote store front-end (every batch is one round trip) or, in
-/// push mode, the broadcast buffer the terminal already received.
+/// push mode, the broadcast buffer the terminal already received. Its
+/// chunks view the container's bytes with no owner: the caller keeps the
+/// container alive while they are used.
 class ContainerChunkProvider : public ChunkProvider {
  public:
   explicit ContainerChunkProvider(const crypto::SecureContainer* container)

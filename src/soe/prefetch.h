@@ -21,7 +21,6 @@
 /// latency) changes.
 
 #include <cstddef>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -142,17 +141,34 @@ class PlannedProvider : public ChunkProvider {
   // Fetches at least `min_count` chunks from `first`, widened to the
   // window and clamped to the container end.
   Status FetchWindow(uint32_t first, uint32_t min_count);
+  // Moves the buffered, not yet served copy of `chunk` to `out`; false
+  // when no buffer holds one.
+  bool TakeBuffered(uint32_t chunk, std::vector<ChunkData>* out);
+  // Position of `chunk` in plan order, or -1 when the plan does not
+  // cover it.
+  int64_t PlanPosition(uint32_t chunk) const;
 
   ChunkProvider* inner_;
   uint32_t chunk_count_;
   uint32_t max_prefetch_;
   FetchPlan plan_;
+  // Plan position of each run's first chunk.
+  std::vector<uint64_t> run_offsets_;
   bool plan_fetched_ = false;
-  // Fetched-but-not-yet-consumed chunks, by index. The card consumes an
-  // entry by moving it out; a window fetch drops everything behind it
-  // (scans are forward-only), so terminal RAM stays the planned working
-  // set plus one window.
-  std::map<uint32_t, ChunkData> buf_;
+
+  // Fetched-but-not-yet-served chunks, in two flat buffers: the planned
+  // batch in plan order, and the last miss window (consecutive chunks
+  // from window_first_). A served chunk is moved out and its live flag
+  // cleared, in both buffers. A window fetch drops everything behind it
+  // (scans are forward-only): planned chunks below planned_floor_ are
+  // dropped, so terminal RAM stays the planned working set plus one
+  // window.
+  std::vector<ChunkData> planned_;
+  std::vector<bool> planned_live_;
+  uint32_t planned_floor_ = 0;
+  std::vector<ChunkData> window_;
+  std::vector<bool> window_live_;
+  uint32_t window_first_ = 0;
   std::vector<uint32_t> requested_;
 
   uint64_t planned_trips_ = 0;

@@ -5,31 +5,32 @@
 namespace csxa::xml {
 
 Status CanonicalWriter::OnEventView(const EventView& event) {
+  std::string& out = *out_;
   switch (event.type) {
     case EventType::kOpen:
-      out_.push_back('<');
-      out_ += event.name;
+      out.push_back('<');
+      out += event.name;
       for (size_t i = 0; i < event.num_attrs; ++i) {
         const AttrView& a = event.attrs[i];
-        out_.push_back(' ');
-        out_ += a.name;
-        out_ += "=\"";
-        AppendEscaped(a.value, &out_);
-        out_.push_back('"');
+        out.push_back(' ');
+        out += a.name;
+        out += "=\"";
+        AppendEscaped(a.value, &out);
+        out.push_back('"');
       }
-      out_.push_back('>');
+      out.push_back('>');
       ++depth_;
       return Status::OK();
     case EventType::kValue:
-      AppendEscaped(event.text, &out_);
+      AppendEscaped(event.text, &out);
       return Status::OK();
     case EventType::kClose:
       if (depth_ == 0) {
         return Status::InvalidArgument("close event without open");
       }
-      out_ += "</";
-      out_ += event.name;
-      out_.push_back('>');
+      out += "</";
+      out += event.name;
+      out.push_back('>');
       --depth_;
       return Status::OK();
     case EventType::kEnd:

@@ -26,15 +26,25 @@ namespace csxa::xml {
 /// the way out.
 class CanonicalWriter : public EventSink {
  public:
+  /// Renders into the writer's own string.
+  CanonicalWriter() = default;
+  /// Renders into `*out`, cleared first, which must outlive the writer:
+  /// a caller that keeps one buffer across documents renders each
+  /// without reallocating once the buffer has grown.
+  explicit CanonicalWriter(std::string* out) : out_(out) { out_->clear(); }
+  CanonicalWriter(const CanonicalWriter&) = delete;
+  CanonicalWriter& operator=(const CanonicalWriter&) = delete;
+
   Status OnEventView(const EventView& view) override;
 
   /// The rendered document so far.
-  const std::string& str() const { return out_; }
+  const std::string& str() const { return *out_; }
   /// True if every opened element has closed.
   bool complete() const { return depth_ == 0; }
 
  private:
-  std::string out_;
+  std::string own_;
+  std::string* out_ = &own_;
   int depth_ = 0;
 };
 

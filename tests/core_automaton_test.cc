@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+#include <vector>
+
 #include "core/automaton.h"
 #include "xpath/parser.h"
 
@@ -77,45 +81,81 @@ TEST(AutomatonTest, TotalStatesCountsPredicates) {
   EXPECT_EQ(r.TotalStates(), 3u + 3u);
 }
 
-TEST(ReachabilityTest, TagGateControlsTraversal) {
-  CompiledRule r = Compile("//a/b");
-  auto in_set = [](std::initializer_list<const char*> tags) {
-    std::vector<std::string> v;
-    for (const char* t : tags) v.emplace_back(t);
-    return [v](std::string_view tag) {
-      for (const auto& s : v) {
-        if (s == tag) return true;
-      }
-      return false;
+// A document dictionary and subtree tag sets over it, probed by tag id as
+// the decoder's tag sets are. A rule bound to it carries document ids.
+struct Doc {
+  Interner dict;
+  Doc() {
+    for (const char* t : {"a", "b", "x", "secret"}) dict.Intern(t);
+  }
+  // A probe for the subtree holding exactly `tags`.
+  auto Subtree(std::initializer_list<std::string_view> tags) const {
+    std::vector<TagId> ids;
+    for (std::string_view t : tags) ids.push_back(dict.Lookup(t));
+    return [ids](TagId t) {
+      return t != kNoTagId && std::ranges::find(ids, t) != ids.end();
     };
-  };
+  }
+};
+
+const std::vector<int> kFrom0 = {0};
+const std::vector<int> kFrom1 = {1};
+
+TEST(ReachabilityTest, BindTagsStampsDocumentIds) {
+  Doc doc;
+  CompiledRule r = Compile("//a/zzz");
+  core::BindTags(doc.dict, &r.nav);
+  EXPECT_EQ(r.nav.states[0].doc_tag_id, doc.dict.Lookup("a"));
+  // A tag the document never uses maps to kNoTagId...
+  EXPECT_EQ(r.nav.states[1].doc_tag_id, kNoTagId);
+  // ...which a tag-set probe answers "absent", so nothing is reachable,
+  // while a probe that claims every tag (the no-tag-set ablation) still
+  // sees the path.
+  EXPECT_FALSE(CanReachFinal(r.nav, kFrom0, doc.Subtree({"a", "b", "x"}),
+                             true));
+  EXPECT_TRUE(
+      CanReachFinal(r.nav, kFrom0, [](TagId) { return true; }, true));
+}
+
+TEST(ReachabilityTest, TagGateControlsTraversal) {
+  Doc doc;
+  CompiledRule r = Compile("//a/b");
+  core::BindTags(doc.dict, &r.nav);
   // From the start state, both a and b must be present.
-  EXPECT_TRUE(CanReachFinal(r.nav, {0}, in_set({"a", "b"}), true));
-  EXPECT_FALSE(CanReachFinal(r.nav, {0}, in_set({"a"}), true));
-  EXPECT_FALSE(CanReachFinal(r.nav, {0}, in_set({"b", "x"}), false));
+  EXPECT_TRUE(CanReachFinal(r.nav, kFrom0, doc.Subtree({"a", "b"}), true));
+  EXPECT_FALSE(CanReachFinal(r.nav, kFrom0, doc.Subtree({"a"}), true));
+  EXPECT_FALSE(CanReachFinal(r.nav, kFrom0, doc.Subtree({"b", "x"}), false));
   // From state 1 (a already matched) only b is needed.
-  EXPECT_TRUE(CanReachFinal(r.nav, {1}, in_set({"b"}), true));
-  EXPECT_FALSE(CanReachFinal(r.nav, {1}, in_set({"a"}), true));
+  EXPECT_TRUE(CanReachFinal(r.nav, kFrom1, doc.Subtree({"b"}), true));
+  EXPECT_FALSE(CanReachFinal(r.nav, kFrom1, doc.Subtree({"a"}), true));
+  // Several active states: the highest one decides.
+  const std::vector<int> both = {0, 1};
+  EXPECT_TRUE(CanReachFinal(r.nav, both, doc.Subtree({"b"}), true));
 }
 
 TEST(ReachabilityTest, WildcardNeedsNonEmptySubtree) {
+  Doc doc;
   CompiledRule r = Compile("//*/secret");
-  auto has_secret = [](std::string_view t) { return t == "secret"; };
-  EXPECT_TRUE(CanReachFinal(r.nav, {0}, has_secret, true));
-  EXPECT_FALSE(CanReachFinal(r.nav, {0}, has_secret, false));
+  core::BindTags(doc.dict, &r.nav);
+  EXPECT_TRUE(CanReachFinal(r.nav, kFrom0, doc.Subtree({"secret"}), true));
+  EXPECT_FALSE(CanReachFinal(r.nav, kFrom0, doc.Subtree({"secret"}), false));
 }
 
 TEST(ReachabilityTest, FinalStateInActiveSetIsReachable) {
   CompiledRule r = Compile("//a");
-  EXPECT_TRUE(CanReachFinal(
-      r.nav, {r.nav.final_state}, [](std::string_view) { return false; },
-      true));
+  const std::vector<int> at_final = {r.nav.final_state};
+  EXPECT_TRUE(
+      CanReachFinal(r.nav, at_final, [](TagId) { return false; }, true));
 }
 
 TEST(ReachabilityTest, EmptyActiveSetUnreachable) {
   CompiledRule r = Compile("//a");
-  EXPECT_FALSE(CanReachFinal(
-      r.nav, {}, [](std::string_view) { return true; }, true));
+  const std::vector<int> none;
+  EXPECT_FALSE(CanReachFinal(r.nav, none, [](TagId) { return true; }, true));
+  // States outside the automaton are ignored.
+  const std::vector<int> outside = {-1, 7};
+  EXPECT_FALSE(
+      CanReachFinal(r.nav, outside, [](TagId) { return true; }, true));
 }
 
 TEST(AutomatonTest, NestedPredicatesRejected) {

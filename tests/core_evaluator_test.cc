@@ -241,5 +241,47 @@ TEST(EvaluatorTest, RejectsCloseWithoutOpen) {
   EXPECT_FALSE(ev->OnEventView(xml::EventView::Close("a")).ok());
 }
 
+// Reset() runs a new session on the same evaluator: each session gives
+// the view of a fresh evaluator, pending predicates and a query included,
+// even after the one before stopped midway. A failed Reset() leaves an
+// evaluator that refuses events.
+TEST(EvaluatorTest, ResetRunsSessionsLikeFreshEvaluators) {
+  const std::string doc =
+      "<r><a><k>1</k><b>x</b></a><a><b>y</b></a><c><b>z</b></c></r>";
+  struct Session {
+    const char* rules;
+    const char* query;
+  };
+  const Session sessions[] = {
+      {"+ u //a[k]\n- u //b\n", ""},
+      {"+ u /r\n", "//b"},
+      {"+ u //a[k=\"1\"]\n+ u //c\n", "//b"},
+      {"+ u //a[k]\n", ""},
+  };
+  CanonicalWriter out;
+  auto ev = StreamingEvaluator::Create({}, nullptr, &out).value();
+  // Leave the first evaluator mid-document with output buffered.
+  ASSERT_TRUE(ev->OnEventView(xml::EventView::Open("r")).ok());
+  for (const Session& session : sessions) {
+    auto rules = RuleSet::ParseText(session.rules).value();
+    xpath::PathExpr query;
+    const xpath::PathExpr* qptr = nullptr;
+    if (*session.query != '\0') {
+      query = xpath::ParsePath(session.query).value();
+      qptr = &query;
+    }
+    CanonicalWriter view;
+    ASSERT_TRUE(ev->Reset(rules.ForSubject("u"), qptr, &view).ok());
+    auto dom = DomDocument::Parse(doc).value();
+    ASSERT_TRUE(dom.root()->EmitEvents(ev.get()).ok());
+    ASSERT_TRUE(ev->Finish().ok());
+    EXPECT_EQ(view.str(), Stream(doc, session.rules, "u", session.query))
+        << session.rules;
+  }
+  auto nested = RuleSet::ParseText("+ u //a[b[c]]\n").value();
+  EXPECT_FALSE(ev->Reset(nested.ForSubject("u"), nullptr, &out).ok());
+  EXPECT_FALSE(ev->OnEventView(xml::EventView::Open("r")).ok());
+}
+
 }  // namespace
 }  // namespace csxa

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/automaton.h"
 #include "core/obligation.h"
 #include "xpath/parser.h"
@@ -127,6 +129,61 @@ TEST(PredRunTest, ModeledBytesGrowWithDepth) {
   EXPECT_GT(run.ModeledBytes(), before);
 }
 
+// A run Reset() for a new context behaves exactly like a fresh one,
+// whatever state its buffers were left in.
+TEST(PredRunTest, ResetRunMatchesFreshRun) {
+  CompiledPath value = CompilePred(".//v=\"x\"");
+  CompiledPath exists = CompilePred("c");
+  PredRun reused(&value, 1);
+  reused.OnOpen("v", 2);
+  reused.OnValue("partial", 2);
+  reused.OnOpen("w", 3);  // left open: stack and capture both in use
+  auto drive = [](PredRun* run) {
+    std::vector<bool> out;
+    out.push_back(run->OnOpen("a", 4));
+    out.push_back(run->OnOpen("v", 5));
+    run->OnValue("x", 5);
+    out.push_back(run->OnClose(5));
+    out.push_back(run->OnClose(4));
+    return out;
+  };
+  for (const CompiledPath* path : {&exists, &value}) {
+    PredRun fresh(path, 3);
+    reused.Reset(path, 3);
+    EXPECT_EQ(reused.ModeledBytes(), fresh.ModeledBytes());
+    EXPECT_EQ(drive(&reused), drive(&fresh));
+    EXPECT_EQ(reused.satisfied(), fresh.satisfied());
+    EXPECT_EQ(reused.transitions(), fresh.transitions());
+    EXPECT_EQ(reused.ModeledBytes(), fresh.ModeledBytes());
+    EXPECT_EQ(reused.RecountModeledBytes(), reused.ModeledBytes());
+  }
+}
+
+// Resolved obligations hand their runs back; a Clear()ed set starts over
+// with ids from 0 and no modeled bytes, reusing the runs.
+TEST(ObligationSetTest, ReusesRetiredRunsAndClears) {
+  CompiledPath p = CompilePred("c");
+  ObligationSet set;
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(set.Create(&p, 1), 0);
+    set.OnOpen("c", 2);  // resolves true: its run is retired
+    set.OnClose(2);
+    EXPECT_EQ(set.state(0), ObligationSet::State::kTrue);
+    EXPECT_EQ(set.Create(&p, 1), 1);  // reuses the retired run
+    EXPECT_EQ(set.live_count(), 1u);
+    EXPECT_EQ(set.ModeledBytes(), set.RecountModeledBytes());
+    set.OnOpen("x", 2);
+    set.OnClose(2);
+    set.OnClose(1);
+    EXPECT_EQ(set.state(1), ObligationSet::State::kFalse);
+    EXPECT_EQ(set.ModeledBytes(), 0u);
+    EXPECT_EQ(set.transitions(), 2u);
+    set.Clear();
+    EXPECT_EQ(set.size(), 0u);
+    EXPECT_EQ(set.transitions(), 0u);
+  }
+}
+
 TEST(ObligationSetTest, ResolvesFalseAtContextClose) {
   CompiledPath p = CompilePred("c");
   ObligationSet set;
@@ -167,10 +224,15 @@ TEST(ObligationSetTest, IndependentInstances) {
 
 TEST(ObligationSetTest, BlocksSkipWhenResolvableInside) {
   CompiledPath p = CompilePred(".//c");
+  // The skip probe asks by document tag id.
+  Interner dict;
+  dict.Intern("z");
+  dict.Intern("c");
+  core::BindTags(dict, &p);
   ObligationSet set;
   set.Create(&p, 1);
-  auto has_c = [](std::string_view t) { return t == "c"; };
-  auto no_c = [](std::string_view t) { return t == "z"; };
+  auto has_c = [&dict](TagId t) { return t == dict.Lookup("c"); };
+  auto no_c = [&dict](TagId t) { return t == dict.Lookup("z"); };
   EXPECT_TRUE(set.BlocksSkip(has_c, true, 2));
   EXPECT_FALSE(set.BlocksSkip(no_c, true, 2));
   EXPECT_FALSE(set.BlocksSkip(has_c, false, 2));
@@ -181,7 +243,7 @@ TEST(ObligationSetTest, BlocksSkipForOpenCaptureAtDepth) {
   ObligationSet set;
   set.Create(&p, 1);
   set.OnOpen("v", 2);  // capture opens at depth 2
-  auto none = [](std::string_view) { return false; };
+  auto none = [](TagId) { return false; };
   EXPECT_TRUE(set.BlocksSkip(none, false, 2));   // direct text pending here
   EXPECT_FALSE(set.BlocksSkip(none, false, 3));  // deeper content: no
 }

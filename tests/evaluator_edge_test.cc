@@ -171,7 +171,7 @@ TEST(EvaluatorEdgeTest, SkipDecisionRefusedWhilePending) {
   ASSERT_TRUE(ev->OnEventView(xml::EventView::Open("r")).ok());
   ASSERT_TRUE(ev->OnEventView(xml::EventView::Open("a")).ok());
   ASSERT_TRUE(ev->OnEventView(xml::EventView::Open("big")).ok());
-  auto no_tag = [](std::string_view) { return false; };
+  auto no_tag = [](TagId) { return false; };
   // `big` is inside the pending <a>: its delivery is undecided, skip must
   // be refused.
   EXPECT_FALSE(ev->CanSkipCurrentSubtree(no_tag, false, true));

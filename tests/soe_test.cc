@@ -115,11 +115,17 @@ class TestProvider : public soe::ContainerChunkProvider {
       for (uint32_t index = run.first; index < run.first + run.count;
            ++index) {
         ChunkData& chunk = (*out)[at++];
-        if (index == tamper_index_) chunk.ciphertext[0] ^= 0xFF;
+        // Served chunks view the container; a tampered one is this
+        // provider's own mutated copy.
+        if (index == tamper_index_) {
+          Bytes flipped = chunk.ciphertext.ToBytes();
+          flipped[0] ^= 0xFF;
+          chunk.SetOwnedCiphertext(std::move(flipped));
+        }
         if (index == swap_with_ok_proof_) {
           // Substitute another chunk's ciphertext, keep this index's auth.
           auto other = container_->ChunkCiphertext(0);
-          if (other.ok()) chunk.ciphertext = other.value().ToBytes();
+          if (other.ok()) chunk.ciphertext = other.value();
         }
         ++fetches_;
       }
@@ -471,14 +477,25 @@ struct GoldenDoc {
                                  const CardProfile& profile,
                                  bool strict_ram) const {
     soe::CardEngine card(profile);
-    card.InstallKey("doc", key);
-    soe::ContainerChunkProvider provider(container.get());
+    return RunOn(&card, row, strict_ram);
+  }
+
+  // The same session on `card`, which may have run other sessions before.
+  // With `tamper_chunk` set, that chunk arrives flipped and the session
+  // fails when it reads it.
+  Result<soe::SessionOutput> RunOn(soe::CardEngine* card, const GoldenRow& row,
+                                   bool strict_ram,
+                                   uint32_t tamper_chunk = UINT32_MAX) const {
+    card->InstallKey("doc", key);
+    TestProvider provider(container.get());
+    provider.tamper_index_ = tamper_chunk;
     soe::SessionOptions opts;
     opts.subject = row.subject;
     if (row.query) opts.query_text = kGoldenQuery;
     opts.use_skip = row.skip;
     opts.strict_ram = strict_ram;
-    return card.RunSession("doc", header_bytes, sealed_rules, &provider, opts);
+    return card->RunSession("doc", header_bytes, sealed_rules, &provider,
+                            opts);
   }
 };
 
@@ -542,6 +559,63 @@ TEST(GoldenSessionTest, ModeledCostsAreByteIdentical) {
     }
   }
   EXPECT_EQ(checked, std::size(kGoldenSessions));
+}
+
+// One card runs the whole grid, forwards then backwards, with a session
+// that fails on a tampered last chunk (which holds the root's close, so
+// every scan reads it) after each: its evaluator is Reset() between
+// subjects, queries and skip modes, and after a scan aborted with the
+// root still open. Every session still gives its golden modeled costs,
+// and the view and evaluator counters of a fresh card.
+TEST(GoldenSessionTest, ReusedCardMatchesFreshCards) {
+  size_t checked = 0;
+  for (uint32_t chunk : {64u, 256u}) {
+    for (bool merkle : {false, true}) {
+      GoldenDoc doc(chunk, merkle);
+      std::vector<GoldenRow> keys;
+      for (const char* subject : {"accountant", "researcher", "emergency"}) {
+        for (bool query : {false, true}) {
+          for (bool skip : {true, false}) {
+            keys.push_back(GoldenRow{subject, query, skip, chunk, merkle, 0,
+                                     0, 0, 0, 0, 0, 0});
+          }
+        }
+      }
+      soe::CardEngine card(CardProfile::EGate());
+      for (int pass = 0; pass < 2; ++pass) {
+        for (size_t k = 0; k < keys.size(); ++k) {
+          const GoldenRow& key = keys[pass == 0 ? k : keys.size() - 1 - k];
+          auto fresh = doc.Run(key, CardProfile::EGate(), false);
+          auto reused = doc.RunOn(&card, key, false);
+          ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+          ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+          const soe::SessionStats& a = fresh.value().stats;
+          const soe::SessionStats& b = reused.value().stats;
+          const std::string row = FormatRow(key, a);
+          EXPECT_EQ(FormatRow(key, b), row);
+          EXPECT_EQ(reused.value().view_xml, fresh.value().view_xml) << row;
+          EXPECT_EQ(b.evaluator.events, a.evaluator.events) << row;
+          EXPECT_EQ(b.evaluator.nfa_transitions, a.evaluator.nfa_transitions)
+              << row;
+          EXPECT_EQ(b.evaluator.obligations_created,
+                    a.evaluator.obligations_created)
+              << row;
+          EXPECT_EQ(b.evaluator.candidates_created,
+                    a.evaluator.candidates_created)
+              << row;
+          EXPECT_EQ(b.evaluator.buffered_events_peak,
+                    a.evaluator.buffered_events_peak)
+              << row;
+          EXPECT_EQ(b.skips, a.skips) << row;
+          auto aborted = doc.RunOn(&card, key, false,
+                                   doc.container->header().chunk_count - 1);
+          EXPECT_EQ(aborted.status().code(), StatusCode::kIntegrityError);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 * std::size(kGoldenSessions));
 }
 
 // Strict mode trips at exactly the metered peak: a budget of one byte less

@@ -35,7 +35,7 @@ class TaggedChunkProvider : public soe::ChunkProvider {
     for (const skipindex::ChunkRun& run : runs) {
       for (uint32_t i = run.first; i < run.first + run.count; ++i) {
         soe::ChunkData chunk;
-        chunk.ciphertext = Bytes{static_cast<uint8_t>(i)};
+        chunk.SetOwnedCiphertext(Bytes{static_cast<uint8_t>(i)});
         out->push_back(std::move(chunk));
       }
     }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/ref_evaluator.h"
@@ -518,6 +521,27 @@ TEST(TransportTest, MissWindowOneIsPerChunk) {
   EXPECT_EQ(prefetch.round_trips(), 6u);
 }
 
+TEST(TransportTest, BufferedChunksAreServedOnce) {
+  // A chunk leaves the terminal's buffers when the card takes it, from the
+  // planned batch or from a window: asking for it again is a new fetch,
+  // and it still carries its own payload.
+  fakes::TaggedChunkProvider backend(12);
+  soe::FetchPlan plan;
+  plan.runs = {{0, 4}};
+  soe::PlannedProvider prefetch(&backend, 12, plan, /*max_prefetch=*/2);
+  for (uint32_t c : {1u, 1u, 6u, 6u, 2u}) {
+    auto chunk = fakes::FetchOne(prefetch, c);
+    ASSERT_TRUE(chunk.ok()) << c;
+    EXPECT_EQ(chunk.value().ciphertext[0], static_cast<uint8_t>(c)) << c;
+  }
+  // 1 comes from the plan. 1 again, 6, 6 again and 2 each take a window
+  // fetch: a taken chunk is gone, and the window fetched at 6 dropped the
+  // planned chunks behind it.
+  EXPECT_EQ(prefetch.planned_trips(), 1u);
+  EXPECT_EQ(prefetch.window_trips(), 4u);
+  EXPECT_EQ(prefetch.round_trips(), 5u);
+}
+
 // --- Untrusted chunk replies -------------------------------------------------
 
 // The shapes a hostile DSP can give a kGetChunks reply.
@@ -708,6 +732,66 @@ TYPED_TEST(BackendTest, GetChunksServesSpansInOrder) {
   // Out-of-range spans fail as a whole.
   EXPECT_FALSE(server.GetChunks("d", {{99, 1}}).ok());
   EXPECT_FALSE(server.GetChunks("d", {{0, 99}}).ok());
+}
+
+// A kGetChunks reply views the stored container bytes and holds a
+// reference to them, so it outlives the document: after a republish and a
+// remove, issued on a dispatcher worker thread, the chunks of a reply
+// served inline and of one served on the worker still verify and decrypt
+// to the first container's payload. (ASan and TSan run this label.)
+TYPED_TEST(BackendTest, ChunkRepliesOutliveRepublishAndRemove) {
+  auto& server = *this->server_;
+  Rng rng(77);
+  const auto key = crypto::SymmetricKey::Generate(&rng);
+  Bytes payload(2000);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  constexpr uint32_t kChunk = 256;
+  Bytes sealed = crypto::SecureContainer::Seal(key, payload, kChunk, &rng);
+  const crypto::ContainerHeader header =
+      crypto::SecureContainer::Parse(sealed).value().header();
+  ASSERT_TRUE(server.Publish("d", sealed, Bytes{1}).ok());
+
+  auto inline_reply = server.GetChunks("d", {{0, 2}, {5, 1}});
+  ASSERT_TRUE(inline_reply.ok()) << inline_reply.status().ToString();
+  dsp::AsyncDispatcher dispatcher(&server);
+  dsp::Request request;
+  request.op = dsp::Op::kGetChunks;
+  request.doc_id = "d";
+  request.spans = {{2, 3}};
+  auto worker_reply = dispatcher.Submit(std::move(request)).get();
+  ASSERT_TRUE(worker_reply.ok()) << worker_reply.status().ToString();
+
+  // Writes run on the dispatcher's worker: the table drops its reference
+  // to the first container there.
+  ASSERT_TRUE(dispatcher
+                  .Publish("d", SealedContainer(9, payload.size(), kChunk),
+                           Bytes{2})
+                  .ok());
+  ASSERT_TRUE(dispatcher.Remove("d").ok());
+  EXPECT_FALSE(server.GetChunks("d", {{0, 1}}).ok());
+  // Same-sized allocations are likely to land where freed container bytes
+  // were, so a reply that did not hold its bytes would read these.
+  std::vector<Bytes> churn;
+  for (int i = 0; i < 8; ++i) churn.emplace_back(sealed.size(), 0xA5);
+
+  auto expect_payload = [&](const std::vector<soe::ChunkData>& chunks,
+                            const std::vector<uint32_t>& indices) {
+    ASSERT_EQ(chunks.size(), indices.size());
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      const uint32_t index = indices[i];
+      auto plain = crypto::SecureContainer::VerifyAndDecryptChunk(
+          key, header, index, chunks[i].ciphertext, chunks[i].auth);
+      ASSERT_TRUE(plain.ok()) << index << ": " << plain.status().ToString();
+      const size_t at = size_t{index} * kChunk;
+      EXPECT_TRUE(std::equal(plain.value().begin(), plain.value().end(),
+                             payload.begin() + static_cast<long>(at)))
+          << index;
+    }
+  };
+  expect_payload(inline_reply.value(), {0, 1, 5});
+  expect_payload(worker_reply.value().chunks, {2, 3, 4});
 }
 
 TYPED_TEST(BackendTest, RevalidationByKnownVersion) {
