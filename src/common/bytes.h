@@ -66,7 +66,7 @@ class Span {
 /// \brief Append-only writer over an owned Bytes buffer.
 ///
 /// Provides fixed-width little-endian integer encoders used by the document
-/// container format, the skip index and the APDU codec.
+/// container format, the skip index and the applet's command payloads.
 class ByteWriter {
  public:
   ByteWriter() = default;

@@ -24,8 +24,11 @@
 ///    by the committed rules version: a reply whose rules_version is
 ///    below the version last acked to a writer — or a NotFound for a
 ///    document known to be committed — marks the replica as lagging and
-///    the read moves on. A stale reply never leaves this layer; the
-///    stale_reads_served counter existing (and staying 0) is the point.
+///    the read moves on. A stale reply never leaves this layer. The
+///    stale_reads_served counter is never incremented: nothing here can
+///    notice a stale reply it let through, so its zero holds by
+///    construction and checks nothing. The real check is a client-side
+///    history checker (ROADMAP.md, open item 3).
 ///  - **Failure detection** is heartbeat-based on a modeled clock: each
 ///    HeartbeatTick() pings every replica (Op::kPing) once. A replica
 ///    missing `suspect_after` consecutive beats is kDown. Request-path
@@ -86,7 +89,9 @@ struct ReplicationStats {
   uint64_t quorum_failures = 0;   ///< writes acked by fewer than quorum
   uint64_t read_reroutes = 0;     ///< reads served by a non-first choice
   uint64_t stale_reads_detected = 0;  ///< stale replies caught and bypassed
-  uint64_t stale_reads_served = 0;    ///< stale replies returned (MUST be 0)
+  /// Never incremented, so always 0: a replica layer cannot count the
+  /// stale replies it fails to catch. Kept for the reports that print it.
+  uint64_t stale_reads_served = 0;
   uint64_t primary_promotions = 0;    ///< failovers of the primary role
   uint64_t reintegrations = 0;        ///< replicas caught up and rejoined
   uint64_t catchup_ops_replayed = 0;  ///< log entries replayed in catch-up

@@ -22,7 +22,6 @@
 /// half-applied update. Load counters are atomics so the read fast path
 /// never upgrades its lock.
 
-#include <atomic>
 #include <shared_mutex>
 
 #include "common/status.h"
@@ -46,23 +45,13 @@ class DspServer : public Service {
     return table_.size();
   }
 
-  /// Publishes that reused the stored parse because the incoming container
-  /// bytes were identical to the stored ones (replication catch-up and
-  /// rules-only republish make this common).
-  uint64_t publish_parse_skips() const {
-    return publish_parse_skips_.load(std::memory_order_relaxed);
-  }
-
  private:
-  Result<Response> ApplyPublish(Request& request);
-
   /// Guards table_ (shared for reads, exclusive for publish/update/remove).
   /// Entries are only ever mutated or destroyed under the exclusive lock,
   /// so borrowing an entry under the shared lock is safe for the duration
   /// of one Execute().
   mutable std::shared_mutex mu_;
   DocTable<> table_;
-  std::atomic<uint64_t> publish_parse_skips_{0};
 };
 
 }  // namespace csxa::dsp

@@ -7,7 +7,6 @@
 namespace csxa::proxy {
 
 using soe::ApduCommand;
-using soe::ApduResponse;
 using soe::Ins;
 
 Terminal::Terminal(std::string user, soe::CardProfile profile,
@@ -81,61 +80,57 @@ Result<QueryResult> Terminal::Query(const std::string& doc_id,
                                 options.max_prefetch);
   applet_.SetChunkProvider(&provider);
 
-  // Drive the card over APDUs. The transport charges a dedicated cost
-  // model for terminal-side accounting; the card's own session cost is
-  // reported in its stats.
-  soe::CostModel link_cost(applet_.engine().profile());
-  soe::ApduTransport transport(&link_cost);
+  // Drive the card through its command set. The card's own CostModel
+  // charges every byte the session moves across the modeled link; the
+  // terminal only counts the exchanges. One reply serves every exchange,
+  // so paging the view out reuses its buffer slice after slice.
+  uint64_t exchanges = 0;
+  soe::ApduResponse reply;
+  auto exchange = [&](Ins ins, Span data = {}) {
+    ++exchanges;
+    applet_.Process(ApduCommand{ins, data}, &reply);
+    return reply.ok();
+  };
 
-  ApduCommand select;
-  select.ins = Ins::kSelectDocument;
-  {
-    ByteWriter w;
-    w.PutString(doc_id);
-    w.PutLengthPrefixed(open.header);
-    select.data = w.Take();
+  ByteWriter select;
+  select.PutString(doc_id);
+  select.PutLengthPrefixed(open.header);
+  if (!exchange(Ins::kSelectDocument, select.bytes())) {
+    return FromSw(reply.sw, "select");
   }
-  ApduResponse resp = transport.Exchange(&applet_, select);
-  if (!resp.ok()) return FromSw(resp.sw, "select");
-
-  ApduCommand put_rules;
-  put_rules.ins = Ins::kPutRules;
-  put_rules.data = open.sealed_rules;
-  resp = transport.Exchange(&applet_, put_rules);
-  if (!resp.ok()) return FromSw(resp.sw, "put-rules");
-
-  ApduCommand run;
-  run.ins = Ins::kRunQuery;
-  {
-    ByteWriter w;
-    w.PutString(user_);
-    w.PutString(options.query);
-    w.PutU8(options.use_skip ? 1 : 0);
-    run.data = w.Take();
+  if (!exchange(Ins::kPutRules, open.sealed_rules)) {
+    return FromSw(reply.sw, "put-rules");
   }
-  resp = transport.Exchange(&applet_, run);
-  if (!resp.ok()) return FromSw(resp.sw, "run-query");
+  ByteWriter run;
+  run.PutString(user_);
+  run.PutString(options.query);
+  run.PutU8(options.use_skip ? 1 : 0);
+  if (!exchange(Ins::kRunQuery, run.bytes())) {
+    return FromSw(reply.sw, "run-query");
+  }
+  // The reply announces the view length: reserve it once, so the slices
+  // append without growing the view.
+  ByteReader announced(reply.data);
+  uint64_t view_size = 0;
+  if (!announced.GetU64(&view_size)) {
+    return Status::Internal("run-query: no view length in the reply");
+  }
 
   // Page the delivered view out of the card.
   QueryResult result;
+  result.xml.reserve(view_size);
   for (;;) {
-    ApduCommand fetch;
-    fetch.ins = Ins::kFetchOutput;
-    ApduResponse slice = transport.Exchange(&applet_, fetch);
-    if (!slice.ok()) return FromSw(slice.sw, "fetch-output");
-    result.xml.append(reinterpret_cast<const char*>(slice.data.data()),
-                      slice.data.size());
-    if (slice.sw == soe::kSwOk) break;
+    if (!exchange(Ins::kFetchOutput)) return FromSw(reply.sw, "fetch-output");
+    result.xml.append(reinterpret_cast<const char*>(reply.data.data()),
+                      reply.data.size());
+    if (reply.sw == soe::kSwOk) break;
   }
-
-  ApduCommand end;
-  end.ins = Ins::kEndSession;
   result.card = applet_.last_stats();
-  transport.Exchange(&applet_, end);
+  exchange(Ins::kEndSession);
 
   result.dsp_bytes_fetched = open.wire_bytes + chunk_provider.wire_bytes();
   result.dsp_round_trips = 1 + chunk_provider.round_trips();
-  result.apdu_round_trips = transport.exchanges();
+  result.apdu_round_trips = exchanges;
 
   result.plan_ranges = provider.plan().runs.size();
   result.plan_trips = provider.planned_trips();

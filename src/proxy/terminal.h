@@ -8,10 +8,10 @@
 /// different elements of the architecture through an XML API independent
 /// of the underlying protocols (JDBC, APDU)" (§3). The proxy hosts the
 /// user's card (applet), provisions its keys from the PKI registry,
-/// drives sessions over the APDU transport, feeds container chunks
-/// fetched from the DSP through the batch-first dsp::Service protocol
-/// (one OpenDocument trip, then chunk fetches that ride a fetch plan —
-/// learned on a query's first run — or a fixed miss window), and
+/// drives sessions through the applet's APDU command set, feeds container
+/// chunks fetched from the DSP through the batch-first dsp::Service
+/// protocol (one OpenDocument trip, then chunk fetches that ride a fetch
+/// plan — learned on a query's first run — or a fixed miss window), and
 /// reassembles the delivered view for the application.
 
 #include <map>
@@ -22,7 +22,6 @@
 #include "dsp/service.h"
 #include "pki/registry.h"
 #include "soe/applet.h"
-#include "soe/apdu.h"
 #include "soe/prefetch.h"
 
 namespace csxa::proxy {

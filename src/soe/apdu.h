@@ -2,30 +2,28 @@
 #define CSXA_SOE_APDU_H_
 
 /// \file apdu.h
-/// \brief ISO 7816-4 style APDU framing between terminal and card.
+/// \brief The terminal-card command set, ISO 7816-4 style.
 ///
 /// "Application Protocol Data Unit: communication protocol between the
-/// terminal and the smart card" (§3, footnote 1). Commands carry a header
-/// (CLA INS P1 P2) and a payload; responses carry a payload and a status
-/// word. The transport charges every exchange to the session's CostModel
-/// (bandwidth plus per-exchange latency), chaining oversized payloads.
+/// terminal and the smart card" (§3, footnote 1). A command is an
+/// instruction and a payload; a response is a payload and a status word.
+/// The terminal hands commands to the applet in memory: nothing is framed
+/// or serialized, and the one model of the link is the card session's
+/// CostModel (cost_model.h), which charges the header, the rules, every
+/// chunk and the view as if they had crossed it.
 
 #include <cstdint>
 
 #include "common/bytes.h"
-#include "common/status.h"
-#include "soe/cost_model.h"
 
 namespace csxa::soe {
 
 /// Instruction codes of the C-SXA applet.
 enum class Ins : uint8_t {
   kSelectDocument = 0xA0,  ///< data: doc id + container header
-  kInstallKey = 0xA2,      ///< data: doc id + key (via secure channel)
   kPutRules = 0xA4,        ///< data: sealed rule-set record
   kRunQuery = 0xA6,        ///< data: subject + query text + skip flag
   kFetchOutput = 0xA8,     ///< response: next slice of the delivered view
-  kGetStats = 0xAA,        ///< response: serialized session statistics
   kEndSession = 0xAC,
 };
 
@@ -38,52 +36,20 @@ inline constexpr uint16_t kSwWrongData = 0x6A80;
 inline constexpr uint16_t kSwNotFound = 0x6A82;
 inline constexpr uint16_t kSwInternal = 0x6F00;
 
-/// \brief Command APDU.
+/// \brief Command APDU. The payload views the sender's bytes, which must
+/// outlive the exchange.
 struct ApduCommand {
-  uint8_t cla = 0x80;  // proprietary class
-  Ins ins = Ins::kGetStats;
-  uint8_t p1 = 0;
-  uint8_t p2 = 0;
-  Bytes data;
-
-  void EncodeTo(ByteWriter* out) const;
-  static Result<ApduCommand> DecodeFrom(ByteReader* in);
+  Ins ins = Ins::kEndSession;
+  Span data;
 };
 
-/// \brief Response APDU.
+/// \brief Response APDU. The sender reuses one across exchanges, so its
+/// buffer keeps its capacity from one reply to the next.
 struct ApduResponse {
   Bytes data;
   uint16_t sw = kSwOk;
 
   bool ok() const { return sw == kSwOk || (sw & 0xFF00) == kSwMoreData; }
-  void EncodeTo(ByteWriter* out) const;
-  static Result<ApduResponse> DecodeFrom(ByteReader* in);
-};
-
-/// \brief Card-side command handler.
-class ApduHandler {
- public:
-  virtual ~ApduHandler() = default;
-  virtual ApduResponse Process(const ApduCommand& command) = 0;
-};
-
-/// \brief Terminal-side transport over the modeled link.
-///
-/// Serializes the command, charges its bytes, delivers to the handler,
-/// charges the response bytes. The wire format is what the cost model
-/// meters; the handler receives the parsed command.
-class ApduTransport {
- public:
-  explicit ApduTransport(CostModel* cost) : cost_(cost) {}
-
-  ApduResponse Exchange(ApduHandler* card, const ApduCommand& command);
-
-  /// Number of exchanges performed.
-  uint64_t exchanges() const { return exchanges_; }
-
- private:
-  CostModel* cost_;
-  uint64_t exchanges_ = 0;
 };
 
 }  // namespace csxa::soe

@@ -2,90 +2,68 @@
 
 namespace csxa::soe {
 
-namespace {
-ApduResponse Error(uint16_t sw) {
-  ApduResponse r;
-  r.sw = sw;
-  return r;
-}
-ApduResponse Ok(Bytes data = {}) {
-  ApduResponse r;
-  r.data = std::move(data);
-  return r;
-}
-}  // namespace
-
-ApduResponse CsxaApplet::Process(const ApduCommand& command) {
+void CsxaApplet::Process(const ApduCommand& command, ApduResponse* reply) {
+  reply->data.clear();
   switch (command.ins) {
     case Ins::kSelectDocument:
-      return HandleSelect(command);
-    case Ins::kInstallKey:
-      return HandleInstallKey(command);
+      reply->sw = HandleSelect(command.data);
+      return;
     case Ins::kPutRules:
-      return HandlePutRules(command);
+      reply->sw = HandlePutRules(command.data);
+      return;
     case Ins::kRunQuery:
-      return HandleRunQuery(command);
+      reply->sw = HandleRunQuery(command.data, &reply->data);
+      return;
     case Ins::kFetchOutput:
-      return HandleFetchOutput(command);
-    case Ins::kGetStats:
-      return HandleGetStats(command);
+      reply->sw = HandleFetchOutput(&reply->data);
+      return;
     case Ins::kEndSession:
       selected_doc_.clear();
       header_bytes_.clear();
-      sealed_rules_.clear();
-      output_.clear();
-      output_cursor_ = 0;
-      session_ready_ = false;
-      return Ok();
+      ResetSession();
+      reply->sw = kSwOk;
+      return;
   }
-  return Error(kSwConditionsNotSatisfied);
+  reply->sw = kSwConditionsNotSatisfied;
 }
 
-ApduResponse CsxaApplet::HandleSelect(const ApduCommand& cmd) {
-  ByteReader r(cmd.data);
-  std::string doc_id;
-  Span header;
-  if (!r.GetString(&doc_id) || !r.GetLengthPrefixed(&header) || !r.AtEnd()) {
-    return Error(kSwWrongData);
-  }
-  if (!engine_.HasKey(doc_id)) return Error(kSwSecurityStatus);
-  selected_doc_ = doc_id;
-  header_bytes_ = header.ToBytes();
+void CsxaApplet::ResetSession() {
   sealed_rules_.clear();
   output_.clear();
   output_cursor_ = 0;
   session_ready_ = false;
-  return Ok();
 }
 
-ApduResponse CsxaApplet::HandleInstallKey(const ApduCommand& cmd) {
-  ByteReader r(cmd.data);
+uint16_t CsxaApplet::HandleSelect(Span data) {
+  ByteReader r(data);
   std::string doc_id;
-  Span key_bytes;
-  if (!r.GetString(&doc_id) || !r.GetLengthPrefixed(&key_bytes) || !r.AtEnd() ||
-      key_bytes.size() != crypto::kAesKeySize) {
-    return Error(kSwWrongData);
+  Span header;
+  if (!r.GetString(&doc_id) || !r.GetLengthPrefixed(&header) || !r.AtEnd()) {
+    return kSwWrongData;
   }
-  engine_.InstallKey(doc_id, crypto::SymmetricKey(key_bytes));
-  return Ok();
+  if (!engine_.HasKey(doc_id)) return kSwSecurityStatus;
+  selected_doc_ = doc_id;
+  header_bytes_.assign(header.data(), header.data() + header.size());
+  ResetSession();
+  return kSwOk;
 }
 
-ApduResponse CsxaApplet::HandlePutRules(const ApduCommand& cmd) {
-  if (selected_doc_.empty()) return Error(kSwConditionsNotSatisfied);
-  sealed_rules_ = cmd.data;
-  return Ok();
+uint16_t CsxaApplet::HandlePutRules(Span data) {
+  if (selected_doc_.empty()) return kSwConditionsNotSatisfied;
+  sealed_rules_.assign(data.data(), data.data() + data.size());
+  return kSwOk;
 }
 
-ApduResponse CsxaApplet::HandleRunQuery(const ApduCommand& cmd) {
+uint16_t CsxaApplet::HandleRunQuery(Span data, Bytes* reply) {
   if (selected_doc_.empty() || sealed_rules_.empty() || provider_ == nullptr) {
-    return Error(kSwConditionsNotSatisfied);
+    return kSwConditionsNotSatisfied;
   }
-  ByteReader r(cmd.data);
+  ByteReader r(data);
   SessionOptions opts;
   uint8_t flags;
   if (!r.GetString(&opts.subject) || !r.GetString(&opts.query_text) ||
       !r.GetU8(&flags) || !r.AtEnd()) {
-    return Error(kSwWrongData);
+    return kSwWrongData;
   }
   opts.use_skip = (flags & 1) != 0;
   auto result = engine_.RunSession(selected_doc_, header_bytes_, sealed_rules_,
@@ -94,47 +72,34 @@ ApduResponse CsxaApplet::HandleRunQuery(const ApduCommand& cmd) {
     output_.clear();
     switch (result.status().code()) {
       case StatusCode::kIntegrityError:
-        return Error(kSwSecurityStatus);
+        return kSwSecurityStatus;
       case StatusCode::kNotFound:
-        return Error(kSwNotFound);
+        return kSwNotFound;
       case StatusCode::kResourceExhausted:
-        return Error(kSwConditionsNotSatisfied);
+        return kSwConditionsNotSatisfied;
       default:
-        return Error(kSwInternal);
+        return kSwInternal;
     }
   }
   last_stats_ = result.value();
   output_cursor_ = 0;
   session_ready_ = true;
-  ByteWriter w;
-  w.PutU64(output_.size());
-  return Ok(w.Take());
+  // The reply announces the view length, little-endian u64.
+  for (int i = 0; i < 8; ++i) {
+    reply->push_back(static_cast<uint8_t>(uint64_t{output_.size()} >> (8 * i)));
+  }
+  return kSwOk;
 }
 
-ApduResponse CsxaApplet::HandleFetchOutput(const ApduCommand&) {
-  if (!session_ready_) return Error(kSwConditionsNotSatisfied);
+uint16_t CsxaApplet::HandleFetchOutput(Bytes* reply) {
+  if (!session_ready_) return kSwConditionsNotSatisfied;
   constexpr size_t kSlice = 240;
   size_t n = output_.size() - output_cursor_;
   if (n > kSlice) n = kSlice;
-  Bytes slice(output_.begin() + static_cast<long>(output_cursor_),
-              output_.begin() + static_cast<long>(output_cursor_ + n));
+  const char* slice = output_.data() + output_cursor_;
+  reply->assign(slice, slice + n);
   output_cursor_ += n;
-  ApduResponse resp;
-  resp.data = std::move(slice);
-  resp.sw = output_cursor_ < output_.size() ? kSwMoreData : kSwOk;
-  return resp;
-}
-
-ApduResponse CsxaApplet::HandleGetStats(const ApduCommand&) {
-  if (!session_ready_) return Error(kSwConditionsNotSatisfied);
-  ByteWriter w;
-  w.PutU64(static_cast<uint64_t>(last_stats_.bytes_transferred));
-  w.PutU64(static_cast<uint64_t>(last_stats_.bytes_decrypted));
-  w.PutU64(static_cast<uint64_t>(last_stats_.chunks_fetched));
-  w.PutU64(static_cast<uint64_t>(last_stats_.chunks_avoided));
-  w.PutU64(static_cast<uint64_t>(last_stats_.skips));
-  w.PutU64(static_cast<uint64_t>(last_stats_.ram_peak));
-  return Ok(w.Take());
+  return output_cursor_ < output_.size() ? kSwMoreData : kSwOk;
 }
 
 }  // namespace csxa::soe

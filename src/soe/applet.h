@@ -13,7 +13,6 @@
 /// traffic (chunk bytes and, in pull mode, round trips) as if it had
 /// crossed the link.
 
-#include <memory>
 #include <string>
 
 #include "soe/apdu.h"
@@ -21,44 +20,46 @@
 
 namespace csxa::soe {
 
-/// \brief ApduHandler exposing the C-SXA engine.
-class CsxaApplet : public ApduHandler {
+/// \brief The C-SXA engine behind the applet's command set.
+class CsxaApplet {
  public:
   /// The applet owns its engine (the card).
   explicit CsxaApplet(CardProfile profile) : engine_(profile) {}
 
-  /// Direct key installation (models the issuer's secure channel).
+  /// Key installation (models the issuer's secure channel).
   void InstallKey(const std::string& doc_id, const crypto::SymmetricKey& key) {
     engine_.InstallKey(doc_id, key);
   }
   /// Wires the provider used for the *next* kRunQuery.
   void SetChunkProvider(ChunkProvider* provider) { provider_ = provider; }
 
-  ApduResponse Process(const ApduCommand& command) override;
+  /// Runs one command and fills `reply` in place: its payload is replaced
+  /// without releasing the buffer, so a sender that reuses one reply pages
+  /// a view out with no allocation per slice.
+  void Process(const ApduCommand& command, ApduResponse* reply);
 
   /// Statistics of the last completed session (valid after kRunQuery).
   const SessionStats& last_stats() const { return last_stats_; }
 
-  /// Engine access for non-APDU callers (benchmarks).
+  /// Engine access for callers that bypass the command set (benchmarks).
   CardEngine& engine() { return engine_; }
 
  private:
-  ApduResponse HandleSelect(const ApduCommand& cmd);
-  ApduResponse HandleInstallKey(const ApduCommand& cmd);
-  ApduResponse HandlePutRules(const ApduCommand& cmd);
-  ApduResponse HandleRunQuery(const ApduCommand& cmd);
-  ApduResponse HandleFetchOutput(const ApduCommand& cmd);
-  ApduResponse HandleGetStats(const ApduCommand& cmd);
+  // Each handler returns the status word and writes any payload to `reply`.
+  uint16_t HandleSelect(Span data);
+  uint16_t HandlePutRules(Span data);
+  uint16_t HandleRunQuery(Span data, Bytes* reply);
+  uint16_t HandleFetchOutput(Bytes* reply);
+  void ResetSession();
 
   CardEngine engine_{CardProfile::EGate()};
   ChunkProvider* provider_ = nullptr;
 
-  // Session state.
+  // Session state. Each buffer keeps its capacity from one session to the
+  // next; the engine renders the delivered view into output_.
   std::string selected_doc_;
   Bytes header_bytes_;
   Bytes sealed_rules_;
-  // The delivered view: the engine renders into it, and it keeps its
-  // capacity from one session to the next.
   std::string output_;
   size_t output_cursor_ = 0;
   SessionStats last_stats_;

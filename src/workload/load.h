@@ -28,9 +28,10 @@
 /// latency, and a heartbeat round fires each time the clock crosses the
 /// configured interval — the failure detector ticks at a rate set by
 /// simulated time, not by how often clients happen to be backing off. The
-/// acceptance bar is in the counters: failures and stale_reads_served
-/// stay zero while retries, reroutes, promotions and reintegrations
-/// record the turbulence.
+/// acceptance bar is in the counters: failures stay zero while retries,
+/// reroutes, promotions and reintegrations record the turbulence.
+/// stale_reads_served is copied from ReplicationStats, where nothing
+/// increments it: its zero is no evidence that reads were fresh.
 ///
 /// The shard fleet is either the in-memory DspServer (default) or the
 /// durable encrypted block store (dsp/durable.h) on a hermetic in-RAM
@@ -155,7 +156,9 @@ struct LoadReport {
   uint64_t replica_read_reroutes = 0;  ///< reads served by a non-first replica
   uint64_t primary_promotions = 0;
   uint64_t stale_reads_detected = 0;  ///< stale replies caught and bypassed
-  uint64_t stale_reads_served = 0;    ///< MUST stay 0 — the invariant
+  /// Always 0: ReplicationStats never increments it (replicated.h). The
+  /// check that no stale read escapes is ROADMAP item 3's history checker.
+  uint64_t stale_reads_served = 0;
   uint64_t quorum_failures = 0;
   uint64_t reintegrations = 0;
   uint64_t heartbeats = 0;

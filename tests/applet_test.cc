@@ -14,7 +14,6 @@
 namespace csxa {
 namespace {
 
-using soe::ApduCommand;
 using soe::ApduResponse;
 using soe::CsxaApplet;
 using soe::Ins;
@@ -48,30 +47,25 @@ struct AppletFixture {
     applet.SetChunkProvider(provider.get());
   }
 
+  // One exchange; the reply is copied out so a test can keep several.
+  ApduResponse Send(Ins ins, Span data = {}) {
+    ApduResponse reply;
+    applet.Process({ins, data}, &reply);
+    return reply;
+  }
   ApduResponse Select() {
-    ApduCommand cmd;
-    cmd.ins = Ins::kSelectDocument;
     ByteWriter w;
     w.PutString("doc");
     w.PutLengthPrefixed(header);
-    cmd.data = w.Take();
-    return applet.Process(cmd);
+    return Send(Ins::kSelectDocument, w.bytes());
   }
-  ApduResponse PutRules() {
-    ApduCommand cmd;
-    cmd.ins = Ins::kPutRules;
-    cmd.data = sealed_rules;
-    return applet.Process(cmd);
-  }
+  ApduResponse PutRules() { return Send(Ins::kPutRules, sealed_rules); }
   ApduResponse Run(const std::string& subject, const std::string& query) {
-    ApduCommand cmd;
-    cmd.ins = Ins::kRunQuery;
     ByteWriter w;
     w.PutString(subject);
     w.PutString(query);
     w.PutU8(1);  // use_skip
-    cmd.data = w.Take();
-    return applet.Process(cmd);
+    return Send(Ins::kRunQuery, w.bytes());
   }
 };
 
@@ -90,9 +84,7 @@ TEST(AppletTest, FullCommandSequence) {
   // Page the output out.
   std::string xml;
   for (;;) {
-    ApduCommand fetch;
-    fetch.ins = Ins::kFetchOutput;
-    ApduResponse slice = fx.applet.Process(fetch);
+    ApduResponse slice = fx.Send(Ins::kFetchOutput);
     ASSERT_TRUE(slice.ok());
     xml.append(reinterpret_cast<const char*>(slice.data.data()),
                slice.data.size());
@@ -103,13 +95,6 @@ TEST(AppletTest, FullCommandSequence) {
   EXPECT_EQ(xml.size(), output_size);
   EXPECT_NE(xml.find("<agenda>"), std::string::npos);
   EXPECT_EQ(xml.find("<note>"), std::string::npos);
-
-  // Stats after a session.
-  ApduCommand stats;
-  stats.ins = Ins::kGetStats;
-  ApduResponse sresp = fx.applet.Process(stats);
-  EXPECT_EQ(sresp.sw, soe::kSwOk);
-  EXPECT_EQ(sresp.data.size(), 6 * 8u);
 }
 
 TEST(AppletTest, SelectWithoutKeyIsSecurityError) {
@@ -142,14 +127,9 @@ TEST(AppletTest, TamperedRulesGiveSecurityStatus) {
 TEST(AppletTest, MalformedCommandsRejected) {
   AppletFixture fx;
   fx.applet.InstallKey("doc", fx.key);
-  ApduCommand bad;
-  bad.ins = Ins::kSelectDocument;
-  bad.data = Bytes{1, 2};  // truncated
-  EXPECT_EQ(fx.applet.Process(bad).sw, soe::kSwWrongData);
-
-  ApduCommand unknown;
-  unknown.ins = static_cast<Ins>(0xEE);
-  EXPECT_EQ(fx.applet.Process(unknown).sw, soe::kSwConditionsNotSatisfied);
+  const Bytes truncated{1, 2};
+  EXPECT_EQ(fx.Send(Ins::kSelectDocument, truncated).sw, soe::kSwWrongData);
+  EXPECT_EQ(fx.Send(static_cast<Ins>(0xEE)).sw, soe::kSwConditionsNotSatisfied);
 }
 
 TEST(AppletTest, BadQuerySurfacesAsInternalFamily) {
@@ -167,24 +147,8 @@ TEST(AppletTest, EndSessionResetsState) {
   ASSERT_EQ(fx.Select().sw, soe::kSwOk);
   ASSERT_EQ(fx.PutRules().sw, soe::kSwOk);
   ASSERT_EQ(fx.Run("u", "").sw, soe::kSwOk);
-  ApduCommand end;
-  end.ins = Ins::kEndSession;
-  EXPECT_EQ(fx.applet.Process(end).sw, soe::kSwOk);
-  ApduCommand fetch;
-  fetch.ins = Ins::kFetchOutput;
-  EXPECT_EQ(fx.applet.Process(fetch).sw, soe::kSwConditionsNotSatisfied);
-}
-
-TEST(AppletTest, InstallKeyOverApdu) {
-  AppletFixture fx;
-  ApduCommand cmd;
-  cmd.ins = Ins::kInstallKey;
-  ByteWriter w;
-  w.PutString("doc");
-  w.PutLengthPrefixed(fx.key.bytes());
-  cmd.data = w.Take();
-  EXPECT_EQ(fx.applet.Process(cmd).sw, soe::kSwOk);
-  EXPECT_EQ(fx.Select().sw, soe::kSwOk);
+  EXPECT_EQ(fx.Send(Ins::kEndSession).sw, soe::kSwOk);
+  EXPECT_EQ(fx.Send(Ins::kFetchOutput).sw, soe::kSwConditionsNotSatisfied);
 }
 
 }  // namespace

@@ -7,11 +7,12 @@
 //    lose the response, blackholes ack without applying, duplicates apply
 //    twice;
 //  - ReplicatedService never acks a write below quorum, never serves a
-//    read below the version acked to its writer (stale_reads_served == 0
-//    is an invariant, not a statistic), promotes a new primary when the
-//    old one dies, and reintegrates recovered replicas by op-log replay —
-//    including the full-log rebuild of a replica that lied (blackholed
-//    acks);
+//    read below the version acked to its writer (its stale_reads_served
+//    counter is never incremented, so the checks on it hold by
+//    construction; the client-side history check is ROADMAP item 3),
+//    promotes a new primary when the old one dies, and reintegrates
+//    recovered replicas by op-log replay — including the full-log rebuild
+//    of a replica that lied (blackholed acks);
 //  - RetryingClient turns transient IoErrors into latency, leaves
 //    authoritative rejections alone, and absorbs the kRemove-retry
 //    NotFound race;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 #include <string>
 
 #include "common/random.h"
@@ -12,9 +13,12 @@
 #include "core/ref_evaluator.h"
 #include "core/rule.h"
 #include "crypto/container.h"
+#include "dsp/store.h"
+#include "pki/registry.h"
+#include "proxy/publisher.h"
 #include "skipindex/codec.h"
 #include "skipindex/filter.h"
-#include "soe/apdu.h"
+#include "soe/applet.h"
 #include "soe/chunk_source.h"
 #include "soe/prefetch.h"
 #include "xml/generator.h"
@@ -287,24 +291,83 @@ TEST(FuzzTest, RuleSetBinaryDecoderSurvivesMutations) {
   }
 }
 
-// --- APDU codec fuzz --------------------------------------------------------
+// --- Applet command fuzz ---------------------------------------------------
 
-TEST(FuzzTest, ApduDecodersSurviveMutations) {
-  soe::ApduCommand cmd;
-  cmd.ins = soe::Ins::kRunQuery;
-  cmd.data = Bytes(64, 0xAB);
-  ByteWriter w;
-  cmd.EncodeTo(&w);
-  Bytes encoded = w.bytes();
+TEST(FuzzTest, AppletSurvivesMutatedCommandPayloads) {
+  // The card parses three command payloads itself: the select (doc id and
+  // container header), the sealed rules and the query. A mutated payload
+  // must end in an error status word or in a valid session, one whose
+  // paged-out view has the length the run announced — never a crash. The
+  // rules are sealed, so altered rule bytes never run.
   SCOPED_TRACE(SeedTrace(8));
   Rng rng(FuzzSeed() + 8);
-  for (int iter = 0; iter < 200; ++iter) {
-    Bytes mutated = encoded;
+  dsp::DspServer server;
+  pki::KeyRegistry registry;
+  proxy::Publisher publisher(&server, &registry, FuzzSeed() + 9);
+  xml::GeneratorParams gp;
+  gp.profile = xml::DocProfile::kAgenda;
+  gp.target_elements = 120;
+  gp.seed = FuzzSeed() + 9;
+  auto receipt = publisher.Publish("doc", xml::GenerateDocument(gp),
+                                   "+ u /agenda\n- u //note\n");
+  ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+  auto open = server.OpenDocument("doc");
+  ASSERT_TRUE(open.ok());
+  dsp::ServiceChunkProvider provider(&server, "doc");
+  soe::CsxaApplet applet(soe::CardProfile::EGate());
+  applet.InstallKey("doc", receipt.value().key);
+  applet.SetChunkProvider(&provider);
+
+  ByteWriter select;
+  select.PutString("doc");
+  select.PutLengthPrefixed(open.value().header);
+  ByteWriter run;
+  run.PutString("u");
+  run.PutString("//meeting/title");
+  run.PutU8(1);
+  const soe::Ins commands[3] = {soe::Ins::kSelectDocument,
+                                soe::Ins::kPutRules, soe::Ins::kRunQuery};
+  const Bytes valid[3] = {select.bytes(), open.value().sealed_rules,
+                          run.bytes()};
+  const std::set<uint16_t> errors = {
+      soe::kSwSecurityStatus, soe::kSwConditionsNotSatisfied,
+      soe::kSwWrongData, soe::kSwNotFound, soe::kSwInternal};
+
+  soe::ApduResponse reply;
+  for (size_t step = 0; step < 3; ++step) {
+    applet.Process({commands[step], valid[step]}, &reply);
+    ASSERT_EQ(reply.sw, soe::kSwOk) << "unmutated step " << step;
+  }
+  applet.Process({soe::Ins::kEndSession, {}}, &reply);
+
+  for (int iter = 0; iter < 300; ++iter) {
+    SCOPED_TRACE("iter=" + std::to_string(iter));
+    const size_t target = static_cast<size_t>(iter) % 3;
+    Bytes mutated = valid[target];
     mutated[rng.Uniform(mutated.size())] ^= static_cast<uint8_t>(rng.Next());
     if (rng.Chance(0.4)) mutated.resize(rng.Uniform(mutated.size() + 1));
-    ByteReader r(mutated);
-    auto decoded = soe::ApduCommand::DecodeFrom(&r);
-    (void)decoded;
+    for (size_t step = 0; step < 3; ++step) {
+      applet.Process({commands[step], step == target ? Span(mutated)
+                                                     : Span(valid[step])},
+                     &reply);
+      if (reply.sw != soe::kSwOk) break;
+    }
+    if (reply.sw != soe::kSwOk) {
+      EXPECT_EQ(errors.count(reply.sw), 1u) << "status word " << reply.sw;
+      continue;
+    }
+    EXPECT_FALSE(target == 1 && mutated != valid[1]) << "altered rules ran";
+    ByteReader announced(reply.data);
+    uint64_t view_size = 0;
+    ASSERT_TRUE(announced.GetU64(&view_size));
+    uint64_t paged = 0;
+    do {
+      applet.Process({soe::Ins::kFetchOutput, {}}, &reply);
+      ASSERT_TRUE(reply.ok()) << "status word " << reply.sw;
+      paged += reply.data.size();
+    } while (reply.sw != soe::kSwOk);
+    EXPECT_EQ(paged, view_size);
+    applet.Process({soe::Ins::kEndSession, {}}, &reply);
   }
 }
 

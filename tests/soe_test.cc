@@ -1,4 +1,4 @@
-// SOE substrate tests: cost model arithmetic, RAM metering, APDU codec,
+// SOE substrate tests: cost model arithmetic, RAM metering,
 // chunk source behaviour under skips and tampering, card engine sessions.
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "proxy/publisher.h"
 #include "scengen/scenario.h"
 #include "skipindex/codec.h"
-#include "soe/apdu.h"
 #include "soe/card_engine.h"
 #include "soe/chunk_source.h"
 #include "soe/cost_model.h"
@@ -67,34 +66,6 @@ TEST(RamMeterTest, TracksPeakAndBudget) {
   EXPECT_TRUE(strict.Update(100).ok());
   Status st = strict.Update(101);
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ApduTest, CommandCodecRoundTrip) {
-  soe::ApduCommand cmd;
-  cmd.ins = soe::Ins::kPutRules;
-  cmd.p1 = 3;
-  cmd.data = Bytes{1, 2, 3, 4, 5};
-  ByteWriter w;
-  cmd.EncodeTo(&w);
-  ByteReader r(w.bytes());
-  auto back = soe::ApduCommand::DecodeFrom(&r);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().ins, soe::Ins::kPutRules);
-  EXPECT_EQ(back.value().p1, 3);
-  EXPECT_EQ(back.value().data, cmd.data);
-}
-
-TEST(ApduTest, ResponseCodecRoundTrip) {
-  soe::ApduResponse resp;
-  resp.data = Bytes{9, 8, 7};
-  resp.sw = soe::kSwMoreData;
-  ByteWriter w;
-  resp.EncodeTo(&w);
-  ByteReader r(w.bytes());
-  auto back = soe::ApduResponse::DecodeFrom(&r);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().sw, soe::kSwMoreData);
-  EXPECT_TRUE(back.value().ok());
 }
 
 // In-memory provider over a parsed container, with optional tampering.
