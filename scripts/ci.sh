@@ -28,7 +28,7 @@ stage_docs() {
 # builds keep plain -Wall -Wextra so experiments aren't blocked.
 stage_tier1() {
   cmake -B build -S . -DCSXA_WERROR=ON
-  cmake --build build -j
+  cmake --build build -j "$(nproc)"
   (
     cd build
     ctest --output-on-failure -j "$(nproc)"
@@ -56,7 +56,7 @@ stage_tier1() {
 stage_release() {
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCSXA_WERROR=ON \
     -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
-  cmake --build build-release -j
+  cmake --build build-release -j "$(nproc)"
   build-release/tests/decode_alloc_test
   build-release/tests/card_alloc_test
 }
@@ -72,7 +72,7 @@ stage_release() {
 stage_tsan() {
   cmake -B build-tsan -S . -DCSXA_SANITIZE=thread -DCSXA_WERROR=ON \
     -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$(nproc)"
   (cd build-tsan && ctest --output-on-failure \
     -L "transport|concurrency|fault|durable|planner|scengen")
   # The dispatcher hands a lane between an Execute() caller running inline
@@ -99,7 +99,7 @@ stage_tsan() {
 stage_asan() {
   cmake -B build-asan -S . -DCSXA_SANITIZE=address -DCSXA_WERROR=ON \
     -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   (cd build-asan && ctest --output-on-failure \
     -L "durable|transport|unit|planner|fuzz|property")
 }
@@ -110,7 +110,7 @@ stage_asan() {
 stage_ubsan() {
   cmake -B build-ubsan -S . -DCSXA_SANITIZE=undefined -DCSXA_WERROR=ON \
     -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
-  cmake --build build-ubsan -j
+  cmake --build build-ubsan -j "$(nproc)"
   (cd build-ubsan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --output-on-failure)
 }
@@ -120,7 +120,7 @@ stage_ubsan() {
 # shards) against the reference evaluator, traced and untraced.
 stage_perfbench() {
   cmake -S perfbench -B .bench_build
-  cmake --build .bench_build -j
+  cmake --build .bench_build -j "$(nproc)"
   (cd .bench_build && ctest --output-on-failure)
 }
 
@@ -132,7 +132,7 @@ stage_perfbench() {
 stage_shared() {
   cmake -B build-shared -S . -DCSXA_SHARED=ON -DCSXA_WERROR=ON \
     -DCSXA_BUILD_BENCH=OFF -DCSXA_BUILD_EXAMPLES=OFF
-  cmake --build build-shared -j
+  cmake --build build-shared -j "$(nproc)"
   (cd build-shared && ctest --output-on-failure -L "unit|scengen")
 }
 

@@ -19,18 +19,14 @@
 /// original system.
 
 #include <cstdint>
+#include <string_view>
+#include <vector>
 
 #include "common/random.h"
 #include "core/rule.h"
 #include "crypto/container.h"
 
 namespace csxa::core {
-
-/// A rule set together with its owner-assigned version.
-struct VersionedRules {
-  uint64_t version = 0;
-  RuleSet rules;
-};
 
 /// Seals (version || rules) under the document key's record format.
 inline Bytes SealRuleSet(const crypto::SymmetricKey& key, const RuleSet& rules,
@@ -41,17 +37,51 @@ inline Bytes SealRuleSet(const crypto::SymmetricKey& key, const RuleSet& rules,
   return crypto::SealRecord(key, plain.bytes(), rng);
 }
 
-/// Opens a sealed rule envelope, verifying its MAC.
-inline Result<VersionedRules> OpenRuleSet(const crypto::SymmetricKey& key,
-                                          Span sealed) {
-  CSXA_ASSIGN_OR_RETURN(Bytes plain, crypto::OpenRecord(key, sealed));
-  ByteReader r(plain);
-  VersionedRules out;
-  if (!r.GetU64(&out.version)) {
+/// Opens a sealed rule envelope for one subject's session and returns its
+/// version. Verifies the MAC under the document's cipher context, decrypts
+/// into `*plain` (scratch the caller reuses), reads the version and checks
+/// the framing of every record, then parses the XPath objects of
+/// `subject`'s rules only, in envelope order, into `*rules`, whose
+/// elements are reused.
+///
+/// Contract: a record of another subject is framed, never parsed, so an
+/// object that does not parse fails only its own subject's sessions. The
+/// owner parses every rule before sealing (RuleSet::Add) and the MAC pins
+/// those bytes, so on a genuine envelope this parse could never fail.
+inline Result<uint64_t> OpenRuleSet(const crypto::DocCipher& cipher,
+                                    Span sealed, std::string_view subject,
+                                    Bytes* plain,
+                                    std::vector<AccessRule>* rules) {
+  CSXA_RETURN_IF_ERROR(crypto::OpenRecord(cipher, sealed, plain));
+  ByteReader r(*plain);
+  uint64_t version;
+  if (!r.GetU64(&version)) {
     return Status::ParseError("rule envelope missing version");
   }
-  CSXA_ASSIGN_OR_RETURN(out.rules, RuleSet::DecodeFrom(&r));
-  return out;
+  uint32_t n;
+  if (!r.GetU32(&n)) return Status::ParseError("rule set truncated");
+  auto chars = [](Span s) {
+    return std::string_view(reinterpret_cast<const char*>(s.data()),
+                            s.size());
+  };
+  size_t kept = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    uint8_t sign;
+    Span who, object;
+    if (!r.GetU8(&sign) || !r.GetLengthPrefixed(&who) ||
+        !r.GetLengthPrefixed(&object)) {
+      return Status::ParseError("rule set truncated");
+    }
+    if (chars(who) != subject) continue;
+    if (kept == rules->size()) rules->emplace_back();
+    AccessRule& rule = (*rules)[kept++];
+    rule.sign = sign == 0 ? Sign::kPermit : Sign::kDeny;
+    rule.subject.assign(subject);
+    rule.object_text.assign(chars(object));
+    CSXA_ASSIGN_OR_RETURN(rule.object, xpath::ParsePath(rule.object_text));
+  }
+  rules->resize(kept);
+  return version;
 }
 
 }  // namespace csxa::core

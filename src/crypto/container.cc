@@ -1,6 +1,5 @@
 #include "crypto/container.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace csxa::crypto {
@@ -10,6 +9,10 @@ constexpr uint8_t kMagic[4] = {'C', 'S', 'X', 'A'};
 
 void StoreU32(uint8_t* p, uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+void StoreU64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
 }  // namespace
@@ -50,24 +53,29 @@ Result<ContainerHeader> ContainerHeader::DecodeFrom(ByteReader* in) {
   return h;
 }
 
-Bytes SecureContainer::LeafPayload(uint32_t index, Span ciphertext) {
-  Bytes leaf(4 + ciphertext.size());
-  StoreU32(leaf.data(), index);
-  std::copy(ciphertext.data(), ciphertext.data() + ciphertext.size(),
-            leaf.data() + 4);
-  return leaf;
+Digest SecureContainer::LeafDigest(uint32_t index, Span ciphertext) {
+  // 0x00 (MerkleTree::HashLeaf's leaf tag) || u32 index, on the stack.
+  uint8_t prefix[1 + 4];
+  prefix[0] = 0x00;
+  StoreU32(prefix + 1, index);
+  Sha256 hasher;
+  hasher.Update(Span(prefix, sizeof(prefix)));
+  hasher.Update(ciphertext);
+  return hasher.Finish();
 }
 
 Digest SecureContainer::ComputeRootMac(const HmacKey& mac,
                                        const ContainerHeader& h) {
-  ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(h.integrity));
-  w.PutBytes(Span(h.merkle_root.data(), h.merkle_root.size()));
-  w.PutBytes(Span(h.nonce.data(), h.nonce.size()));
-  w.PutU64(h.payload_size);
-  w.PutU32(h.chunk_size);
-  w.PutU32(h.chunk_count);
-  return mac.Mac(w.bytes());
+  // integrity || merkle_root || nonce || payload_size || chunk_size ||
+  // chunk_count, on the stack.
+  uint8_t in[1 + 32 + 16 + 8 + 4 + 4];
+  in[0] = static_cast<uint8_t>(h.integrity);
+  std::memcpy(in + 1, h.merkle_root.data(), 32);
+  std::memcpy(in + 33, h.nonce.data(), 16);
+  StoreU64(in + 49, h.payload_size);
+  StoreU32(in + 57, h.chunk_size);
+  StoreU32(in + 61, h.chunk_count);
+  return mac.Mac(Span(in, sizeof(in)));
 }
 
 Digest SecureContainer::ComputeChunkMac(const HmacKey& mac,
@@ -128,7 +136,7 @@ Bytes SecureContainer::Seal(const SymmetricKey& key, Span payload,
   if (mode == IntegrityMode::kMerkle) {
     std::vector<Digest> leaves(h.chunk_count);
     for (uint32_t i = 0; i < h.chunk_count; ++i) {
-      leaves[i] = MerkleTree::HashLeaf(LeafPayload(i, ciphertext(i)));
+      leaves[i] = LeafDigest(i, ciphertext(i));
       std::memcpy(auth + i * kSha256Size, leaves[i].data(), kSha256Size);
     }
     h.merkle_root = MerkleTree::BuildFromDigests(std::move(leaves)).root();
@@ -226,9 +234,10 @@ Status SecureContainer::VerifyAndDecryptChunk(const DocCipher& cipher,
     return Status::InvalidArgument("chunk index out of range");
   }
   if (header.integrity == IntegrityMode::kMerkle) {
-    Bytes leaf = LeafPayload(index, ciphertext);
-    if (!MerkleTree::Verify(header.merkle_root, index, header.chunk_count,
-                            leaf, auth.proof)) {
+    if (!MerkleTree::VerifyLeafDigest(header.merkle_root, index,
+                                      header.chunk_count,
+                                      LeafDigest(index, ciphertext),
+                                      auth.proof)) {
       return Status::IntegrityError("chunk failed Merkle verification");
     }
   } else {
@@ -290,24 +299,29 @@ Bytes SealRecord(const SymmetricKey& key, Span payload, Rng* rng) {
   return w.Take();
 }
 
-Result<Bytes> OpenRecord(const SymmetricKey& key, Span sealed) {
+Status OpenRecord(const DocCipher& cipher, Span sealed, Bytes* plain) {
   if (sealed.size() < 16 + 32 + kAesBlockSize) {
     return Status::IntegrityError("sealed record too short");
   }
   Span iv_span = sealed.subspan(0, 16);
   Span mac_span = sealed.subspan(16, 32);
-  Span cipher = sealed.subspan(48);
-  ByteWriter macd;
-  macd.PutBytes(iv_span);
-  macd.PutBytes(cipher);
-  Digest mac = HmacSha256(key.MacKey().bytes(), macd.bytes());
+  Span ciphertext = sealed.subspan(48);
+  Sha256 hasher = cipher.mac.Begin();
+  hasher.Update(iv_span);
+  hasher.Update(ciphertext);
+  Digest mac = cipher.mac.Finish(hasher);
   if (!ConstantTimeEqual(Span(mac.data(), mac.size()), mac_span)) {
     return Status::IntegrityError("record MAC mismatch");
   }
   Iv iv;
   std::memcpy(iv.data(), iv_span.data(), 16);
-  Aes128 aes = key.EncryptionCipher();
-  return CbcDecrypt(aes, iv, cipher);
+  return CbcDecrypt(cipher.enc, iv, ciphertext, plain);
+}
+
+Result<Bytes> OpenRecord(const SymmetricKey& key, Span sealed) {
+  Bytes plain;
+  CSXA_RETURN_IF_ERROR(OpenRecord(DocCipher::For(key), sealed, &plain));
+  return plain;
 }
 
 }  // namespace csxa::crypto

@@ -17,9 +17,9 @@
 /// encrypt-then-MAC record format at the bottom of this header.
 ///
 /// Readers that open many chunks under one key pass a DocCipher (keys.h),
-/// derived once per card session or container, to VerifyRoot and
-/// VerifyAndDecryptChunk; the SymmetricKey overloads re-derive it on every
-/// call and are kept for tests and one-shot callers. Seal and OpenAll
+/// derived once per card session or container, to VerifyRoot,
+/// VerifyAndDecryptChunk and OpenRecord; the SymmetricKey overloads
+/// re-derive it on every call and are kept for tests and one-shot callers. Seal and OpenAll
 /// derive it once per container.
 
 #include <cstdint>
@@ -126,8 +126,8 @@ class SecureContainer {
   /// SOE-side: verifies `ciphertext` as chunk `index` per the header's
   /// integrity mode (the header must already be root-verified), then
   /// decrypts it into `plain`, resized to the ciphertext's length; `plain`
-  /// is untouched when verification fails. In kChunkMac mode this form
-  /// allocates nothing once `plain` has the capacity.
+  /// is untouched when verification fails. This form allocates nothing
+  /// once `plain` has the capacity, in either integrity mode.
   static Status VerifyAndDecryptChunk(const DocCipher& cipher,
                                       const ContainerHeader& header,
                                       uint32_t index, Span ciphertext,
@@ -150,8 +150,10 @@ class SecureContainer {
   /// Computes the MAC binding the root to the container geometry.
   static Digest ComputeRootMac(const HmacKey& mac, const ContainerHeader& h);
 
-  /// Leaf payload for the Merkle tree: chunk index || ciphertext.
-  static Bytes LeafPayload(uint32_t index, Span ciphertext);
+  /// Merkle leaf digest of chunk `index`: MerkleTree::HashLeaf over
+  /// u32(index) || ciphertext, streamed into one hasher (no copy, no
+  /// allocation). Seal and the card's verify both use it.
+  static Digest LeafDigest(uint32_t index, Span ciphertext);
 
   /// Keyed per-chunk MAC: HMAC(mac_key, u32(5) || "chunk" || nonce ||
   /// index || chunk_size || ciphertext). The fixed 33-byte prefix is built
@@ -179,7 +181,11 @@ class SecureContainer {
 /// Format: iv(16) || mac(32) || ciphertext.
 Bytes SealRecord(const SymmetricKey& key, Span payload, Rng* rng);
 
-/// Opens a sealed record, verifying the MAC before decrypting.
+/// Opens a sealed record under the key's cipher context, verifying the MAC
+/// (streamed, no copy) before decrypting into `plain`. Allocates nothing
+/// once `plain` has the capacity.
+Status OpenRecord(const DocCipher& cipher, Span sealed, Bytes* plain);
+/// The same, deriving the cipher context from `key` into a new buffer.
 Result<Bytes> OpenRecord(const SymmetricKey& key, Span sealed);
 
 }  // namespace csxa::crypto

@@ -70,8 +70,15 @@ Result<std::vector<MerkleTree::ProofNode>> MerkleTree::Prove(size_t index) const
 
 bool MerkleTree::Verify(const Digest& root, size_t index, size_t leaf_count,
                         Span leaf_payload, const std::vector<ProofNode>& proof) {
+  return VerifyLeafDigest(root, index, leaf_count, HashLeaf(leaf_payload),
+                          proof);
+}
+
+bool MerkleTree::VerifyLeafDigest(const Digest& root, size_t index,
+                                  size_t leaf_count, const Digest& leaf,
+                                  const std::vector<ProofNode>& proof) {
   if (index >= leaf_count) return false;
-  Digest acc = HashLeaf(leaf_payload);
+  Digest acc = leaf;
   // Recompute upward, consuming proof nodes exactly where the tree shape
   // demands a sibling; `width` tracks the node count of the current level.
   size_t i = index;

@@ -50,6 +50,11 @@ class MerkleTree {
   /// Verifies that `leaf_payload` at `index` is consistent with `root`.
   static bool Verify(const Digest& root, size_t index, size_t leaf_count,
                      Span leaf_payload, const std::vector<ProofNode>& proof);
+  /// The same, from the leaf's digest (HashLeaf of its payload), for a
+  /// caller that streams the payload into the hasher itself.
+  static bool VerifyLeafDigest(const Digest& root, size_t index,
+                               size_t leaf_count, const Digest& leaf,
+                               const std::vector<ProofNode>& proof);
 
   /// Domain-separated leaf digest: SHA-256(0x00 || payload).
   static Digest HashLeaf(Span payload);

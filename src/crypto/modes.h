@@ -31,8 +31,11 @@ void CtrTransform(const Aes128& aes, const Iv& iv, Span in, Bytes* out);
 /// CBC-encrypts `plain` with PKCS#7 padding.
 Bytes CbcEncrypt(const Aes128& aes, const Iv& iv, Span plain);
 
-/// CBC-decrypts and strips PKCS#7 padding; fails on bad padding or on a
+/// CBC-decrypts into `out` (resized; no allocation once it has the
+/// capacity) and strips PKCS#7 padding; fails on bad padding or on a
 /// ciphertext that is not a positive multiple of the block size.
+Status CbcDecrypt(const Aes128& aes, const Iv& iv, Span cipher, Bytes* out);
+/// The same, into a new buffer.
 Result<Bytes> CbcDecrypt(const Aes128& aes, const Iv& iv, Span cipher);
 
 }  // namespace csxa::crypto

@@ -313,16 +313,6 @@ Status DocumentDecoder::ReadVarintSlow(uint64_t* v) {
   return Status::ParseError("overlong varint in document stream");
 }
 
-Result<std::string> DocumentDecoder::ReadString() {
-  uint64_t len;
-  CSXA_RETURN_IF_ERROR(ReadVarint(&len));
-  if (len > (1u << 26)) return Status::ParseError("oversized string");
-  std::string s(len, '\0');
-  CSXA_RETURN_IF_ERROR(
-      source_->ReadExact(reinterpret_cast<uint8_t*>(s.data()), len));
-  return s;
-}
-
 Result<std::string_view> DocumentDecoder::ReadStringView(bool borrow,
                                                          std::string* scratch) {
   uint64_t len;
@@ -347,32 +337,54 @@ Result<std::string_view> DocumentDecoder::ReadStringView(bool borrow,
 Result<std::unique_ptr<DocumentDecoder>> DocumentDecoder::Open(
     ByteSource* source) {
   auto dec = std::unique_ptr<DocumentDecoder>(new DocumentDecoder());
-  dec->source_ = source;
-  uint8_t magic, flags;
-  CSXA_RETURN_IF_ERROR(dec->ReadByte(&magic));
-  if (magic != kMagic) return Status::ParseError("bad document magic");
-  CSXA_RETURN_IF_ERROR(dec->ReadByte(&flags));
-  dec->with_index_ = (flags & kFlagIndex) != 0;
-  dec->recursive_ = (flags & kFlagRecursive) != 0;
+  CSXA_RETURN_IF_ERROR(dec->Reopen(source));
+  return dec;
+}
 
-  // Dictionaries: decode via a bounded in-memory read. Sizes first require
-  // streaming varints, so decode entry by entry.
-  auto decode_dict = [&](Interner* dict) -> Status {
-    uint64_t count;
-    CSXA_RETURN_IF_ERROR(dec->ReadVarint(&count));
-    if (count > (1u << 20)) return Status::ParseError("dictionary too large");
-    for (uint64_t i = 0; i < count; ++i) {
-      CSXA_ASSIGN_OR_RETURN(std::string name, dec->ReadString());
-      dict->Intern(name);
-    }
-    return Status::OK();
-  };
-  CSXA_RETURN_IF_ERROR(decode_dict(&dec->tag_dict_));
-  CSXA_RETURN_IF_ERROR(decode_dict(&dec->attr_dict_));
+Status DocumentDecoder::Reopen(ByteSource* source) {
+  source_ = source;
+  done_ = true;  // until the header and dictionaries are read
+  root_closed_ = false;
+  just_opened_ = false;
+  open_.clear();
+  tagset_ids_.clear();
+  last_content_size_ = 0;
+  last_has_elements_ = false;
+  last_has_text_ = false;
+  uint8_t magic, flags;
+  CSXA_RETURN_IF_ERROR(ReadByte(&magic));
+  if (magic != kMagic) return Status::ParseError("bad document magic");
+  CSXA_RETURN_IF_ERROR(ReadByte(&flags));
+  with_index_ = (flags & kFlagIndex) != 0;
+  recursive_ = (flags & kFlagRecursive) != 0;
+  CSXA_RETURN_IF_ERROR(ReadDictionary(&tag_dict_));
+  CSXA_RETURN_IF_ERROR(ReadDictionary(&attr_dict_));
   // A subtree bitmap has at most one bit per dictionary entry, so this is
   // every straddling bitmap's size: the scratch never grows mid-scan.
-  dec->bitmap_scratch_.reserve((dec->tag_dict_.size() + 7) / 8);
-  return dec;
+  bitmap_scratch_.reserve((tag_dict_.size() + 7) / 8);
+  done_ = false;
+  return Status::OK();
+}
+
+Status DocumentDecoder::ReadDictionary(Interner* dict) {
+  uint64_t count;
+  CSXA_RETURN_IF_ERROR(ReadVarint(&count));
+  if (count > (1u << 20)) return Status::ParseError("dictionary too large");
+  bool same = count == dict->size();
+  for (uint64_t i = 0; i < count; ++i) {
+    // Grown name by name: a count that overstates the names the stream
+    // holds fails at the first missing one, before any further growth.
+    if (i == name_scratch_.size()) name_scratch_.emplace_back();
+    std::string* name = &name_scratch_[i];
+    CSXA_ASSIGN_OR_RETURN(std::string_view read,
+                          ReadStringView(/*borrow=*/false, name));
+    if (read.empty()) name->clear();  // an empty read leaves scratch as is
+    same = same && *name == dict->Name(static_cast<TagId>(i));
+  }
+  if (same) return Status::OK();
+  *dict = Interner();
+  for (uint64_t i = 0; i < count; ++i) dict->Intern(name_scratch_[i]);
+  return Status::OK();
 }
 
 Status DocumentDecoder::ReadTagSet() {

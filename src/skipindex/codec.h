@@ -78,16 +78,26 @@ Result<Bytes> EncodeDocument(const xml::DomDocument& doc,
 /// subtree's bytes (the skip decision itself is the evaluator's).
 class DocumentDecoder {
  public:
-  /// Reads and validates the header and dictionaries.
+  /// A new decoder, Reopen()ed on `source`.
   static Result<std::unique_ptr<DocumentDecoder>> Open(ByteSource* source);
+
+  /// Starts decoding the document `source` holds: reads and validates its
+  /// header and dictionaries and resets every per-document state, keeping
+  /// the buffers' capacity. The dictionary names are read into reused
+  /// scratch; when they are the entries a dictionary already holds, in the
+  /// same order, that dictionary is kept (its ids, names and modeled size
+  /// are what a rebuild would give); otherwise it is rebuilt. After a
+  /// failure NextView() reports the end until a Reopen() succeeds. A card
+  /// that keeps one decoder (soe::CardEngine) reopens it per session.
+  Status Reopen(ByteSource* source);
 
   /// Pulls the next event as a borrowed view — the SOE's zero-copy fast
   /// path. Tag and attribute names borrow from the decoder's dictionaries
-  /// (stable for its lifetime); text borrows straight from the source's
-  /// byte window when it lies inside it, falling back to a reused scratch
-  /// buffer otherwise; attribute values land in reused scratch. Everything
-  /// except the dictionary names is invalidated by the next NextView()
-  /// call; a caller that keeps an event calls Materialize().
+  /// (stable until the next Reopen()); text borrows straight from the
+  /// source's byte window when it lies inside it, falling back to a reused
+  /// scratch buffer otherwise; attribute values land in reused scratch.
+  /// Everything except the dictionary names is invalidated by the next
+  /// NextView() call; a caller that keeps an event calls Materialize().
   Result<xml::EventView> NextView();
 
   /// True if the format embeds the skip index.
@@ -153,7 +163,10 @@ class DocumentDecoder {
   Status ReadVarintSlow(uint64_t* v);
   // Reads the OPEN's subtree bitmap and pushes the decoded tag set.
   Status ReadTagSet();
-  Result<std::string> ReadString();
+  // Reads one dictionary's names into name_scratch_, then keeps `dict` if
+  // it holds exactly those names in that order and rebuilds it from them
+  // otherwise.
+  Status ReadDictionary(Interner* dict);
   // Borrowed read of a length-prefixed string. With `borrow` the bytes
   // may alias the source's byte window (only safe for the last read of an
   // event); otherwise they are copied into `scratch`.
@@ -187,6 +200,9 @@ class DocumentDecoder {
   std::vector<std::string> attr_vals_;
   std::string text_scratch_;
   std::vector<uint8_t> bitmap_scratch_;
+  // Dictionary names as Reopen() reads them, before they are compared
+  // with (or rebuilt into) the dictionaries.
+  std::vector<std::string> name_scratch_;
 };
 
 }  // namespace csxa::skipindex

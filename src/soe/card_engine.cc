@@ -1,6 +1,5 @@
 #include "soe/card_engine.h"
 
-#include "skipindex/codec.h"
 #include "xml/writer.h"
 #include "xpath/parser.h"
 
@@ -28,7 +27,9 @@ Result<SessionStats> CardEngine::RunSession(const std::string& doc_id,
   if (key_it == keys_.end()) {
     return Status::NotFound("no key installed for document " + doc_id);
   }
-  const crypto::SymmetricKey& key = key_it->second;
+  // The key's cipher context, derived once: the root check, the rules and
+  // every chunk use it.
+  const crypto::DocCipher cipher = crypto::DocCipher::For(key_it->second);
 
   CostModel cost(profile_);
   RamMeter ram(profile_.ram_budget, options.strict_ram);
@@ -42,23 +43,24 @@ Result<SessionStats> CardEngine::RunSession(const std::string& doc_id,
                         crypto::ContainerHeader::DecodeFrom(&header_reader));
   // Root MAC check before trusting anything.
   cost.AddHash(crypto::ContainerHeader::kWireSize);
-  CSXA_RETURN_IF_ERROR(crypto::SecureContainer::VerifyRoot(key, header));
+  CSXA_RETURN_IF_ERROR(crypto::SecureContainer::VerifyRoot(cipher, header));
 
   // Open the rules: MAC verification + CBC decryption inside the card,
-  // then the anti-rollback check against secure stable storage.
+  // parsing only this subject's rules, then the anti-rollback check
+  // against secure stable storage.
   cost.AddHash(sealed_rules.size());
   cost.AddDecrypt(sealed_rules.size());
-  CSXA_ASSIGN_OR_RETURN(core::VersionedRules envelope,
-                        core::OpenRuleSet(key, sealed_rules));
+  CSXA_ASSIGN_OR_RETURN(
+      uint64_t version,
+      core::OpenRuleSet(cipher, sealed_rules, options.subject, &rules_plain_,
+                        &subject_rules_));
   auto version_it = rules_versions_.find(doc_id);
-  if (version_it != rules_versions_.end() &&
-      envelope.version < version_it->second) {
+  if (version_it != rules_versions_.end() && version < version_it->second) {
     return Status::IntegrityError(
-        "stale rule set: version " + std::to_string(envelope.version) +
+        "stale rule set: version " + std::to_string(version) +
         " < last seen " + std::to_string(version_it->second));
   }
-  rules_versions_[doc_id] = envelope.version;
-  core::RuleSet& rules = envelope.rules;
+  rules_versions_[doc_id] = version;
 
   xpath::PathExpr query;
   const xpath::PathExpr* query_ptr = nullptr;
@@ -72,25 +74,28 @@ Result<SessionStats> CardEngine::RunSession(const std::string& doc_id,
     cost.AddTransfer(provider->TotalWireBytes());
   }
   uint64_t round_trips_before = provider->round_trips();
-  ChunkSource source(key, header, provider, &cost,
+  ChunkSource source(cipher, header, provider, &cost,
                      /*charge_transfer=*/!options.push_mode);
-  CSXA_ASSIGN_OR_RETURN(auto decoder, skipindex::DocumentDecoder::Open(&source));
+  if (decoder_ == nullptr) {
+    CSXA_ASSIGN_OR_RETURN(decoder_, skipindex::DocumentDecoder::Open(&source));
+  } else {
+    CSXA_RETURN_IF_ERROR(decoder_->Reopen(&source));
+  }
 
   xml::CanonicalWriter writer(view);
-  const std::vector<core::AccessRule> subject_rules =
-      rules.ForSubject(options.subject);
   if (evaluator_ == nullptr) {
     CSXA_ASSIGN_OR_RETURN(evaluator_,
                           core::StreamingEvaluator::Create(
-                              subject_rules, query_ptr, &writer));
+                              subject_rules_, query_ptr, &writer));
   } else {
-    CSXA_RETURN_IF_ERROR(evaluator_->Reset(subject_rules, query_ptr, &writer));
+    CSXA_RETURN_IF_ERROR(
+        evaluator_->Reset(subject_rules_, query_ptr, &writer));
   }
 
   skipindex::FilterOptions fopts;
   fopts.enable_skip = options.use_skip;
   core::StreamingEvaluator* ev = evaluator_.get();
-  skipindex::DocumentDecoder* dec = decoder.get();
+  skipindex::DocumentDecoder* dec = decoder_.get();
   ChunkSource* src = &source;
   // Fixed applet overhead: key material, session bookkeeping, I/O staging.
   // Every other term is a running total, so metering is O(1) per event.

@@ -13,11 +13,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/evaluator.h"
 #include "core/rule_envelope.h"
 #include "crypto/container.h"
 #include "crypto/keys.h"
+#include "skipindex/codec.h"
 #include "skipindex/filter.h"
 #include "soe/chunk_source.h"
 #include "soe/cost_model.h"
@@ -95,9 +97,12 @@ class CardEngine {
   /// (the applet's output buffer) renders into its capacity.
   /// `header_bytes` is the serialized container header; `sealed_rules` the
   /// encrypted rule set as stored on the DSP; `provider` supplies
-  /// ciphertext chunks on demand. The card keeps its evaluator's buffers
-  /// from one session to the next, so a repeated session allocates a
-  /// fixed number of times, whatever the size of the document.
+  /// ciphertext chunks on demand. A session derives the document key's
+  /// cipher context once and parses only its subject's rules. The card
+  /// keeps its evaluator, its decoder (and an unchanged dictionary) and
+  /// its rule buffers from one session to the next, so a repeated session
+  /// allocates a fixed number of times, whatever the size of the document
+  /// and however many rules other subjects have.
   Result<SessionStats> RunSession(const std::string& doc_id,
                                   Span header_bytes, Span sealed_rules,
                                   ChunkProvider* provider,
@@ -123,9 +128,13 @@ class CardEngine {
   std::map<std::string, crypto::SymmetricKey> keys_;
   // Anti-rollback: highest rule-envelope version accepted per document.
   std::map<std::string, uint64_t> rules_versions_;
-  // The evaluator every session runs on, Reset() per session (null until
-  // the first).
+  // The evaluator and the decoder every session runs on, Reset() and
+  // Reopen()ed per session (null until the first).
   std::unique_ptr<core::StreamingEvaluator> evaluator_;
+  std::unique_ptr<skipindex::DocumentDecoder> decoder_;
+  // The decrypted rule envelope and the session subject's rules, reused.
+  Bytes rules_plain_;
+  std::vector<core::AccessRule> subject_rules_;
 };
 
 }  // namespace csxa::soe

@@ -61,11 +61,11 @@ uint64_t ContainerChunkProvider::TotalWireBytes() const {
   return total;
 }
 
-ChunkSource::ChunkSource(const crypto::SymmetricKey& key,
+ChunkSource::ChunkSource(const crypto::DocCipher& cipher,
                          const crypto::ContainerHeader& header,
                          ChunkProvider* provider, CostModel* cost,
                          bool charge_transfer)
-    : cipher_(crypto::DocCipher::For(key)),
+    : cipher_(cipher),
       header_(header),
       provider_(provider),
       cost_(cost),

@@ -138,13 +138,19 @@ class ContainerChunkProvider : public ChunkProvider {
 /// new chunk replaces the buffer, which is what ends a borrow.
 class ChunkSource : public skipindex::ByteSource {
  public:
-  /// `header` must already be root-verified under `key` by the caller.
-  /// The key's cipher context is derived once here, for the whole session.
-  /// With `charge_transfer` false (push mode) fetches charge only crypto:
-  /// the broadcast bytes were already paid for by the caller.
-  ChunkSource(const crypto::SymmetricKey& key,
+  /// `header` must already be root-verified under `cipher` by the caller,
+  /// which derived the cipher context once for the whole session. With
+  /// `charge_transfer` false (push mode) fetches charge only crypto: the
+  /// broadcast bytes were already paid for by the caller.
+  ChunkSource(const crypto::DocCipher& cipher,
               const crypto::ContainerHeader& header, ChunkProvider* provider,
               CostModel* cost, bool charge_transfer = true);
+  /// The same, deriving the cipher context from `key`.
+  ChunkSource(const crypto::SymmetricKey& key,
+              const crypto::ContainerHeader& header, ChunkProvider* provider,
+              CostModel* cost, bool charge_transfer = true)
+      : ChunkSource(crypto::DocCipher::For(key), header, provider, cost,
+                    charge_transfer) {}
 
   Status ReadExact(uint8_t* buf, size_t n) override;
   Status Skip(uint64_t n) override;

@@ -9,6 +9,9 @@
 // terminal would. The second run's allocations are counted (alloc_counter.h)
 // and must be equal over a 1k- and a 4k-element hospital folder.
 //
+// Nor does it grow with the rules of other subjects in the envelope: the
+// card parses only its session subject's.
+//
 // The same holds one level up, for a warm proxy::Terminal query over a
 // DspServer: the open, the planned chunk fetch, the command exchanges and
 // the view paged out in 240-byte slices into one reused reply allocate a
@@ -50,7 +53,9 @@ struct Folder {
   Bytes sealed_rules;
 };
 
-Folder SealFolder(size_t elements) {
+Folder SealFolder(size_t elements,
+                  const std::string& rules_text =
+                      scengen::HospitalScenario().rules_text) {
   Rng rng(elements);
   Folder f;
   f.key = crypto::SymmetricKey::Generate(&rng);
@@ -66,8 +71,7 @@ Folder SealFolder(size_t elements) {
   ByteWriter w;
   f.container.header().EncodeTo(&w);
   f.header = w.Take();
-  auto rules =
-      core::RuleSet::ParseText(scengen::HospitalScenario().rules_text).value();
+  auto rules = core::RuleSet::ParseText(rules_text).value();
   f.sealed_rules = core::SealRuleSet(f.key, rules, /*version=*/1, &rng);
   return f;
 }
@@ -134,6 +138,45 @@ TEST(CardAllocTest, WarmSessionAllocationsDoNotGrowWithTheDocument) {
     EXPECT_EQ(l.allocations, s.allocations)
         << "1k: " << s.allocations << " allocations over " << s.elements
         << " elements; 4k: " << l.allocations << " over " << l.elements;
+  }
+}
+
+// The card parses only its subject's rules: a warm session allocates as
+// often under an envelope that also holds 64 rules of other subjects as
+// under one that holds 4.
+TEST(CardAllocTest, WarmSessionAllocationsDoNotGrowWithOtherSubjectsRules) {
+  auto with_others = [](int others) {
+    std::string text = scengen::HospitalScenario().rules_text;
+    const char* objects[] = {
+        "//patient/admin", "//patient[medical/diagnosis/severity=\"acute\"]",
+        "//treatment", "//admin/billing/amount"};
+    for (int i = 0; i < others; ++i) {
+      text += (i % 3 == 1 ? "- other" : "+ other");
+      text += std::to_string(i);
+      text += ' ';
+      text += objects[i % 4];
+      text += '\n';
+    }
+    return SealFolder(1000, text);
+  };
+  const Folder few = with_others(4);
+  const Folder many = with_others(64);
+  EXPECT_GT(many.sealed_rules.size(), few.sealed_rules.size() + 1000);
+  for (const Case& c : {
+           Case{"doctor", "doctor", ""},
+           Case{"emergency-treatments", "emergency", "//treatment"},
+           Case{"other0", "other0", ""},
+       }) {
+    SCOPED_TRACE(c.name);
+    soe::SessionOptions options;
+    options.subject = c.subject;
+    options.query_text = c.query;
+    Counted f = WarmSession(few, options);
+    Counted m = WarmSession(many, options);
+    EXPECT_EQ(m.elements, f.elements);
+    EXPECT_EQ(m.allocations, f.allocations)
+        << "4 other rules: " << f.allocations << " allocations; 64: "
+        << m.allocations;
   }
 }
 

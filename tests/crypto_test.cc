@@ -594,14 +594,15 @@ INSTANTIATE_TEST_SUITE_P(
                                                             : "Merkle";
     });
 
-// The card's per-chunk step in MAC mode: once the output buffer holds a
-// full chunk, verify+decrypt allocates nothing (the MAC prefix is built
-// on the stack, the plaintext lands in the reused buffer).
-TEST(ContainerTest, ChunkMacVerifyAndDecryptIsAllocationFreeAfterWarmUp) {
+// The card's per-chunk step: once the output buffer holds a full chunk,
+// verify+decrypt allocates nothing. The MAC prefix, or the Merkle leaf's
+// tag and index, is built on the stack and the ciphertext streamed into
+// the hasher; the plaintext lands in the reused buffer.
+void ExpectVerifyAndDecryptAllocationFree(crypto::IntegrityMode mode) {
   Rng rng(62);
   SymmetricKey key = SymmetricKey::Generate(&rng);
   Bytes payload = RandomBytes(&rng, 2000);
-  Bytes sealed = SecureContainer::Seal(key, payload, 256, &rng);
+  Bytes sealed = SecureContainer::Seal(key, payload, 256, &rng, mode);
   auto container = SecureContainer::Parse(sealed).value();
   const crypto::ContainerHeader& header = container.header();
   const DocCipher cipher = DocCipher::For(key);
@@ -648,6 +649,14 @@ TEST(ContainerTest, ChunkMacVerifyAndDecryptIsAllocationFreeAfterWarmUp) {
   EXPECT_EQ(plain, before);
 }
 
+TEST(ContainerTest, ChunkMacVerifyAndDecryptIsAllocationFreeAfterWarmUp) {
+  ExpectVerifyAndDecryptAllocationFree(crypto::IntegrityMode::kChunkMac);
+}
+
+TEST(ContainerTest, MerkleVerifyAndDecryptIsAllocationFreeAfterWarmUp) {
+  ExpectVerifyAndDecryptAllocationFree(crypto::IntegrityMode::kMerkle);
+}
+
 TEST(ContainerTest, ModesProduceDifferentAuthTables) {
   Rng rng(61);
   SymmetricKey key = SymmetricKey::Generate(&rng);
@@ -675,10 +684,13 @@ TEST(ContainerTest, MerkleProofsMatchFreshTree) {
                                          crypto::IntegrityMode::kMerkle);
     auto container = SecureContainer::Parse(sealed).value();
     ASSERT_EQ(container.header().chunk_count, chunks);
+    // Leaf payload: u32 chunk index || ciphertext.
     std::vector<Bytes> leaves;
     for (uint32_t i = 0; i < chunks; ++i) {
-      leaves.push_back(SecureContainer::LeafPayload(
-          i, container.ChunkCiphertext(i).value()));
+      ByteWriter leaf;
+      leaf.PutU32(i);
+      leaf.PutBytes(container.ChunkCiphertext(i).value());
+      leaves.push_back(leaf.Take());
     }
     MerkleTree fresh = MerkleTree::Build(leaves);
     ASSERT_EQ(fresh.root(), container.header().merkle_root);

@@ -441,6 +441,130 @@ TEST(GoldenEncodingTest, DocumentsCoverWideBitmapsAndLongVarints) {
   EXPECT_GE(blob_size, 16384u);  // a 3-byte content_size varint
 }
 
+// --- Decoder reuse ---------------------------------------------------------
+
+// Decodes what is left of `dec`'s document into canonical XML text,
+// checking the decoder's running modeled size against a recount at every
+// event.
+std::string DecodeRest(DocumentDecoder* dec) {
+  xml::CanonicalWriter w;
+  for (;;) {
+    auto ev = dec->NextView();
+    EXPECT_TRUE(ev.ok()) << ev.status().ToString();
+    if (!ev.ok()) return "";
+    EXPECT_EQ(dec->RecountModeledBytes(), dec->ModeledBytes());
+    if (ev.value().type == xml::EventType::kEnd) break;
+    EXPECT_TRUE(w.OnEventView(ev.value()).ok());
+  }
+  EXPECT_TRUE(w.complete());
+  return w.str();
+}
+
+std::vector<std::string> Names(const Interner& dict) {
+  std::vector<std::string> out;
+  for (TagId i = 0; i < dict.size(); ++i) out.push_back(dict.Name(i));
+  return out;
+}
+
+// One decoder reopened over documents whose dictionary is the same, as
+// large with other names, or larger: each decodes as a new decoder does,
+// and the dictionaries are kept exactly when their names are unchanged.
+TEST(DecoderReuseTest, ReopenDecodesAsANewDecoder) {
+  const std::string base =
+      "<folder><patient id=\"1\"><name>Ann</name><diag sev=\"acute\">flu"
+      "</diag></patient><patient id=\"2\"><name>Bob</name></patient>"
+      "</folder>";
+  const std::string same =
+      "<folder><patient id=\"3\"><name>Cy</name><diag sev=\"mild\">cough"
+      "</diag></patient></folder>";
+  const std::string renamed =
+      "<record><person key=\"1\"><label>Ann</label><note lvl=\"acute\">flu"
+      "</note></person></record>";
+  const std::string larger =
+      "<folder><patient id=\"1\" ward=\"B\"><name>Ann</name><diag "
+      "sev=\"acute\">flu</diag><admin><billing>10</billing></admin>"
+      "</patient></folder>";
+  std::vector<Bytes> encoded;
+  for (const std::string* text : {&base, &same, &renamed, &larger}) {
+    encoded.push_back(EncodeDocument(Doc(*text), EncodeOptions{}).value());
+  }
+  const std::string* texts[] = {&base, &same, &renamed, &larger};
+
+  MemorySource first(encoded[0]);
+  auto dec = DocumentDecoder::Open(&first).value();
+  EXPECT_EQ(DecodeRest(dec.get()), Doc(base).Serialize());
+  for (int k : {1, 0, 2, 0, 3, 0, 2, 2}) {
+    SCOPED_TRACE(*texts[k]);
+    const std::vector<std::string> tags_before = Names(dec->tags());
+    const std::vector<std::string> attrs_before = Names(dec->attrs());
+    const std::string* tag0 = &dec->tags().Name(0);
+    const std::string* attr0 = &dec->attrs().Name(0);
+    MemorySource src(encoded[k]);
+    ASSERT_TRUE(dec->Reopen(&src).ok());
+    EXPECT_EQ(dec->RecountModeledBytes(), dec->ModeledBytes());
+    MemorySource fresh_src(encoded[k]);
+    auto fresh = DocumentDecoder::Open(&fresh_src).value();
+    EXPECT_EQ(Names(dec->tags()), Names(fresh->tags()));
+    EXPECT_EQ(Names(dec->attrs()), Names(fresh->attrs()));
+    EXPECT_EQ(dec->ModeledBytes(), fresh->ModeledBytes());
+    // An unchanged dictionary is the same table, names and all.
+    if (Names(fresh->tags()) == tags_before) {
+      EXPECT_EQ(&dec->tags().Name(0), tag0);
+    }
+    if (Names(fresh->attrs()) == attrs_before) {
+      EXPECT_EQ(&dec->attrs().Name(0), attr0);
+    }
+    EXPECT_EQ(DecodeRest(dec.get()), Doc(*texts[k]).Serialize());
+  }
+}
+
+// A document that fails part-way, or a header that fails, leaves nothing
+// behind for the next Reopen.
+TEST(DecoderReuseTest, FailureDoesNotReachTheNextDocument) {
+  Bytes whole = EncodeDocument(Doc("<a x=\"1\"><b>hello</b><c><b>w</b></c>"
+                                   "</a>"),
+                               EncodeOptions{})
+                    .value();
+  Bytes other =
+      EncodeDocument(Doc("<p><q y=\"2\">z</q></p>"), EncodeOptions{})
+          .value();
+  MemorySource src(whole);
+  auto dec = DocumentDecoder::Open(&src).value();
+  // Stop inside the document, with elements open.
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(dec->NextView().ok());
+  Bytes cut(whole.begin(), whole.end() - 3);
+  MemorySource cut_src(cut);
+  ASSERT_TRUE(dec->Reopen(&cut_src).ok());
+  Status st = Status::OK();
+  for (;;) {
+    auto ev = dec->NextView();
+    if (!ev.ok()) {
+      st = ev.status();
+      break;
+    }
+    if (ev.value().type == xml::EventType::kEnd) break;
+  }
+  EXPECT_FALSE(st.ok());
+
+  MemorySource other_src(other);
+  ASSERT_TRUE(dec->Reopen(&other_src).ok());
+  EXPECT_EQ(dec->RecountModeledBytes(), dec->ModeledBytes());
+  EXPECT_EQ(DecodeRest(dec.get()), Doc("<p><q y=\"2\">z</q></p>").Serialize());
+
+  // A failed Reopen yields no event; the next good one decodes in full.
+  Bytes junk = {0x42, 0x00, 0x01};
+  MemorySource junk_src(junk);
+  EXPECT_FALSE(dec->Reopen(&junk_src).ok());
+  auto end = dec->NextView();
+  ASSERT_TRUE(end.ok());
+  EXPECT_EQ(end.value().type, xml::EventType::kEnd);
+  MemorySource again(whole);
+  ASSERT_TRUE(dec->Reopen(&again).ok());
+  EXPECT_EQ(dec->RecountModeledBytes(), dec->ModeledBytes());
+  EXPECT_EQ(DecodeRest(dec.get()),
+            Doc("<a x=\"1\"><b>hello</b><c><b>w</b></c></a>").Serialize());
+}
+
 // The encoder works on a few flat arrays and writes one pre-sized buffer:
 // its allocation count depends on the dictionaries, not on the element
 // count.

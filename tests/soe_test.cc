@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "core/rule.h"
+#include "core/ref_evaluator.h"
 #include "core/rule_envelope.h"
 #include "crypto/container.h"
 #include "proxy/publisher.h"
@@ -18,6 +19,7 @@
 #include "soe/cost_model.h"
 #include "soe/ram_meter.h"
 #include "xml/generator.h"
+#include "xpath/parser.h"
 
 namespace csxa {
 namespace {
@@ -191,9 +193,18 @@ TEST(ChunkSourceTest, ReadPastEndFails) {
 
 // --- Card engine sessions -------------------------------------------------
 
+xml::DomDocument HospitalDoc(size_t elements) {
+  xml::GeneratorParams gp;
+  gp.profile = xml::DocProfile::kHospital;
+  gp.target_elements = elements;
+  gp.seed = 100;
+  return xml::GenerateDocument(gp);
+}
+
 struct EngineFixture {
   Rng rng{77};
   SymmetricKey key;
+  xml::DomDocument doc;
   Bytes header_bytes;
   Bytes sealed_rules;
   Bytes container_bytes;
@@ -201,13 +212,13 @@ struct EngineFixture {
   std::unique_ptr<TestProvider> provider;
 
   explicit EngineFixture(const std::string& rules_text,
-                         size_t doc_elements = 400, size_t chunk_size = 512) {
+                         size_t doc_elements = 400, size_t chunk_size = 512)
+      : EngineFixture(rules_text, HospitalDoc(doc_elements), chunk_size) {}
+
+  EngineFixture(const std::string& rules_text, xml::DomDocument document,
+                size_t chunk_size)
+      : doc(std::move(document)) {
     key = SymmetricKey::Generate(&rng);
-    xml::GeneratorParams gp;
-    gp.profile = xml::DocProfile::kHospital;
-    gp.target_elements = doc_elements;
-    gp.seed = 100;
-    auto doc = xml::GenerateDocument(gp);
     auto encoded = skipindex::EncodeDocument(doc, {}).value();
     container_bytes = SecureContainer::Seal(key, encoded, chunk_size, &rng);
     container = std::make_unique<SecureContainer>(
@@ -325,6 +336,239 @@ TEST(CardEngineTest, RamPeakReported) {
   ASSERT_TRUE(out.ok());
   EXPECT_GT(out.value().stats.ram_peak, 0u);
   EXPECT_EQ(out.value().stats.ram_budget, CardProfile::EGate().ram_budget);
+}
+
+// --- Subject-only rule opening --------------------------------------------
+//
+// A session opens the whole envelope (MAC, decryption, version, the
+// framing of every record) but parses only its own subject's rules
+// (core::OpenRuleSet). The hospital scenario's envelope holds four
+// subjects' rules.
+
+std::string ViewOracle(const xml::DomDocument& doc, const std::string& rules,
+                       const std::string& subject) {
+  auto set = core::RuleSet::ParseText(rules).value();
+  auto view = core::BuildAuthorizedView(doc, set.ForSubject(subject), nullptr);
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  return view.ok() ? view.value().Serialize() : "";
+}
+
+// Subjects of the hospital envelope, plus one it has no rule for.
+std::vector<std::string> HospitalSubjects() {
+  auto rules =
+      core::RuleSet::ParseText(scengen::HospitalScenario().rules_text).value();
+  std::vector<std::string> subjects = rules.Subjects();
+  subjects.push_back("nobody");
+  return subjects;
+}
+
+TEST(SubjectRulesTest, EverySubjectsSessionMatchesTheOracle) {
+  const std::string rules = scengen::HospitalScenario().rules_text;
+  EngineFixture fx(rules);
+  soe::CardEngine card(CardProfile::EGate());
+  card.InstallKey("doc", fx.key);
+  const std::vector<std::string> subjects = HospitalSubjects();
+  ASSERT_EQ(subjects.size(), 5u);
+  // Twice round, so each subject also follows another on the same card.
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& subject : subjects) {
+      soe::SessionOptions opts;
+      opts.subject = subject;
+      auto out = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
+                                 fx.provider.get(), opts);
+      ASSERT_TRUE(out.ok()) << subject << ": " << out.status().ToString();
+      EXPECT_EQ(out.value().view_xml, ViewOracle(fx.doc, rules, subject))
+          << subject;
+      if (subject == "nobody") {
+        EXPECT_EQ(out.value().view_xml, "");
+      }
+    }
+  }
+}
+
+TEST(SubjectRulesTest, FlippedByteAnywhereFailsIntegrity) {
+  EngineFixture fx(scengen::HospitalScenario().rules_text, 100);
+  soe::CardEngine card(CardProfile::EGate());
+  card.InstallKey("doc", fx.key);
+  for (size_t pos = 0; pos < fx.sealed_rules.size(); ++pos) {
+    Bytes bad = fx.sealed_rules;
+    bad[pos] ^= 0x01;
+    for (const char* subject : {"doctor", "nobody"}) {
+      soe::SessionOptions opts;
+      opts.subject = subject;
+      auto out = card.RunSession("doc", fx.header_bytes, bad,
+                                 fx.provider.get(), opts);
+      EXPECT_EQ(out.status().code(), StatusCode::kIntegrityError)
+          << subject << " at byte " << pos;
+    }
+  }
+  EXPECT_EQ(card.LastRulesVersion("doc"), 0u);
+}
+
+TEST(SubjectRulesTest, StaleVersionRefusedForSubjectWithoutRules) {
+  const std::string text = scengen::HospitalScenario().rules_text;
+  EngineFixture fx(text, 100);  // sealed at version 1
+  auto rules = core::RuleSet::ParseText(text).value();
+  Bytes v2 = core::SealRuleSet(fx.key, rules, /*version=*/2, &fx.rng);
+  soe::CardEngine card(CardProfile::EGate());
+  card.InstallKey("doc", fx.key);
+  soe::SessionOptions opts;
+  opts.subject = "nobody";
+  ASSERT_TRUE(
+      card.RunSession("doc", fx.header_bytes, v2, fx.provider.get(), opts)
+          .ok());
+  EXPECT_EQ(card.LastRulesVersion("doc"), 2u);
+  auto stale = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
+                               fx.provider.get(), opts);
+  EXPECT_EQ(stale.status().code(), StatusCode::kIntegrityError);
+  EXPECT_NE(stale.status().ToString().find("stale"), std::string::npos);
+  EXPECT_EQ(card.LastRulesVersion("doc"), 2u);
+}
+
+// Envelopes below are sealed from hand-built plaintext under the document
+// key: bytes only a key holder could produce, which the owner's RuleSet
+// would never encode.
+
+TEST(SubjectRulesTest, TruncatedRecordFailsForEverySubject) {
+  const std::string text = scengen::HospitalScenario().rules_text;
+  EngineFixture fx(text, 100);
+  ByteWriter w;
+  w.PutU64(1);
+  core::RuleSet::ParseText(text).value().EncodeTo(&w);
+  const Bytes full = w.Take();
+  soe::CardEngine card(CardProfile::EGate());
+  card.InstallKey("doc", fx.key);
+  // Every cut ends inside the version, the count or some record: inside
+  // its sign, its subject string or its object string.
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    Bytes sealed = crypto::SealRecord(
+        fx.key, Span(full.data(), cut), &fx.rng);
+    for (const char* subject : {"doctor", "nobody"}) {
+      soe::SessionOptions opts;
+      opts.subject = subject;
+      auto out = card.RunSession("doc", fx.header_bytes, sealed,
+                                 fx.provider.get(), opts);
+      EXPECT_EQ(out.status().code(), StatusCode::kParseError)
+          << subject << " cut at " << cut << " of " << full.size();
+    }
+  }
+  EXPECT_EQ(card.LastRulesVersion("doc"), 0u);
+  Bytes whole = crypto::SealRecord(fx.key, full, &fx.rng);
+  soe::SessionOptions opts;
+  opts.subject = "doctor";
+  EXPECT_TRUE(
+      card.RunSession("doc", fx.header_bytes, whole, fx.provider.get(), opts)
+          .ok());
+}
+
+// The contract of subject-only opening (core/rule_envelope.h): another
+// subject's object is framed, never parsed, so one that does not parse
+// fails that subject's sessions only.
+TEST(SubjectRulesTest, UnparsableObjectFailsOnlyItsOwnSubject) {
+  EngineFixture fx("+ doctor //patient\n", 200);
+  ByteWriter w;
+  w.PutU64(1);
+  w.PutU32(3);
+  auto record = [&](core::Sign sign, const std::string& subject,
+                    const std::string& object) {
+    w.PutU8(static_cast<uint8_t>(sign));
+    w.PutString(subject);
+    w.PutString(object);
+  };
+  record(core::Sign::kPermit, "doctor", "//patient");
+  record(core::Sign::kDeny, "nurse", "//patient[[");
+  record(core::Sign::kDeny, "doctor", "//admin/billing");
+  ASSERT_FALSE(xpath::ParsePath("//patient[[").ok());
+  Bytes sealed = crypto::SealRecord(fx.key, w.bytes(), &fx.rng);
+
+  soe::CardEngine card(CardProfile::EGate());
+  card.InstallKey("doc", fx.key);
+  soe::SessionOptions doctor;
+  doctor.subject = "doctor";
+  auto out = card.RunSession("doc", fx.header_bytes, sealed,
+                             fx.provider.get(), doctor);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out.value().view_xml,
+            ViewOracle(fx.doc,
+                       "+ doctor //patient\n- doctor //admin/billing\n",
+                       "doctor"));
+  soe::SessionOptions nurse;
+  nurse.subject = "nurse";
+  auto failed = card.RunSession("doc", fx.header_bytes, sealed,
+                                fx.provider.get(), nurse);
+  EXPECT_EQ(failed.status().code(), StatusCode::kParseError);
+}
+
+// --- Decoder reuse ---------------------------------------------------------
+//
+// The card keeps one DocumentDecoder and reopens it per session, keeping
+// its dictionaries when a document's names are the ones it holds.
+
+TEST(DecoderReuseTest, OneCardAlternatesOverDocuments) {
+  const std::string rules =
+      "+ u //patient\n- u //diag\n+ u //person\n- u //label\n"
+      "- u //billing\n";
+  auto parse = [](const char* text) {
+    return xml::DomDocument::Parse(text).value();
+  };
+  // `same` has base's dictionary; `renamed` as many names, all different;
+  // `larger` more tags and attributes.
+  EngineFixture base(rules, parse(
+      "<folder><patient id=\"1\"><name>Ann</name><diag sev=\"acute\">flu"
+      "</diag></patient><patient id=\"2\"><name>Bob</name></patient>"
+      "</folder>"), 32);
+  EngineFixture same(rules, parse(
+      "<folder><patient id=\"3\"><name>Cy</name><diag sev=\"mild\">cough"
+      "</diag></patient></folder>"), 32);
+  EngineFixture renamed(rules, parse(
+      "<record><person key=\"1\"><label>Ann</label><note lvl=\"acute\">"
+      "flu</note></person></record>"), 32);
+  EngineFixture larger(rules, parse(
+      "<folder><patient id=\"1\" ward=\"B\"><name>Ann</name><diag "
+      "sev=\"acute\">flu</diag><admin><billing>10</billing></admin>"
+      "</patient></folder>"), 32);
+  struct Doc {
+    const char* id;
+    EngineFixture* fx;
+  };
+  const Doc docs[] = {{"base", &base}, {"same", &same},
+                      {"renamed", &renamed}, {"larger", &larger}};
+  soe::CardEngine card(CardProfile::EGate());
+  for (const Doc& d : docs) {
+    card.InstallKey(d.id, d.fx->key);
+    ASSERT_GE(d.fx->container->header().chunk_count, 3u) << d.id;
+  }
+  soe::SessionOptions opts;
+  opts.subject = "u";
+  auto run = [&](const Doc& d, soe::CardEngine* on) {
+    return on->RunSession(d.id, d.fx->header_bytes, d.fx->sealed_rules,
+                          d.fx->provider.get(), opts);
+  };
+  // base, same, base, renamed, base, larger, then base failing on its
+  // last chunk (after the dictionaries and some events), then each again.
+  const int order[] = {0, 1, 0, 2, 0, 3, 0, -1, 0, 2, 3, 1};
+  for (int k : order) {
+    const Doc& d = docs[k < 0 ? 0 : k];
+    SCOPED_TRACE(d.id);
+    if (k < 0) {
+      d.fx->provider->tamper_index_ = d.fx->container->header().chunk_count - 1;
+      auto failed = run(d, &card);
+      d.fx->provider->tamper_index_ = UINT32_MAX;
+      EXPECT_EQ(failed.status().code(), StatusCode::kIntegrityError);
+      continue;
+    }
+    auto out = run(d, &card);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out.value().view_xml, ViewOracle(d.fx->doc, rules, "u"));
+    // A reused decoder meters what a new card's decoder meters.
+    soe::CardEngine fresh(CardProfile::EGate());
+    fresh.InstallKey(d.id, d.fx->key);
+    auto want = run(d, &fresh);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(out.value().stats.ram_peak, want.value().stats.ram_peak);
+    EXPECT_EQ(out.value().stats.total_seconds,
+              want.value().stats.total_seconds);
+  }
 }
 
 // --- Golden modeled costs -------------------------------------------------
