@@ -86,9 +86,12 @@ class DocumentDecoder {
   /// the buffers' capacity. The dictionary names are read into reused
   /// scratch; when they are the entries a dictionary already holds, in the
   /// same order, that dictionary is kept (its ids, names and modeled size
-  /// are what a rebuild would give); otherwise it is rebuilt. After a
-  /// failure NextView() reports the end until a Reopen() succeeds. A card
-  /// that keeps one decoder (soe::CardEngine) reopens it per session.
+  /// are what a rebuild would give); otherwise it is rebuilt. Each
+  /// dictionary is decided as soon as its names are read, so a failure
+  /// inside the attribute names leaves the new tag dictionary beside the
+  /// old attribute one; NextView() then reports the end, and only the next
+  /// successful Reopen() counts. A card that keeps one decoder
+  /// (soe::CardEngine) reopens it per session.
   Status Reopen(ByteSource* source);
 
   /// Pulls the next event as a borrowed view — the SOE's zero-copy fast

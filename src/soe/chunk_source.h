@@ -145,12 +145,6 @@ class ChunkSource : public skipindex::ByteSource {
   ChunkSource(const crypto::DocCipher& cipher,
               const crypto::ContainerHeader& header, ChunkProvider* provider,
               CostModel* cost, bool charge_transfer = true);
-  /// The same, deriving the cipher context from `key`.
-  ChunkSource(const crypto::SymmetricKey& key,
-              const crypto::ContainerHeader& header, ChunkProvider* provider,
-              CostModel* cost, bool charge_transfer = true)
-      : ChunkSource(crypto::DocCipher::For(key), header, provider, cost,
-                    charge_transfer) {}
 
   Status ReadExact(uint8_t* buf, size_t n) override;
   Status Skip(uint64_t n) override;

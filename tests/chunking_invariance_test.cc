@@ -129,7 +129,8 @@ TEST(ChunkingInvarianceSweep, DecoderMetadataIsIdenticalAtEveryChunkSize) {
     skipindex::MemorySource plain{Span(sealed.encoded)};
     auto reference = skipindex::DocumentDecoder::Open(&plain).value();
     InMemoryProvider provider(&container);
-    soe::ChunkSource chunked(sealed.key, container.header(), &provider,
+    soe::ChunkSource chunked(crypto::DocCipher::For(sealed.key),
+                             container.header(), &provider,
                              /*cost=*/nullptr);
     auto opened = skipindex::DocumentDecoder::Open(&chunked);
     ASSERT_TRUE(opened.ok()) << "chunk=" << chunk_size;

@@ -467,8 +467,8 @@ TEST_P(FetchPlanSoundness, PlanEqualsSealedScanChunkSet) {
     soe::ContainerChunkProvider backend(&container.value());
     soe::PlannedProvider recorder(&backend,
                                   container.value().header().chunk_count);
-    soe::ChunkSource source(key, container.value().header(), &recorder,
-                            nullptr);
+    soe::ChunkSource source(crypto::DocCipher::For(key),
+                            container.value().header(), &recorder, nullptr);
     auto dec = skipindex::DocumentDecoder::Open(&source);
     ASSERT_TRUE(dec.ok()) << dec.status().ToString();
     xml::CanonicalWriter writer;

@@ -109,8 +109,8 @@ SteadyState DecodeSealed(const Bytes& encoded, size_t chunk) {
   EXPECT_TRUE(container.ok());
   if (!container.ok()) return {};
   soe::ContainerChunkProvider provider(&container.value());
-  soe::ChunkSource source(key, container.value().header(), &provider,
-                          nullptr);
+  soe::ChunkSource source(crypto::DocCipher::For(key),
+                          container.value().header(), &provider, nullptr);
   return DecodeSteadyState(&source,
                            [&source] { return source.chunks_fetched(); });
 }

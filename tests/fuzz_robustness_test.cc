@@ -188,8 +188,8 @@ DecodeTrace DrainSealed(Span plain, size_t chunk, int max_events) {
   EXPECT_TRUE(container.ok()) << container.status().ToString();
   if (!container.ok()) return {};
   soe::ContainerChunkProvider provider(&container.value());
-  soe::ChunkSource source(key, container.value().header(), &provider,
-                          nullptr);
+  soe::ChunkSource source(crypto::DocCipher::For(key),
+                          container.value().header(), &provider, nullptr);
   return DrainDecoder(&source, max_events);
 }
 
@@ -406,7 +406,8 @@ TEST(FuzzTest, CorruptedFetchPlansNeverChangeTheView) {
   auto scan_with_plan = [&](const soe::FetchPlan& plan) -> Result<std::string> {
     soe::ContainerChunkProvider backend(&container);
     soe::PlannedProvider provider(&backend, chunk_count, plan);
-    soe::ChunkSource source(key, container.header(), &provider, nullptr);
+    soe::ChunkSource source(crypto::DocCipher::For(key), container.header(),
+                            &provider, nullptr);
     CSXA_ASSIGN_OR_RETURN(auto dec, skipindex::DocumentDecoder::Open(&source));
     xml::CanonicalWriter writer;
     CSXA_ASSIGN_OR_RETURN(

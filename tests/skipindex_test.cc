@@ -565,6 +565,47 @@ TEST(DecoderReuseTest, FailureDoesNotReachTheNextDocument) {
             Doc("<a x=\"1\"><b>hello</b><c><b>w</b></c></a>").Serialize());
 }
 
+// A header that fails inside the attribute dictionary, after the tag
+// dictionary was read in full, leaves nothing behind either: the next
+// Reopen decodes its document in full, whichever document that is.
+TEST(DecoderReuseTest, HeaderFailingInsideAttributeDictionary) {
+  const std::string whole_text = "<a x=\"1\"><b>hello</b><c><b>w</b></c></a>";
+  const std::string other_text = "<p><q y=\"2\" zz=\"3\">z</q></p>";
+  Bytes whole = EncodeDocument(Doc(whole_text), EncodeOptions{}).value();
+  Bytes other = EncodeDocument(Doc(other_text), EncodeOptions{}).value();
+  // Magic, flags, then each dictionary as a count and length-prefixed
+  // names; every count and length here fits in a one-byte varint.
+  MemorySource probe(other);
+  auto reference = DocumentDecoder::Open(&probe).value();
+  size_t attr_begin = 2 + 1;
+  for (const std::string& name : Names(reference->tags())) {
+    attr_begin += 1 + name.size();
+  }
+  size_t attr_end = attr_begin + 1;
+  for (const std::string& name : Names(reference->attrs())) {
+    attr_end += 1 + name.size();
+  }
+  ASSERT_EQ(Names(reference->attrs()).size(), 2u);
+
+  MemorySource src(whole);
+  auto dec = DocumentDecoder::Open(&src).value();
+  for (size_t cut = attr_begin; cut < attr_end; ++cut) {
+    SCOPED_TRACE(cut);
+    Bytes head(other.begin(), other.begin() + cut);
+    MemorySource head_src(head);
+    EXPECT_FALSE(dec->Reopen(&head_src).ok());
+    auto end = dec->NextView();
+    ASSERT_TRUE(end.ok());
+    EXPECT_EQ(end.value().type, xml::EventType::kEnd);
+    const Bytes& next = cut % 2 == 0 ? whole : other;
+    MemorySource next_src(next);
+    ASSERT_TRUE(dec->Reopen(&next_src).ok());
+    EXPECT_EQ(dec->RecountModeledBytes(), dec->ModeledBytes());
+    EXPECT_EQ(DecodeRest(dec.get()),
+              Doc(cut % 2 == 0 ? whole_text : other_text).Serialize());
+  }
+}
+
 // The encoder works on a few flat arrays and writes one pre-sized buffer:
 // its allocation count depends on the dictionaries, not on the element
 // count.

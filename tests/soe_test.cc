@@ -137,7 +137,8 @@ TEST(ChunkSourceTest, SequentialReadMatchesPayload) {
   SealedDoc doc = MakeSealed(3000, 512, 21);
   TestProvider provider(&doc.container);
   CostModel cost(CardProfile::EGate());
-  soe::ChunkSource src(doc.key, doc.header, &provider, &cost);
+  soe::ChunkSource src(crypto::DocCipher::For(doc.key), doc.header,
+                       &provider, &cost);
   Bytes read(3000);
   ASSERT_TRUE(src.ReadExact(read.data(), read.size()).ok());
   EXPECT_TRUE(src.AtEnd());
@@ -151,7 +152,8 @@ TEST(ChunkSourceTest, SkipAvoidsFetchingChunks) {
   SealedDoc doc = MakeSealed(512 * 10, 512, 22);
   TestProvider provider(&doc.container);
   CostModel cost(CardProfile::EGate());
-  soe::ChunkSource src(doc.key, doc.header, &provider, &cost);
+  soe::ChunkSource src(crypto::DocCipher::For(doc.key), doc.header,
+                       &provider, &cost);
   uint8_t buf[16];
   ASSERT_TRUE(src.ReadExact(buf, 16).ok());       // chunk 0
   ASSERT_TRUE(src.Skip(512 * 7).ok());            // land in chunk 7
@@ -165,7 +167,8 @@ TEST(ChunkSourceTest, TamperedChunkRejected) {
   TestProvider provider(&doc.container);
   provider.tamper_index_ = 2;
   CostModel cost(CardProfile::EGate());
-  soe::ChunkSource src(doc.key, doc.header, &provider, &cost);
+  soe::ChunkSource src(crypto::DocCipher::For(doc.key), doc.header,
+                       &provider, &cost);
   Bytes read(2048);
   Status st = src.ReadExact(read.data(), read.size());
   EXPECT_EQ(st.code(), StatusCode::kIntegrityError);
@@ -176,7 +179,8 @@ TEST(ChunkSourceTest, SubstitutedChunkRejected) {
   TestProvider provider(&doc.container);
   provider.swap_with_ok_proof_ = 3;
   CostModel cost(CardProfile::EGate());
-  soe::ChunkSource src(doc.key, doc.header, &provider, &cost);
+  soe::ChunkSource src(crypto::DocCipher::For(doc.key), doc.header,
+                       &provider, &cost);
   Bytes read(2048);
   EXPECT_EQ(read.size(), 2048u);
   Status st = src.ReadExact(read.data(), read.size());
@@ -186,7 +190,8 @@ TEST(ChunkSourceTest, SubstitutedChunkRejected) {
 TEST(ChunkSourceTest, ReadPastEndFails) {
   SealedDoc doc = MakeSealed(100, 64, 25);
   TestProvider provider(&doc.container);
-  soe::ChunkSource src(doc.key, doc.header, &provider, nullptr);
+  soe::ChunkSource src(crypto::DocCipher::For(doc.key), doc.header,
+                       &provider, nullptr);
   Bytes read(101);
   EXPECT_FALSE(src.ReadExact(read.data(), read.size()).ok());
 }
