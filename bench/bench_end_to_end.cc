@@ -101,11 +101,14 @@ int main() {
       ByteWriter hw;
       container.header().EncodeTo(&hw);
       auto rules = core::RuleSet::ParseText("+ u //patient/admin\n").value();
-      Bytes sealed_rules = core::SealRuleSet(key, rules, /*version=*/1, &rng);
+      const crypto::DocCipher cipher = crypto::DocCipher::For(key);
+      const Bytes message = RuleMessageFor(
+          cipher, core::SealRuleEnvelope(cipher, rules, /*version=*/1, &rng),
+          "u");
       soe::SessionOptions opts;
       opts.subject = "u";
       auto out =
-          card.RunSession("doc", hw.bytes(), sealed_rules, &provider, opts);
+          card.RunSession("doc", hw.bytes(), message, &provider, opts);
       CSXA_CHECK(out.ok());
       t3.AddRow({Fmt("%zu", chunk),
                  mode == crypto::IntegrityMode::kChunkMac ? "chunk-mac"

@@ -167,7 +167,13 @@ void RunCardSessions(benchmark::State& state, const char* subject,
   container.header().EncodeTo(&header);
   scengen::Scenario scenario = scengen::HospitalScenario();
   auto rules = core::RuleSet::ParseText(scenario.rules_text).value();
-  Bytes sealed_rules = core::SealRuleSet(key, rules, /*version=*/1, &rng);
+  const crypto::DocCipher cipher = crypto::DocCipher::For(key);
+  const Bytes envelope =
+      core::SealRuleEnvelope(cipher, rules, /*version=*/1, &rng);
+  Bytes message;
+  CSXA_CHECK(core::CutRuleMessage(envelope, core::SubjectLabel(cipher, subject),
+                                  &message)
+                 .ok());
   soe::CardEngine card(soe::CardProfile::EGate());
   card.InstallKey("folder", key);
   soe::SessionOptions options;
@@ -177,7 +183,7 @@ void RunCardSessions(benchmark::State& state, const char* subject,
   size_t bytes = 0;
   for (auto _ : state) {
     soe::ContainerChunkProvider provider(&container);
-    auto out = card.RunSession("folder", header.bytes(), sealed_rules,
+    auto out = card.RunSession("folder", header.bytes(), message,
                                &provider, options);
     CSXA_CHECK(out.ok());
     benchmark::DoNotOptimize(out.value().view_xml.data());

@@ -79,7 +79,8 @@ int main() {
       // C-SXA: the update is the sealed rule blob, nothing else.
       auto rules = core::RuleSet::ParseText(kSteps[i].rules).value();
       Bytes sealed =
-          core::SealRuleSet(key, rules, /*version=*/i + 1, &seal_rng);
+          core::SealRuleEnvelope(crypto::DocCipher::For(key), rules,
+                                 /*version=*/i + 1, &seal_rng);
 
       auto change = store.value().ApplyPolicyChange(rules, &rng);
       CSXA_CHECK(change.ok());

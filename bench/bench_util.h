@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.h"
@@ -166,8 +167,20 @@ inline Fixture MakeFixture(xml::DocProfile profile, size_t elements,
   fx.container->header().EncodeTo(&hw);
   fx.header_bytes = hw.Take();
   fx.rules = core::RuleSet::ParseText(rules_text).value();
-  fx.sealed_rules = core::SealRuleSet(fx.key, fx.rules, /*version=*/1, &rng);
+  fx.sealed_rules = core::SealRuleEnvelope(crypto::DocCipher::For(fx.key),
+                                          fx.rules, /*version=*/1, &rng);
   return fx;
+}
+
+/// The rule message a terminal hands `subject`'s card: the envelope's
+/// header and the subject's record (core::CutRuleMessage by its label).
+inline Bytes RuleMessageFor(const crypto::DocCipher& cipher, Span envelope,
+                            std::string_view subject) {
+  Bytes message;
+  CSXA_CHECK(core::CutRuleMessage(envelope, core::SubjectLabel(cipher, subject),
+                                  &message)
+                 .ok());
+  return message;
 }
 
 /// Runs one pull session on an e-gate card over the fixture.
@@ -185,8 +198,9 @@ inline soe::SessionOutput RunSession(const Fixture& fx,
   opts.query_text = query;
   opts.use_skip = use_skip;
   opts.push_mode = push_mode;
-  auto out =
-      card.RunSession("doc", fx.header_bytes, fx.sealed_rules, &provider, opts);
+  const Bytes message =
+      RuleMessageFor(crypto::DocCipher::For(fx.key), fx.sealed_rules, subject);
+  auto out = card.RunSession("doc", fx.header_bytes, message, &provider, opts);
   CSXA_CHECK(out.ok());
   return std::move(out).value();
 }

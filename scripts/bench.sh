@@ -10,8 +10,8 @@
 # table benches — including bench_transport (BENCH_transport.json, the
 # tracked round-trip series), bench_fault (BENCH_fault.json, the tracked
 # healthy-vs-degraded replicated-fabric series), bench_ablation and
-# bench_baselines (both tracked at the repo root too), bench_dissemination
-# bench_skip_index and bench_scenarios (BENCH_scenarios.json, the tracked
+# bench_baselines and bench_dissemination (all three tracked at the repo
+# root too), bench_skip_index and bench_scenarios (BENCH_scenarios.json, the tracked
 # elements x rules x update-rate scenario grid) — write their own report
 # when CSXA_BENCH_JSON is set (bench/bench_util.h JsonReport). Any new
 # bench_* binary is picked up automatically by the `*` case below.

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Checks that the modeled-clock benchmark series are byte-identical to the
-# committed files. bench_transport, bench_ablation, bench_baselines and
-# bench_end_to_end report only modeled costs (card/link clock, round trips,
-# bytes), so a refactor that keeps the cost model must reproduce
-# BENCH_transport.json, BENCH_ablation.json, BENCH_baselines.json and
-# BENCH_end_to_end.json exactly. Each bench is rerun at full workload into a
+# committed files. bench_transport, bench_ablation, bench_baselines,
+# bench_end_to_end and bench_dissemination report only modeled costs
+# (card/link clock, round trips, bytes), so a refactor that keeps the cost
+# model must reproduce BENCH_transport.json, BENCH_ablation.json,
+# BENCH_baselines.json, BENCH_end_to_end.json and BENCH_dissemination.json
+# exactly. Each bench is rerun at full workload into a
 # temporary directory and compared with `cmp`; any difference fails.
 #
 # Usage: scripts/check_modeled_bench.sh [build_dir]   (default: build)
@@ -20,7 +21,7 @@ out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
 status=0
-for name in transport ablation baselines end_to_end; do
+for name in transport ablation baselines end_to_end dissemination; do
   bin="$build_dir/bench/bench_$name"
   if [ ! -x "$bin" ]; then
     echo "error: $bin not found — build the benches first" >&2

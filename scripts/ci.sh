@@ -43,7 +43,8 @@ stage_tier1() {
     ctest --output-on-failure -L scengen
   )
   # The modeled-clock bench series (transport, ablation, baselines, end to
-  # end) must reproduce the committed BENCH_*.json files byte for byte.
+  # end, dissemination) must reproduce the committed BENCH_*.json files
+  # byte for byte.
   ./scripts/check_modeled_bench.sh build
 }
 

@@ -71,6 +71,9 @@ class ByteWriter {
  public:
   ByteWriter() = default;
 
+  /// Reserves room for `n` bytes in all, so that many appends do not
+  /// regrow the buffer.
+  void Reserve(size_t n) { buf_.reserve(n); }
   /// Appends a single byte.
   void PutU8(uint8_t v) { buf_.push_back(v); }
   /// Appends a 16-bit little-endian integer.

@@ -1,62 +1,55 @@
 #include "core/rule.h"
 
-#include <sstream>
+#include <algorithm>
 
 namespace csxa::core {
 
-Status RuleSet::Add(Sign sign, const std::string& subject,
-                    const std::string& object) {
+Status RuleSet::Add(Sign sign, std::string_view subject,
+                    std::string_view object) {
   if (subject.empty()) return Status::InvalidArgument("empty rule subject");
   CSXA_ASSIGN_OR_RETURN(xpath::PathExpr expr, xpath::ParsePath(object));
-  AccessRule r;
+  AccessRule& r = rules_.emplace_back();
   r.sign = sign;
-  r.subject = subject;
+  r.subject.assign(subject);
   r.object = std::move(expr);
-  r.object_text = object;
-  rules_.push_back(std::move(r));
+  r.object_text.assign(object);
   return Status::OK();
 }
 
-Result<RuleSet> RuleSet::ParseText(const std::string& text) {
+Result<RuleSet> RuleSet::ParseText(std::string_view text) {
   RuleSet set;
-  std::istringstream in(text);
-  std::string line;
+  // A rule per line at most: the rule list is sized once.
+  set.rules_.reserve(1 + std::count(text.begin(), text.end(), '\n'));
   int lineno = 0;
-  while (std::getline(in, line)) {
+  while (!text.empty()) {
+    const size_t eol = text.find('\n');
+    const std::string_view line = text.substr(0, eol);
+    text = eol == std::string_view::npos ? std::string_view()
+                                         : text.substr(eol + 1);
     ++lineno;
+    auto error = [lineno](std::string_view what) {
+      return Status::ParseError("rule line " + std::to_string(lineno) + ": " +
+                                std::string(what));
+    };
     // Trim leading whitespace.
     size_t b = line.find_first_not_of(" \t\r");
-    if (b == std::string::npos) continue;
+    if (b == std::string_view::npos) continue;
     if (line[b] == '#') continue;
     char sign_char = line[b];
     if (sign_char != '+' && sign_char != '-') {
-      return Status::ParseError("rule line " + std::to_string(lineno) +
-                                ": expected '+' or '-'");
+      return error("expected '+' or '-'");
     }
     size_t subj_begin = line.find_first_not_of(" \t", b + 1);
-    if (subj_begin == std::string::npos) {
-      return Status::ParseError("rule line " + std::to_string(lineno) +
-                                ": missing subject");
-    }
+    if (subj_begin == std::string_view::npos) return error("missing subject");
     size_t subj_end = line.find_first_of(" \t", subj_begin);
-    if (subj_end == std::string::npos) {
-      return Status::ParseError("rule line " + std::to_string(lineno) +
-                                ": missing object");
-    }
-    std::string subject = line.substr(subj_begin, subj_end - subj_begin);
+    if (subj_end == std::string_view::npos) return error("missing object");
     size_t obj_begin = line.find_first_not_of(" \t", subj_end);
-    if (obj_begin == std::string::npos) {
-      return Status::ParseError("rule line " + std::to_string(lineno) +
-                                ": missing object");
-    }
+    if (obj_begin == std::string_view::npos) return error("missing object");
     size_t obj_end = line.find_last_not_of(" \t\r");
-    std::string object = line.substr(obj_begin, obj_end - obj_begin + 1);
-    Status st = set.Add(sign_char == '+' ? Sign::kPermit : Sign::kDeny, subject,
-                        object);
-    if (!st.ok()) {
-      return Status::ParseError("rule line " + std::to_string(lineno) + ": " +
-                                st.ToString());
-    }
+    Status st = set.Add(sign_char == '+' ? Sign::kPermit : Sign::kDeny,
+                        line.substr(subj_begin, subj_end - subj_begin),
+                        line.substr(obj_begin, obj_end - obj_begin + 1));
+    if (!st.ok()) return error(st.ToString());
   }
   return set;
 }
@@ -71,33 +64,6 @@ std::string RuleSet::ToText() const {
     out += "\n";
   }
   return out;
-}
-
-void RuleSet::EncodeTo(ByteWriter* out) const {
-  out->PutU32(static_cast<uint32_t>(rules_.size()));
-  for (const AccessRule& r : rules_) {
-    out->PutU8(static_cast<uint8_t>(r.sign));
-    out->PutString(r.subject);
-    out->PutString(r.object_text.empty() ? xpath::ToString(r.object)
-                                         : r.object_text);
-  }
-}
-
-Result<RuleSet> RuleSet::DecodeFrom(ByteReader* in) {
-  uint32_t n;
-  if (!in->GetU32(&n)) return Status::ParseError("rule set truncated");
-  RuleSet set;
-  for (uint32_t i = 0; i < n; ++i) {
-    uint8_t sign;
-    std::string subject, object;
-    if (!in->GetU8(&sign) || !in->GetString(&subject) ||
-        !in->GetString(&object)) {
-      return Status::ParseError("rule set truncated");
-    }
-    CSXA_RETURN_IF_ERROR(
-        set.Add(sign == 0 ? Sign::kPermit : Sign::kDeny, subject, object));
-  }
-  return set;
 }
 
 std::vector<AccessRule> RuleSet::ForSubject(const std::string& subject) const {

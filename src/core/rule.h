@@ -11,6 +11,7 @@
 /// a closed default (a node covered by no rule is forbidden).
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -44,7 +45,7 @@ class RuleSet {
   RuleSet() = default;
 
   /// Appends a rule given its parts; parses and validates the object.
-  Status Add(Sign sign, const std::string& subject, const std::string& object);
+  Status Add(Sign sign, std::string_view subject, std::string_view object);
 
   /// Parses the one-rule-per-line text format:
   ///
@@ -53,15 +54,11 @@ class RuleSet {
   ///     - bob   //note[visibility="private"]
   ///
   /// '+' is a permission, '-' a prohibition; subject is a single token.
-  static Result<RuleSet> ParseText(const std::string& text);
+  /// Lines are read in place, and the rule list is sized once.
+  static Result<RuleSet> ParseText(std::string_view text);
 
   /// Serializes back to the text format (round-trips through ParseText).
   std::string ToText() const;
-
-  /// Compact binary encoding (used for sealing rule sets for the DSP).
-  void EncodeTo(ByteWriter* out) const;
-  /// Decodes the binary encoding.
-  static Result<RuleSet> DecodeFrom(ByteReader* in);
 
   /// All rules.
   const std::vector<AccessRule>& rules() const { return rules_; }

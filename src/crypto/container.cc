@@ -278,50 +278,4 @@ Result<Bytes> SecureContainer::OpenAll(const SymmetricKey& key, Span container) 
   return out;
 }
 
-Bytes SealRecord(const SymmetricKey& key, Span payload, Rng* rng) {
-  Iv iv;
-  for (size_t i = 0; i < iv.size(); i += 8) {
-    uint64_t v = rng->Next();
-    for (size_t b = 0; b < 8 && i + b < iv.size(); ++b) {
-      iv[i + b] = static_cast<uint8_t>(v >> (8 * b));
-    }
-  }
-  Aes128 aes = key.EncryptionCipher();
-  Bytes cipher = CbcEncrypt(aes, iv, payload);
-  ByteWriter macd;
-  macd.PutBytes(Span(iv.data(), iv.size()));
-  macd.PutBytes(cipher);
-  Digest mac = HmacSha256(key.MacKey().bytes(), macd.bytes());
-  ByteWriter w;
-  w.PutBytes(Span(iv.data(), iv.size()));
-  w.PutBytes(Span(mac.data(), mac.size()));
-  w.PutBytes(cipher);
-  return w.Take();
-}
-
-Status OpenRecord(const DocCipher& cipher, Span sealed, Bytes* plain) {
-  if (sealed.size() < 16 + 32 + kAesBlockSize) {
-    return Status::IntegrityError("sealed record too short");
-  }
-  Span iv_span = sealed.subspan(0, 16);
-  Span mac_span = sealed.subspan(16, 32);
-  Span ciphertext = sealed.subspan(48);
-  Sha256 hasher = cipher.mac.Begin();
-  hasher.Update(iv_span);
-  hasher.Update(ciphertext);
-  Digest mac = cipher.mac.Finish(hasher);
-  if (!ConstantTimeEqual(Span(mac.data(), mac.size()), mac_span)) {
-    return Status::IntegrityError("record MAC mismatch");
-  }
-  Iv iv;
-  std::memcpy(iv.data(), iv_span.data(), 16);
-  return CbcDecrypt(cipher.enc, iv, ciphertext, plain);
-}
-
-Result<Bytes> OpenRecord(const SymmetricKey& key, Span sealed) {
-  Bytes plain;
-  CSXA_RETURN_IF_ERROR(OpenRecord(DocCipher::For(key), sealed, &plain));
-  return plain;
-}
-
 }  // namespace csxa::crypto

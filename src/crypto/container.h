@@ -13,14 +13,11 @@
 /// while the SOE can still fetch and verify any subset of chunks — the
 /// property the skip index depends on.
 ///
-/// Small records (access rules, key envelopes) use the simpler
-/// encrypt-then-MAC record format at the bottom of this header.
-///
 /// Readers that open many chunks under one key pass a DocCipher (keys.h),
-/// derived once per card session or container, to VerifyRoot,
-/// VerifyAndDecryptChunk and OpenRecord; the SymmetricKey overloads
-/// re-derive it on every call and are kept for tests and one-shot callers. Seal and OpenAll
-/// derive it once per container.
+/// derived once per card session or container, to VerifyRoot
+/// and VerifyAndDecryptChunk; the SymmetricKey overloads re-derive it on
+/// every call and are kept for tests and one-shot callers. Seal and
+/// OpenAll derive it once per container.
 
 #include <cstdint>
 #include <memory>
@@ -176,17 +173,6 @@ class SecureContainer {
   size_t chunks_off_ = 0;  // offset of first chunk ciphertext
   std::shared_ptr<MerkleCache> merkle_;  // null in kChunkMac mode
 };
-
-/// Seals a small record: CBC(encrypt) then HMAC over (iv || ciphertext).
-/// Format: iv(16) || mac(32) || ciphertext.
-Bytes SealRecord(const SymmetricKey& key, Span payload, Rng* rng);
-
-/// Opens a sealed record under the key's cipher context, verifying the MAC
-/// (streamed, no copy) before decrypting into `plain`. Allocates nothing
-/// once `plain` has the capacity.
-Status OpenRecord(const DocCipher& cipher, Span sealed, Bytes* plain);
-/// The same, deriving the cipher context from `key` into a new buffer.
-Result<Bytes> OpenRecord(const SymmetricKey& key, Span sealed);
 
 }  // namespace csxa::crypto
 

@@ -27,50 +27,4 @@ void CtrTransform(const Aes128& aes, const Iv& iv, Span in, Bytes* out) {
   aes.CtrXor(iv.data(), in.data(), out->data(), in.size());
 }
 
-Bytes CbcEncrypt(const Aes128& aes, const Iv& iv, Span plain) {
-  size_t pad = kAesBlockSize - plain.size() % kAesBlockSize;
-  Bytes padded = plain.ToBytes();
-  padded.insert(padded.end(), pad, static_cast<uint8_t>(pad));
-  Bytes out(padded.size());
-  uint8_t prev[16];
-  std::memcpy(prev, iv.data(), 16);
-  for (size_t off = 0; off < padded.size(); off += 16) {
-    uint8_t block[16];
-    for (int i = 0; i < 16; ++i) block[i] = padded[off + i] ^ prev[i];
-    aes.EncryptBlock(block, out.data() + off);
-    std::memcpy(prev, out.data() + off, 16);
-  }
-  return out;
-}
-
-Status CbcDecrypt(const Aes128& aes, const Iv& iv, Span cipher, Bytes* out) {
-  if (cipher.size() == 0 || cipher.size() % kAesBlockSize != 0) {
-    return Status::IntegrityError("CBC ciphertext length invalid");
-  }
-  out->resize(cipher.size());
-  uint8_t prev[16];
-  std::memcpy(prev, iv.data(), 16);
-  for (size_t off = 0; off < cipher.size(); off += 16) {
-    uint8_t block[16];
-    aes.DecryptBlock(cipher.data() + off, block);
-    for (int i = 0; i < 16; ++i) (*out)[off + i] = block[i] ^ prev[i];
-    std::memcpy(prev, cipher.data() + off, 16);
-  }
-  uint8_t pad = out->back();
-  if (pad == 0 || pad > kAesBlockSize || pad > out->size()) {
-    return Status::IntegrityError("CBC padding invalid");
-  }
-  for (size_t i = out->size() - pad; i < out->size(); ++i) {
-    if ((*out)[i] != pad) return Status::IntegrityError("CBC padding invalid");
-  }
-  out->resize(out->size() - pad);
-  return Status::OK();
-}
-
-Result<Bytes> CbcDecrypt(const Aes128& aes, const Iv& iv, Span cipher) {
-  Bytes out;
-  CSXA_RETURN_IF_ERROR(CbcDecrypt(aes, iv, cipher, &out));
-  return out;
-}
-
 }  // namespace csxa::crypto

@@ -2,11 +2,11 @@
 #define CSXA_CRYPTO_MODES_H_
 
 /// \file modes.h
-/// \brief AES-128 block cipher modes: CTR (streamable) and CBC (PKCS#7).
+/// \brief AES-128 in CTR mode (streamable).
 ///
 /// Document payloads use CTR so the SOE can decrypt any chunk independently
-/// (a requirement for skipping); small records (rules, key envelopes) use
-/// CBC with padding.
+/// (a requirement for skipping); the rule envelope's records
+/// (core/rule_envelope.h) use it too.
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -27,16 +27,6 @@ Iv DeriveCtrIv(Span nonce, uint64_t chunk_index);
 /// writing to `out` (may alias). Arbitrary lengths supported. Runs on
 /// Aes128::CtrXor: four blocks at a time on AES-NI hosts.
 void CtrTransform(const Aes128& aes, const Iv& iv, Span in, Bytes* out);
-
-/// CBC-encrypts `plain` with PKCS#7 padding.
-Bytes CbcEncrypt(const Aes128& aes, const Iv& iv, Span plain);
-
-/// CBC-decrypts into `out` (resized; no allocation once it has the
-/// capacity) and strips PKCS#7 padding; fails on bad padding or on a
-/// ciphertext that is not a positive multiple of the block size.
-Status CbcDecrypt(const Aes128& aes, const Iv& iv, Span cipher, Bytes* out);
-/// The same, into a new buffer.
-Result<Bytes> CbcDecrypt(const Aes128& aes, const Iv& iv, Span cipher);
 
 }  // namespace csxa::crypto
 

@@ -49,22 +49,30 @@ Result<BroadcastReport> Channel::Publish(const xml::DomDocument& item) {
                         core::RuleSet::ParseText(rules_text_));
   // The item counter doubles as the rule-envelope version: every broadcast
   // carries the current policy, and subscriber cards refuse rollbacks.
+  const crypto::DocCipher cipher = crypto::DocCipher::For(key_);
   Bytes sealed_rules =
-      core::SealRuleSet(key_, rules, item_counter_, &rng_);
+      core::SealRuleEnvelope(cipher, rules, item_counter_, &rng_);
 
   // The broadcast buffer the terminal already received. Push-mode
   // sessions charge no round trips for reading it.
   soe::ContainerChunkProvider provider(&container);
   report.broadcast_wire_bytes = provider.TotalWireBytes();
 
+  Bytes rule_message;
   for (Subscriber* sub : subscribers_) {
+    // The subscriber's terminal hands its card the envelope's header and
+    // the record its card names, out of the broadcast.
+    CSXA_ASSIGN_OR_RETURN(core::RuleLabel label,
+                          sub->card().LabelFor(channel_id_, sub->name()));
+    CSXA_RETURN_IF_ERROR(
+        core::CutRuleMessage(sealed_rules, label, &rule_message));
     soe::SessionOptions opts;
     opts.subject = sub->name();
     opts.use_skip = options_.use_skip;
     opts.push_mode = true;
     CSXA_ASSIGN_OR_RETURN(
         soe::SessionOutput out,
-        sub->card().RunSession(channel_id_, header_bytes, sealed_rules,
+        sub->card().RunSession(channel_id_, header_bytes, rule_message,
                                &provider, opts));
     if (out.stats.total_seconds > report.max_subscriber_seconds) {
       report.max_subscriber_seconds = out.stats.total_seconds;

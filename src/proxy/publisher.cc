@@ -8,9 +8,11 @@ namespace csxa::proxy {
 Result<Bytes> Publisher::SealRules(const crypto::SymmetricKey& key,
                                    const core::RuleSet& rules,
                                    const std::string& doc_id) {
-  // Monotone per-document version: the card's anti-rollback anchor.
+  // Monotone per-document version: the card's anti-rollback anchor. One
+  // cipher context seals every subject's record.
   uint64_t version = ++rules_versions_[doc_id];
-  return core::SealRuleSet(key, rules, version, &rng_);
+  return core::SealRuleEnvelope(crypto::DocCipher::For(key), rules, version,
+                                &rng_);
 }
 
 Result<PublishReceipt> Publisher::Publish(const std::string& doc_id,

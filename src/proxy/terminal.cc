@@ -1,7 +1,9 @@
 #include "proxy/terminal.h"
 
+#include <algorithm>
 #include <utility>
 
+#include "core/rule_envelope.h"
 #include "soe/prefetch.h"
 
 namespace csxa::proxy {
@@ -11,7 +13,10 @@ using soe::Ins;
 
 Terminal::Terminal(std::string user, soe::CardProfile profile,
                    dsp::Service* dsp, pki::KeyRegistry* registry)
-    : user_(std::move(user)), dsp_(dsp), registry_(registry), applet_(profile) {}
+    : user_(std::move(user)),
+      dsp_(dsp),
+      registry_(registry),
+      applet_(profile, user_) {}
 
 Status Terminal::Provision(const std::string& doc_id) {
   CSXA_ASSIGN_OR_RETURN(crypto::SymmetricKey key,
@@ -98,11 +103,18 @@ Result<QueryResult> Terminal::Query(const std::string& doc_id,
   if (!exchange(Ins::kSelectDocument, select.bytes())) {
     return FromSw(reply.sw, "select");
   }
-  if (!exchange(Ins::kPutRules, open.sealed_rules)) {
+  // The card names its holder's label; only that record crosses the link.
+  core::RuleLabel label;
+  if (reply.data.size() != label.size()) {
+    return Status::Internal("select: no rule label in the reply");
+  }
+  std::copy(reply.data.begin(), reply.data.end(), label.begin());
+  CSXA_RETURN_IF_ERROR(
+      core::CutRuleMessage(open.sealed_rules, label, &rule_message_));
+  if (!exchange(Ins::kPutRules, rule_message_)) {
     return FromSw(reply.sw, "put-rules");
   }
   ByteWriter run;
-  run.PutString(user_);
   run.PutString(options.query);
   run.PutU8(options.use_skip ? 1 : 0);
   if (!exchange(Ins::kRunQuery, run.bytes())) {

@@ -8,7 +8,8 @@
 /// different elements of the architecture through an XML API independent
 /// of the underlying protocols (JDBC, APDU)" (§3). The proxy hosts the
 /// user's card (applet), provisions its keys from the PKI registry,
-/// drives sessions through the applet's APDU command set, feeds container
+/// drives sessions through the applet's APDU command set, forwards the
+/// card only its holder's record of the rule envelope, feeds container
 /// chunks fetched from the DSP through the batch-first dsp::Service
 /// protocol (one OpenDocument trip, then chunk fetches that ride a fetch
 /// plan — learned on a query's first run — or a fixed miss window), and
@@ -109,6 +110,9 @@ class Terminal {
   dsp::Service* dsp_;
   pki::KeyRegistry* registry_;
   soe::CsxaApplet applet_;
+  // The envelope header and the holder's record, cut out per query into
+  // one reused buffer.
+  Bytes rule_message_;
   std::map<PlanKey, soe::FetchPlan> plan_cache_;
 };
 

@@ -20,9 +20,10 @@ namespace csxa::soe {
 
 /// Instruction codes of the C-SXA applet.
 enum class Ins : uint8_t {
-  kSelectDocument = 0xA0,  ///< data: doc id + container header
-  kPutRules = 0xA4,        ///< data: sealed rule-set record
-  kRunQuery = 0xA6,        ///< data: subject + query text + skip flag
+  kSelectDocument = 0xA0,  ///< data: doc id + container header;
+                           ///< response: the holder's 8 B rule label
+  kPutRules = 0xA4,        ///< data: rule-envelope header + holder's record
+  kRunQuery = 0xA6,        ///< data: query text + skip flag
   kFetchOutput = 0xA8,     ///< response: next slice of the delivered view
   kEndSession = 0xAC,
 };

@@ -6,7 +6,7 @@ void CsxaApplet::Process(const ApduCommand& command, ApduResponse* reply) {
   reply->data.clear();
   switch (command.ins) {
     case Ins::kSelectDocument:
-      reply->sw = HandleSelect(command.data);
+      reply->sw = HandleSelect(command.data, &reply->data);
       return;
     case Ins::kPutRules:
       reply->sw = HandlePutRules(command.data);
@@ -28,45 +28,48 @@ void CsxaApplet::Process(const ApduCommand& command, ApduResponse* reply) {
 }
 
 void CsxaApplet::ResetSession() {
-  sealed_rules_.clear();
+  rule_message_.clear();
   output_.clear();
   output_cursor_ = 0;
   session_ready_ = false;
 }
 
-uint16_t CsxaApplet::HandleSelect(Span data) {
+uint16_t CsxaApplet::HandleSelect(Span data, Bytes* reply) {
   ByteReader r(data);
   std::string doc_id;
   Span header;
   if (!r.GetString(&doc_id) || !r.GetLengthPrefixed(&header) || !r.AtEnd()) {
     return kSwWrongData;
   }
-  if (!engine_.HasKey(doc_id)) return kSwSecurityStatus;
+  auto label = engine_.LabelFor(doc_id, holder_);
+  if (!label.ok()) return kSwSecurityStatus;
   selected_doc_ = doc_id;
   header_bytes_.assign(header.data(), header.data() + header.size());
   ResetSession();
+  // The reply names the holder's record, the only one the card takes.
+  reply->assign(label.value().begin(), label.value().end());
   return kSwOk;
 }
 
 uint16_t CsxaApplet::HandlePutRules(Span data) {
   if (selected_doc_.empty()) return kSwConditionsNotSatisfied;
-  sealed_rules_.assign(data.data(), data.data() + data.size());
+  rule_message_.assign(data.data(), data.data() + data.size());
   return kSwOk;
 }
 
 uint16_t CsxaApplet::HandleRunQuery(Span data, Bytes* reply) {
-  if (selected_doc_.empty() || sealed_rules_.empty() || provider_ == nullptr) {
+  if (selected_doc_.empty() || rule_message_.empty() || provider_ == nullptr) {
     return kSwConditionsNotSatisfied;
   }
   ByteReader r(data);
   SessionOptions opts;
   uint8_t flags;
-  if (!r.GetString(&opts.subject) || !r.GetString(&opts.query_text) ||
-      !r.GetU8(&flags) || !r.AtEnd()) {
+  if (!r.GetString(&opts.query_text) || !r.GetU8(&flags) || !r.AtEnd()) {
     return kSwWrongData;
   }
+  opts.subject = holder_;
   opts.use_skip = (flags & 1) != 0;
-  auto result = engine_.RunSession(selected_doc_, header_bytes_, sealed_rules_,
+  auto result = engine_.RunSession(selected_doc_, header_bytes_, rule_message_,
                                    provider_, opts, &output_);
   if (!result.ok()) {
     output_.clear();

@@ -5,21 +5,30 @@
 
 namespace csxa::soe {
 
+Result<core::RuleLabel> CardEngine::LabelFor(const std::string& doc_id,
+                                             std::string_view subject) const {
+  auto key_it = keys_.find(doc_id);
+  if (key_it == keys_.end()) {
+    return Status::NotFound("no key installed for document " + doc_id);
+  }
+  return core::SubjectLabel(crypto::DocCipher::For(key_it->second), subject);
+}
+
 Result<SessionOutput> CardEngine::RunSession(const std::string& doc_id,
                                              Span header_bytes,
-                                             Span sealed_rules,
+                                             Span rule_message,
                                              ChunkProvider* provider,
                                              const SessionOptions& options) {
   SessionOutput out;
   CSXA_ASSIGN_OR_RETURN(out.stats,
-                        RunSession(doc_id, header_bytes, sealed_rules,
+                        RunSession(doc_id, header_bytes, rule_message,
                                    provider, options, &out.view_xml));
   return out;
 }
 
 Result<SessionStats> CardEngine::RunSession(const std::string& doc_id,
                                             Span header_bytes,
-                                            Span sealed_rules,
+                                            Span rule_message,
                                             ChunkProvider* provider,
                                             const SessionOptions& options,
                                             std::string* view) {
@@ -34,9 +43,9 @@ Result<SessionStats> CardEngine::RunSession(const std::string& doc_id,
   CostModel cost(profile_);
   RamMeter ram(profile_.ram_budget, options.strict_ram);
 
-  // Header and sealed rules travel over the link.
+  // The header and the rules the card receives travel over the link.
   cost.AddTransfer(header_bytes.size());
-  cost.AddTransfer(sealed_rules.size());
+  cost.AddTransfer(rule_message.size());
 
   ByteReader header_reader(header_bytes);
   CSXA_ASSIGN_OR_RETURN(crypto::ContainerHeader header,
@@ -45,15 +54,16 @@ Result<SessionStats> CardEngine::RunSession(const std::string& doc_id,
   cost.AddHash(crypto::ContainerHeader::kWireSize);
   CSXA_RETURN_IF_ERROR(crypto::SecureContainer::VerifyRoot(cipher, header));
 
-  // Open the rules: MAC verification + CBC decryption inside the card,
-  // parsing only this subject's rules, then the anti-rollback check
-  // against secure stable storage.
-  cost.AddHash(sealed_rules.size());
-  cost.AddDecrypt(sealed_rules.size());
+  // Open the subject's rules: the label over its name, the header and
+  // record MACs over what arrived and the record's decryption inside the
+  // card, then the anti-rollback check against secure stable storage.
+  const core::RuleLabel label = core::SubjectLabel(cipher, options.subject);
   CSXA_ASSIGN_OR_RETURN(
       uint64_t version,
-      core::OpenRuleSet(cipher, sealed_rules, options.subject, &rules_plain_,
-                        &subject_rules_));
+      core::OpenRuleMessage(cipher, rule_message, label, options.subject,
+                            &rules_plain_, &subject_rules_));
+  cost.AddHash(options.subject.size() + rule_message.size());
+  cost.AddDecrypt(rules_plain_.size());
   auto version_it = rules_versions_.find(doc_id);
   if (version_it != rules_versions_.end() && version < version_it->second) {
     return Status::IntegrityError(

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -89,28 +90,33 @@ class CardEngine {
   void InstallKey(const std::string& doc_id, const crypto::SymmetricKey& key) {
     keys_[doc_id] = key;
   }
-  /// True if the card holds a key for `doc_id`.
-  bool HasKey(const std::string& doc_id) const { return keys_.count(doc_id) > 0; }
+  /// The label of `subject`'s record in `doc_id`'s rule envelope
+  /// (core::SubjectLabel under the installed key); NotFound without a key.
+  /// The applet names it at select, so the terminal forwards that record
+  /// only.
+  Result<core::RuleLabel> LabelFor(const std::string& doc_id,
+                                   std::string_view subject) const;
 
   /// Runs a full query session and renders the delivered view into
   /// `*view`, which is cleared first: a caller that keeps one view buffer
   /// (the applet's output buffer) renders into its capacity.
-  /// `header_bytes` is the serialized container header; `sealed_rules` the
-  /// encrypted rule set as stored on the DSP; `provider` supplies
-  /// ciphertext chunks on demand. A session derives the document key's
-  /// cipher context once and parses only its subject's rules. The card
-  /// keeps its evaluator, its decoder (and an unchanged dictionary) and
-  /// its rule buffers from one session to the next, so a repeated session
-  /// allocates a fixed number of times, whatever the size of the document
-  /// and however many rules other subjects have.
+  /// `header_bytes` is the serialized container header; `rule_message`
+  /// the envelope's header and the subject's record as
+  /// core::CutRuleMessage cuts them, all the card receives of the rules;
+  /// `provider` supplies ciphertext chunks on demand. A session derives
+  /// the document key's cipher context and its subject's label once and
+  /// parses only its subject's rules. The card keeps its evaluator, its
+  /// decoder (and an unchanged dictionary) and its rule buffers from one
+  /// session to the next, so a repeated session allocates a fixed number
+  /// of times, whatever the size of the document.
   Result<SessionStats> RunSession(const std::string& doc_id,
-                                  Span header_bytes, Span sealed_rules,
+                                  Span header_bytes, Span rule_message,
                                   ChunkProvider* provider,
                                   const SessionOptions& options,
                                   std::string* view);
   /// The same session, with the view in a new string.
   Result<SessionOutput> RunSession(const std::string& doc_id,
-                                   Span header_bytes, Span sealed_rules,
+                                   Span header_bytes, Span rule_message,
                                    ChunkProvider* provider,
                                    const SessionOptions& options);
 
@@ -132,7 +138,7 @@ class CardEngine {
   // Reopen()ed per session (null until the first).
   std::unique_ptr<core::StreamingEvaluator> evaluator_;
   std::unique_ptr<skipindex::DocumentDecoder> decoder_;
-  // The decrypted rule envelope and the session subject's rules, reused.
+  // The decrypted rule record and the session subject's rules, reused.
   Bytes rules_plain_;
   std::vector<core::AccessRule> subject_rules_;
 };

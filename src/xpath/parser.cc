@@ -1,7 +1,6 @@
 #include "xpath/parser.h"
 
 #include <cctype>
-#include <cstring>
 
 namespace csxa::xpath {
 
@@ -9,7 +8,7 @@ namespace {
 
 class Cursor {
  public:
-  explicit Cursor(const std::string& text) : text_(text) {}
+  explicit Cursor(std::string_view text) : text_(text) {}
 
   void SkipWs() {
     while (pos_ < text_.size() &&
@@ -27,9 +26,9 @@ class Cursor {
   }
   bool Consume(const char* s) {
     SkipWs();
-    size_t n = std::strlen(s);
-    if (text_.compare(pos_, n, s) == 0) {
-      pos_ += n;
+    const std::string_view token(s);
+    if (text_.substr(pos_).starts_with(token)) {
+      pos_ += token.size();
       return true;
     }
     return false;
@@ -53,7 +52,7 @@ class Cursor {
       return Error("expected element name");
     }
     while (pos_ < text_.size() && is_char(text_[pos_])) ++pos_;
-    return text_.substr(start, pos_ - start);
+    return std::string(text_.substr(start, pos_ - start));
   }
 
   Result<std::string> Literal() {
@@ -65,7 +64,7 @@ class Cursor {
       size_t start = pos_;
       while (pos_ < text_.size() && text_[pos_] != c) ++pos_;
       if (pos_ >= text_.size()) return Error("unterminated string literal");
-      std::string lit = text_.substr(start, pos_ - start);
+      std::string lit(text_.substr(start, pos_ - start));
       ++pos_;
       return lit;
     }
@@ -80,11 +79,11 @@ class Cursor {
       ++pos_;
     }
     if (!digits) return Error("expected string or number literal");
-    return text_.substr(start, pos_ - start);
+    return std::string(text_.substr(start, pos_ - start));
   }
 
  private:
-  const std::string& text_;
+  std::string_view text_;
   size_t pos_ = 0;
 };
 
@@ -165,7 +164,7 @@ Result<Step> ParseStep(Cursor* cur, Axis axis) {
 
 }  // namespace
 
-Result<PathExpr> ParsePath(const std::string& text) {
+Result<PathExpr> ParsePath(std::string_view text) {
   Cursor cur(text);
   PathExpr expr;
   if (cur.AtEnd()) return cur.Error("empty expression");
@@ -189,7 +188,7 @@ Result<PathExpr> ParsePath(const std::string& text) {
   return expr;
 }
 
-Result<Predicate> ParsePredicateBody(const std::string& text) {
+Result<Predicate> ParsePredicateBody(std::string_view text) {
   Cursor cur(text);
   CSXA_ASSIGN_OR_RETURN(Predicate p, ParsePredicateAt(&cur));
   if (!cur.AtEnd()) return cur.Error("trailing characters");

@@ -20,18 +20,20 @@
 /// restriction to a containment-decidable fragment [7].
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "xpath/ast.h"
 
 namespace csxa::xpath {
 
-/// Parses an absolute path expression.
-Result<PathExpr> ParsePath(const std::string& text);
+/// Parses an absolute path expression. The result owns its names and
+/// literals; `text` is read in place.
+Result<PathExpr> ParsePath(std::string_view text);
 
 /// Parses a relative path with optional trailing comparison — the body of
 /// a predicate (exposed for tests).
-Result<Predicate> ParsePredicateBody(const std::string& text);
+Result<Predicate> ParsePredicateBody(std::string_view text);
 
 }  // namespace csxa::xpath
 

@@ -10,7 +10,7 @@
 // and must be equal over a 1k- and a 4k-element hospital folder.
 //
 // Nor does it grow with the rules of other subjects in the envelope: the
-// card parses only its session subject's.
+// card receives only its session subject's record.
 //
 // The same holds one level up, for a warm proxy::Terminal query over a
 // DspServer: the open, the planned chunk fetch, the command exchanges and
@@ -38,6 +38,7 @@
 #include "soe/chunk_source.h"
 #include "soe/prefetch.h"
 #include "xml/generator.h"
+#include "rule_message.h"
 
 namespace csxa {
 namespace {
@@ -72,7 +73,8 @@ Folder SealFolder(size_t elements,
   f.container.header().EncodeTo(&w);
   f.header = w.Take();
   auto rules = core::RuleSet::ParseText(rules_text).value();
-  f.sealed_rules = core::SealRuleSet(f.key, rules, /*version=*/1, &rng);
+  f.sealed_rules = core::SealRuleEnvelope(crypto::DocCipher::For(f.key), rules,
+                                         /*version=*/1, &rng);
   return f;
 }
 
@@ -87,9 +89,13 @@ Counted WarmSession(const Folder& f, const soe::SessionOptions& options) {
   card.InstallKey("folder", f.key);
   std::string view;
   soe::ContainerChunkProvider backend(&f.container);
+  const Bytes message =
+      fakes::RuleMessageFor(crypto::DocCipher::For(f.key), f.sealed_rules,
+                            options.subject)
+          .value();
 
   soe::PlannedProvider learning(&backend, f.container.header().chunk_count);
-  auto first = card.RunSession("folder", f.header, f.sealed_rules, &learning,
+  auto first = card.RunSession("folder", f.header, message, &learning,
                                options, &view);
   EXPECT_TRUE(first.ok()) << first.status().ToString();
   const std::string first_view = view;
@@ -100,7 +106,7 @@ Counted WarmSession(const Folder& f, const soe::SessionOptions& options) {
   Counted out;
   Result<soe::SessionStats> second = Status::Internal("not run");
   out.allocations = CountAllocations([&] {
-    second = card.RunSession("folder", f.header, f.sealed_rules, &planned,
+    second = card.RunSession("folder", f.header, message, &planned,
                              options, &view);
   });
   EXPECT_TRUE(second.ok()) << second.status().ToString();
@@ -141,9 +147,9 @@ TEST(CardAllocTest, WarmSessionAllocationsDoNotGrowWithTheDocument) {
   }
 }
 
-// The card parses only its subject's rules: a warm session allocates as
-// often under an envelope that also holds 64 rules of other subjects as
-// under one that holds 4.
+// The card receives and parses only its subject's record: a warm session
+// allocates as often under an envelope that also holds 64 rules of other
+// subjects as under one that holds 4.
 TEST(CardAllocTest, WarmSessionAllocationsDoNotGrowWithOtherSubjectsRules) {
   auto with_others = [](int others) {
     std::string text = scengen::HospitalScenario().rules_text;

@@ -19,6 +19,7 @@
 #include "soe/card_engine.h"
 #include "soe/chunk_source.h"
 #include "xml/generator.h"
+#include "rule_message.h"
 
 namespace csxa {
 namespace {
@@ -75,8 +76,13 @@ TEST_P(ChunkingInvariance, DeliveredViewIsIdentical) {
   ByteWriter hw;
   container.header().EncodeTo(&hw);
   auto rules = core::RuleSet::ParseText(scenario.rules_text).value();
-  Bytes sealed_rules =
-      core::SealRuleSet(sealed.key, rules, /*version=*/1, &rng);
+  const crypto::DocCipher cipher = crypto::DocCipher::For(sealed.key);
+  Bytes message =
+      fakes::RuleMessageFor(cipher,
+                            core::SealRuleEnvelope(cipher, rules,
+                                                  /*version=*/1, &rng),
+                            "researcher")
+          .value();
 
   soe::CardEngine card(p.modern_card ? soe::CardProfile::ModernElement()
                                      : soe::CardProfile::EGate());
@@ -86,7 +92,7 @@ TEST_P(ChunkingInvariance, DeliveredViewIsIdentical) {
   opts.subject = "researcher";
   opts.query_text = "//treatment";
   opts.use_skip = p.use_skip;
-  auto out = card.RunSession("doc", hw.bytes(), sealed_rules, &provider, opts);
+  auto out = card.RunSession("doc", hw.bytes(), message, &provider, opts);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   if (golden == nullptr) {

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "core/rule.h"
 #include "dsp/store.h"
 #include "pki/registry.h"
 #include "proxy/publisher.h"
+#include "scengen/spec.h"
 #include "xml/generator.h"
 
 namespace csxa {
@@ -95,7 +97,7 @@ TEST(PublisherTest, BadRulesRejected) {
   EXPECT_FALSE(publisher.Publish("d", doc, "+ alice not-an-xpath\n").ok());
 }
 
-TEST(RuleSetTest, TextAndBinaryRoundTrips) {
+TEST(RuleSetTest, TextRoundTrips) {
   std::string text =
       "# comment line\n"
       "+ alice //meeting\n"
@@ -108,13 +110,6 @@ TEST(RuleSetTest, TextAndBinaryRoundTrips) {
   auto again = core::RuleSet::ParseText(set.value().ToText());
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value().ToText(), set.value().ToText());
-  // Binary round-trip.
-  ByteWriter w;
-  set.value().EncodeTo(&w);
-  ByteReader r(w.bytes());
-  auto decoded = core::RuleSet::DecodeFrom(&r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().ToText(), set.value().ToText());
 }
 
 TEST(RuleSetTest, ParseErrors) {
@@ -124,6 +119,50 @@ TEST(RuleSetTest, ParseErrors) {
   EXPECT_FALSE(core::RuleSet::ParseText("+ alice not xpath [\n").ok());
   EXPECT_TRUE(core::RuleSet::ParseText("").ok());
   EXPECT_TRUE(core::RuleSet::ParseText("\n\n# only comments\n").ok());
+}
+
+// Heap blocks a parsed rule set made: its rule list, every string too
+// long for the small-string buffer, and for each step or predicate list
+// one block per doubling as push_back grew it (capacity 1, 2, 4, ...).
+size_t OwnedBlocks(const std::string& s) {
+  return s.capacity() > std::string().capacity() ? 1 : 0;
+}
+size_t GrowthBlocks(size_t capacity) {
+  size_t n = 0;
+  for (size_t c = capacity; c > 0; c /= 2) ++n;
+  return n;
+}
+size_t OwnedBlocks(const std::vector<xpath::Step>& steps) {
+  size_t n = GrowthBlocks(steps.capacity());
+  for (const xpath::Step& step : steps) {
+    n += OwnedBlocks(step.tag) + GrowthBlocks(step.predicates.capacity());
+    for (const xpath::Predicate& p : step.predicates) {
+      n += OwnedBlocks(p.path.steps) + OwnedBlocks(p.literal);
+    }
+  }
+  return n;
+}
+
+// The owner parses the whole policy on every publish and update. The parse
+// reads lines in place and sizes the rule list once, so it allocates only
+// the blocks the parsed set holds and the growth of its step and predicate
+// lists: no line copies, no stream.
+TEST(RuleSetTest, ParseAllocatesOnlyWhatTheRulesOwn) {
+  const scengen::GeneratedScenario scenario =
+      scengen::BuildScenario(scengen::EHealthMobilitySpec());
+  const std::string& text = scenario.docs.front().rules_text;
+  Result<core::RuleSet> parsed = Status::Internal("not run");
+  const size_t allocations =
+      CountAllocations([&] { parsed = core::RuleSet::ParseText(text); });
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const core::RuleSet& set = parsed.value();
+  EXPECT_GE(set.size(), 30u);
+  size_t owned = 1;  // the rule list
+  for (const core::AccessRule& rule : set.rules()) {
+    owned += OwnedBlocks(rule.subject) + OwnedBlocks(rule.object_text) +
+             OwnedBlocks(rule.object.steps);
+  }
+  EXPECT_EQ(allocations, owned) << set.size() << " rules";
 }
 
 TEST(RuleSetTest, SubjectsInInsertionOrder) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <string>
 
@@ -12,6 +13,7 @@
 #include "core/evaluator.h"
 #include "core/ref_evaluator.h"
 #include "core/rule.h"
+#include "core/rule_envelope.h"
 #include "crypto/container.h"
 #include "dsp/store.h"
 #include "pki/registry.h"
@@ -25,6 +27,7 @@
 #include "xml/parser.h"
 #include "xml/writer.h"
 #include "xpath/parser.h"
+#include "rule_message.h"
 
 namespace csxa {
 namespace {
@@ -272,22 +275,63 @@ TEST(FuzzTest, ContainerParserSurvivesMutations) {
   }
 }
 
-// --- Rule set parse fuzz ----------------------------------------------------
+// --- Rule envelope fuzz ----------------------------------------------------
 
-TEST(FuzzTest, RuleSetBinaryDecoderSurvivesMutations) {
-  auto set = core::RuleSet::ParseText("+ a //x\n- b //y[z=\"1\"]\n").value();
-  ByteWriter w;
-  set.EncodeTo(&w);
-  Bytes encoded = w.bytes();
+TEST(FuzzTest, RuleEnvelopeMutationsFailIntegrity) {
+  // Every subject's card over a mutated stored envelope: flipped bytes,
+  // cuts, and records spliced in from another version of the envelope.
+  // The terminal's cut and the card's open either fail with IntegrityError
+  // or give the card exactly the bytes it would have had unmutated.
   SCOPED_TRACE(SeedTrace(7));
   Rng rng(FuzzSeed() + 7);
-  for (int iter = 0; iter < 200; ++iter) {
-    Bytes mutated = encoded;
-    mutated[rng.Uniform(mutated.size())] ^= static_cast<uint8_t>(rng.Next());
-    if (rng.Chance(0.4)) mutated.resize(rng.Uniform(mutated.size() + 1));
-    ByteReader r(mutated);
-    auto decoded = core::RuleSet::DecodeFrom(&r);  // must not crash
-    (void)decoded;
+  auto rules =
+      core::RuleSet::ParseText("+ a //x\n- b //y[z=\"1\"]\n+ b //y\n+ c /x\n")
+          .value();
+  const crypto::DocCipher cipher =
+      crypto::DocCipher::For(crypto::SymmetricKey::Generate(&rng));
+  const Bytes envelope = core::SealRuleEnvelope(cipher, rules, 4, &rng);
+  const Bytes older = core::SealRuleEnvelope(cipher, rules, 3, &rng);
+  ASSERT_EQ(older.size(), envelope.size());
+  const char* subjects[] = {"a", "b", "c", "d"};
+  std::map<std::string, Bytes> genuine;
+  for (const char* subject : subjects) {
+    genuine[subject] =
+        fakes::RuleMessageFor(cipher, envelope, subject).value();
+  }
+  Bytes plain, message;
+  std::vector<core::AccessRule> opened;
+  for (int iter = 0; iter < 400; ++iter) {
+    Bytes mutated = envelope;
+    switch (iter % 3) {
+      case 0:
+        mutated[rng.Uniform(mutated.size())] ^=
+            static_cast<uint8_t>(1 + rng.Uniform(255));
+        break;
+      case 1:
+        mutated.resize(rng.Uniform(mutated.size()));
+        break;
+      default: {
+        // A run of the older envelope's bytes, in the same place.
+        const size_t at = rng.Uniform(mutated.size());
+        const size_t n = 1 + rng.Uniform(mutated.size() - at);
+        std::copy_n(older.begin() + at, n, mutated.begin() + at);
+      }
+    }
+    for (const char* subject : subjects) {
+      const core::RuleLabel label = core::SubjectLabel(cipher, subject);
+      Status st = core::CutRuleMessage(mutated, label, &message);
+      if (st.ok()) {
+        st = core::OpenRuleMessage(cipher, message, label, subject, &plain,
+                                   &opened)
+                 .status();
+      }
+      if (st.ok()) {
+        EXPECT_EQ(message, genuine[subject]) << subject << " iter " << iter;
+      } else {
+        EXPECT_EQ(st.code(), StatusCode::kIntegrityError)
+            << subject << " iter " << iter << ": " << st.ToString();
+      }
+    }
   }
 }
 
@@ -295,7 +339,8 @@ TEST(FuzzTest, RuleSetBinaryDecoderSurvivesMutations) {
 
 TEST(FuzzTest, AppletSurvivesMutatedCommandPayloads) {
   // The card parses three command payloads itself: the select (doc id and
-  // container header), the sealed rules and the query. A mutated payload
+  // container header), the rule message (the envelope's header and the
+  // holder's record) and the query. A mutated payload
   // must end in an error status word or in a valid session, one whose
   // paged-out view has the length the run announced — never a crash. The
   // rules are sealed, so altered rule bytes never run.
@@ -314,21 +359,23 @@ TEST(FuzzTest, AppletSurvivesMutatedCommandPayloads) {
   auto open = server.OpenDocument("doc");
   ASSERT_TRUE(open.ok());
   dsp::ServiceChunkProvider provider(&server, "doc");
-  soe::CsxaApplet applet(soe::CardProfile::EGate());
+  soe::CsxaApplet applet(soe::CardProfile::EGate(), "u");
   applet.InstallKey("doc", receipt.value().key);
   applet.SetChunkProvider(&provider);
 
   ByteWriter select;
   select.PutString("doc");
   select.PutLengthPrefixed(open.value().header);
+  const Bytes message =
+      fakes::RuleMessageFor(crypto::DocCipher::For(receipt.value().key),
+                            open.value().sealed_rules, "u")
+          .value();
   ByteWriter run;
-  run.PutString("u");
   run.PutString("//meeting/title");
   run.PutU8(1);
   const soe::Ins commands[3] = {soe::Ins::kSelectDocument,
                                 soe::Ins::kPutRules, soe::Ins::kRunQuery};
-  const Bytes valid[3] = {select.bytes(), open.value().sealed_rules,
-                          run.bytes()};
+  const Bytes valid[3] = {select.bytes(), message, run.bytes()};
   const std::set<uint16_t> errors = {
       soe::kSwSecurityStatus, soe::kSwConditionsNotSatisfied,
       soe::kSwWrongData, soe::kSwNotFound, soe::kSwInternal};

@@ -144,7 +144,7 @@ TEST(IntegrationTest, DynamicRuleUpdateTakesEffect) {
   EXPECT_NE(before.value().xml.find("<ssn>"), std::string::npos);
 
   // The patient's situation changes: hide identity going forward. No
-  // re-encryption, no key redistribution — just a new sealed rule set.
+  // re-encryption, no key redistribution — just a new rule envelope.
   std::string rules_v2 =
       "+ doctor //patient\n- doctor //patient/ssn\n- doctor //patient/name\n";
   auto update =
@@ -165,7 +165,7 @@ TEST(IntegrationTest, DynamicRuleUpdateTakesEffect) {
 
 TEST(IntegrationTest, StaleRulesRollbackIsRejected) {
   // The access-rights update protocol (demo objective 2): a malicious DSP
-  // re-serves an old, more permissive sealed rule set after the owner
+  // re-serves an old, more permissive rule envelope after the owner
   // restricted the policy. The card's version anchor must refuse it.
   World w;
   auto doc = MakeDoc(xml::DocProfile::kHospital, 150, 21);
@@ -192,6 +192,40 @@ TEST(IntegrationTest, StaleRulesRollbackIsRejected) {
   ASSERT_TRUE(
       w.dsp.Publish("folder", std::move(container), permissive_blob).ok());
   auto rollback = doctor.Query("folder", QueryOptions{});
+  EXPECT_FALSE(rollback.ok());
+  EXPECT_EQ(rollback.status().code(), StatusCode::kIntegrityError);
+}
+
+// Revocation through the full stack: version 2 drops the nurse, whose
+// card then sees the header alone and delivers nothing; its version floor
+// still moves, so a replay of version 1, which holds the nurse's record,
+// is refused. The doctor's card never sees the nurse's rules.
+TEST(IntegrationTest, RevokedSubjectRefusesRollback) {
+  World w;
+  auto doc = MakeDoc(xml::DocProfile::kHospital, 150, 21);
+  auto receipt = w.publisher.Publish(
+      "folder", doc, "+ doctor //patient\n+ nurse //patient/name\n");
+  ASSERT_TRUE(receipt.ok());
+  Bytes v1_blob = w.dsp.OpenDocument("folder").value().sealed_rules;
+
+  Terminal nurse("nurse", CardProfile::EGate(), &w.dsp, &w.registry);
+  ASSERT_TRUE(nurse.Provision("folder").ok());
+  auto before = nurse.Query("folder", QueryOptions{});
+  ASSERT_TRUE(before.ok());
+  EXPECT_NE(before.value().xml.find("<name>"), std::string::npos);
+
+  ASSERT_TRUE(w.publisher
+                  .UpdateRules("folder", receipt.value().key,
+                               "+ doctor //patient\n")
+                  .ok());
+  auto revoked = nurse.Query("folder", QueryOptions{});
+  ASSERT_TRUE(revoked.ok()) << revoked.status().ToString();
+  EXPECT_EQ(revoked.value().xml, "");
+  EXPECT_EQ(nurse.applet().engine().LastRulesVersion("folder"), 2u);
+
+  auto container = w.dsp.GetContainer("folder").value();
+  ASSERT_TRUE(w.dsp.Publish("folder", std::move(container), v1_blob).ok());
+  auto rollback = nurse.Query("folder", QueryOptions{});
   EXPECT_FALSE(rollback.ok());
   EXPECT_EQ(rollback.status().code(), StatusCode::kIntegrityError);
 }

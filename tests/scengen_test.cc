@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
+#include "core/rule_envelope.h"
 #include "dsp/store.h"
 #include "pki/registry.h"
 #include "proxy/publisher.h"
@@ -71,6 +73,60 @@ TEST(ScenGenCatalog, EHealthMobilityIsDeepAndUpdateHeavy) {
   EXPECT_NE(bytes.find("<episode>"), std::string::npos);
   // Churn actually rotates subscribers between consecutive revisions.
   EXPECT_NE(gen.RulesRevision(0, 0), gen.RulesRevision(0, 1));
+}
+
+// The size of the single sealed record the rule envelope replaced: IV and
+// MAC, then CBC over the version, the count and every rule's sign,
+// length-prefixed subject and object, padded to a whole block.
+size_t SingleRecordSize(const core::RuleSet& rules) {
+  size_t plain = 8 + 4;
+  for (const core::AccessRule& r : rules.rules()) {
+    plain += 1 + 4 + r.subject.size() + 4 + r.object_text.size();
+  }
+  return 16 + 32 + (plain / 16 + 1) * 16;
+}
+
+// Every rule set of the catalog, as the DSP would store it: no larger than
+// the single record it replaced, and naming no subject in clear. Names
+// shorter than 4 bytes (the generated "s0", "m12") are left out: a name
+// that short turns up by chance in a kilobyte of ciphertext.
+TEST(ScenGenCatalog, RuleEnvelopesDoNotGrowAndNameNoSubject) {
+  Rng rng(91);
+  const crypto::DocCipher cipher =
+      crypto::DocCipher::For(crypto::SymmetricKey::Generate(&rng));
+  size_t checked = 0;
+  size_t named = 0;
+  auto check = [&](const std::string& text, const std::string& where) {
+    const core::RuleSet rules = core::RuleSet::ParseText(text).value();
+    const Bytes envelope =
+        core::SealRuleEnvelope(cipher, rules, /*version=*/1, &rng);
+    EXPECT_LE(envelope.size(), SingleRecordSize(rules)) << where;
+    for (const std::string& subject : rules.Subjects()) {
+      if (subject.size() < 4) continue;
+      ++named;
+      EXPECT_EQ(std::search(envelope.begin(), envelope.end(), subject.begin(),
+                            subject.end()),
+                envelope.end())
+          << subject << " in " << where;
+    }
+    ++checked;
+  };
+  for (const scengen::ScenarioSpec& spec :
+       {scengen::IoTFleetSpec(), scengen::EHealthMobilitySpec()}) {
+    const scengen::GeneratedScenario gen = scengen::BuildScenario(spec);
+    for (const scengen::ScenarioDoc& doc : gen.docs) {
+      for (uint64_t revision : {0, 1}) {
+        check(gen.RulesRevision(doc.index, revision),
+              spec.name + " " + doc.doc_id + " revision " +
+                  std::to_string(revision));
+      }
+    }
+  }
+  for (const scengen::Scenario& scenario : scengen::AllScenarios()) {
+    check(scenario.rules_text, scenario.description);
+  }
+  EXPECT_GT(checked, 2000u);
+  EXPECT_GT(named, checked);
 }
 
 TEST(ScenGenPublish, HelperPublishesAndServesACanonicalScenario) {

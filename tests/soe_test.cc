@@ -3,14 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "common/random.h"
+#include "common/varint.h"
 #include "core/rule.h"
 #include "core/ref_evaluator.h"
 #include "core/rule_envelope.h"
 #include "crypto/container.h"
+#include "crypto/modes.h"
 #include "proxy/publisher.h"
 #include "scengen/scenario.h"
 #include "skipindex/codec.h"
@@ -20,6 +25,7 @@
 #include "soe/ram_meter.h"
 #include "xml/generator.h"
 #include "xpath/parser.h"
+#include "rule_message.h"
 
 namespace csxa {
 namespace {
@@ -232,8 +238,20 @@ struct EngineFixture {
     container->header().EncodeTo(&hw);
     header_bytes = hw.Take();
     auto rules = core::RuleSet::ParseText(rules_text).value();
-    sealed_rules = core::SealRuleSet(key, rules, /*version=*/1, &rng);
+    sealed_rules = core::SealRuleEnvelope(crypto::DocCipher::For(key), rules,
+                                          /*version=*/1, &rng);
     provider = std::make_unique<TestProvider>(container.get());
+  }
+
+  // What `subject`'s card receives of `envelope` (default: the fixture's).
+  Bytes Message(const std::string& subject) const {
+    return Message(sealed_rules, subject);
+  }
+  Bytes Message(Span envelope, const std::string& subject) const {
+    auto message = fakes::RuleMessageFor(crypto::DocCipher::For(key), envelope,
+                                         subject);
+    EXPECT_TRUE(message.ok()) << message.status().ToString();
+    return message.ok() ? message.value() : Bytes{};
   }
 };
 
@@ -243,7 +261,7 @@ TEST(CardEngineTest, SessionDeliversAuthorizedView) {
   card.InstallKey("doc", fx.key);
   soe::SessionOptions opts;
   opts.subject = "doctor";
-  auto out = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
+  auto out = card.RunSession("doc", fx.header_bytes, fx.Message(opts.subject),
                              fx.provider.get(), opts);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_NE(out.value().view_xml.find("<patient"), std::string::npos);
@@ -257,19 +275,20 @@ TEST(CardEngineTest, MissingKeyFails) {
   soe::CardEngine card(CardProfile::EGate());
   soe::SessionOptions opts;
   opts.subject = "u";
-  auto out = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
+  auto out = card.RunSession("doc", fx.header_bytes, fx.Message(opts.subject),
                              fx.provider.get(), opts);
   EXPECT_EQ(out.status().code(), StatusCode::kNotFound);
 }
 
 TEST(CardEngineTest, TamperedRulesRejected) {
   EngineFixture fx("+ u //patient\n");
-  fx.sealed_rules[20] ^= 0x01;
+  Bytes message = fx.Message("u");
+  message[20] ^= 0x01;
   soe::CardEngine card(CardProfile::EGate());
   card.InstallKey("doc", fx.key);
   soe::SessionOptions opts;
   opts.subject = "u";
-  auto out = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
+  auto out = card.RunSession("doc", fx.header_bytes, message,
                              fx.provider.get(), opts);
   EXPECT_EQ(out.status().code(), StatusCode::kIntegrityError);
 }
@@ -283,13 +302,13 @@ TEST(CardEngineTest, SkipReducesDecryption) {
 
   soe::SessionOptions with_skip;
   with_skip.subject = "accountant";
-  auto a = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
+  auto a = card.RunSession("doc", fx.header_bytes, fx.Message("accountant"),
                            fx.provider.get(), with_skip);
   ASSERT_TRUE(a.ok());
 
   soe::SessionOptions no_skip = with_skip;
   no_skip.use_skip = false;
-  auto b = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
+  auto b = card.RunSession("doc", fx.header_bytes, fx.Message("accountant"),
                            fx.provider.get(), no_skip);
   ASSERT_TRUE(b.ok());
 
@@ -306,7 +325,7 @@ TEST(CardEngineTest, PushModeChargesFullBroadcast) {
   soe::SessionOptions opts;
   opts.subject = "u";
   opts.push_mode = true;
-  auto out = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
+  auto out = card.RunSession("doc", fx.header_bytes, fx.Message(opts.subject),
                              fx.provider.get(), opts);
   ASSERT_TRUE(out.ok());
   // Transfer must be at least the broadcast (payload) size even though
@@ -325,7 +344,7 @@ TEST(CardEngineTest, StrictRamViolationSurfaces) {
   soe::SessionOptions opts;
   opts.subject = "u";
   opts.strict_ram = true;
-  auto out = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
+  auto out = card.RunSession("doc", fx.header_bytes, fx.Message(opts.subject),
                              fx.provider.get(), opts);
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
 }
@@ -336,19 +355,19 @@ TEST(CardEngineTest, RamPeakReported) {
   card.InstallKey("doc", fx.key);
   soe::SessionOptions opts;
   opts.subject = "u";
-  auto out = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
+  auto out = card.RunSession("doc", fx.header_bytes, fx.Message(opts.subject),
                              fx.provider.get(), opts);
   ASSERT_TRUE(out.ok());
   EXPECT_GT(out.value().stats.ram_peak, 0u);
   EXPECT_EQ(out.value().stats.ram_budget, CardProfile::EGate().ram_budget);
 }
 
-// --- Subject-only rule opening --------------------------------------------
+// --- Per-subject rule envelope --------------------------------------------
 //
-// A session opens the whole envelope (MAC, decryption, version, the
-// framing of every record) but parses only its own subject's rules
-// (core::OpenRuleSet). The hospital scenario's envelope holds four
-// subjects' rules.
+// A card receives the envelope's header and its own subject's record
+// (core::CutRuleMessage), or the header alone when its subject has none,
+// and parses only that record. The hospital scenario's envelope holds
+// four subjects' records.
 
 std::string ViewOracle(const xml::DomDocument& doc, const std::string& rules,
                        const std::string& subject) {
@@ -367,6 +386,117 @@ std::vector<std::string> HospitalSubjects() {
   return subjects;
 }
 
+// One record's plaintext as the owner encodes it: per rule, the sign and
+// the length-prefixed object text.
+Bytes RecordPlain(
+    const std::vector<std::pair<core::Sign, std::string>>& rules) {
+  ByteWriter w;
+  for (const auto& [sign, object] : rules) {
+    w.PutU8(static_cast<uint8_t>(sign));
+    PutVarint(&w, object.size());
+    w.PutBytes(Span(object));
+  }
+  return w.Take();
+}
+
+// Seals an envelope by hand, following the layout core/rule_envelope.h
+// documents, from each subject's record plaintext: bytes only a key
+// holder could produce, including ones the owner's RuleSet never encodes.
+Bytes HandSeal(const SymmetricKey& key, uint64_t version, Rng* rng,
+               const std::vector<std::pair<std::string, Bytes>>& records) {
+  const crypto::DocCipher cipher = crypto::DocCipher::For(key);
+  auto mac = [&](const std::string& domain, std::vector<Span> parts) {
+    ByteWriter in;
+    in.PutString(domain);  // u32 length || name
+    for (Span part : parts) in.PutBytes(part);
+    return cipher.mac.Mac(in.bytes());
+  };
+  std::vector<std::pair<core::RuleLabel, Bytes>> labeled;
+  for (const auto& [subject, plain] : records) {
+    labeled.emplace_back(core::SubjectLabel(cipher, subject), plain);
+  }
+  std::sort(labeled.begin(), labeled.end());
+  ByteWriter out;
+  out.PutU64(version);
+  out.PutU64(rng->Next());  // the 16 B nonce
+  out.PutU64(rng->Next());
+  const Bytes nonce(out.bytes().begin() + 8, out.bytes().end());
+  PutVarint(&out, labeled.size());
+  for (const auto& entry : labeled) {
+    out.PutBytes(Span(entry.first.data(), entry.first.size()));
+  }
+  const crypto::Digest header_tag = mac("rule-header", {out.bytes()});
+  const Span tag(header_tag.data(), 16);
+  out.PutBytes(tag);
+  for (const auto& [label, plain] : labeled) {
+    // The counter block: the nonce, the label folded into its first 8
+    // bytes, the last 4 cleared.
+    crypto::Iv iv;
+    std::copy_n(nonce.begin(), iv.size(), iv.begin());
+    for (size_t i = 0; i < label.size(); ++i) iv[i] ^= label[i];
+    std::fill(iv.begin() + 12, iv.end(), 0);
+    Bytes ciphertext;
+    crypto::CtrTransform(cipher.enc, iv, plain, &ciphertext);
+    const crypto::Digest record_tag =
+        mac("rule-record", {tag, Span(label.data(), label.size()),
+                            Span(ciphertext)});
+    PutVarint(&out, ciphertext.size());
+    out.PutBytes(ciphertext);
+    out.PutBytes(Span(record_tag.data(), 16));
+  }
+  return out.Take();
+}
+
+Bytes Concat(Span a, Span b) {
+  Bytes out(a.data(), a.data() + a.size());
+  out.insert(out.end(), b.data(), b.data() + b.size());
+  return out;
+}
+
+// The parts of an envelope the subjects' cards receive.
+struct EnvelopeParts {
+  Bytes header;
+  std::map<std::string, Bytes> record;  // empty for a subject without one
+
+  EnvelopeParts(const EngineFixture& fx, Span envelope) {
+    header = fx.Message(envelope, "nobody");
+    for (const std::string& subject : HospitalSubjects()) {
+      Bytes message = fx.Message(envelope, subject);
+      record[subject].assign(message.begin() + header.size(), message.end());
+    }
+  }
+};
+
+// Runs `subject`'s session on `message` as the rules it receives.
+Status RunWithRules(soe::CardEngine* card, const EngineFixture& fx,
+                    const std::string& subject, Span message,
+                    std::string* view = nullptr) {
+  soe::SessionOptions opts;
+  opts.subject = subject;
+  auto out = card->RunSession("doc", fx.header_bytes, message,
+                              fx.provider.get(), opts);
+  if (out.ok() && view != nullptr) *view = out.value().view_xml;
+  return out.status();
+}
+
+TEST(SubjectRulesTest, HandSealMatchesTheOwnersEnvelope) {
+  const std::string text = scengen::HospitalScenario().rules_text;
+  EngineFixture fx(text, 100);
+  auto rules = core::RuleSet::ParseText(text).value();
+  std::vector<std::pair<std::string, Bytes>> records;
+  for (const std::string& subject : rules.Subjects()) {
+    std::vector<std::pair<core::Sign, std::string>> own;
+    for (const core::AccessRule& rule : rules.ForSubject(subject)) {
+      own.emplace_back(rule.sign, rule.object_text);
+    }
+    records.emplace_back(subject, RecordPlain(own));
+  }
+  Rng a(5), b(5);
+  EXPECT_EQ(core::SealRuleEnvelope(crypto::DocCipher::For(fx.key), rules, 3,
+                                   &a),
+            HandSeal(fx.key, 3, &b, records));
+}
+
 TEST(SubjectRulesTest, EverySubjectsSessionMatchesTheOracle) {
   const std::string rules = scengen::HospitalScenario().rules_text;
   EngineFixture fx(rules);
@@ -377,36 +507,210 @@ TEST(SubjectRulesTest, EverySubjectsSessionMatchesTheOracle) {
   // Twice round, so each subject also follows another on the same card.
   for (int round = 0; round < 2; ++round) {
     for (const std::string& subject : subjects) {
-      soe::SessionOptions opts;
-      opts.subject = subject;
-      auto out = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
-                                 fx.provider.get(), opts);
-      ASSERT_TRUE(out.ok()) << subject << ": " << out.status().ToString();
-      EXPECT_EQ(out.value().view_xml, ViewOracle(fx.doc, rules, subject))
-          << subject;
+      std::string view = "unset";
+      Status st = RunWithRules(&card, fx, subject, fx.Message(subject), &view);
+      ASSERT_TRUE(st.ok()) << subject << ": " << st.ToString();
+      EXPECT_EQ(view, ViewOracle(fx.doc, rules, subject)) << subject;
       if (subject == "nobody") {
-        EXPECT_EQ(out.value().view_xml, "");
+        EXPECT_EQ(view, "");
       }
     }
   }
 }
 
-TEST(SubjectRulesTest, FlippedByteAnywhereFailsIntegrity) {
-  EngineFixture fx(scengen::HospitalScenario().rules_text, 100);
+// Each card gets the header and its own record, so a flip there fails its
+// session. A flip in another subject's record never reaches it: the
+// session keeps its view, unless the flip misframed the terminal's cut,
+// which then fails too.
+TEST(SubjectRulesTest, FlippedByteFailsIntegrityWhereverACardReceivesIt) {
+  const std::string text = scengen::HospitalScenario().rules_text;
+  EngineFixture fx(text, 100);
+  const EnvelopeParts parts(fx, fx.sealed_rules);
   soe::CardEngine card(CardProfile::EGate());
   card.InstallKey("doc", fx.key);
+  const crypto::DocCipher cipher = crypto::DocCipher::For(fx.key);
+  std::map<std::string, std::string> views;
+  std::map<std::string, size_t> record_at;
+  for (const auto& [subject, record] : parts.record) {
+    views[subject] = ViewOracle(fx.doc, text, subject);
+    record_at[subject] =
+        std::search(fx.sealed_rules.begin(), fx.sealed_rules.end(),
+                    record.begin(), record.end()) -
+        fx.sealed_rules.begin();
+  }
+  size_t kept = 0;
   for (size_t pos = 0; pos < fx.sealed_rules.size(); ++pos) {
     Bytes bad = fx.sealed_rules;
     bad[pos] ^= 0x01;
-    for (const char* subject : {"doctor", "nobody"}) {
-      soe::SessionOptions opts;
-      opts.subject = subject;
-      auto out = card.RunSession("doc", fx.header_bytes, bad,
-                                 fx.provider.get(), opts);
-      EXPECT_EQ(out.status().code(), StatusCode::kIntegrityError)
+    for (const auto& [subject, record] : parts.record) {
+      const bool receives =
+          pos < parts.header.size() ||
+          (!record.empty() && pos >= record_at[subject] &&
+           pos < record_at[subject] + record.size());
+      Bytes message;
+      Status st = core::CutRuleMessage(
+          bad, core::SubjectLabel(cipher, subject), &message);
+      std::string view;
+      if (st.ok()) st = RunWithRules(&card, fx, subject, message, &view);
+      if (receives || !st.ok()) {
+        EXPECT_EQ(st.code(), StatusCode::kIntegrityError)
+            << subject << " at byte " << pos;
+      } else {
+        EXPECT_EQ(view, views[subject]) << subject << " at byte " << pos;
+        ++kept;
+      }
+    }
+  }
+  EXPECT_GT(kept, fx.sealed_rules.size());  // other records' flips
+  // And every byte of what each card receives.
+  for (const auto& [subject, record] : parts.record) {
+    const Bytes message = Concat(parts.header, record);
+    for (size_t pos = 0; pos < message.size(); ++pos) {
+      Bytes bad = message;
+      bad[pos] ^= 0x80;
+      EXPECT_EQ(RunWithRules(&card, fx, subject, bad).code(),
+                StatusCode::kIntegrityError)
           << subject << " at byte " << pos;
     }
   }
+}
+
+TEST(SubjectRulesTest, RecordMovedToAnotherLabelFails) {
+  EngineFixture fx(scengen::HospitalScenario().rules_text, 100);
+  const EnvelopeParts parts(fx, fx.sealed_rules);
+  soe::CardEngine card(CardProfile::EGate());
+  card.InstallKey("doc", fx.key);
+  for (const auto& [subject, record] : parts.record) {
+    for (const auto& [other, other_record] : parts.record) {
+      if (other == subject || other_record.empty()) continue;
+      EXPECT_EQ(RunWithRules(&card, fx, subject,
+                      Concat(parts.header, other_record))
+                    .code(),
+                StatusCode::kIntegrityError)
+          << other << "'s record as " << subject << "'s";
+    }
+  }
+  // Swapping two labels in the header moves each record to the other's
+  // label; the header tag no longer matches.
+  const size_t labels = 8 + 16 + 1;
+  Bytes swapped = parts.header;
+  std::swap_ranges(swapped.begin() + labels, swapped.begin() + labels + 8,
+                   swapped.begin() + labels + 8);
+  for (const auto& [subject, record] : parts.record) {
+    EXPECT_EQ(RunWithRules(&card, fx, subject, Concat(swapped, record)).code(),
+              StatusCode::kIntegrityError)
+        << subject;
+  }
+  EXPECT_EQ(card.LastRulesVersion("doc"), 0u);
+}
+
+TEST(SubjectRulesTest, RecordFromAnotherVersionOrDocumentFails) {
+  const std::string text = scengen::HospitalScenario().rules_text;
+  EngineFixture fx(text, 100);  // sealed at version 1
+  auto rules = core::RuleSet::ParseText(text).value();
+  const crypto::DocCipher cipher = crypto::DocCipher::For(fx.key);
+  const Bytes v2 = core::SealRuleEnvelope(cipher, rules, 2, &fx.rng);
+  const Bytes v1_again = core::SealRuleEnvelope(cipher, rules, 1, &fx.rng);
+  const SymmetricKey other_key = SymmetricKey::Generate(&fx.rng);
+  const Bytes other_doc = core::SealRuleEnvelope(
+      crypto::DocCipher::For(other_key), rules, 1, &fx.rng);
+  const EnvelopeParts v1_parts(fx, fx.sealed_rules);
+  const EnvelopeParts v2_parts(fx, v2);
+  const EnvelopeParts again_parts(fx, v1_again);
+  soe::CardEngine card(CardProfile::EGate());
+  card.InstallKey("doc", fx.key);
+  for (const char* subject : {"doctor", "accountant"}) {
+    // The same subject's record in the other document's envelope.
+    Bytes other_record;
+    {
+      Bytes message;
+      ASSERT_TRUE(core::CutRuleMessage(
+                      other_doc,
+                      core::SubjectLabel(crypto::DocCipher::For(other_key),
+                                         subject),
+                      &message)
+                      .ok());
+      other_record.assign(message.begin() + v1_parts.header.size(),
+                          message.end());
+    }
+    const Bytes forged[] = {
+        Concat(v1_parts.header, v2_parts.record.at(subject)),
+        Concat(v2_parts.header, v1_parts.record.at(subject)),
+        Concat(v1_parts.header, again_parts.record.at(subject)),
+        Concat(v1_parts.header, other_record),
+    };
+    for (const Bytes& message : forged) {
+      EXPECT_EQ(RunWithRules(&card, fx, subject, message).code(),
+                StatusCode::kIntegrityError)
+          << subject;
+    }
+  }
+  EXPECT_EQ(card.LastRulesVersion("doc"), 0u);
+}
+
+TEST(SubjectRulesTest, TruncatedRecordFailsIntegrity) {
+  EngineFixture fx(scengen::HospitalScenario().rules_text, 100);
+  soe::CardEngine card(CardProfile::EGate());
+  card.InstallKey("doc", fx.key);
+  for (const std::string& subject : HospitalSubjects()) {
+    const Bytes message = fx.Message(subject);
+    // Every cut: inside the header, at its end (a withheld record) or
+    // inside the record.
+    for (size_t cut = 0; cut < message.size(); ++cut) {
+      EXPECT_EQ(RunWithRules(&card, fx, subject, Span(message.data(), cut)).code(),
+                StatusCode::kIntegrityError)
+          << subject << " cut at " << cut << " of " << message.size();
+    }
+  }
+  EXPECT_EQ(card.LastRulesVersion("doc"), 0u);
+}
+
+TEST(SubjectRulesTest, EditedLabelListFails) {
+  EngineFixture fx(scengen::HospitalScenario().rules_text, 100);
+  const EnvelopeParts parts(fx, fx.sealed_rules);
+  const core::RuleLabel nobody =
+      core::SubjectLabel(crypto::DocCipher::For(fx.key), "nobody");
+  const size_t count_at = 8 + 16;
+  const size_t n = parts.header[count_at];
+  ASSERT_EQ(n, 4u);
+  const size_t tag_at = parts.header.size() - 16;
+  // Drop the last label; append nobody's; put nobody's in place of the
+  // first.
+  Bytes dropped = parts.header;
+  dropped[count_at] = static_cast<uint8_t>(n - 1);
+  dropped.erase(dropped.begin() + tag_at - 8, dropped.begin() + tag_at);
+  Bytes appended = parts.header;
+  appended[count_at] = static_cast<uint8_t>(n + 1);
+  appended.insert(appended.begin() + tag_at, nobody.begin(), nobody.end());
+  Bytes replaced = parts.header;
+  std::copy(nobody.begin(), nobody.end(), replaced.begin() + count_at + 1);
+  soe::CardEngine card(CardProfile::EGate());
+  card.InstallKey("doc", fx.key);
+  for (const Bytes* header : {&dropped, &appended, &replaced}) {
+    for (const auto& [subject, record] : parts.record) {
+      EXPECT_EQ(RunWithRules(&card, fx, subject, Concat(*header, record)).code(),
+                StatusCode::kIntegrityError)
+          << subject;
+    }
+  }
+  EXPECT_EQ(card.LastRulesVersion("doc"), 0u);
+}
+
+// The header lists a card's label or does not, and the card takes exactly
+// its record or nothing.
+TEST(SubjectRulesTest, WithheldOrSurplusRecordFails) {
+  EngineFixture fx(scengen::HospitalScenario().rules_text, 100);
+  const EnvelopeParts parts(fx, fx.sealed_rules);
+  soe::CardEngine card(CardProfile::EGate());
+  card.InstallKey("doc", fx.key);
+  EXPECT_EQ(RunWithRules(&card, fx, "doctor", parts.header).code(),
+            StatusCode::kIntegrityError);
+  EXPECT_EQ(RunWithRules(&card, fx, "nobody",
+                  Concat(parts.header, parts.record.at("doctor")))
+                .code(),
+            StatusCode::kIntegrityError);
+  EXPECT_EQ(RunWithRules(&card, fx, "doctor", fx.sealed_rules).code(),
+            StatusCode::kIntegrityError);
   EXPECT_EQ(card.LastRulesVersion("doc"), 0u);
 }
 
@@ -414,94 +718,103 @@ TEST(SubjectRulesTest, StaleVersionRefusedForSubjectWithoutRules) {
   const std::string text = scengen::HospitalScenario().rules_text;
   EngineFixture fx(text, 100);  // sealed at version 1
   auto rules = core::RuleSet::ParseText(text).value();
-  Bytes v2 = core::SealRuleSet(fx.key, rules, /*version=*/2, &fx.rng);
+  Bytes v2 = core::SealRuleEnvelope(crypto::DocCipher::For(fx.key), rules,
+                                    /*version=*/2, &fx.rng);
   soe::CardEngine card(CardProfile::EGate());
   card.InstallKey("doc", fx.key);
-  soe::SessionOptions opts;
-  opts.subject = "nobody";
-  ASSERT_TRUE(
-      card.RunSession("doc", fx.header_bytes, v2, fx.provider.get(), opts)
-          .ok());
+  ASSERT_TRUE(RunWithRules(&card, fx, "nobody", fx.Message(v2, "nobody")).ok());
   EXPECT_EQ(card.LastRulesVersion("doc"), 2u);
-  auto stale = card.RunSession("doc", fx.header_bytes, fx.sealed_rules,
-                               fx.provider.get(), opts);
-  EXPECT_EQ(stale.status().code(), StatusCode::kIntegrityError);
-  EXPECT_NE(stale.status().ToString().find("stale"), std::string::npos);
+  Status stale = RunWithRules(&card, fx, "nobody", fx.Message("nobody"));
+  EXPECT_EQ(stale.code(), StatusCode::kIntegrityError);
+  EXPECT_NE(stale.ToString().find("stale"), std::string::npos);
   EXPECT_EQ(card.LastRulesVersion("doc"), 2u);
 }
 
-// Envelopes below are sealed from hand-built plaintext under the document
-// key: bytes only a key holder could produce, which the owner's RuleSet
-// would never encode.
-
-TEST(SubjectRulesTest, TruncatedRecordFailsForEverySubject) {
+// Revocation: version 2 drops the researcher's rules. The researcher's
+// card gets the empty view under it and then refuses a replay of version
+// 1, which still holds the researcher's record.
+TEST(SubjectRulesTest, RevokedSubjectRefusesReplayOfOlderEnvelope) {
   const std::string text = scengen::HospitalScenario().rules_text;
-  EngineFixture fx(text, 100);
-  ByteWriter w;
-  w.PutU64(1);
-  core::RuleSet::ParseText(text).value().EncodeTo(&w);
-  const Bytes full = w.Take();
+  EngineFixture fx(text, 100);  // sealed at version 1
+  std::string revoked;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(" researcher ") == std::string::npos) revoked += line + "\n";
+  }
+  ASSERT_LT(revoked.size(), text.size());
+  Bytes v2 = core::SealRuleEnvelope(
+      crypto::DocCipher::For(fx.key),
+      core::RuleSet::ParseText(revoked).value(), /*version=*/2, &fx.rng);
   soe::CardEngine card(CardProfile::EGate());
   card.InstallKey("doc", fx.key);
-  // Every cut ends inside the version, the count or some record: inside
-  // its sign, its subject string or its object string.
-  for (size_t cut = 0; cut < full.size(); ++cut) {
-    Bytes sealed = crypto::SealRecord(
-        fx.key, Span(full.data(), cut), &fx.rng);
-    for (const char* subject : {"doctor", "nobody"}) {
-      soe::SessionOptions opts;
-      opts.subject = subject;
-      auto out = card.RunSession("doc", fx.header_bytes, sealed,
-                                 fx.provider.get(), opts);
-      EXPECT_EQ(out.status().code(), StatusCode::kParseError)
-          << subject << " cut at " << cut << " of " << full.size();
-    }
-  }
-  EXPECT_EQ(card.LastRulesVersion("doc"), 0u);
-  Bytes whole = crypto::SealRecord(fx.key, full, &fx.rng);
-  soe::SessionOptions opts;
-  opts.subject = "doctor";
-  EXPECT_TRUE(
-      card.RunSession("doc", fx.header_bytes, whole, fx.provider.get(), opts)
-          .ok());
+  const Bytes now = fx.Message(v2, "researcher");
+  EXPECT_EQ(now.size(), fx.Message(v2, "nobody").size());  // no record
+  std::string view = "unset";
+  ASSERT_TRUE(RunWithRules(&card, fx, "researcher", now, &view).ok());
+  EXPECT_EQ(view, "");
+  EXPECT_EQ(card.LastRulesVersion("doc"), 2u);
+  const Bytes replay = fx.Message("researcher");
+  EXPECT_GT(replay.size(), now.size());
+  Status stale = RunWithRules(&card, fx, "researcher", replay);
+  EXPECT_EQ(stale.code(), StatusCode::kIntegrityError);
+  EXPECT_NE(stale.ToString().find("stale"), std::string::npos);
 }
 
-// The contract of subject-only opening (core/rule_envelope.h): another
-// subject's object is framed, never parsed, so one that does not parse
-// fails that subject's sessions only.
+// Envelopes below are hand-sealed under the document key: authentic
+// records whose plaintext the owner's RuleSet would never encode. They
+// fail to parse (ParseError), and only for the subject whose record it is.
+
+TEST(SubjectRulesTest, TruncatedPlaintextFailsParseForItsSubject) {
+  EngineFixture fx("+ doctor //patient\n", 100);
+  const std::vector<std::pair<core::Sign, std::string>> doctor_rules = {
+      {core::Sign::kPermit, "//patient"},
+      {core::Sign::kDeny, "//admin/billing"},
+      {core::Sign::kPermit, "//admin/billing/amount"}};
+  const Bytes full = RecordPlain(doctor_rules);
+  // A cut between whole rules leaves a shorter, well-formed record.
+  std::set<size_t> boundaries = {0};
+  for (size_t k = 1; k <= doctor_rules.size(); ++k) {
+    boundaries.insert(
+        RecordPlain({doctor_rules.begin(), doctor_rules.begin() + k}).size());
+  }
+  soe::CardEngine card(CardProfile::EGate());
+  card.InstallKey("doc", fx.key);
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    const Bytes envelope = HandSeal(
+        fx.key, 1, &fx.rng,
+        {{"doctor", Bytes(full.begin(), full.begin() + cut)},
+         {"nurse", RecordPlain({{core::Sign::kPermit, "//patient"}})}});
+    Status doctor = RunWithRules(&card, fx, "doctor", fx.Message(envelope, "doctor"));
+    if (boundaries.count(cut) > 0) {
+      EXPECT_TRUE(doctor.ok()) << "cut at " << cut << ": " << doctor.ToString();
+    } else {
+      EXPECT_EQ(doctor.code(), StatusCode::kParseError)
+          << "cut at " << cut << " of " << full.size();
+    }
+    EXPECT_TRUE(RunWithRules(&card, fx, "nurse", fx.Message(envelope, "nurse")).ok())
+        << "cut at " << cut;
+  }
+}
+
 TEST(SubjectRulesTest, UnparsableObjectFailsOnlyItsOwnSubject) {
   EngineFixture fx("+ doctor //patient\n", 200);
-  ByteWriter w;
-  w.PutU64(1);
-  w.PutU32(3);
-  auto record = [&](core::Sign sign, const std::string& subject,
-                    const std::string& object) {
-    w.PutU8(static_cast<uint8_t>(sign));
-    w.PutString(subject);
-    w.PutString(object);
-  };
-  record(core::Sign::kPermit, "doctor", "//patient");
-  record(core::Sign::kDeny, "nurse", "//patient[[");
-  record(core::Sign::kDeny, "doctor", "//admin/billing");
   ASSERT_FALSE(xpath::ParsePath("//patient[[").ok());
-  Bytes sealed = crypto::SealRecord(fx.key, w.bytes(), &fx.rng);
-
+  const Bytes envelope = HandSeal(
+      fx.key, 1, &fx.rng,
+      {{"doctor", RecordPlain({{core::Sign::kPermit, "//patient"},
+                               {core::Sign::kDeny, "//admin/billing"}})},
+       {"nurse", RecordPlain({{core::Sign::kDeny, "//patient[["}})}});
   soe::CardEngine card(CardProfile::EGate());
   card.InstallKey("doc", fx.key);
-  soe::SessionOptions doctor;
-  doctor.subject = "doctor";
-  auto out = card.RunSession("doc", fx.header_bytes, sealed,
-                             fx.provider.get(), doctor);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out.value().view_xml,
-            ViewOracle(fx.doc,
-                       "+ doctor //patient\n- doctor //admin/billing\n",
-                       "doctor"));
-  soe::SessionOptions nurse;
-  nurse.subject = "nurse";
-  auto failed = card.RunSession("doc", fx.header_bytes, sealed,
-                                fx.provider.get(), nurse);
-  EXPECT_EQ(failed.status().code(), StatusCode::kParseError);
+  std::string view;
+  Status doctor =
+      RunWithRules(&card, fx, "doctor", fx.Message(envelope, "doctor"), &view);
+  ASSERT_TRUE(doctor.ok()) << doctor.ToString();
+  EXPECT_EQ(view, ViewOracle(fx.doc,
+                             "+ doctor //patient\n- doctor //admin/billing\n",
+                             "doctor"));
+  EXPECT_EQ(RunWithRules(&card, fx, "nurse", fx.Message(envelope, "nurse")).code(),
+            StatusCode::kParseError);
 }
 
 // --- Decoder reuse ---------------------------------------------------------
@@ -546,7 +859,7 @@ TEST(DecoderReuseTest, OneCardAlternatesOverDocuments) {
   soe::SessionOptions opts;
   opts.subject = "u";
   auto run = [&](const Doc& d, soe::CardEngine* on) {
-    return on->RunSession(d.id, d.fx->header_bytes, d.fx->sealed_rules,
+    return on->RunSession(d.id, d.fx->header_bytes, d.fx->Message("u"),
                           d.fx->provider.get(), opts);
   };
   // base, same, base, renamed, base, larger, then base failing on its
@@ -585,7 +898,9 @@ TEST(DecoderReuseTest, OneCardAlternatesOverDocuments) {
 // the scan loop (metering, decoding, byte sources) must leave all of them
 // byte-identical, `total_seconds` down to its bit pattern. Only a
 // deliberate change to the cost or RAM model may edit this table; a
-// mismatch prints the row the current code produces.
+// mismatch prints the row the current code produces. A change that should
+// move only the rules' terms is checked against the old table with
+// scripts/golden_delta.py.
 
 struct GoldenRow {
   const char* subject;
@@ -605,54 +920,54 @@ struct GoldenRow {
 constexpr GoldenRow kGoldenSessions[] = {
     // subject, query, skip, chunk, merkle, ram_peak, evaluator peak,
     // transferred, decrypted, apdus, dsp trips, total_seconds bits
-    {"accountant", false, true, 64, false, 543, 70, 12419, 6163, 107, 91, 0x4023e5deae26e8d6ull},
-    {"accountant", false, false, 64, false, 558, 71, 17891, 9811, 164, 148, 0x402e13115ef28005ull},
-    {"accountant", true, true, 64, false, 638, 171, 14893, 9427, 149, 142, 0x402a9a506ea1f966ull},
-    {"accountant", true, false, 64, false, 638, 171, 15469, 9811, 155, 148, 0x402baf058e4839c3ull},
-    {"researcher", false, true, 64, false, 595, 108, 24552, 9811, 190, 148, 0x403258266815860cull},
-    {"researcher", false, false, 64, false, 595, 108, 24552, 9811, 190, 148, 0x4032596c4c9a882bull},
-    {"researcher", true, true, 64, false, 990, 512, 17013, 9811, 161, 148, 0x402d3845c60c1c7bull},
-    {"researcher", true, false, 64, false, 1056, 584, 17013, 9811, 161, 148, 0x402d3b11e7431bffull},
-    {"emergency", false, true, 64, false, 1013, 546, 17499, 9811, 163, 148, 0x402db0523e7c0f04ull},
-    {"emergency", false, false, 64, false, 1085, 618, 17499, 9811, 163, 148, 0x402db24b77916525ull},
-    {"emergency", true, true, 64, false, 1091, 624, 17499, 9811, 163, 148, 0x402db2bd616b756dull},
-    {"emergency", true, false, 64, false, 1164, 696, 17499, 9811, 163, 148, 0x402db4f6f2adc6d3ull},
-    {"accountant", false, true, 64, true, 543, 70, 32921, 6163, 197, 91, 0x40343a227175aeabull},
-    {"accountant", false, false, 64, true, 558, 71, 50939, 9811, 308, 148, 0x403f9a5bbd9ba9d4ull},
-    {"accountant", true, true, 64, true, 638, 171, 46735, 9427, 288, 142, 0x403d43564423798full},
-    {"accountant", true, false, 64, true, 638, 171, 48517, 9811, 299, 148, 0x403e6855d54686b2ull},
-    {"researcher", false, true, 64, true, 595, 108, 57600, 9811, 334, 148, 0x4041747cbb1bf7eeull},
-    {"researcher", false, false, 64, true, 595, 108, 57600, 9811, 334, 148, 0x4041751fad5e78feull},
-    {"researcher", true, true, 64, true, 990, 512, 50061, 9811, 305, 148, 0x403f2cf5f128780eull},
-    {"researcher", true, false, 64, true, 1056, 584, 50061, 9811, 305, 148, 0x403f2e5c01c3f7d0ull},
-    {"emergency", false, true, 64, true, 1013, 546, 50547, 9811, 307, 148, 0x403f68fc2d607154ull},
-    {"emergency", false, false, 64, true, 1085, 618, 50547, 9811, 307, 148, 0x403f69f8c9eb1c64ull},
-    {"emergency", true, true, 64, true, 1091, 624, 50547, 9811, 307, 148, 0x403f6a31bed82488ull},
-    {"emergency", true, false, 64, true, 1164, 696, 50547, 9811, 307, 148, 0x403f6b4e87794d3aull},
-    {"accountant", false, true, 256, false, 735, 70, 14339, 9811, 90, 37, 0x402168aa9e8f7512ull},
-    {"accountant", false, false, 256, false, 750, 71, 14339, 9811, 90, 37, 0x40216d922b83d135ull},
-    {"accountant", true, true, 256, false, 830, 171, 11917, 9811, 81, 37, 0x401e0d1098e4bc8cull},
-    {"accountant", true, false, 256, false, 830, 171, 11917, 9811, 81, 37, 0x401e130cb5b315e6ull},
-    {"researcher", false, true, 256, false, 787, 108, 21000, 9811, 116, 37, 0x40280acd9cbc5d47ull},
-    {"researcher", false, false, 256, false, 787, 108, 21000, 9811, 116, 37, 0x40280d5965c66186ull},
-    {"researcher", true, true, 256, false, 1182, 512, 13461, 9811, 87, 37, 0x402092c6929d6dabull},
-    {"researcher", true, false, 256, false, 1248, 584, 13461, 9811, 87, 37, 0x40209592b3d46d2full},
-    {"emergency", false, true, 256, false, 1205, 546, 13947, 9811, 89, 37, 0x40210ad30b0d6034ull},
-    {"emergency", false, false, 256, false, 1277, 618, 13947, 9811, 89, 37, 0x40210ccc4422b655ull},
-    {"emergency", true, true, 256, false, 1283, 624, 13947, 9811, 89, 37, 0x40210d3e2dfcc69cull},
-    {"emergency", true, false, 256, false, 1356, 696, 13947, 9811, 89, 37, 0x40210f77bf3f1802ull},
-    {"accountant", false, true, 256, true, 735, 70, 20159, 9811, 90, 37, 0x4027250312151d10ull},
-    {"accountant", false, false, 256, true, 750, 71, 20159, 9811, 90, 37, 0x402729ea9f097933ull},
-    {"accountant", true, true, 256, true, 830, 171, 17737, 9811, 81, 37, 0x4024c2e0bff80645ull},
-    {"accountant", true, false, 256, true, 830, 171, 17737, 9811, 81, 37, 0x4024c5dece5f32f2ull},
-    {"researcher", false, true, 256, true, 787, 108, 26820, 9811, 116, 37, 0x402dc72610420544ull},
-    {"researcher", false, false, 256, true, 787, 108, 26820, 9811, 116, 37, 0x402dc9b1d94c0983ull},
-    {"researcher", true, true, 256, true, 1182, 512, 19281, 9811, 87, 37, 0x40264f1f062315a9ull},
-    {"researcher", true, false, 256, true, 1248, 584, 19281, 9811, 87, 37, 0x402651eb275a152dull},
-    {"emergency", false, true, 256, true, 1205, 546, 19767, 9811, 89, 37, 0x4026c72b7e930832ull},
-    {"emergency", false, false, 256, true, 1277, 618, 19767, 9811, 89, 37, 0x4026c924b7a85e53ull},
-    {"emergency", true, true, 256, true, 1283, 624, 19767, 9811, 89, 37, 0x4026c996a1826e9bull},
-    {"emergency", true, false, 256, true, 1356, 696, 19767, 9811, 89, 37, 0x4026cbd032c4c001ull},
+    {"accountant", false, true, 64, false, 543, 70, 12174, 5828, 106, 91, 0x4023a71cee711aadull},
+    {"accountant", false, false, 64, false, 558, 71, 17646, 9476, 163, 148, 0x402dd44f9f3cb1ddull},
+    {"accountant", true, true, 64, false, 638, 171, 14648, 9092, 148, 142, 0x402a5b8eaeec2b3eull},
+    {"accountant", true, false, 64, false, 638, 171, 15224, 9476, 154, 148, 0x402b7043ce926b9aull},
+    {"researcher", false, true, 64, false, 595, 108, 24340, 9509, 189, 148, 0x40323cecdf46f546ull},
+    {"researcher", false, false, 64, false, 595, 108, 24340, 9509, 189, 148, 0x40323e32c3cbf766ull},
+    {"researcher", true, true, 64, false, 990, 512, 16801, 9509, 160, 148, 0x402d01d2b46efaf2ull},
+    {"researcher", true, false, 64, false, 1056, 584, 16801, 9509, 160, 148, 0x402d049ed5a5fa76ull},
+    {"emergency", false, true, 64, false, 1013, 546, 17293, 9515, 162, 148, 0x402d7b619715f709ull},
+    {"emergency", false, false, 64, false, 1085, 618, 17293, 9515, 162, 148, 0x402d7d5ad02b4d2aull},
+    {"emergency", true, true, 64, false, 1091, 624, 17293, 9515, 162, 148, 0x402d7dccba055d72ull},
+    {"emergency", true, false, 64, false, 1164, 696, 17293, 9515, 162, 148, 0x402d80064b47aed8ull},
+    {"accountant", false, true, 64, true, 543, 70, 32676, 5828, 196, 91, 0x40341ac1919ac797ull},
+    {"accountant", false, false, 64, true, 558, 71, 50694, 9476, 307, 148, 0x403f7afaddc0c2c0ull},
+    {"accountant", true, true, 64, true, 638, 171, 46490, 9092, 287, 142, 0x403d23f56448927bull},
+    {"accountant", true, false, 64, true, 638, 171, 48272, 9476, 298, 148, 0x403e48f4f56b9fa0ull},
+    {"researcher", false, true, 64, true, 595, 108, 57388, 9509, 333, 148, 0x404166dff6b4af8cull},
+    {"researcher", false, false, 64, true, 595, 108, 57388, 9509, 333, 148, 0x40416782e8f7309cull},
+    {"researcher", true, true, 64, true, 990, 512, 49849, 9509, 304, 148, 0x403f11bc6859e74aull},
+    {"researcher", true, false, 64, true, 1056, 584, 49849, 9509, 304, 148, 0x403f132278f5670cull},
+    {"emergency", false, true, 64, true, 1013, 546, 50341, 9515, 306, 148, 0x403f4e83d9ad6556ull},
+    {"emergency", false, false, 64, true, 1085, 618, 50341, 9515, 306, 148, 0x403f4f8076381066ull},
+    {"emergency", true, true, 64, true, 1091, 624, 50341, 9515, 306, 148, 0x403f4fb96b25188aull},
+    {"emergency", true, false, 64, true, 1164, 696, 50341, 9515, 306, 148, 0x403f50d633c6413cull},
+    {"accountant", false, true, 256, false, 735, 70, 14094, 9476, 89, 37, 0x402129e8ded9a6eaull},
+    {"accountant", false, false, 256, false, 750, 71, 14094, 9476, 89, 37, 0x40212ed06bce030dull},
+    {"accountant", true, true, 256, false, 830, 171, 11672, 9476, 80, 37, 0x401d8f8d1979203cull},
+    {"accountant", true, false, 256, false, 830, 171, 11672, 9476, 80, 37, 0x401d958936477996ull},
+    {"researcher", false, true, 256, false, 787, 108, 20788, 9509, 115, 37, 0x4027d45a8b1f3bbeull},
+    {"researcher", false, false, 256, false, 787, 108, 20788, 9509, 115, 37, 0x4027d6e654293ffdull},
+    {"researcher", true, true, 256, false, 1182, 512, 13249, 9509, 86, 37, 0x40205c5381004c22ull},
+    {"researcher", true, false, 256, false, 1248, 584, 13249, 9509, 86, 37, 0x40205f1fa2374ba6ull},
+    {"emergency", false, true, 256, false, 1205, 546, 13741, 9515, 88, 37, 0x4020d5e263a7483aull},
+    {"emergency", false, false, 256, false, 1277, 618, 13741, 9515, 88, 37, 0x4020d7db9cbc9e5aull},
+    {"emergency", true, true, 256, false, 1283, 624, 13741, 9515, 88, 37, 0x4020d84d8696aea2ull},
+    {"emergency", true, false, 256, false, 1356, 696, 13741, 9515, 88, 37, 0x4020da8717d90008ull},
+    {"accountant", false, true, 256, true, 735, 70, 19914, 9476, 89, 37, 0x4026e641525f4ee8ull},
+    {"accountant", false, false, 256, true, 750, 71, 19914, 9476, 89, 37, 0x4026eb28df53ab0bull},
+    {"accountant", true, true, 256, true, 830, 171, 17492, 9476, 80, 37, 0x4024841f0042381cull},
+    {"accountant", true, false, 256, true, 830, 171, 17492, 9476, 80, 37, 0x4024871d0ea964c9ull},
+    {"researcher", false, true, 256, true, 787, 108, 26608, 9509, 115, 37, 0x402d90b2fea4e3bbull},
+    {"researcher", false, false, 256, true, 787, 108, 26608, 9509, 115, 37, 0x402d933ec7aee7faull},
+    {"researcher", true, true, 256, true, 1182, 512, 19069, 9509, 86, 37, 0x402618abf485f420ull},
+    {"researcher", true, false, 256, true, 1248, 584, 19069, 9509, 86, 37, 0x40261b7815bcf3a4ull},
+    {"emergency", false, true, 256, true, 1205, 546, 19561, 9515, 88, 37, 0x4026923ad72cf037ull},
+    {"emergency", false, false, 256, true, 1277, 618, 19561, 9515, 88, 37, 0x4026943410424658ull},
+    {"emergency", true, true, 256, true, 1283, 624, 19561, 9515, 88, 37, 0x402694a5fa1c56a0ull},
+    {"emergency", true, false, 256, true, 1356, 696, 19561, 9515, 88, 37, 0x402696df8b5ea806ull},
 };
 
 const char kGoldenQuery[] =
@@ -690,7 +1005,8 @@ struct GoldenDoc {
     container->header().EncodeTo(&hw);
     header_bytes = hw.Take();
     auto rules = core::RuleSet::ParseText(scenario.rules_text).value();
-    sealed_rules = core::SealRuleSet(key, rules, /*version=*/1, &rng);
+    sealed_rules = core::SealRuleEnvelope(crypto::DocCipher::For(key), rules,
+                                          /*version=*/1, &rng);
   }
 
   Result<soe::SessionOutput> Run(const GoldenRow& row,
@@ -714,8 +1030,12 @@ struct GoldenDoc {
     if (row.query) opts.query_text = kGoldenQuery;
     opts.use_skip = row.skip;
     opts.strict_ram = strict_ram;
-    return card->RunSession("doc", header_bytes, sealed_rules, &provider,
-                            opts);
+    return card->RunSession(
+        "doc", header_bytes,
+        fakes::RuleMessageFor(crypto::DocCipher::For(key), sealed_rules,
+                              row.subject)
+            .value(),
+        &provider, opts);
   }
 };
 

@@ -1,8 +1,11 @@
 // XPath fragment tests: parser acceptance/rejection, printer round-trips,
-// value comparison semantics, DOM evaluation.
+// value comparison semantics, DOM evaluation, the parser's space.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "alloc_counter.h"
 #include "xml/dom.h"
 #include "xpath/ast.h"
 #include "xpath/eval.h"
@@ -188,6 +191,38 @@ TEST(XPathComplexityTest, CountsStepsAndPredicates) {
   auto expr = ParsePath("//a[b/c]/d[e=\"1\"][f]").value();
   EXPECT_EQ(expr.PredicateCount(), 3u);
   EXPECT_EQ(expr.TotalSteps(), 2u + 2u + 1u + 1u);
+}
+
+// A query comes from the card holder's terminal, so its parse must take
+// space in proportion to its length, whether its steps follow one another
+// or nest: 4x the text may take at most ~4x the bytes.
+std::string ChainedSteps(size_t n) {
+  std::string text;
+  for (size_t i = 0; i < n; ++i) text += "/a[b]";
+  return text;
+}
+std::string NestedPredicates(size_t n) {
+  std::string text = "/a";
+  for (size_t i = 0; i < n; ++i) text += "[b";
+  text.append(n, ']');
+  return text;
+}
+
+TEST(XPathParseTest, ParseSpaceGrowsLinearlyWithTheQuery) {
+  for (auto make : {ChainedSteps, NestedPredicates}) {
+    auto bytes = [make](size_t n) {
+      const std::string text = make(n);
+      Result<PathExpr> parsed = Status::Internal("not run");
+      const size_t allocated =
+          CountAllocatedBytes([&] { parsed = ParsePath(text); });
+      EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+      return allocated;
+    };
+    const size_t small = bytes(100);
+    const size_t large = bytes(400);
+    EXPECT_LT(large, 5 * small) << make(2) << ": " << small << " B for 100, "
+                                << large << " B for 400";
+  }
 }
 
 }  // namespace
