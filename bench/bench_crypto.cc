@@ -17,7 +17,6 @@
 #include "crypto/blockseal.h"
 #include "crypto/container.h"
 #include "crypto/keys.h"
-#include "crypto/merkle.h"
 #include "crypto/modes.h"
 #include "crypto/sha256.h"
 #include "soe/card_profile.h"
@@ -222,33 +221,6 @@ void BM_OpenBlock(benchmark::State& state) {
                           static_cast<int64_t>(crypto::kSealedBlockSize));
 }
 BENCHMARK(BM_OpenBlock);
-
-void BM_MerkleBuild(benchmark::State& state) {
-  size_t leaves = static_cast<size_t>(state.range(0));
-  std::vector<Bytes> data;
-  for (size_t i = 0; i < leaves; ++i) data.push_back(RandomBytes(512, 7 + i));
-  for (auto _ : state) {
-    auto tree = crypto::MerkleTree::Build(data);
-    benchmark::DoNotOptimize(tree.root().data());
-  }
-  state.counters["leaves"] = static_cast<double>(leaves);
-}
-BENCHMARK(BM_MerkleBuild)->Arg(16)->Arg(128)->Arg(1024);
-
-void BM_MerkleVerify(benchmark::State& state) {
-  size_t leaves = static_cast<size_t>(state.range(0));
-  std::vector<Bytes> data;
-  for (size_t i = 0; i < leaves; ++i) data.push_back(RandomBytes(512, 9 + i));
-  auto tree = crypto::MerkleTree::Build(data);
-  auto proof = tree.Prove(leaves / 2).value();
-  for (auto _ : state) {
-    bool ok = crypto::MerkleTree::Verify(tree.root(), leaves / 2, leaves,
-                                         data[leaves / 2], proof);
-    benchmark::DoNotOptimize(ok);
-  }
-  state.counters["proof_nodes"] = static_cast<double>(proof.size());
-}
-BENCHMARK(BM_MerkleVerify)->Arg(16)->Arg(128)->Arg(1024);
 
 void BM_ContainerSeal(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

@@ -4,7 +4,7 @@
 // Decomposition of a full proxy→card→DSP query into transfer, crypto and
 // evaluator time as document size grows, on the demo's e-gate profile and
 // on a modern secure element; then a chunk-size sweep exposing the
-// Merkle-proof overhead vs skip-granularity trade-off.
+// per-chunk MAC and APDU overhead vs skip-granularity trade-off.
 
 #include "bench/bench_util.h"
 
@@ -73,56 +73,5 @@ int main() {
               "until the 32 B/chunk MAC and per-APDU overheads bite; for "
               "selective access the optimum sits at small, APDU-sized "
               "chunks — the regime the demo card operated in.\n");
-
-  std::printf("\n--- integrity schemes: per-chunk MAC (default) vs Merkle "
-              "proofs (keyless verification), 4000 elems ---\n");
-  Table t3({"chunk B", "scheme", "auth wire B", "overhead", "session s"});
-  for (size_t chunk : {128u, 512u}) {
-    for (auto mode : {crypto::IntegrityMode::kChunkMac,
-                      crypto::IntegrityMode::kMerkle}) {
-      Rng rng(558);
-      auto key = crypto::SymmetricKey::Generate(&rng);
-      xml::GeneratorParams gp;
-      gp.profile = xml::DocProfile::kHospital;
-      gp.target_elements = Smoke(4000);
-      gp.seed = 558;
-      gp.text_avg_len = 48;
-      auto doc = xml::GenerateDocument(gp);
-      auto encoded = skipindex::EncodeDocument(doc, {}).value();
-      Bytes container_bytes =
-          crypto::SecureContainer::Seal(key, encoded, chunk, &rng, mode);
-      auto container = crypto::SecureContainer::Parse(container_bytes).value();
-      FixtureProvider provider(&container);
-      uint64_t payload = container.header().payload_size;
-      uint64_t wire = provider.TotalWireBytes();
-
-      soe::CardEngine card(soe::CardProfile::EGate());
-      card.InstallKey("doc", key);
-      ByteWriter hw;
-      container.header().EncodeTo(&hw);
-      auto rules = core::RuleSet::ParseText("+ u //patient/admin\n").value();
-      const crypto::DocCipher cipher = crypto::DocCipher::For(key);
-      const Bytes message = RuleMessageFor(
-          cipher, core::SealRuleEnvelope(cipher, rules, /*version=*/1, &rng),
-          "u");
-      soe::SessionOptions opts;
-      opts.subject = "u";
-      auto out =
-          card.RunSession("doc", hw.bytes(), message, &provider, opts);
-      CSXA_CHECK(out.ok());
-      t3.AddRow({Fmt("%zu", chunk),
-                 mode == crypto::IntegrityMode::kChunkMac ? "chunk-mac"
-                                                          : "merkle",
-                 Fmt("%llu", (unsigned long long)(wire - payload)),
-                 Fmt("%.1f%%", 100.0 * static_cast<double>(wire - payload) /
-                                   static_cast<double>(payload)),
-                 Fmt("%.2f", out.value().stats.total_seconds)});
-    }
-  }
-  t3.Print();
-  std::printf("\nthe card holds the MAC key, so keyed chunk MACs give the "
-              "same tamper/substitution detection as Merkle proofs at "
-              "constant cost; Merkle remains available when third parties "
-              "must verify without the key.\n");
   return 0;
 }

@@ -6,6 +6,8 @@ namespace csxa::crypto {
 
 namespace {
 constexpr uint8_t kMagic[4] = {'C', 'S', 'X', 'A'};
+// The header's reserved 32-byte field, all zero.
+constexpr uint8_t kReservedField[kSha256Size] = {};
 
 void StoreU32(uint8_t* p, uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
@@ -20,12 +22,12 @@ void StoreU64(uint8_t* p, uint64_t v) {
 void ContainerHeader::EncodeTo(ByteWriter* out) const {
   out->PutBytes(Span(kMagic, 4));
   out->PutU8(version);
-  out->PutU8(static_cast<uint8_t>(integrity));
+  out->PutU8(0);  // reserved mode byte
   out->PutBytes(Span(nonce.data(), nonce.size()));
   out->PutU32(chunk_size);
   out->PutU64(payload_size);
   out->PutU32(chunk_count);
-  out->PutBytes(Span(merkle_root.data(), merkle_root.size()));
+  out->PutBytes(Span(kReservedField, kSha256Size));
   out->PutBytes(Span(root_mac.data(), root_mac.size()));
 }
 
@@ -35,42 +37,30 @@ Result<ContainerHeader> ContainerHeader::DecodeFrom(ByteReader* in) {
     return Status::ParseError("container magic mismatch");
   }
   ContainerHeader h;
-  uint8_t integrity_raw;
-  Span nonce, root, mac;
-  if (!in->GetU8(&h.version) || !in->GetU8(&integrity_raw) ||
+  uint8_t mode;
+  Span nonce, reserved, mac;
+  if (!in->GetU8(&h.version) || !in->GetU8(&mode) ||
       !in->GetBytes(16, &nonce) || !in->GetU32(&h.chunk_size) ||
       !in->GetU64(&h.payload_size) || !in->GetU32(&h.chunk_count) ||
-      !in->GetBytes(32, &root) || !in->GetBytes(32, &mac)) {
+      !in->GetBytes(32, &reserved) || !in->GetBytes(32, &mac)) {
     return Status::ParseError("container header truncated");
   }
   if (h.version != 2) return Status::NotSupported("container version");
-  if (integrity_raw > 1) return Status::ParseError("unknown integrity mode");
-  h.integrity = static_cast<IntegrityMode>(integrity_raw);
+  if (mode != 0) return Status::ParseError("unknown integrity mode");
   if (h.chunk_size == 0) return Status::ParseError("container chunk size zero");
+  if (!(reserved == Span(kReservedField, kSha256Size))) {
+    return Status::ParseError("container reserved field not zero");
+  }
   std::memcpy(h.nonce.data(), nonce.data(), 16);
-  std::memcpy(h.merkle_root.data(), root.data(), 32);
   std::memcpy(h.root_mac.data(), mac.data(), 32);
   return h;
 }
 
-Digest SecureContainer::LeafDigest(uint32_t index, Span ciphertext) {
-  // 0x00 (MerkleTree::HashLeaf's leaf tag) || u32 index, on the stack.
-  uint8_t prefix[1 + 4];
-  prefix[0] = 0x00;
-  StoreU32(prefix + 1, index);
-  Sha256 hasher;
-  hasher.Update(Span(prefix, sizeof(prefix)));
-  hasher.Update(ciphertext);
-  return hasher.Finish();
-}
-
 Digest SecureContainer::ComputeRootMac(const HmacKey& mac,
                                        const ContainerHeader& h) {
-  // integrity || merkle_root || nonce || payload_size || chunk_size ||
-  // chunk_count, on the stack.
-  uint8_t in[1 + 32 + 16 + 8 + 4 + 4];
-  in[0] = static_cast<uint8_t>(h.integrity);
-  std::memcpy(in + 1, h.merkle_root.data(), 32);
+  // reserved mode byte and field (zero) || nonce || payload_size ||
+  // chunk_size || chunk_count, on the stack.
+  uint8_t in[1 + 32 + 16 + 8 + 4 + 4] = {};
   std::memcpy(in + 33, h.nonce.data(), 16);
   StoreU64(in + 49, h.payload_size);
   StoreU32(in + 57, h.chunk_size);
@@ -95,11 +85,9 @@ Digest SecureContainer::ComputeChunkMac(const HmacKey& mac,
 }
 
 Bytes SecureContainer::Seal(const SymmetricKey& key, Span payload,
-                            size_t chunk_size, Rng* nonce_rng,
-                            IntegrityMode mode) {
+                            size_t chunk_size, Rng* nonce_rng) {
   if (chunk_size == 0) chunk_size = kDefaultChunkSize;
   ContainerHeader h;
-  h.integrity = mode;
   for (size_t i = 0; i < h.nonce.size(); i += 8) {
     uint64_t v = nonce_rng->Next();
     for (size_t b = 0; b < 8 && i + b < h.nonce.size(); ++b) {
@@ -115,37 +103,21 @@ Bytes SecureContainer::Seal(const SymmetricKey& key, Span payload,
   const DocCipher cipher = DocCipher::For(key);
   Span nonce(h.nonce.data(), h.nonce.size());
 
-  // One buffer, sized once: header, auth table, then the ciphertexts,
-  // each encrypted straight into its place.
+  // One buffer, sized once: header, chunk-MAC table, then the
+  // ciphertexts, each encrypted straight into its place and MACed there.
   const size_t auth_off = ContainerHeader::kWireSize;
   const size_t chunks_off =
       auth_off + static_cast<size_t>(h.chunk_count) * kSha256Size;
   Bytes out(chunks_off + payload.size());
-  auto ciphertext = [&](uint32_t i) {
-    return Span(out).subspan(chunks_off + size_t{i} * chunk_size, chunk_size);
-  };
   for (uint32_t i = 0; i < h.chunk_count; ++i) {
     Span plain = payload.subspan(size_t{i} * chunk_size, chunk_size);
-    cipher.enc.CtrXor(DeriveCtrIv(nonce, i).data(), plain.data(),
-                      out.data() + chunks_off + size_t{i} * chunk_size,
+    uint8_t* ciphertext = out.data() + chunks_off + size_t{i} * chunk_size;
+    cipher.enc.CtrXor(DeriveCtrIv(nonce, i).data(), plain.data(), ciphertext,
                       plain.size());
-  }
-
-  // Authentication table: Merkle leaf digests or keyed chunk MACs.
-  uint8_t* auth = out.data() + auth_off;
-  if (mode == IntegrityMode::kMerkle) {
-    std::vector<Digest> leaves(h.chunk_count);
-    for (uint32_t i = 0; i < h.chunk_count; ++i) {
-      leaves[i] = LeafDigest(i, ciphertext(i));
-      std::memcpy(auth + i * kSha256Size, leaves[i].data(), kSha256Size);
-    }
-    h.merkle_root = MerkleTree::BuildFromDigests(std::move(leaves)).root();
-  } else {
-    h.merkle_root.fill(0);
-    for (uint32_t i = 0; i < h.chunk_count; ++i) {
-      Digest d = ComputeChunkMac(cipher.mac, h, i, ciphertext(i));
-      std::memcpy(auth + i * kSha256Size, d.data(), kSha256Size);
-    }
+    Digest d =
+        ComputeChunkMac(cipher.mac, h, i, Span(ciphertext, plain.size()));
+    std::memcpy(out.data() + auth_off + size_t{i} * kSha256Size, d.data(),
+                kSha256Size);
   }
   h.root_mac = ComputeRootMac(cipher.mac, h);
 
@@ -169,9 +141,6 @@ Result<SecureContainer> SecureContainer::Parse(Span data) {
   c.chunks_off_ = c.auth_off_ + auth_bytes;
   if (data.size() - c.chunks_off_ != h.payload_size) {
     return Status::ParseError("container payload size mismatch");
-  }
-  if (h.integrity == IntegrityMode::kMerkle) {
-    c.merkle_ = std::make_shared<MerkleCache>();
   }
   return c;
 }
@@ -197,20 +166,8 @@ Result<ChunkAuth> SecureContainer::GetChunkAuth(uint32_t i) const {
     return Status::InvalidArgument("chunk index out of range");
   }
   ChunkAuth auth;
-  if (header_.integrity == IntegrityMode::kMerkle) {
-    std::call_once(merkle_->built, [this] {
-      std::vector<Digest> leaves(header_.chunk_count);
-      for (uint32_t k = 0; k < header_.chunk_count; ++k) {
-        std::memcpy(leaves[k].data(),
-                    data_.data() + auth_off_ + k * kSha256Size, kSha256Size);
-      }
-      merkle_->tree = MerkleTree::BuildFromDigests(std::move(leaves));
-    });
-    CSXA_ASSIGN_OR_RETURN(auth.proof, merkle_->tree.Prove(i));
-  } else {
-    std::memcpy(auth.mac.data(), data_.data() + auth_off_ + i * kSha256Size,
-                kSha256Size);
-  }
+  std::memcpy(auth.data(), data_.data() + auth_off_ + size_t{i} * kSha256Size,
+              kSha256Size);
   return auth;
 }
 
@@ -233,19 +190,10 @@ Status SecureContainer::VerifyAndDecryptChunk(const DocCipher& cipher,
   if (index >= header.chunk_count) {
     return Status::InvalidArgument("chunk index out of range");
   }
-  if (header.integrity == IntegrityMode::kMerkle) {
-    if (!MerkleTree::VerifyLeafDigest(header.merkle_root, index,
-                                      header.chunk_count,
-                                      LeafDigest(index, ciphertext),
-                                      auth.proof)) {
-      return Status::IntegrityError("chunk failed Merkle verification");
-    }
-  } else {
-    Digest expected = ComputeChunkMac(cipher.mac, header, index, ciphertext);
-    if (!ConstantTimeEqual(Span(expected.data(), expected.size()),
-                           Span(auth.mac.data(), auth.mac.size()))) {
-      return Status::IntegrityError("chunk MAC mismatch");
-    }
+  Digest expected = ComputeChunkMac(cipher.mac, header, index, ciphertext);
+  if (!ConstantTimeEqual(Span(expected.data(), expected.size()),
+                         Span(auth.data(), auth.size()))) {
+    return Status::IntegrityError("chunk MAC mismatch");
   }
   CtrTransform(cipher.enc,
                DeriveCtrIv(Span(header.nonce.data(), header.nonce.size()), index),

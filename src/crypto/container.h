@@ -6,11 +6,12 @@
 ///
 /// This is the on-DSP format for shared documents (§2.1): the payload is
 /// split into fixed-size chunks, each independently encrypted with AES-CTR
-/// under a per-chunk derived IV, and a Merkle tree is built over
-/// (index || ciphertext) leaves. The tree root is authenticated with
-/// HMAC-SHA256 under the document's MAC sub-key, so an untrusted DSP can
-/// neither substitute, reorder, truncate nor modify chunks undetected,
-/// while the SOE can still fetch and verify any subset of chunks — the
+/// under a per-chunk derived IV and authenticated by a keyed chunk MAC
+/// bound to (nonce, index, chunk size); a root MAC over the header binds
+/// the geometry. Both are keyed with the document's MAC sub-key, so an
+/// untrusted DSP can neither substitute, reorder, truncate nor modify
+/// chunks undetected, while the SOE, which holds the key, can still fetch
+/// and verify any subset of chunks at a constant 32 B per chunk — the
 /// property the skip index depends on.
 ///
 /// Readers that open many chunks under one key pass a DocCipher (keys.h),
@@ -19,16 +20,14 @@
 /// every call and are kept for tests and one-shot callers. Seal and
 /// OpenAll derive it once per container.
 
+#include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
 #include "crypto/keys.h"
-#include "crypto/merkle.h"
 #include "crypto/modes.h"
+#include "crypto/sha256.h"
 
 namespace csxa::crypto {
 
@@ -37,53 +36,30 @@ namespace csxa::crypto {
 /// chunk-size sweep.
 inline constexpr size_t kDefaultChunkSize = 512;
 
-/// \brief Per-chunk integrity scheme.
-///
-/// The card holds the document's MAC key, so a keyed per-chunk MAC bound
-/// to (nonce, index, geometry) already defeats substitution, reordering,
-/// tampering and cross-document splicing at a constant 32 B per chunk —
-/// this is the default and matches the paper's cost envelope. The Merkle
-/// mode additionally allows *keyless* verification against the
-/// authenticated root (useful when proofs must be checkable by parties
-/// without the MAC key) at O(log n) proof bytes per fetched chunk; see the
-/// EXP-APDU integrity comparison.
-enum class IntegrityMode : uint8_t {
-  kChunkMac = 0,
-  kMerkle = 1,
-};
-
 /// \brief Parsed container header (public, non-secret metadata).
+///
+/// The wire header also holds a mode byte after the version and a 32-byte
+/// field before the root MAC. Both are reserved and must be zero; they
+/// stay in the root MAC's input.
 struct ContainerHeader {
   uint8_t version = 2;
-  IntegrityMode integrity = IntegrityMode::kChunkMac;
   std::array<uint8_t, 16> nonce{};
   uint32_t chunk_size = kDefaultChunkSize;
   uint64_t payload_size = 0;
   uint32_t chunk_count = 0;
-  /// Merkle root (kMerkle) or all-zero (kChunkMac).
-  Digest merkle_root{};
   Digest root_mac{};
 
   /// Serialized header size in bytes (fixed).
   static constexpr size_t kWireSize = 4 + 1 + 1 + 16 + 4 + 8 + 4 + 32 + 32;
 
   void EncodeTo(ByteWriter* out) const;
+  /// Fails unless the reserved mode byte and field are zero.
   static Result<ContainerHeader> DecodeFrom(ByteReader* in);
 };
 
-/// \brief Per-chunk authentication material shipped with a fetched chunk.
-struct ChunkAuth {
-  /// Merkle authentication path (kMerkle mode).
-  std::vector<MerkleTree::ProofNode> proof;
-  /// Keyed chunk MAC (kChunkMac mode).
-  Digest mac{};
-
-  /// Wire size of the authentication material.
-  size_t WireBytes(IntegrityMode mode) const {
-    return mode == IntegrityMode::kMerkle ? 2 + proof.size() * 33
-                                          : kSha256Size;
-  }
-};
+/// \brief Authentication material shipped with a fetched chunk: its keyed
+/// chunk MAC (ComputeChunkMac), 32 B whatever the container's size.
+using ChunkAuth = Digest;
 
 /// \brief Builder/parser for the sealed container format.
 class SecureContainer {
@@ -91,8 +67,7 @@ class SecureContainer {
   /// Seals `payload` under `key` into the serialized container format.
   /// `nonce_rng` supplies the fresh document nonce.
   static Bytes Seal(const SymmetricKey& key, Span payload, size_t chunk_size,
-                    Rng* nonce_rng,
-                    IntegrityMode mode = IntegrityMode::kChunkMac);
+                    Rng* nonce_rng);
 
   /// Parses a serialized container (zero-copy view over `data`).
   static Result<SecureContainer> Parse(Span data);
@@ -104,7 +79,7 @@ class SecureContainer {
   /// Ciphertext of chunk `i` (view).
   Result<Span> ChunkCiphertext(uint32_t i) const;
   /// Authentication material for chunk `i` (what the untrusted DSP ships
-  /// alongside the ciphertext): Merkle path or stored chunk MAC.
+  /// alongside the ciphertext): its stored chunk MAC.
   Result<ChunkAuth> GetChunkAuth(uint32_t i) const;
 
   /// Plaintext size of chunk `i` (== chunk_size except possibly the last).
@@ -120,11 +95,11 @@ class SecureContainer {
     return VerifyRoot(DocCipher::For(key), header);
   }
 
-  /// SOE-side: verifies `ciphertext` as chunk `index` per the header's
-  /// integrity mode (the header must already be root-verified), then
-  /// decrypts it into `plain`, resized to the ciphertext's length; `plain`
-  /// is untouched when verification fails. This form allocates nothing
-  /// once `plain` has the capacity, in either integrity mode.
+  /// SOE-side: verifies `ciphertext` as chunk `index` against its chunk
+  /// MAC (the header must already be root-verified), then decrypts it into
+  /// `plain`, resized to the ciphertext's length; `plain` is untouched
+  /// when verification fails. This form allocates nothing once `plain`
+  /// has the capacity.
   static Status VerifyAndDecryptChunk(const DocCipher& cipher,
                                       const ContainerHeader& header,
                                       uint32_t index, Span ciphertext,
@@ -147,11 +122,6 @@ class SecureContainer {
   /// Computes the MAC binding the root to the container geometry.
   static Digest ComputeRootMac(const HmacKey& mac, const ContainerHeader& h);
 
-  /// Merkle leaf digest of chunk `index`: MerkleTree::HashLeaf over
-  /// u32(index) || ciphertext, streamed into one hasher (no copy, no
-  /// allocation). Seal and the card's verify both use it.
-  static Digest LeafDigest(uint32_t index, Span ciphertext);
-
   /// Keyed per-chunk MAC: HMAC(mac_key, u32(5) || "chunk" || nonce ||
   /// index || chunk_size || ciphertext). The fixed 33-byte prefix is built
   /// on the stack and the ciphertext streamed into the hasher: no copy,
@@ -160,18 +130,10 @@ class SecureContainer {
                                 uint32_t index, Span ciphertext);
 
  private:
-  // Merkle mode: the tree over the stored leaf table, built on the first
-  // proof request (thread-safe) and shared by copies of this container.
-  struct MerkleCache {
-    std::once_flag built;
-    MerkleTree tree;
-  };
-
   ContainerHeader header_;
   Span data_;              // whole serialized container
-  size_t auth_off_ = 0;    // offset of leaf-digest / chunk-MAC table
+  size_t auth_off_ = 0;    // offset of the chunk-MAC table
   size_t chunks_off_ = 0;  // offset of first chunk ciphertext
-  std::shared_ptr<MerkleCache> merkle_;  // null in kChunkMac mode
 };
 
 }  // namespace csxa::crypto

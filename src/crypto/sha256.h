@@ -4,8 +4,7 @@
 /// \file sha256.h
 /// \brief SHA-256 (FIPS 180-4), incremental and one-shot, and HMAC-SHA256.
 ///
-/// Used for integrity digests, Merkle tree nodes, chunk/block MACs and key
-/// derivation.
+/// Used for integrity digests, chunk/block MACs and key derivation.
 ///
 /// The compression function has two implementations with identical
 /// output: SHA-NI (x86-64 CPUs reporting the `sha` and `sse4.1` features,

@@ -1,6 +1,5 @@
 #include "dissem/channel.h"
 
-#include "core/rule.h"
 #include "core/rule_envelope.h"
 #include "skipindex/codec.h"
 
@@ -9,7 +8,7 @@ namespace csxa::dissem {
 Channel::Channel(std::string channel_id, std::string rules_text,
                  ChannelOptions options, uint64_t seed)
     : channel_id_(std::move(channel_id)),
-      rules_text_(std::move(rules_text)),
+      rules_(core::RuleSet::ParseText(rules_text)),
       options_(options),
       rng_(seed) {
   key_ = crypto::SymmetricKey::Generate(&rng_);
@@ -23,12 +22,12 @@ void Channel::Subscribe(Subscriber* subscriber) {
 Status Channel::UpdateRules(std::string rules_text) {
   CSXA_ASSIGN_OR_RETURN(core::RuleSet parsed,
                         core::RuleSet::ParseText(rules_text));
-  (void)parsed;
-  rules_text_ = std::move(rules_text);
+  rules_ = std::move(parsed);
   return Status::OK();
 }
 
 Result<BroadcastReport> Channel::Publish(const xml::DomDocument& item) {
+  CSXA_RETURN_IF_ERROR(rules_.status());
   ++item_counter_;
   BroadcastReport report;
   report.item_elements = item.CountElements();
@@ -45,13 +44,11 @@ Result<BroadcastReport> Channel::Publish(const xml::DomDocument& item) {
   container.header().EncodeTo(&header_writer);
   Bytes header_bytes = header_writer.Take();
 
-  CSXA_ASSIGN_OR_RETURN(core::RuleSet rules,
-                        core::RuleSet::ParseText(rules_text_));
   // The item counter doubles as the rule-envelope version: every broadcast
   // carries the current policy, and subscriber cards refuse rollbacks.
   const crypto::DocCipher cipher = crypto::DocCipher::For(key_);
   Bytes sealed_rules =
-      core::SealRuleEnvelope(cipher, rules, item_counter_, &rng_);
+      core::SealRuleEnvelope(cipher, rules_.value(), item_counter_, &rng_);
 
   // The broadcast buffer the terminal already received. Push-mode
   // sessions charge no round trips for reading it.

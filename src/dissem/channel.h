@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/rule.h"
 #include "crypto/container.h"
 #include "soe/card_engine.h"
 #include "xml/dom.h"
@@ -67,6 +68,8 @@ class Channel {
  public:
   /// `rules_text` covers all subscriber subjects; each registered
   /// subscriber receives the channel key (through the simulated PKI).
+  /// Text that does not parse makes every Publish fail until UpdateRules
+  /// installs a valid policy.
   Channel(std::string channel_id, std::string rules_text,
           ChannelOptions options, uint64_t seed);
 
@@ -85,7 +88,7 @@ class Channel {
 
  private:
   std::string channel_id_;
-  std::string rules_text_;
+  Result<core::RuleSet> rules_;  // parsed once per policy
   ChannelOptions options_;
   Rng rng_;
   crypto::SymmetricKey key_;

@@ -10,8 +10,6 @@ const char* ReplicaStateName(ReplicaState state) {
       return "in-sync";
     case ReplicaState::kSuspect:
       return "suspect";
-    case ReplicaState::kDown:
-      return "down";
     case ReplicaState::kLagging:
       return "lagging";
   }
@@ -32,7 +30,6 @@ ReplicatedService::ReplicatedService(std::vector<Service*> replicas,
   if (options_.write_quorum > replicas_.size()) {
     options_.write_quorum = replicas_.size();
   }
-  if (options_.suspect_after < 1) options_.suspect_after = 1;
 }
 
 Result<Response> ReplicatedService::Execute(Request request) {
@@ -243,14 +240,10 @@ void ReplicatedService::HeartbeatTick() {
     std::lock_guard lock(mu_);
     Replica& rep = state_[i];
     if (res.ok()) {
-      rep.missed_heartbeats = 0;
       if (rep.state != ReplicaState::kInSync) recovered.push_back(i);
     } else {
       heartbeat_failures_.fetch_add(1, std::memory_order_relaxed);
-      ++rep.missed_heartbeats;
-      if (rep.missed_heartbeats >= options_.suspect_after) {
-        rep.state = ReplicaState::kDown;
-      } else if (rep.state == ReplicaState::kInSync) {
+      if (rep.state == ReplicaState::kInSync) {
         rep.state = ReplicaState::kSuspect;
       }
     }
@@ -322,7 +315,6 @@ bool ReplicatedService::CatchUpLocked(size_t index) {
     Replica& rep = state_[index];
     rep.applied_ops = target;
     rep.state = ReplicaState::kInSync;
-    rep.missed_heartbeats = 0;
   }
   reintegrations_.fetch_add(1, std::memory_order_relaxed);
   return true;

@@ -30,10 +30,9 @@
 ///    construction and checks nothing. The real check is a client-side
 ///    history checker (ROADMAP.md, open item 3).
 ///  - **Failure detection** is heartbeat-based on a modeled clock: each
-///    HeartbeatTick() pings every replica (Op::kPing) once. A replica
-///    missing `suspect_after` consecutive beats is kDown. Request-path
-///    failures additionally mark a replica kSuspect immediately (passive
-///    detection), taking it out of rotation without waiting for a beat.
+///    HeartbeatTick() pings every replica (Op::kPing) once. An in-sync
+///    replica that misses a beat, or fails a request (passive detection),
+///    becomes kSuspect: out of rotation until a beat answers again.
 ///    If the primary leaves the in-sync set, the next write (or tick)
 ///    promotes the first in-sync replica.
 ///  - **Reintegration**: a replica whose heartbeat returns catches up by
@@ -66,8 +65,7 @@ namespace csxa::dsp {
 /// \brief Where a replica stands in the group.
 enum class ReplicaState : uint8_t {
   kInSync,   ///< serving reads, receiving writes
-  kSuspect,  ///< failed a request or a beat; out of rotation, not yet down
-  kDown,     ///< missed `suspect_after` consecutive heartbeats
+  kSuspect,  ///< failed a request or a beat; out of rotation
   kLagging,  ///< caught serving stale state; needs full catch-up
 };
 
@@ -79,8 +77,6 @@ struct ReplicationOptions {
   /// Replicas (counting the primary) that must apply a write before it is
   /// acked. 0 means majority (n/2 + 1). Clamped to [1, n].
   size_t write_quorum = 0;
-  /// Consecutive missed heartbeats before kSuspect becomes kDown.
-  int suspect_after = 2;
 };
 
 /// \brief Monotone counters of the replication layer.
@@ -142,7 +138,6 @@ class ReplicatedService : public Service {
     Service* service = nullptr;
     ReplicaState state = ReplicaState::kInSync;
     size_t applied_ops = 0;  ///< prefix of log_ applied on this replica
-    int missed_heartbeats = 0;
   };
 
   Result<Response> ExecuteWrite(Request request);

@@ -32,7 +32,6 @@ Result<uint64_t> ServeChunks(const crypto::SecureContainer& container,
   for (const skipindex::ChunkRun& run : runs) wanted += run.count;
   out->reserve(out->size() +
                std::min<uint64_t>(wanted, container.header().chunk_count));
-  const crypto::IntegrityMode mode = container.header().integrity;
   uint64_t wire_bytes = 0;
   for (const skipindex::ChunkRun& run : runs) {
     for (uint32_t i = 0; i < run.count; ++i) {
@@ -41,7 +40,7 @@ Result<uint64_t> ServeChunks(const crypto::SecureContainer& container,
       CSXA_ASSIGN_OR_RETURN(chunk.ciphertext, container.ChunkCiphertext(index));
       chunk.owner = owner;
       CSXA_ASSIGN_OR_RETURN(chunk.auth, container.GetChunkAuth(index));
-      wire_bytes += chunk.WireBytes(mode);
+      wire_bytes += chunk.WireBytes();
       out->push_back(std::move(chunk));
     }
   }
@@ -52,11 +51,7 @@ uint64_t ContainerChunkProvider::TotalWireBytes() const {
   uint64_t total = crypto::ContainerHeader::kWireSize;
   for (uint32_t i = 0; i < container_->header().chunk_count; ++i) {
     auto cipher = container_->ChunkCiphertext(i);
-    auto auth = container_->GetChunkAuth(i);
-    if (cipher.ok() && auth.ok()) {
-      total += cipher.value().size() +
-               auth.value().WireBytes(container_->header().integrity);
-    }
+    if (cipher.ok()) total += cipher.value().size() + crypto::kSha256Size;
   }
   return total;
 }
@@ -78,12 +73,8 @@ Status ChunkSource::EnsureChunk(uint32_t index) {
   CSXA_RETURN_IF_ERROR(provider_->Fetch(std::span(&run, 1), &fetched_));
   const ChunkData& chunk = fetched_[0];
   if (cost_ != nullptr) {
-    if (charge_transfer_) {
-      cost_->AddTransfer(chunk.WireBytes(header_.integrity));
-    }
-    // MAC mode hashes the ciphertext once; Merkle mode additionally pays
-    // one 64-byte compression per proof node.
-    cost_->AddHash(chunk.ciphertext.size() + 4 + chunk.auth.proof.size() * 64);
+    if (charge_transfer_) cost_->AddTransfer(chunk.WireBytes());
+    cost_->AddHash(chunk.ciphertext.size() + 4);
     cost_->AddDecrypt(chunk.ciphertext.size());
   }
   // Decrypts into the reused chunk buffer: no allocation once it has

@@ -6,7 +6,7 @@
 ///
 /// The card holds one chunk of plaintext at a time (RAM!). Reads fetch the
 /// containing chunk from the provider (the terminal/DSP side), verify its
-/// Merkle path against the root-MAC-checked header, decrypt, and serve.
+/// chunk MAC under the root-MAC-checked header, decrypt, and serve.
 /// Skips merely advance the cursor: chunks that are entirely jumped over
 /// are neither transferred nor decrypted — the skip index's payoff.
 ///
@@ -27,8 +27,8 @@
 
 namespace csxa::soe {
 
-/// \brief One chunk as shipped to the card: ciphertext plus its
-/// authentication material (keyed MAC or Merkle path per container mode).
+/// \brief One chunk as shipped to the card: ciphertext plus its keyed
+/// chunk MAC.
 ///
 /// The ciphertext is a view, never a copy. With `owner` set it views the
 /// bytes `owner` keeps alive: a DSP reply holds a reference to the stored
@@ -39,12 +39,10 @@ namespace csxa::soe {
 struct ChunkData {
   Span ciphertext;
   std::shared_ptr<const Bytes> owner;
-  crypto::ChunkAuth auth;
+  crypto::ChunkAuth auth{};
 
   /// Wire size as transferred to the card.
-  size_t WireBytes(crypto::IntegrityMode mode) const {
-    return ciphertext.size() + auth.WireBytes(mode);
-  }
+  size_t WireBytes() const { return ciphertext.size() + auth.size(); }
 
   /// Makes `bytes` the chunk's own ciphertext (for a provider that hands
   /// out bytes no container holds, such as a mutated copy).

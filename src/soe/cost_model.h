@@ -30,7 +30,7 @@ class CostModel {
   }
   /// Accounts decryption of `bytes`.
   void AddDecrypt(uint64_t bytes) { bytes_decrypted_ += bytes; }
-  /// Accounts hashing of `bytes` (Merkle verification, MACs).
+  /// Accounts hashing of `bytes` (chunk MACs).
   void AddHash(uint64_t bytes) { bytes_hashed_ += bytes; }
   /// Accounts evaluator work.
   void AddEvaluator(uint64_t events, uint64_t transitions) {

@@ -1,6 +1,6 @@
 // Cross-cutting invariance property: the delivered view is a pure
-// function of (document, rules, subject, query) — chunk size, integrity
-// mode, skip on/off and card profile must never change it, only costs.
+// function of (document, rules, subject, query) — chunk size, skip on/off
+// and card profile must never change it, only costs.
 // The skips taken (count and bytes) are a function of the skip setting
 // alone: chunking works below the decoder and must not move them.
 
@@ -30,7 +30,6 @@ using InMemoryProvider = soe::ContainerChunkProvider;
 
 struct InvarianceParams {
   size_t chunk_size;
-  crypto::IntegrityMode mode;
   bool use_skip;
   bool modern_card;
 };
@@ -52,13 +51,12 @@ SealedDoc Seal(const InvarianceParams& p, Rng* rng) {
   out.key = crypto::SymmetricKey::Generate(rng);
   out.encoded = skipindex::EncodeDocument(doc, {}).value();
   out.container_bytes = crypto::SecureContainer::Seal(
-      out.key, out.encoded, p.chunk_size, rng, p.mode);
+      out.key, out.encoded, p.chunk_size, rng);
   return out;
 }
 
 Rng RngFor(const InvarianceParams& p) {
-  return Rng(p.chunk_size * 7 + static_cast<uint64_t>(p.mode) * 3 +
-             (p.use_skip ? 1 : 0));
+  return Rng(p.chunk_size * 7 + (p.use_skip ? 1 : 0));
 }
 
 class ChunkingInvariance : public ::testing::TestWithParam<InvarianceParams> {};
@@ -100,8 +98,7 @@ TEST_P(ChunkingInvariance, DeliveredViewIsIdentical) {
     EXPECT_FALSE(golden->empty());
   } else {
     EXPECT_EQ(out.value().view_xml, *golden)
-        << "chunk=" << p.chunk_size << " mode=" << static_cast<int>(p.mode)
-        << " skip=" << p.use_skip;
+        << "chunk=" << p.chunk_size << " skip=" << p.use_skip;
   }
 
   // Golden (skips, bytes_skipped), recorded once per skip setting.
@@ -126,8 +123,7 @@ TEST_P(ChunkingInvariance, DeliveredViewIsIdentical) {
 // offset of the document's short, dense prefix and its larger subtrees.
 TEST(ChunkingInvarianceSweep, DecoderMetadataIsIdenticalAtEveryChunkSize) {
   for (size_t chunk_size = 3; chunk_size <= 96; ++chunk_size) {
-    const InvarianceParams p{chunk_size, crypto::IntegrityMode::kChunkMac,
-                             true, false};
+    const InvarianceParams p{chunk_size, true, false};
     Rng rng = RngFor(p);
     SealedDoc sealed = Seal(p, &rng);
     auto container =
@@ -162,20 +158,19 @@ TEST(ChunkingInvarianceSweep, DecoderMetadataIsIdenticalAtEveryChunkSize) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ChunkingInvariance,
     ::testing::Values(
-        InvarianceParams{512, crypto::IntegrityMode::kChunkMac, true, false},
-        InvarianceParams{64, crypto::IntegrityMode::kChunkMac, true, false},
-        InvarianceParams{128, crypto::IntegrityMode::kChunkMac, false, false},
-        InvarianceParams{256, crypto::IntegrityMode::kMerkle, true, false},
-        InvarianceParams{1024, crypto::IntegrityMode::kMerkle, false, false},
-        InvarianceParams{4096, crypto::IntegrityMode::kChunkMac, true, false},
-        InvarianceParams{300, crypto::IntegrityMode::kChunkMac, true, false},
-        InvarianceParams{512, crypto::IntegrityMode::kChunkMac, true, true},
-        InvarianceParams{97, crypto::IntegrityMode::kMerkle, true, false}),
+        InvarianceParams{512, true, false},
+        InvarianceParams{64, true, false},
+        InvarianceParams{128, false, false},
+        InvarianceParams{256, true, false},
+        InvarianceParams{1024, false, false},
+        InvarianceParams{4096, true, false},
+        InvarianceParams{300, true, false},
+        InvarianceParams{512, true, true},
+        InvarianceParams{97, true, false}),
     [](const ::testing::TestParamInfo<InvarianceParams>& info) {
       const auto& p = info.param;
       std::string name = "c";
       name += std::to_string(p.chunk_size);
-      name += p.mode == crypto::IntegrityMode::kMerkle ? "_merkle" : "_mac";
       name += p.use_skip ? "_skip" : "_noskip";
       name += p.modern_card ? "_modern" : "_egate";
       return name;

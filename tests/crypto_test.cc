@@ -1,6 +1,6 @@
 // Crypto substrate tests: FIPS-197 AES vectors, FIPS 180-4 SHA-256
-// vectors, RFC 4231 HMAC vectors, mode round-trips, Merkle proofs and the
-// container's tamper-detection property (every flipped bit is caught).
+// vectors, RFC 4231 HMAC vectors, mode round-trips and the container's
+// tamper-detection property (every flipped bit is caught).
 // The dispatch tests compare the hardware paths (AES-NI, SHA-NI) with the
 // portable reference byte for byte; the golden digests pin the sealed
 // formats, so no implementation change can move a ciphertext.
@@ -16,7 +16,6 @@
 #include "crypto/blockseal.h"
 #include "crypto/container.h"
 #include "crypto/keys.h"
-#include "crypto/merkle.h"
 #include "crypto/modes.h"
 #include "crypto/sha256.h"
 
@@ -27,7 +26,6 @@ using crypto::Aes128;
 using crypto::Digest;
 using crypto::DocCipher;
 using crypto::HmacKey;
-using crypto::MerkleTree;
 using crypto::SecureContainer;
 using crypto::Sha256;
 using crypto::SymmetricKey;
@@ -326,17 +324,13 @@ TEST(ShaDispatchTest, HashMatchesPortable) {
 // and nonce sequence must keep producing exactly these containers and
 // blocks on every path.
 TEST(GoldenFormatTest, SealedBytesArePinned) {
-  const char* kContainerDigests[] = {
-      "0850bc5e31b333f1c4477fde2b81ea4d3172f0cbb0a17496229f9a2134598ea6",
-      "9d49347a8cb3decf56224bf87c413e9ba91004f4f3a0079075718636b8f90fcd"};
-  int m = 0;
-  for (auto mode : {crypto::IntegrityMode::kChunkMac,
-                    crypto::IntegrityMode::kMerkle}) {
+  {
     Rng rng(20261017);
     SymmetricKey key = SymmetricKey::Generate(&rng);
     Bytes payload = RandomBytes(&rng, 5000);
-    Bytes sealed = SecureContainer::Seal(key, payload, 256, &rng, mode);
-    EXPECT_EQ(DigestHex(Sha256::Hash(sealed)), kContainerDigests[m++]);
+    Bytes sealed = SecureContainer::Seal(key, payload, 256, &rng);
+    EXPECT_EQ(DigestHex(Sha256::Hash(sealed)),
+              "0850bc5e31b333f1c4477fde2b81ea4d3172f0cbb0a17496229f9a2134598ea6");
   }
   Rng rng(77);
   SymmetricKey key = SymmetricKey::Generate(&rng);
@@ -375,43 +369,6 @@ TEST(ModesTest, DerivedIvsDiffer) {
   EXPECT_NE(HexEncode(Span(iv0.data(), 16)), HexEncode(Span(iv1.data(), 16)));
 }
 
-TEST(MerkleTest, ProofsVerifyForAllLeaves) {
-  for (size_t n : {1u, 2u, 3u, 5u, 8u, 13u, 64u}) {
-    std::vector<Bytes> leaves;
-    for (size_t i = 0; i < n; ++i) leaves.push_back(Bytes(10, static_cast<uint8_t>(i)));
-    MerkleTree tree = MerkleTree::Build(leaves);
-    for (size_t i = 0; i < n; ++i) {
-      auto proof = tree.Prove(i);
-      ASSERT_TRUE(proof.ok());
-      EXPECT_TRUE(MerkleTree::Verify(tree.root(), i, n, leaves[i], proof.value()))
-          << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(MerkleTest, WrongLeafFailsVerification) {
-  std::vector<Bytes> leaves = {Bytes{1}, Bytes{2}, Bytes{3}};
-  MerkleTree tree = MerkleTree::Build(leaves);
-  auto proof = tree.Prove(1).value();
-  EXPECT_FALSE(MerkleTree::Verify(tree.root(), 1, 3, Bytes{9}, proof));
-  // Substitution: leaf 2's payload at index 1 must fail.
-  EXPECT_FALSE(MerkleTree::Verify(tree.root(), 1, 3, leaves[2], proof));
-}
-
-TEST(MerkleTest, ProofCodecRoundTrips) {
-  std::vector<Bytes> leaves;
-  for (int i = 0; i < 9; ++i) leaves.push_back(Bytes(4, static_cast<uint8_t>(i)));
-  MerkleTree tree = MerkleTree::Build(leaves);
-  auto proof = tree.Prove(6).value();
-  ByteWriter w;
-  MerkleTree::EncodeProof(proof, &w);
-  ByteReader r(w.bytes());
-  auto back = MerkleTree::DecodeProof(&r);
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back.value().size(), proof.size());
-  EXPECT_TRUE(MerkleTree::Verify(tree.root(), 6, 9, leaves[6], back.value()));
-}
-
 TEST(KeysTest, DerivationIsLabelSeparated) {
   Rng rng(1);
   SymmetricKey k = SymmetricKey::Generate(&rng);
@@ -419,49 +376,43 @@ TEST(KeysTest, DerivationIsLabelSeparated) {
   EXPECT_TRUE(k.Derive("enc") == k.Derive("enc"));
 }
 
-// Container tests run in both integrity modes: per-chunk keyed MACs (the
-// default) and Merkle proofs (keyless verifiability).
-class ContainerModeTest
-    : public ::testing::TestWithParam<crypto::IntegrityMode> {};
-
-TEST_P(ContainerModeTest, SealOpenRoundTrip) {
+TEST(ContainerModeTest, SealOpenRoundTrip) {
   Rng rng(2);
   SymmetricKey key = SymmetricKey::Generate(&rng);
   Bytes payload;
   for (int i = 0; i < 5000; ++i) payload.push_back(static_cast<uint8_t>(i * 7));
-  Bytes sealed = SecureContainer::Seal(key, payload, 512, &rng, GetParam());
+  Bytes sealed = SecureContainer::Seal(key, payload, 512, &rng);
   auto opened = SecureContainer::OpenAll(key, sealed);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_EQ(opened.value(), payload);
 }
 
-TEST_P(ContainerModeTest, EmptyPayload) {
+TEST(ContainerModeTest, EmptyPayload) {
   Rng rng(3);
   SymmetricKey key = SymmetricKey::Generate(&rng);
-  Bytes sealed = SecureContainer::Seal(key, Bytes{}, 256, &rng, GetParam());
+  Bytes sealed = SecureContainer::Seal(key, Bytes{}, 256, &rng);
   auto opened = SecureContainer::OpenAll(key, sealed);
   ASSERT_TRUE(opened.ok());
   EXPECT_TRUE(opened.value().empty());
 }
 
-TEST_P(ContainerModeTest, WrongKeyFailsRootMac) {
+TEST(ContainerModeTest, WrongKeyFailsRootMac) {
   Rng rng(4);
   SymmetricKey key = SymmetricKey::Generate(&rng);
   SymmetricKey other = SymmetricKey::Generate(&rng);
-  Bytes sealed = SecureContainer::Seal(key, Bytes(1000, 1), 256, &rng,
-                                       GetParam());
+  Bytes sealed = SecureContainer::Seal(key, Bytes(1000, 1), 256, &rng);
   auto opened = SecureContainer::OpenAll(other, sealed);
   EXPECT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kIntegrityError);
 }
 
 // Property: every single-bit flip anywhere in the container is detected.
-TEST_P(ContainerModeTest, AnyBitFlipIsDetected) {
+TEST(ContainerModeTest, AnyBitFlipIsDetected) {
   Rng rng(5);
   SymmetricKey key = SymmetricKey::Generate(&rng);
   Bytes payload;
   for (int i = 0; i < 700; ++i) payload.push_back(static_cast<uint8_t>(rng.Next()));
-  Bytes sealed = SecureContainer::Seal(key, payload, 128, &rng, GetParam());
+  Bytes sealed = SecureContainer::Seal(key, payload, 128, &rng);
   // Sample bit positions across the whole container (every byte would be
   // slow; step through with a prime stride).
   for (size_t pos = 0; pos < sealed.size(); pos += 13) {
@@ -472,11 +423,11 @@ TEST_P(ContainerModeTest, AnyBitFlipIsDetected) {
   }
 }
 
-TEST_P(ContainerModeTest, ChunkSubstitutionDetected) {
+TEST(ContainerModeTest, ChunkSubstitutionDetected) {
   Rng rng(6);
   SymmetricKey key = SymmetricKey::Generate(&rng);
   Bytes payload(1024, 0xAA);
-  Bytes sealed = SecureContainer::Seal(key, payload, 256, &rng, GetParam());
+  Bytes sealed = SecureContainer::Seal(key, payload, 256, &rng);
   auto container = SecureContainer::Parse(sealed).value();
   ASSERT_TRUE(SecureContainer::VerifyRoot(key, container.header()).ok());
   // Serve chunk 2's ciphertext with chunk 1's auth material and index.
@@ -489,11 +440,11 @@ TEST_P(ContainerModeTest, ChunkSubstitutionDetected) {
 
 // The per-document context gives the same answers as the key it came
 // from, and rejects exactly what the key-based path rejects.
-TEST_P(ContainerModeTest, ContextVerifyMatchesKeyVerify) {
+TEST(ContainerModeTest, ContextVerifyMatchesKeyVerify) {
   Rng rng(8);
   SymmetricKey key = SymmetricKey::Generate(&rng);
   Bytes payload = RandomBytes(&rng, 1500);
-  Bytes sealed = SecureContainer::Seal(key, payload, 256, &rng, GetParam());
+  Bytes sealed = SecureContainer::Seal(key, payload, 256, &rng);
   auto container = SecureContainer::Parse(sealed).value();
   const DocCipher cipher = DocCipher::For(key);
   ASSERT_TRUE(SecureContainer::VerifyRoot(cipher, container.header()).ok());
@@ -526,24 +477,15 @@ TEST_P(ContainerModeTest, ContextVerifyMatchesKeyVerify) {
           .ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BothModes, ContainerModeTest,
-    ::testing::Values(crypto::IntegrityMode::kChunkMac,
-                      crypto::IntegrityMode::kMerkle),
-    [](const ::testing::TestParamInfo<crypto::IntegrityMode>& info) {
-      return info.param == crypto::IntegrityMode::kChunkMac ? "ChunkMac"
-                                                            : "Merkle";
-    });
-
 // The card's per-chunk step: once the output buffer holds a full chunk,
-// verify+decrypt allocates nothing. The MAC prefix, or the Merkle leaf's
-// tag and index, is built on the stack and the ciphertext streamed into
-// the hasher; the plaintext lands in the reused buffer.
-void ExpectVerifyAndDecryptAllocationFree(crypto::IntegrityMode mode) {
+// verify+decrypt allocates nothing. The MAC prefix is built on the stack
+// and the ciphertext streamed into the hasher; the plaintext lands in the
+// reused buffer.
+TEST(ContainerTest, ChunkMacVerifyAndDecryptIsAllocationFreeAfterWarmUp) {
   Rng rng(62);
   SymmetricKey key = SymmetricKey::Generate(&rng);
   Bytes payload = RandomBytes(&rng, 2000);
-  Bytes sealed = SecureContainer::Seal(key, payload, 256, &rng, mode);
+  Bytes sealed = SecureContainer::Seal(key, payload, 256, &rng);
   auto container = SecureContainer::Parse(sealed).value();
   const crypto::ContainerHeader& header = container.header();
   const DocCipher cipher = DocCipher::For(key);
@@ -590,61 +532,55 @@ void ExpectVerifyAndDecryptAllocationFree(crypto::IntegrityMode mode) {
   EXPECT_EQ(plain, before);
 }
 
-TEST(ContainerTest, ChunkMacVerifyAndDecryptIsAllocationFreeAfterWarmUp) {
-  ExpectVerifyAndDecryptAllocationFree(crypto::IntegrityMode::kChunkMac);
-}
-
-TEST(ContainerTest, MerkleVerifyAndDecryptIsAllocationFreeAfterWarmUp) {
-  ExpectVerifyAndDecryptAllocationFree(crypto::IntegrityMode::kMerkle);
-}
-
-TEST(ContainerTest, ModesProduceDifferentAuthTables) {
+// A chunk's authentication is its 32 B keyed chunk MAC, stored in the
+// table right after the header, whatever the container's size.
+TEST(ContainerTest, ChunkAuthIsTheStoredChunkMac) {
   Rng rng(61);
   SymmetricKey key = SymmetricKey::Generate(&rng);
-  Bytes payload(600, 0x33);
-  Bytes mac_sealed = SecureContainer::Seal(key, payload, 128, &rng,
-                                           crypto::IntegrityMode::kChunkMac);
-  auto mac_container = SecureContainer::Parse(mac_sealed).value();
-  EXPECT_EQ(mac_container.header().integrity,
-            crypto::IntegrityMode::kChunkMac);
-  auto auth = mac_container.GetChunkAuth(0).value();
-  EXPECT_TRUE(auth.proof.empty());
-  // MAC-mode auth is constant-size; Merkle-mode auth grows with the tree.
-  EXPECT_EQ(auth.WireBytes(crypto::IntegrityMode::kChunkMac), 32u);
-}
-
-// The container builds its Merkle tree once and serves every proof from
-// it; each proof must equal what a tree built from scratch over the same
-// leaves proves.
-TEST(ContainerTest, MerkleProofsMatchFreshTree) {
-  Rng rng(33);
-  SymmetricKey key = SymmetricKey::Generate(&rng);
-  for (size_t chunks = 1; chunks <= 33; ++chunks) {
-    Bytes payload = RandomBytes(&rng, chunks * 64 - rng.Uniform(64));
-    Bytes sealed = SecureContainer::Seal(key, payload, 64, &rng,
-                                         crypto::IntegrityMode::kMerkle);
+  const HmacKey mac = DocCipher::For(key).mac;
+  for (uint32_t chunks : {1u, 5u, 300u}) {
+    Bytes sealed = SecureContainer::Seal(key, Bytes(chunks * 128 - 7, 0x33),
+                                         128, &rng);
     auto container = SecureContainer::Parse(sealed).value();
     ASSERT_EQ(container.header().chunk_count, chunks);
-    // Leaf payload: u32 chunk index || ciphertext.
-    std::vector<Bytes> leaves;
-    for (uint32_t i = 0; i < chunks; ++i) {
-      ByteWriter leaf;
-      leaf.PutU32(i);
-      leaf.PutBytes(container.ChunkCiphertext(i).value());
-      leaves.push_back(leaf.Take());
+    ASSERT_EQ(sealed.size(), crypto::ContainerHeader::kWireSize +
+                                 chunks * 32 + container.header().payload_size);
+    for (uint32_t i : {0u, chunks / 2, chunks - 1}) {
+      crypto::ChunkAuth auth = container.GetChunkAuth(i).value();
+      static_assert(sizeof(auth) == 32);
+      EXPECT_TRUE(Span(auth.data(), auth.size()) ==
+                  Span(sealed).subspan(
+                      crypto::ContainerHeader::kWireSize + i * 32, 32));
+      EXPECT_EQ(auth, SecureContainer::ComputeChunkMac(
+                          mac, container.header(), i,
+                          container.ChunkCiphertext(i).value()));
     }
-    MerkleTree fresh = MerkleTree::Build(leaves);
-    ASSERT_EQ(fresh.root(), container.header().merkle_root);
-    // Ask last to first, so no proof depends on request order.
-    for (uint32_t step = 0; step < chunks; ++step) {
-      uint32_t i = static_cast<uint32_t>(chunks) - 1 - step;
-      auto got = container.GetChunkAuth(i).value().proof;
-      auto want = fresh.Prove(i).value();
-      ASSERT_EQ(got.size(), want.size()) << chunks << "/" << i;
-      for (size_t n = 0; n < got.size(); ++n) {
-        EXPECT_EQ(got[n].sibling, want[n].sibling) << chunks << "/" << i;
-        EXPECT_EQ(got[n].sibling_is_left, want[n].sibling_is_left);
-      }
+  }
+}
+
+// The header's mode byte and the 32-byte field before its root MAC are
+// reserved and zero: chunk MACs are the one integrity scheme. A header
+// with either byte set does not parse, before any key is involved.
+TEST(ContainerTest, HeaderRejectsNonZeroReservedBytes) {
+  Rng rng(63);
+  SymmetricKey key = SymmetricKey::Generate(&rng);
+  Bytes sealed = SecureContainer::Seal(key, Bytes(600, 0x21), 256, &rng);
+  ASSERT_TRUE(SecureContainer::OpenAll(key, sealed).ok());
+  constexpr size_t kModeByte = 4 + 1;                 // after magic, version
+  constexpr size_t kReserved = 4 + 1 + 1 + 16 + 4 + 8 + 4;  // 32 B field
+  EXPECT_EQ(sealed[kModeByte], 0);
+  for (size_t i = 0; i < 32; ++i) EXPECT_EQ(sealed[kReserved + i], 0) << i;
+  for (size_t pos : {kModeByte, kReserved, kReserved + 17, kReserved + 31}) {
+    for (uint8_t value : {uint8_t{1}, uint8_t{0x80}}) {
+      Bytes bad = sealed;
+      bad[pos] = value;
+      ByteReader r(bad);
+      EXPECT_EQ(crypto::ContainerHeader::DecodeFrom(&r).status().code(),
+                StatusCode::kParseError)
+          << pos;
+      EXPECT_EQ(SecureContainer::Parse(bad).status().code(),
+                StatusCode::kParseError)
+          << pos;
     }
   }
 }

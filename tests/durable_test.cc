@@ -120,6 +120,35 @@ TEST(DurableServerTest, RemoveTombstoneKeepsRepublishMonotone) {
   EXPECT_EQ(reopened.value().rules_version, 3u);  // v2 tombstone + 1
 }
 
+// A container whose reserved header bytes are set (the mode byte, or the
+// 32-byte field before the root MAC) is refused before anything is
+// written, and the store reopens without it.
+TEST(DurableServerTest, PublishRefusesNonZeroReservedHeaderBytes) {
+  dsp::MemEnv env;
+  Bytes good = MakeContainer(5);
+  constexpr size_t kModeByte = 4 + 1;
+  constexpr size_t kReserved = 4 + 1 + 1 + 16 + 4 + 8 + 4;
+  {
+    auto server = MustOpen(&env);
+    ASSERT_TRUE(server->Publish("kept", good, RulesBlobFor(1)).ok());
+    for (size_t pos : {kModeByte, kReserved, kReserved + 31}) {
+      Bytes bad = good;
+      bad[pos] = 1;
+      EXPECT_EQ(server->Publish("fresh", bad, RulesBlobFor(1)).code(),
+                StatusCode::kParseError)
+          << pos;
+      EXPECT_FALSE(server->Publish("kept", bad, RulesBlobFor(2)).ok()) << pos;
+    }
+    ASSERT_TRUE(server->Close().ok());
+  }
+  auto server = MustOpen(&env);
+  EXPECT_EQ(server->size(), 1u);
+  EXPECT_EQ(server->OpenDocument("fresh").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(server->OpenDocument("kept").value().rules_version, 1u);
+  EXPECT_EQ(server->GetContainer("kept").value(), good);
+}
+
 TEST(DurableServerTest, MultiSpanGetChunksServesSpansInRequestOrder) {
   // The durable read path (chunk slicing out of sealed blocks) must honor
   // the same multi-span contract as the in-memory store: flattened span
@@ -159,7 +188,7 @@ TEST(DurableServerTest, MultiSpanGetChunksServesSpansInRequestOrder) {
   ASSERT_EQ(got.value().size(), expect.size());
   for (size_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(got.value()[i].ciphertext, reference[expect[i]].ciphertext) << i;
-    EXPECT_EQ(got.value()[i].auth.mac, reference[expect[i]].auth.mac) << i;
+    EXPECT_EQ(got.value()[i].auth, reference[expect[i]].auth) << i;
   }
 
   EXPECT_FALSE(

@@ -894,7 +894,7 @@ TEST(DecoderReuseTest, OneCardAlternatesOverDocuments) {
 // Every modeled number a card session reports, pinned for a fixed grid:
 // hospital document x 3 subjects (skip-heavy accountant, negative-rule
 // researcher, predicate-pending emergency) x {acute-patients query, none}
-// x skip {on, off} x chunk {64, 256} B x {MAC, Merkle}. Host-side work on
+// x skip {on, off} x chunk {64, 256} B. Host-side work on
 // the scan loop (metering, decoding, byte sources) must leave all of them
 // byte-identical, `total_seconds` down to its bit pattern. Only a
 // deliberate change to the cost or RAM model may edit this table; a
@@ -907,7 +907,6 @@ struct GoldenRow {
   bool query;
   bool skip;
   uint32_t chunk;
-  bool merkle;
   size_t ram_peak;
   size_t modeled_ram_peak;
   uint64_t bytes_transferred;
@@ -918,56 +917,32 @@ struct GoldenRow {
 };
 
 constexpr GoldenRow kGoldenSessions[] = {
-    // subject, query, skip, chunk, merkle, ram_peak, evaluator peak,
+    // subject, query, skip, chunk, ram_peak, evaluator peak,
     // transferred, decrypted, apdus, dsp trips, total_seconds bits
-    {"accountant", false, true, 64, false, 543, 70, 12174, 5828, 106, 91, 0x4023a71cee711aadull},
-    {"accountant", false, false, 64, false, 558, 71, 17646, 9476, 163, 148, 0x402dd44f9f3cb1ddull},
-    {"accountant", true, true, 64, false, 638, 171, 14648, 9092, 148, 142, 0x402a5b8eaeec2b3eull},
-    {"accountant", true, false, 64, false, 638, 171, 15224, 9476, 154, 148, 0x402b7043ce926b9aull},
-    {"researcher", false, true, 64, false, 595, 108, 24340, 9509, 189, 148, 0x40323cecdf46f546ull},
-    {"researcher", false, false, 64, false, 595, 108, 24340, 9509, 189, 148, 0x40323e32c3cbf766ull},
-    {"researcher", true, true, 64, false, 990, 512, 16801, 9509, 160, 148, 0x402d01d2b46efaf2ull},
-    {"researcher", true, false, 64, false, 1056, 584, 16801, 9509, 160, 148, 0x402d049ed5a5fa76ull},
-    {"emergency", false, true, 64, false, 1013, 546, 17293, 9515, 162, 148, 0x402d7b619715f709ull},
-    {"emergency", false, false, 64, false, 1085, 618, 17293, 9515, 162, 148, 0x402d7d5ad02b4d2aull},
-    {"emergency", true, true, 64, false, 1091, 624, 17293, 9515, 162, 148, 0x402d7dccba055d72ull},
-    {"emergency", true, false, 64, false, 1164, 696, 17293, 9515, 162, 148, 0x402d80064b47aed8ull},
-    {"accountant", false, true, 64, true, 543, 70, 32676, 5828, 196, 91, 0x40341ac1919ac797ull},
-    {"accountant", false, false, 64, true, 558, 71, 50694, 9476, 307, 148, 0x403f7afaddc0c2c0ull},
-    {"accountant", true, true, 64, true, 638, 171, 46490, 9092, 287, 142, 0x403d23f56448927bull},
-    {"accountant", true, false, 64, true, 638, 171, 48272, 9476, 298, 148, 0x403e48f4f56b9fa0ull},
-    {"researcher", false, true, 64, true, 595, 108, 57388, 9509, 333, 148, 0x404166dff6b4af8cull},
-    {"researcher", false, false, 64, true, 595, 108, 57388, 9509, 333, 148, 0x40416782e8f7309cull},
-    {"researcher", true, true, 64, true, 990, 512, 49849, 9509, 304, 148, 0x403f11bc6859e74aull},
-    {"researcher", true, false, 64, true, 1056, 584, 49849, 9509, 304, 148, 0x403f132278f5670cull},
-    {"emergency", false, true, 64, true, 1013, 546, 50341, 9515, 306, 148, 0x403f4e83d9ad6556ull},
-    {"emergency", false, false, 64, true, 1085, 618, 50341, 9515, 306, 148, 0x403f4f8076381066ull},
-    {"emergency", true, true, 64, true, 1091, 624, 50341, 9515, 306, 148, 0x403f4fb96b25188aull},
-    {"emergency", true, false, 64, true, 1164, 696, 50341, 9515, 306, 148, 0x403f50d633c6413cull},
-    {"accountant", false, true, 256, false, 735, 70, 14094, 9476, 89, 37, 0x402129e8ded9a6eaull},
-    {"accountant", false, false, 256, false, 750, 71, 14094, 9476, 89, 37, 0x40212ed06bce030dull},
-    {"accountant", true, true, 256, false, 830, 171, 11672, 9476, 80, 37, 0x401d8f8d1979203cull},
-    {"accountant", true, false, 256, false, 830, 171, 11672, 9476, 80, 37, 0x401d958936477996ull},
-    {"researcher", false, true, 256, false, 787, 108, 20788, 9509, 115, 37, 0x4027d45a8b1f3bbeull},
-    {"researcher", false, false, 256, false, 787, 108, 20788, 9509, 115, 37, 0x4027d6e654293ffdull},
-    {"researcher", true, true, 256, false, 1182, 512, 13249, 9509, 86, 37, 0x40205c5381004c22ull},
-    {"researcher", true, false, 256, false, 1248, 584, 13249, 9509, 86, 37, 0x40205f1fa2374ba6ull},
-    {"emergency", false, true, 256, false, 1205, 546, 13741, 9515, 88, 37, 0x4020d5e263a7483aull},
-    {"emergency", false, false, 256, false, 1277, 618, 13741, 9515, 88, 37, 0x4020d7db9cbc9e5aull},
-    {"emergency", true, true, 256, false, 1283, 624, 13741, 9515, 88, 37, 0x4020d84d8696aea2ull},
-    {"emergency", true, false, 256, false, 1356, 696, 13741, 9515, 88, 37, 0x4020da8717d90008ull},
-    {"accountant", false, true, 256, true, 735, 70, 19914, 9476, 89, 37, 0x4026e641525f4ee8ull},
-    {"accountant", false, false, 256, true, 750, 71, 19914, 9476, 89, 37, 0x4026eb28df53ab0bull},
-    {"accountant", true, true, 256, true, 830, 171, 17492, 9476, 80, 37, 0x4024841f0042381cull},
-    {"accountant", true, false, 256, true, 830, 171, 17492, 9476, 80, 37, 0x4024871d0ea964c9ull},
-    {"researcher", false, true, 256, true, 787, 108, 26608, 9509, 115, 37, 0x402d90b2fea4e3bbull},
-    {"researcher", false, false, 256, true, 787, 108, 26608, 9509, 115, 37, 0x402d933ec7aee7faull},
-    {"researcher", true, true, 256, true, 1182, 512, 19069, 9509, 86, 37, 0x402618abf485f420ull},
-    {"researcher", true, false, 256, true, 1248, 584, 19069, 9509, 86, 37, 0x40261b7815bcf3a4ull},
-    {"emergency", false, true, 256, true, 1205, 546, 19561, 9515, 88, 37, 0x4026923ad72cf037ull},
-    {"emergency", false, false, 256, true, 1277, 618, 19561, 9515, 88, 37, 0x4026943410424658ull},
-    {"emergency", true, true, 256, true, 1283, 624, 19561, 9515, 88, 37, 0x402694a5fa1c56a0ull},
-    {"emergency", true, false, 256, true, 1356, 696, 19561, 9515, 88, 37, 0x402696df8b5ea806ull},
+    {"accountant", false, true, 64, 543, 70, 12174, 5828, 106, 91, 0x4023a71cee711aadull},
+    {"accountant", false, false, 64, 558, 71, 17646, 9476, 163, 148, 0x402dd44f9f3cb1ddull},
+    {"accountant", true, true, 64, 638, 171, 14648, 9092, 148, 142, 0x402a5b8eaeec2b3eull},
+    {"accountant", true, false, 64, 638, 171, 15224, 9476, 154, 148, 0x402b7043ce926b9aull},
+    {"researcher", false, true, 64, 595, 108, 24340, 9509, 189, 148, 0x40323cecdf46f546ull},
+    {"researcher", false, false, 64, 595, 108, 24340, 9509, 189, 148, 0x40323e32c3cbf766ull},
+    {"researcher", true, true, 64, 990, 512, 16801, 9509, 160, 148, 0x402d01d2b46efaf2ull},
+    {"researcher", true, false, 64, 1056, 584, 16801, 9509, 160, 148, 0x402d049ed5a5fa76ull},
+    {"emergency", false, true, 64, 1013, 546, 17293, 9515, 162, 148, 0x402d7b619715f709ull},
+    {"emergency", false, false, 64, 1085, 618, 17293, 9515, 162, 148, 0x402d7d5ad02b4d2aull},
+    {"emergency", true, true, 64, 1091, 624, 17293, 9515, 162, 148, 0x402d7dccba055d72ull},
+    {"emergency", true, false, 64, 1164, 696, 17293, 9515, 162, 148, 0x402d80064b47aed8ull},
+    {"accountant", false, true, 256, 735, 70, 14094, 9476, 89, 37, 0x402129e8ded9a6eaull},
+    {"accountant", false, false, 256, 750, 71, 14094, 9476, 89, 37, 0x40212ed06bce030dull},
+    {"accountant", true, true, 256, 830, 171, 11672, 9476, 80, 37, 0x401d8f8d1979203cull},
+    {"accountant", true, false, 256, 830, 171, 11672, 9476, 80, 37, 0x401d958936477996ull},
+    {"researcher", false, true, 256, 787, 108, 20788, 9509, 115, 37, 0x4027d45a8b1f3bbeull},
+    {"researcher", false, false, 256, 787, 108, 20788, 9509, 115, 37, 0x4027d6e654293ffdull},
+    {"researcher", true, true, 256, 1182, 512, 13249, 9509, 86, 37, 0x40205c5381004c22ull},
+    {"researcher", true, false, 256, 1248, 584, 13249, 9509, 86, 37, 0x40205f1fa2374ba6ull},
+    {"emergency", false, true, 256, 1205, 546, 13741, 9515, 88, 37, 0x4020d5e263a7483aull},
+    {"emergency", false, false, 256, 1277, 618, 13741, 9515, 88, 37, 0x4020d7db9cbc9e5aull},
+    {"emergency", true, true, 256, 1283, 624, 13741, 9515, 88, 37, 0x4020d84d8696aea2ull},
+    {"emergency", true, false, 256, 1356, 696, 13741, 9515, 88, 37, 0x4020da8717d90008ull},
 };
 
 const char kGoldenQuery[] =
@@ -979,7 +954,7 @@ uint64_t DoubleBits(double d) {
   return bits;
 }
 
-// One sealed hospital document per (chunk size, integrity mode), with the
+// One sealed hospital document per chunk size, with the
 // hospital scenario's rule set sealed under the same key.
 struct GoldenDoc {
   SymmetricKey key;
@@ -988,17 +963,14 @@ struct GoldenDoc {
   Bytes container_bytes;  // the parsed container borrows these bytes
   std::unique_ptr<SecureContainer> container;
 
-  GoldenDoc(uint32_t chunk, bool merkle) {
+  explicit GoldenDoc(uint32_t chunk) {
     Rng rng(4242);
     key = SymmetricKey::Generate(&rng);
     scengen::Scenario scenario = scengen::HospitalScenario();
     xml::DomDocument doc =
         scengen::MakeScenarioDocument(scenario, 600, /*seed=*/31);
     Bytes encoded = skipindex::EncodeDocument(doc, {}).value();
-    container_bytes = SecureContainer::Seal(
-        key, encoded, chunk, &rng,
-        merkle ? crypto::IntegrityMode::kMerkle
-               : crypto::IntegrityMode::kChunkMac);
+    container_bytes = SecureContainer::Seal(key, encoded, chunk, &rng);
     container = std::make_unique<SecureContainer>(
         SecureContainer::Parse(container_bytes).value());
     ByteWriter hw;
@@ -1043,7 +1015,7 @@ std::string FormatRow(const GoldenRow& key, const soe::SessionStats& st) {
   std::ostringstream os;
   os << "{\"" << key.subject << "\", " << (key.query ? "true" : "false")
      << ", " << (key.skip ? "true" : "false") << ", " << key.chunk << ", "
-     << (key.merkle ? "true" : "false") << ", " << st.ram_peak << ", "
+     << st.ram_peak << ", "
      << st.evaluator.modeled_ram_peak << ", " << st.bytes_transferred << ", "
      << st.bytes_decrypted << ", " << st.apdu_exchanges << ", "
      << st.dsp_round_trips << ", 0x" << std::hex
@@ -1055,7 +1027,7 @@ const GoldenRow* FindGolden(const GoldenRow& key) {
   for (const GoldenRow& row : kGoldenSessions) {
     if (std::strcmp(row.subject, key.subject) == 0 &&
         row.query == key.query && row.skip == key.skip &&
-        row.chunk == key.chunk && row.merkle == key.merkle) {
+        row.chunk == key.chunk) {
       return &row;
     }
   }
@@ -1065,35 +1037,32 @@ const GoldenRow* FindGolden(const GoldenRow& key) {
 TEST(GoldenSessionTest, ModeledCostsAreByteIdentical) {
   size_t checked = 0;
   for (uint32_t chunk : {64u, 256u}) {
-    for (bool merkle : {false, true}) {
-      GoldenDoc doc(chunk, merkle);
-      for (const char* subject : {"accountant", "researcher", "emergency"}) {
-        for (bool query : {false, true}) {
-          for (bool skip : {true, false}) {
-            GoldenRow key{subject, query, skip, chunk, merkle,
-                          0,       0,     0,    0,     0,      0, 0};
-            auto out = doc.Run(key, CardProfile::EGate(), false);
-            ASSERT_TRUE(out.ok()) << out.status().ToString();
-            const soe::SessionStats& st = out.value().stats;
-            std::string actual = FormatRow(key, st);
-            const GoldenRow* want = FindGolden(key);
-            if (want == nullptr) {
-              ADD_FAILURE() << "no golden row; current code gives\n"
-                            << actual;
-              continue;
-            }
-            EXPECT_EQ(st.ram_peak, want->ram_peak) << actual;
-            EXPECT_EQ(st.evaluator.modeled_ram_peak, want->modeled_ram_peak)
-                << actual;
-            EXPECT_EQ(st.bytes_transferred, want->bytes_transferred)
-                << actual;
-            EXPECT_EQ(st.bytes_decrypted, want->bytes_decrypted) << actual;
-            EXPECT_EQ(st.apdu_exchanges, want->apdu_exchanges) << actual;
-            EXPECT_EQ(st.dsp_round_trips, want->dsp_round_trips) << actual;
-            EXPECT_EQ(DoubleBits(st.total_seconds), want->total_seconds_bits)
-                << actual;
-            ++checked;
+    GoldenDoc doc(chunk);
+    for (const char* subject : {"accountant", "researcher", "emergency"}) {
+      for (bool query : {false, true}) {
+        for (bool skip : {true, false}) {
+          GoldenRow key{subject, query, skip, chunk, 0, 0, 0, 0, 0, 0, 0};
+          auto out = doc.Run(key, CardProfile::EGate(), false);
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          const soe::SessionStats& st = out.value().stats;
+          std::string actual = FormatRow(key, st);
+          const GoldenRow* want = FindGolden(key);
+          if (want == nullptr) {
+            ADD_FAILURE() << "no golden row; current code gives\n"
+                          << actual;
+            continue;
           }
+          EXPECT_EQ(st.ram_peak, want->ram_peak) << actual;
+          EXPECT_EQ(st.evaluator.modeled_ram_peak, want->modeled_ram_peak)
+              << actual;
+          EXPECT_EQ(st.bytes_transferred, want->bytes_transferred)
+              << actual;
+          EXPECT_EQ(st.bytes_decrypted, want->bytes_decrypted) << actual;
+          EXPECT_EQ(st.apdu_exchanges, want->apdu_exchanges) << actual;
+          EXPECT_EQ(st.dsp_round_trips, want->dsp_round_trips) << actual;
+          EXPECT_EQ(DoubleBits(st.total_seconds), want->total_seconds_bits)
+              << actual;
+          ++checked;
         }
       }
     }
@@ -1110,48 +1079,46 @@ TEST(GoldenSessionTest, ModeledCostsAreByteIdentical) {
 TEST(GoldenSessionTest, ReusedCardMatchesFreshCards) {
   size_t checked = 0;
   for (uint32_t chunk : {64u, 256u}) {
-    for (bool merkle : {false, true}) {
-      GoldenDoc doc(chunk, merkle);
-      std::vector<GoldenRow> keys;
-      for (const char* subject : {"accountant", "researcher", "emergency"}) {
-        for (bool query : {false, true}) {
-          for (bool skip : {true, false}) {
-            keys.push_back(GoldenRow{subject, query, skip, chunk, merkle, 0,
-                                     0, 0, 0, 0, 0, 0});
-          }
+    GoldenDoc doc(chunk);
+    std::vector<GoldenRow> keys;
+    for (const char* subject : {"accountant", "researcher", "emergency"}) {
+      for (bool query : {false, true}) {
+        for (bool skip : {true, false}) {
+          keys.push_back(
+              GoldenRow{subject, query, skip, chunk, 0, 0, 0, 0, 0, 0, 0});
         }
       }
-      soe::CardEngine card(CardProfile::EGate());
-      for (int pass = 0; pass < 2; ++pass) {
-        for (size_t k = 0; k < keys.size(); ++k) {
-          const GoldenRow& key = keys[pass == 0 ? k : keys.size() - 1 - k];
-          auto fresh = doc.Run(key, CardProfile::EGate(), false);
-          auto reused = doc.RunOn(&card, key, false);
-          ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-          ASSERT_TRUE(reused.ok()) << reused.status().ToString();
-          const soe::SessionStats& a = fresh.value().stats;
-          const soe::SessionStats& b = reused.value().stats;
-          const std::string row = FormatRow(key, a);
-          EXPECT_EQ(FormatRow(key, b), row);
-          EXPECT_EQ(reused.value().view_xml, fresh.value().view_xml) << row;
-          EXPECT_EQ(b.evaluator.events, a.evaluator.events) << row;
-          EXPECT_EQ(b.evaluator.nfa_transitions, a.evaluator.nfa_transitions)
-              << row;
-          EXPECT_EQ(b.evaluator.obligations_created,
-                    a.evaluator.obligations_created)
-              << row;
-          EXPECT_EQ(b.evaluator.candidates_created,
-                    a.evaluator.candidates_created)
-              << row;
-          EXPECT_EQ(b.evaluator.buffered_events_peak,
-                    a.evaluator.buffered_events_peak)
-              << row;
-          EXPECT_EQ(b.skips, a.skips) << row;
-          auto aborted = doc.RunOn(&card, key, false,
-                                   doc.container->header().chunk_count - 1);
-          EXPECT_EQ(aborted.status().code(), StatusCode::kIntegrityError);
-          ++checked;
-        }
+    }
+    soe::CardEngine card(CardProfile::EGate());
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        const GoldenRow& key = keys[pass == 0 ? k : keys.size() - 1 - k];
+        auto fresh = doc.Run(key, CardProfile::EGate(), false);
+        auto reused = doc.RunOn(&card, key, false);
+        ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+        ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+        const soe::SessionStats& a = fresh.value().stats;
+        const soe::SessionStats& b = reused.value().stats;
+        const std::string row = FormatRow(key, a);
+        EXPECT_EQ(FormatRow(key, b), row);
+        EXPECT_EQ(reused.value().view_xml, fresh.value().view_xml) << row;
+        EXPECT_EQ(b.evaluator.events, a.evaluator.events) << row;
+        EXPECT_EQ(b.evaluator.nfa_transitions, a.evaluator.nfa_transitions)
+            << row;
+        EXPECT_EQ(b.evaluator.obligations_created,
+                  a.evaluator.obligations_created)
+            << row;
+        EXPECT_EQ(b.evaluator.candidates_created,
+                  a.evaluator.candidates_created)
+            << row;
+        EXPECT_EQ(b.evaluator.buffered_events_peak,
+                  a.evaluator.buffered_events_peak)
+            << row;
+        EXPECT_EQ(b.skips, a.skips) << row;
+        auto aborted = doc.RunOn(&card, key, false,
+                                 doc.container->header().chunk_count - 1);
+        EXPECT_EQ(aborted.status().code(), StatusCode::kIntegrityError);
+        ++checked;
       }
     }
   }
@@ -1161,10 +1128,10 @@ TEST(GoldenSessionTest, ReusedCardMatchesFreshCards) {
 // Strict mode trips at exactly the metered peak: a budget of one byte less
 // than the golden ram_peak aborts the session, the peak itself passes.
 TEST(GoldenSessionTest, StrictRamFailsAtTheSameBudget) {
-  GoldenRow key{"emergency", true, true, 64, false, 0, 0, 0, 0, 0, 0, 0};
+  GoldenRow key{"emergency", true, true, 64, 0, 0, 0, 0, 0, 0, 0};
   const GoldenRow* want = FindGolden(key);
   ASSERT_NE(want, nullptr);
-  GoldenDoc doc(key.chunk, key.merkle);
+  GoldenDoc doc(key.chunk);
   CardProfile profile = CardProfile::EGate();
   profile.ram_budget = want->ram_peak - 1;
   auto over = doc.Run(key, profile, /*strict_ram=*/true);

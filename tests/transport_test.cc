@@ -355,6 +355,35 @@ TEST(TransportTest, ShardedFailedPublishKeepsExistingCopies) {
   EXPECT_EQ(open.value().sealed_rules, (Bytes{5}));
 }
 
+// A container whose reserved header bytes are set (the mode byte, or the
+// 32-byte field before the root MAC) is refused at publish, and a refused
+// republish keeps the stored document.
+TEST(TransportTest, PublishRefusesNonZeroReservedHeaderBytes) {
+  dsp::DspServer dsp;
+  Rng rng(27);
+  auto key = crypto::SymmetricKey::Generate(&rng);
+  Bytes good = crypto::SecureContainer::Seal(key, Bytes(600, 0x44), 256, &rng);
+  constexpr size_t kModeByte = 4 + 1;
+  constexpr size_t kReserved = 4 + 1 + 1 + 16 + 4 + 8 + 4;
+  for (size_t pos : {kModeByte, kReserved, kReserved + 31}) {
+    Bytes bad = good;
+    bad[pos] = 1;
+    EXPECT_EQ(dsp.Publish("fresh", bad, Bytes{1}).code(),
+              StatusCode::kParseError)
+        << pos;
+  }
+  EXPECT_EQ(dsp.OpenDocument("fresh").status().code(), StatusCode::kNotFound);
+
+  ASSERT_TRUE(dsp.Publish("kept", good, Bytes{2}).ok());
+  Bytes bad = good;
+  bad[kModeByte] = 1;
+  EXPECT_FALSE(dsp.Publish("kept", bad, Bytes{3}).ok());
+  auto open = dsp.OpenDocument("kept");
+  ASSERT_TRUE(open.ok());
+  EXPECT_EQ(open.value().rules_version, 1u);
+  EXPECT_EQ(dsp.GetContainer("kept").value(), good);
+}
+
 // --- Multi-span kGetChunks ---------------------------------------------------
 
 // Seals a 10-chunk container (payload 2500 bytes, chunk 256) and returns
@@ -927,8 +956,7 @@ void ExpectSameResult(const Result<dsp::Response>& mem,
   ASSERT_EQ(a.chunks.size(), b.chunks.size());
   for (size_t i = 0; i < a.chunks.size(); ++i) {
     EXPECT_EQ(a.chunks[i].ciphertext, b.chunks[i].ciphertext);
-    EXPECT_EQ(a.chunks[i].auth.mac, b.chunks[i].auth.mac);
-    EXPECT_EQ(a.chunks[i].auth.proof.size(), b.chunks[i].auth.proof.size());
+    EXPECT_EQ(a.chunks[i].auth, b.chunks[i].auth);
   }
 }
 
