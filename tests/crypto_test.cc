@@ -566,7 +566,7 @@ TEST(ContainerTest, HeaderRejectsNonZeroReservedBytes) {
   SymmetricKey key = SymmetricKey::Generate(&rng);
   Bytes sealed = SecureContainer::Seal(key, Bytes(600, 0x21), 256, &rng);
   ASSERT_TRUE(SecureContainer::OpenAll(key, sealed).ok());
-  constexpr size_t kModeByte = 4 + 1;                 // after magic, version
+  constexpr size_t kModeByte = 4 + 1;  // after magic and version
   constexpr size_t kReserved = 4 + 1 + 1 + 16 + 4 + 8 + 4;  // 32 B field
   EXPECT_EQ(sealed[kModeByte], 0);
   for (size_t i = 0; i < 32; ++i) EXPECT_EQ(sealed[kReserved + i], 0) << i;
